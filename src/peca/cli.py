@@ -158,15 +158,15 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
         warn.append("GEV fit did not satisfy the optimizer's convergence test")
     _late_event_warning(events, config.delta, warn)
 
-    result = mc_multi_threshold_test(events, x, config.delta, ladder, fit.params,
+    tcp = compute_tcp(events, x, config.delta, ladder)
+    pis = success_probabilities(ladder, fit.params)
+    result = mc_multi_threshold_test(events, x, config.delta, ladder, tcp, pis,
                                      config.r, config.seed, workers=config.workers)
-    pointwise = pointwise_tests_along_ladder(events, x, config.delta, ladder, fit.params)
+    pointwise = pointwise_tests_along_ladder(tcp, pis)
     adjusted = adjust([t.p_value for t in pointwise], config.adjust_method)
     rejected = reject_set(adjusted, config.alpha)
 
-    pis = success_probabilities(ladder, fit.params)
     _, lower, upper = expected_process_with_band(events.n_events, pis, level=0.95)
-    tcp = compute_tcp(events, x, config.delta, ladder)
     denom = float(events.n_events) if events.n_events else np.nan
     table = QtrTable(
         levels=ladder.levels,
@@ -269,14 +269,14 @@ def _simulate_qtr_extremes(seed: int, out_dir: Path, length: int | None,
         write_qtr_csv(table, path)
         write_qtr_svg(table, out_dir / f"qtr_{label}.svg", title=f"{label} events")
         outputs.extend([path.name, f"qtr_{label}.svg"])
-        test = mc_multi_threshold_test(events, x, delta, ladder, fit.params, r, seed)
+        test = mc_multi_threshold_test(events, x, delta, ladder, tcp, pis, r, seed)
         results[label] = {
             "statistic": test.statistic,
             "p_hat": test.p_hat,
             "rate_at_trigger_tau": count_trigger_exceedances(events, x, trigger_tau, delta).rate,
         }
 
-    nlls = null_nll_replicates(independent, x, delta, ladder, fit.params, r, seed)
+    nlls = null_nll_replicates(independent, x, delta, ladder, pis, r, seed)
     nll_path = out_dir / "replicate_nlls.csv"
     with open(nll_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("replicate,nll\n")

@@ -17,9 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom as _binom
 
-from .nulls import GevParams, PointwiseTestResult, binom_logpmf, gev_null_pvalue, gev_sf
+from .nulls import GevParams, PointwiseTestResult, binom_cdf, binom_logpmf, binom_tail, gev_sf
 from .series import EventSeries, TimeSeries, _check_delta, _check_same_grid, _frozen, _window_max
 
 __all__ = [
@@ -183,13 +182,18 @@ def _tcp_counts(window_max: np.ndarray, occurrences: np.ndarray, t_max: int,
     return (w.size - np.searchsorted(w, thresholds, side="right")).astype(np.int64)
 
 
-def _check_pis(pis: np.ndarray) -> None:
+def _as_pis(pis, m: int | None = None) -> np.ndarray:
+    """Success probabilities as a validated flat float array, of length m when given."""
+    pis = np.asarray(pis, dtype=float).ravel()
+    if m is not None and pis.size != m:
+        raise ValueError("pis must have one entry per ladder threshold")
     if pis.size < 1:
         raise ValueError("need at least one success probability")
     if np.any((pis <= 0.0) | (pis > 1.0)) or not np.all(np.isfinite(pis)):
         raise ValueError("success probabilities must lie in (0, 1]")
     if np.any(pis[1:] > pis[:-1] * (1.0 + 1e-9)):
         raise ValueError("success probabilities must be non-increasing along the ladder")
+    return pis
 
 
 def _nll_rows(counts: np.ndarray, n_events: int, pis: np.ndarray) -> np.ndarray:
@@ -210,10 +214,7 @@ def tcp_nll(process: TriggerCoincidenceProcess, pis) -> float:
     Binomial(previous count, pis[i] / pis[i-1]).  The conditional success
     ratio is clamped to [0, 1] against floating-point overshoot.
     """
-    pis = np.asarray(pis, dtype=float).ravel()
-    if pis.size != process.m:
-        raise ValueError("pis must match the process length")
-    _check_pis(pis)
+    pis = _as_pis(pis, process.m)
     return float(_nll_rows(process.counts[None, :], process.n_events, pis)[0])
 
 
@@ -230,15 +231,17 @@ def permute_events(e: EventSeries, rng: np.random.Generator) -> EventSeries:
 
 
 def null_nll_replicates(e: EventSeries, x: TimeSeries, delta: int, ladder: ThresholdLadder,
-                        theta: GevParams, r: int, seed: int, workers: int = 1) -> np.ndarray:
+                        pis: np.ndarray, r: int, seed: int, workers: int = 1) -> np.ndarray:
     """Process NLL statistics for r permutation replicates.
 
-    Replicate j draws its event placement from ``replicate_rng(seed, j)``, so
-    the result is identical for any worker count and any execution order.
+    ``pis`` are the ladder's success probabilities (see
+    ``success_probabilities``).  Replicate j draws its event placement from
+    ``replicate_rng(seed, j)``, so the result is identical for any worker
+    count and any execution order.
     """
     if r < 1:
         raise ValueError("need at least one replicate")
-    pis = success_probabilities(ladder, theta)
+    pis = _as_pis(pis, ladder.m)
     win = _window_max(x.values, delta)
     t_max = e.length - delta
     counts = np.empty((r, ladder.m), dtype=np.int64)
@@ -261,17 +264,20 @@ def null_nll_replicates(e: EventSeries, x: TimeSeries, delta: int, ladder: Thres
 
 
 def mc_multi_threshold_test(e: EventSeries, x: TimeSeries, delta: int, ladder: ThresholdLadder,
-                            theta: GevParams, r: int, seed: int, workers: int = 1) -> MultiTestResult:
+                            process: TriggerCoincidenceProcess, pis: np.ndarray, r: int, seed: int,
+                            workers: int = 1) -> MultiTestResult:
     """Monte Carlo test of the observed process NLL against event permutations.
 
-    The p-value estimate is (1 + #{null >= observed}) / (r + 1), which is
-    never zero and counts ties against the alternative.
+    ``process`` is the observed process, ``compute_tcp(e, x, delta, ladder)``,
+    and ``pis`` the ladder's success probabilities; both are computed once by
+    the caller and shared with the pointwise tests and the QTR table.  The
+    p-value estimate is (1 + #{null >= observed}) / (r + 1), which is never
+    zero and counts ties against the alternative.
     """
     _check_same_grid(e.length, x.length)
     _check_delta(delta, x.length)
-    pis = success_probabilities(ladder, theta)
-    observed = tcp_nll(compute_tcp(e, x, delta, ladder), pis)
-    null_stats = null_nll_replicates(e, x, delta, ladder, theta, r, seed, workers=workers)
+    observed = tcp_nll(process, pis)
+    null_stats = null_nll_replicates(e, x, delta, ladder, pis, r, seed, workers=workers)
     p_hat = (1 + int(np.count_nonzero(null_stats >= observed))) / (r + 1)
     return MultiTestResult(statistic=float(observed), replicates=int(r), p_hat=float(p_hat),
                            seed=int(seed), null_min=float(null_stats.min()),
@@ -284,14 +290,14 @@ def expected_process_with_band(n_events: int, pis, level: float = 0.95):
 
     Returns (expected, lower, upper): expected counts n_events * pi, and the
     (1-level)/2 and (1+level)/2 quantiles of Binomial(n_events, pi) at each
-    threshold.
+    threshold.  A quantile q is the smallest count whose distribution
+    function reaches q.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("band level must lie in (0, 1)")
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
-    pis = np.asarray(pis, dtype=float).ravel()
-    _check_pis(pis)
+    pis = _as_pis(pis)
     expected = n_events * pis
     lower = np.empty(pis.size, dtype=np.int64)
     upper = np.empty(pis.size, dtype=np.int64)
@@ -300,8 +306,8 @@ def expected_process_with_band(n_events: int, pis, level: float = 0.95):
         if pi >= 1.0:
             lower[i] = upper[i] = n_events
         else:
-            lower[i] = int(_binom.ppf(q_lo, n_events, pi))
-            upper[i] = int(_binom.ppf(q_hi, n_events, pi))
+            cmf = binom_cdf(np.arange(n_events + 1), n_events, float(pi))
+            lower[i], upper[i] = np.minimum(np.searchsorted(cmf, (q_lo, q_hi)), n_events)
     return expected, lower, upper
 
 
@@ -317,8 +323,7 @@ def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, TriggerCo
         raise ValueError('direction must be "min" or "max"')
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
-    pis = np.asarray(pis, dtype=float).ravel()
-    _check_pis(pis)
+    pis = _as_pis(pis)
     minimize = direction == "min"
     bad = math.inf if minimize else -math.inf
 
@@ -347,9 +352,15 @@ def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, TriggerCo
     return statistic, process
 
 
-def pointwise_tests_along_ladder(e: EventSeries, x: TimeSeries, delta: int,
-                                 ladder: ThresholdLadder, theta: GevParams) -> list[PointwiseTestResult]:
-    """Raw (unadjusted) single-threshold GEV-null tests at each ladder threshold."""
-    tcp = compute_tcp(e, x, delta, ladder)
-    return [gev_null_pvalue(int(k), e.n_events, float(tau), theta)
-            for k, tau in zip(tcp.counts, ladder.thresholds)]
+def pointwise_tests_along_ladder(process: TriggerCoincidenceProcess,
+                                 pis: np.ndarray) -> list[PointwiseTestResult]:
+    """Raw (unadjusted) single-threshold tests of each count of the observed process.
+
+    The count at rung i is scored against Binomial(n_events, pis[i]), the
+    upper tail that ``gev_null_pvalue`` takes at that threshold.
+    """
+    pis = _as_pis(pis, process.m)
+    n = process.n_events
+    return [PointwiseTestResult(k_observed=int(k), n_events=n, success_prob=float(pi),
+                                p_value=binom_tail(int(k), n, float(pi)))
+            for k, pi in zip(process.counts, pis)]

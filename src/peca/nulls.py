@@ -29,6 +29,7 @@ __all__ = [
     "block_maxima",
     "fit_gev_mle",
     "binom_logpmf",
+    "binom_cdf",
     "binom_tail",
     "PointwiseTestResult",
     "bernoulli_null_pvalue",
@@ -238,6 +239,20 @@ def binom_logpmf(k, n, p: float):
         out = (gammaln(nn + 1.0) - gammaln(kk + 1.0) - gammaln(nn - kk + 1.0)
                + kk * math.log(p) + (nn - kk) * math.log1p(-p))
     return np.where(valid, out, -np.inf)
+
+
+def binom_cdf(k, n: int, p: float) -> np.ndarray:
+    """Distribution function P(K <= k) for K ~ Binomial(n, p), vectorized over k.
+
+    The pmf terms for 0..n are accumulated in log space and clamped at 1.0,
+    so the result is non-decreasing in k.  Entries with k < 0 get 0.0 and
+    entries with k >= n get the last accumulated value.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    k = np.asarray(k)
+    cmf = np.minimum(np.exp(np.logaddexp.accumulate(binom_logpmf(np.arange(n + 1), n, p))), 1.0)
+    return np.where(k < 0, 0.0, cmf[np.clip(k, 0, n)])
 
 
 def binom_tail(k: int, n: int, p: float) -> float:

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom as _binom
 
 from .multi import _tcp_counts
-from .nulls import block_maxima, fit_gev_mle, gev_sf
+from .nulls import binom_cdf, block_maxima, fit_gev_mle, gev_sf
 from .series import EventSeries, TimeSeries, _window_max
 
 __all__ = [
@@ -198,8 +197,8 @@ def null_distribution_comparison(config: SimConfig) -> NullComparisonResult:
                 pi_ber = 1.0
             else:
                 pi_ber = -math.expm1((config.delta + 1) * math.log1p(-p_exc))
-            ber = _binom.cdf(ks, n, pi_ber)
-            gev = _binom.cdf(ks, n, gev_sf(float(tau), theta))
+            ber = binom_cdf(ks, n, pi_ber)
+            gev = binom_cdf(ks, n, gev_sf(float(tau), theta))
             cells.append(NullComparisonCell(
                 ma_order=int(order), tau=float(tau), k=ks.copy(),
                 empirical_cmf=emp, bernoulli_cmf=ber, gev_cmf=gev,

@@ -134,7 +134,8 @@ def test_criterion_4_test_calibration():
         e = gen_independent_events(4096, 32, seed=_substream(7000, i, 1))
         fit = fit_gev_mle(block_maxima(x, 7))
         ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
-        res = mc_multi_threshold_test(e, x, 7, ladder, fit.params, r=200,
+        res = mc_multi_threshold_test(e, x, 7, ladder, compute_tcp(e, x, 7, ladder),
+                                      success_probabilities(ladder, fit.params), r=200,
                                       seed=int(_substream(7000, i, 2).generate_state(1)[0]))
         rejections += res.p_hat < 0.05
     lo = int(binom.ppf(0.005, 500, 0.05))
@@ -158,7 +159,7 @@ def test_criterion_5_dp_envelope():
     fit = fit_gev_mle(block_maxima(x, 7))
     ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
     pis = success_probabilities(ladder, fit.params)
-    nlls = null_nll_replicates(e, x, 7, ladder, fit.params, r=1000, seed=50)
+    nlls = null_nll_replicates(e, x, 7, ladder, pis, r=1000, seed=50)
     lo, _ = dp_extreme_nll(32, pis, "min")
     hi, _ = dp_extreme_nll(32, pis, "max")
     inside = bool(np.all((nlls >= lo - 1e-9) & (nlls <= hi + 1e-9)))

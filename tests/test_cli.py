@@ -4,11 +4,16 @@ import contextlib
 import datetime
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import peca
 from peca.cli import AnalysisConfig, main
 
 
@@ -230,3 +235,15 @@ def test_analysis_config_validation():
         AnalysisConfig(adjust_method="fdr")
     with pytest.raises(ValueError):
         AnalysisConfig(alpha=0.0)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second of every cold process; the
+    # package needs only scipy.optimize and scipy.special
+    src = str(Path(peca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import peca.cli, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -24,7 +24,7 @@ from peca.multi import (
     success_probabilities,
     tcp_nll,
 )
-from peca.nulls import GevParams, binom_logpmf, gev_sf
+from peca.nulls import GevParams, binom_logpmf, gev_null_pvalue, gev_sf
 from peca.series import EventSeries, TimeSeries, count_trigger_exceedances
 
 
@@ -210,8 +210,9 @@ def test_full_occupancy_is_fixed_point():
     x = TimeSeries(np.random.default_rng(8).exponential(size=40))
     e = EventSeries(40, tuple(range(1, 41)))
     ladder = build_ladder_from_quantiles(x, 0.2, 0.9, 5)
-    theta = GevParams(0.0, np.median(x.values), 1.0)
-    res = mc_multi_threshold_test(e, x, 2, ladder, theta, r=50, seed=9)
+    pis = success_probabilities(ladder, GevParams(0.0, np.median(x.values), 1.0))
+    res = mc_multi_threshold_test(e, x, 2, ladder, compute_tcp(e, x, 2, ladder), pis,
+                                  r=50, seed=9)
     # permuting all positions returns the same series, so every replicate ties
     assert res.p_hat == 1.0
 
@@ -221,10 +222,10 @@ def test_replicates_deterministic_and_worker_independent():
     x = TimeSeries(rng.exponential(size=400))
     e = EventSeries(400, tuple(sorted(rng.choice(np.arange(1, 401), 25, replace=False))))
     ladder = build_ladder_from_quantiles(x, 0.5, 0.99, 9)
-    theta = GevParams(0.05, 1.0, 0.8)
-    a = null_nll_replicates(e, x, 4, ladder, theta, r=64, seed=5, workers=1)
-    b = null_nll_replicates(e, x, 4, ladder, theta, r=64, seed=5, workers=4)
-    c = null_nll_replicates(e, x, 4, ladder, theta, r=64, seed=5, workers=1)
+    pis = success_probabilities(ladder, GevParams(0.05, 1.0, 0.8))
+    a = null_nll_replicates(e, x, 4, ladder, pis, r=64, seed=5, workers=1)
+    b = null_nll_replicates(e, x, 4, ladder, pis, r=64, seed=5, workers=4)
+    c = null_nll_replicates(e, x, 4, ladder, pis, r=64, seed=5, workers=1)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, c)
 
@@ -234,9 +235,11 @@ def test_mc_pvalue_counting_rule():
     x = TimeSeries(rng.exponential(size=200))
     e = EventSeries(200, tuple(sorted(rng.choice(np.arange(1, 201), 12, replace=False))))
     ladder = build_ladder_from_quantiles(x, 0.4, 0.95, 6)
-    theta = GevParams(0.1, 1.0, 1.0)
-    res = mc_multi_threshold_test(e, x, 3, ladder, theta, r=99, seed=3)
-    nulls = null_nll_replicates(e, x, 3, ladder, theta, r=99, seed=3)
+    pis = success_probabilities(ladder, GevParams(0.1, 1.0, 1.0))
+    tcp = compute_tcp(e, x, 3, ladder)
+    res = mc_multi_threshold_test(e, x, 3, ladder, tcp, pis, r=99, seed=3)
+    nulls = null_nll_replicates(e, x, 3, ladder, pis, r=99, seed=3)
+    assert res.statistic == tcp_nll(tcp, pis)
     ge = int(np.count_nonzero(nulls >= res.statistic))
     assert res.p_hat == (1 + ge) / (99 + 1)
     assert res.replicates == 99
@@ -250,12 +253,14 @@ def test_mc_pvalue_counting_rule():
 
 def test_expected_band_exact_quantiles():
     from scipy.stats import binom
-    pis = np.array([0.6, 0.2])
-    expected, lower, upper = expected_process_with_band(30, pis, level=0.9)
-    np.testing.assert_allclose(expected, 30 * pis)
-    for i, pi in enumerate(pis):
-        assert lower[i] == binom.ppf(0.05, 30, pi)
-        assert upper[i] == binom.ppf(0.95, 30, pi)
+    # near one, in the middle, and near zero; non-increasing as a ladder needs
+    pis = np.array([1 - 1e-12, 1 - 1e-6, 0.999, 0.95, 0.6, 0.5, 0.2, 0.05,
+                    1e-3, 1e-6, 1e-12])
+    for n, level in itertools.product((0, 1, 17, 32, 1000), (0.9, 0.95)):
+        expected, lower, upper = expected_process_with_band(n, pis, level=level)
+        np.testing.assert_allclose(expected, n * pis)
+        np.testing.assert_array_equal(lower, binom.ppf((1 - level) / 2, n, pis))
+        np.testing.assert_array_equal(upper, binom.ppf((1 + level) / 2, n, pis))
 
 
 def test_expected_band_degenerate_pi():
@@ -315,8 +320,10 @@ def test_pointwise_along_ladder_matches_direct():
     e = EventSeries(600, tuple(sorted(rng.choice(np.arange(1, 601), 24, replace=False))))
     ladder = build_ladder_from_quantiles(x, 0.5, 0.98, 7)
     theta = GevParams(0.02, 1.2, 0.9)
-    results = pointwise_tests_along_ladder(e, x, 6, ladder, theta)
     tcp = compute_tcp(e, x, 6, ladder)
+    results = pointwise_tests_along_ladder(tcp, success_probabilities(ladder, theta))
     assert [r.k_observed for r in results] == tcp.counts.tolist()
     for r, tau in zip(results, ladder.thresholds):
         assert r.success_prob == pytest.approx(gev_sf(float(tau), theta), abs=1e-15)
+        direct = gev_null_pvalue(r.k_observed, e.n_events, float(tau), theta)
+        assert r.p_value == pytest.approx(direct.p_value, abs=1e-15)

@@ -19,6 +19,7 @@ from peca.nulls import (
     GevFitError,
     GevParams,
     bernoulli_null_pvalue,
+    binom_cdf,
     binom_logpmf,
     binom_tail,
     block_maxima,
@@ -179,6 +180,24 @@ def test_binom_logpmf_matches_scipy():
     ks = np.arange(0, 21)
     got = binom_logpmf(ks, 20.0, 0.37)
     np.testing.assert_allclose(got, sp_binom.logpmf(ks, 20, 0.37), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [0, 1, 17, 32, 1000])
+@pytest.mark.parametrize("p", [0.0, 1e-12, 1e-4, 0.3, 0.5, 0.97, 1 - 1e-9, 1.0])
+def test_binom_cdf_matches_scipy(n, p):
+    from scipy.stats import binom as sp_binom
+    ks = np.arange(-2, n + 3)
+    got = binom_cdf(ks, n, p)
+    np.testing.assert_allclose(got, sp_binom.cdf(ks, n, p), rtol=0, atol=1e-11)
+    assert np.all(np.diff(got) >= 0.0)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+def test_binom_cdf_edges():
+    np.testing.assert_array_equal(binom_cdf(np.arange(4), 3, 0.0), [1.0, 1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(binom_cdf(np.arange(4), 3, 1.0), [0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        binom_cdf(1, -1, 0.5)
 
 
 # --- single-threshold tests --------------------------------------------------
