@@ -10,15 +10,14 @@ from .ingest import DayGrid, IngestError, ingest_events, ingest_timeseries
 from .multi import (MultiTestResult, ThresholdLadder, TriggerCoincidenceProcess,
                     build_ladder_from_quantiles, compute_tcp, dp_extreme_nll, empirical_quantile,
                     expected_process_with_band, mc_multi_threshold_test, null_nll_replicates,
-                    permute_events, pointwise_tests_along_ladder, replicate_rng,
-                    success_probabilities, tcp_nll)
+                    pointwise_tests_along_ladder, success_probabilities, tcp_nll)
 from .nulls import (GevFit, GevFitError, GevParams, PointwiseTestResult, bernoulli_null_pvalue,
                     binom_logpmf, binom_tail, block_maxima, estimate_event_rate, fit_gev_mle,
                     gev_cdf, gev_null_pvalue, gev_sf)
 from .qtr import QTR_COLUMNS, QtrTable, write_qtr_csv, write_qtr_svg
 from .series import (CoincidenceResult, EventSeries, TimeSeries, count_precursor, count_trigger,
                      count_trigger_exceedances, exceedance_series, forward_window_max, late_events,
-                     preprocess)
+                     preprocess, rung_index)
 from .sim import (NullComparisonCell, NullComparisonResult, SimConfig, gen_dependent_events,
                   gen_independent_events, gen_ma_exponential, null_distribution_comparison,
                   write_comparison_csv)
@@ -37,7 +36,7 @@ __all__ = [
     "gen_dependent_events", "gen_independent_events", "gen_ma_exponential", "gev_cdf",
     "gev_null_pvalue", "gev_sf", "ingest_events", "ingest_timeseries", "late_events",
     "mc_multi_threshold_test", "null_distribution_comparison", "null_nll_replicates",
-    "permute_events", "pointwise_tests_along_ladder", "preprocess", "reject_set",
-    "replicate_rng", "success_probabilities", "tcp_nll", "write_comparison_csv",
+    "pointwise_tests_along_ladder", "preprocess", "reject_set", "rung_index",
+    "success_probabilities", "tcp_nll", "write_comparison_csv",
     "write_qtr_csv", "write_qtr_svg",
 ]

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from .multi import (build_ladder_from_quantiles, compute_tcp, dp_extreme_nll, em
                     pointwise_tests_along_ladder, success_probabilities, tcp_nll)
 from .nulls import GevFit, GevFitError, block_maxima, estimate_event_rate, fit_gev_mle, gev_null_pvalue
 from .qtr import QtrTable, write_qtr_csv, write_qtr_svg
-from .series import EventSeries, TimeSeries, count_trigger_exceedances, late_events, preprocess
+from .series import (EventSeries, TimeSeries, count_trigger_exceedances, late_events, preprocess,
+                     rung_index)
 from .sim import (SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential,
                   null_distribution_comparison, write_comparison_csv, _substream)
 
@@ -46,7 +48,6 @@ class AnalysisConfig:
     preprocess: bool = False
     window: int = 30
     min_blocks: int = 20
-    workers: int = 1
 
     def __post_init__(self):
         if self.delta < 0:
@@ -67,26 +68,6 @@ class AnalysisConfig:
             raise ValueError("window must be at least 1")
         if self.min_blocks < 2:
             raise ValueError("min_blocks must be at least 2")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-
-
-def _config_dict(config: AnalysisConfig) -> dict:
-    # Execution details (worker count) stay out of the report so that the
-    # bytes do not depend on how the run was parallelized.
-    return {
-        "delta": config.delta,
-        "qlo": config.qlo,
-        "qhi": config.qhi,
-        "m": config.m,
-        "r": config.r,
-        "alpha": config.alpha,
-        "adjust_method": config.adjust_method,
-        "seed": config.seed,
-        "preprocess": config.preprocess,
-        "window": config.window,
-        "min_blocks": config.min_blocks,
-    }
 
 
 def _gev_dict(fit: GevFit) -> dict:
@@ -127,7 +108,7 @@ def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSerie
     _late_event_warning(events, config.delta, warn)
     return {
         "command": "pointwise",
-        "config": _config_dict(config),
+        "config": asdict(config),
         "series": {
             "length": x.length,
             "n_events": events.n_events,
@@ -147,6 +128,8 @@ def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSerie
 def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
               warnings: list[str] | None = None) -> tuple[dict, QtrTable]:
     """Multi-threshold Monte Carlo test; returns the report dict and QTR table."""
+    if events.n_events == 0:
+        raise ValueError("multi needs at least one event")
     warn = list(warnings or [])
     x = preprocess(series, config.window) if config.preprocess else series
     ladder = build_ladder_from_quantiles(x, config.qlo, config.qhi, config.m)
@@ -158,28 +141,43 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
         warn.append("GEV fit did not satisfy the optimizer's convergence test")
     _late_event_warning(events, config.delta, warn)
 
-    tcp = compute_tcp(events, x, config.delta, ladder)
+    rungs = rung_index(x, config.delta, ladder.thresholds)
+    tcp = compute_tcp(events, rungs, ladder.m)
     pis = success_probabilities(ladder, fit.params)
-    result = mc_multi_threshold_test(events, x, config.delta, ladder, tcp, pis,
-                                     config.r, config.seed, workers=config.workers)
+    result = mc_multi_threshold_test(tcp, rungs, pis, config.r, config.seed)
     pointwise = pointwise_tests_along_ladder(tcp, pis)
     adjusted = adjust([t.p_value for t in pointwise], config.adjust_method)
     rejected = reject_set(adjusted, config.alpha)
 
     _, lower, upper = expected_process_with_band(events.n_events, pis, level=0.95)
-    denom = float(events.n_events) if events.n_events else np.nan
     table = QtrTable(
         levels=ladder.levels,
         thresholds=ladder.thresholds,
         observed_counts=tcp.counts,
         n_events=events.n_events,
         expected_rates=pis,
-        band_lower_rates=lower / denom,
-        band_upper_rates=upper / denom,
+        band_lower_rates=lower / events.n_events,
+        band_upper_rates=upper / events.n_events,
     )
+    multi_test = {
+        "statistic": result.statistic,
+        "replicates": result.replicates,
+        "p_hat": result.p_hat,
+        "seed": result.seed,
+        "null_min": result.null_min,
+        "null_median": result.null_median,
+        "null_max": result.null_max,
+    }
+    infinite = [key for key, v in multi_test.items() if not math.isfinite(v)]
+    multi_test.update(dict.fromkeys(infinite))
+    if infinite:
+        warn.append(f"multi_test {', '.join(infinite)} infinite, written as null: the fitted GEV "
+                    "null gives a rung success probability 1 (or ties it with the rung below), "
+                    "so a count below its predecessor there, as a late event makes, has zero "
+                    "likelihood")
     report = {
         "command": "multi",
-        "config": _config_dict(config),
+        "config": asdict(config),
         "series": {
             "length": x.length,
             "n_events": events.n_events,
@@ -193,15 +191,7 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
             "thresholds": [float(v) for v in ladder.thresholds],
         },
         "gev": _gev_dict(fit),
-        "multi_test": {
-            "statistic": result.statistic,
-            "replicates": result.replicates,
-            "p_hat": result.p_hat,
-            "seed": result.seed,
-            "null_min": result.null_min,
-            "null_median": result.null_median,
-            "null_max": result.null_max,
-        },
+        "multi_test": multi_test,
         "pointwise": {
             "k_observed": [int(k) for k in tcp.counts],
             "success_probs": [float(t.success_prob) for t in pointwise],
@@ -257,11 +247,12 @@ def _simulate_qtr_extremes(seed: int, out_dir: Path, length: int | None,
     fit = fit_gev_mle(block_maxima(x, delta))
     pis = success_probabilities(ladder, fit.params)
     _, lower, upper = expected_process_with_band(n, pis, level=0.95)
+    rungs = rung_index(x, delta, ladder.thresholds)
 
     outputs = []
     results = {}
     for label, events in (("dependent", dependent), ("independent", independent)):
-        tcp = compute_tcp(events, x, delta, ladder)
+        tcp = compute_tcp(events, rungs, ladder.m)
         table = QtrTable(levels=ladder.levels, thresholds=ladder.thresholds,
                          observed_counts=tcp.counts, n_events=n, expected_rates=pis,
                          band_lower_rates=lower / n, band_upper_rates=upper / n)
@@ -269,14 +260,14 @@ def _simulate_qtr_extremes(seed: int, out_dir: Path, length: int | None,
         write_qtr_csv(table, path)
         write_qtr_svg(table, out_dir / f"qtr_{label}.svg", title=f"{label} events")
         outputs.extend([path.name, f"qtr_{label}.svg"])
-        test = mc_multi_threshold_test(events, x, delta, ladder, tcp, pis, r, seed)
+        test = mc_multi_threshold_test(tcp, rungs, pis, r, seed)
         results[label] = {
             "statistic": test.statistic,
             "p_hat": test.p_hat,
             "rate_at_trigger_tau": count_trigger_exceedances(events, x, trigger_tau, delta).rate,
         }
 
-    nlls = null_nll_replicates(independent, x, delta, ladder, pis, r, seed)
+    nlls = null_nll_replicates(rungs, n, pis, r, seed)
     nll_path = out_dir / "replicate_nlls.csv"
     with open(nll_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("replicate,nll\n")
@@ -324,7 +315,8 @@ def run_simulate(preset: str, seed: int, out_dir, length: int | None = None,
         raise ValueError(f"unknown preset: {preset!r}")
     summary_path = out / "summary.json"
     summary["outputs"].append(summary_path.name)
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n",
+                            encoding="utf-8")
     return summary
 
 
@@ -362,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     mu.add_argument("--seed", type=int, default=0, help="replication seed")
     mu.add_argument("--adjust", choices=METHODS, default="holm", help="multiplicity adjustment")
     mu.add_argument("--alpha", type=float, default=0.05, help="family-wise level")
-    mu.add_argument("--workers", type=int, default=1, help="threads for the replicate loop")
     mu.add_argument("--qtr", help="write the QTR table CSV here")
     mu.add_argument("--svg", help="write the QTR chart here")
 
@@ -382,7 +373,7 @@ def _fail(category: str, exc: Exception) -> int:
 
 
 def _emit_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -405,8 +396,7 @@ def main(argv=None) -> int:
                 config = AnalysisConfig(delta=args.delta, qlo=args.qlo, qhi=args.qhi, m=args.m,
                                         r=args.r, alpha=args.alpha, adjust_method=args.adjust,
                                         seed=args.seed, preprocess=args.preprocess,
-                                        window=args.window, min_blocks=args.min_blocks,
-                                        workers=args.workers)
+                                        window=args.window, min_blocks=args.min_blocks)
                 report, table = run_multi(config, series, events, warnings=warn)
                 _emit_report(report, args.out)
                 if args.qtr:

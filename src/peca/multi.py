@@ -7,19 +7,20 @@ threshold is binomial over the events, and each higher count is a binomial
 thinning of the previous one, because a window exceeding the higher
 threshold also exceeds the lower.  The negative log-likelihood of the whole
 process is the test statistic; its null distribution is estimated by
-re-placing the events uniformly at random.
+re-placing the events uniformly at random.  Only the rung of each step
+(see ``rung_index``) enters the counts, so the re-placed process is the
+hypergeometric analogue of the binomial chain and is sampled as one.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .nulls import GevParams, PointwiseTestResult, binom_cdf, binom_logpmf, binom_tail, gev_sf
-from .series import EventSeries, TimeSeries, _check_delta, _check_same_grid, _frozen, _window_max
+from .series import EventSeries, TimeSeries, _check_same_grid, _frozen
 
 __all__ = [
     "ThresholdLadder",
@@ -30,8 +31,6 @@ __all__ = [
     "success_probabilities",
     "compute_tcp",
     "tcp_nll",
-    "permute_events",
-    "replicate_rng",
     "null_nll_replicates",
     "mc_multi_threshold_test",
     "expected_process_with_band",
@@ -162,24 +161,20 @@ def success_probabilities(ladder: ThresholdLadder, theta: GevParams) -> np.ndarr
     return np.minimum.accumulate(pis)
 
 
-def compute_tcp(e: EventSeries, x: TimeSeries, delta: int, ladder: ThresholdLadder) -> TriggerCoincidenceProcess:
-    """Trigger coincidence counts at every ladder threshold."""
-    _check_same_grid(e.length, x.length)
-    _check_delta(delta, x.length)
-    win = _window_max(x.values, delta)
-    counts = _tcp_counts(win, e.occurrences, e.length - delta, ladder.thresholds)
-    return TriggerCoincidenceProcess(counts=counts, n_events=e.n_events)
+def compute_tcp(e: EventSeries, rungs: np.ndarray, m: int) -> TriggerCoincidenceProcess:
+    """Trigger coincidence counts at the m ladder thresholds.
 
-
-def _tcp_counts(window_max: np.ndarray, occurrences: np.ndarray, t_max: int,
-                thresholds: np.ndarray) -> np.ndarray:
-    """Counts of events (at steps <= t_max) whose window maximum strictly exceeds each threshold.
-
-    ``thresholds`` must be ascending; the result is non-increasing.
+    ``rungs`` is the rung of every step, ``rung_index(x, delta,
+    ladder.thresholds)``; the count at threshold i (0-based) is the number
+    of events at a rung above i.
     """
-    early = occurrences[occurrences <= t_max]
-    w = np.sort(window_max[early - 1])
-    return (w.size - np.searchsorted(w, thresholds, side="right")).astype(np.int64)
+    rungs = np.asarray(rungs)
+    _check_same_grid(e.length, rungs.size)
+    at_events = rungs[e.occurrences - 1]
+    if np.any((at_events < 0) | (at_events > m)):
+        raise ValueError(f"rungs must lie in [0, {m}]")
+    counts = np.count_nonzero(at_events[:, None] > np.arange(m), axis=0)
+    return TriggerCoincidenceProcess(counts=counts, n_events=e.n_events)
 
 
 def _as_pis(pis, m: int | None = None) -> np.ndarray:
@@ -218,66 +213,57 @@ def tcp_nll(process: TriggerCoincidenceProcess, pis) -> float:
     return float(_nll_rows(process.counts[None, :], process.n_events, pis)[0])
 
 
-def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Reproducible stream for one replicate; a pure function of (seed, index)."""
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+def _null_counts(rungs: np.ndarray, n_events: int, m: int, r: int, seed: int) -> np.ndarray:
+    """Counts of r uniform re-placements of n_events events, as an (r, m) matrix.
+
+    With A_i the number of steps at rung >= i (A_0 the series length), the
+    count at rung i is hypergeometric: k_1 ~ HG(A_1 of A_0, n_events draws)
+    and k_i | k_{i-1} ~ HG(A_i of A_{i-1}, k_{i-1} draws).  Every replicate
+    is drawn at once, one rung at a time, from ``default_rng(seed)``.
+    """
+    rungs = np.asarray(rungs)
+    if np.any((rungs < 0) | (rungs > m)):
+        raise ValueError(f"rungs must lie in [0, {m}]")
+    if not 0 <= n_events <= rungs.size:
+        raise ValueError(f"cannot place {n_events} events on {rungs.size} steps")
+    at_least = np.bincount(rungs, minlength=m + 1)[::-1].cumsum()[::-1]
+    rng = np.random.default_rng(seed)
+    counts = np.empty((r, m), dtype=np.int64)
+    k = n_events
+    for i in range(1, m + 1):
+        k = rng.hypergeometric(at_least[i], at_least[i - 1] - at_least[i], k, size=r)
+        counts[:, i - 1] = k
+    return counts
 
 
-def permute_events(e: EventSeries, rng: np.random.Generator) -> EventSeries:
-    """Re-place the events uniformly at random among all steps, keeping their number."""
-    occ = rng.choice(e.length, size=e.n_events, replace=False)
-    occ.sort()
-    return EventSeries(length=e.length, occurrences=occ + 1)
-
-
-def null_nll_replicates(e: EventSeries, x: TimeSeries, delta: int, ladder: ThresholdLadder,
-                        pis: np.ndarray, r: int, seed: int, workers: int = 1) -> np.ndarray:
+def null_nll_replicates(rungs: np.ndarray, n_events: int, pis: np.ndarray, r: int,
+                        seed: int) -> np.ndarray:
     """Process NLL statistics for r permutation replicates.
 
-    ``pis`` are the ladder's success probabilities (see
-    ``success_probabilities``).  Replicate j draws its event placement from
-    ``replicate_rng(seed, j)``, so the result is identical for any worker
-    count and any execution order.
+    ``rungs`` is the rung index of the series (see ``rung_index``) and
+    ``pis`` the ladder's success probabilities (see
+    ``success_probabilities``).  The replicates are exact draws of the
+    process under uniform re-placement of ``n_events`` events, reproducible
+    from ``seed``.
     """
     if r < 1:
         raise ValueError("need at least one replicate")
-    pis = _as_pis(pis, ladder.m)
-    win = _window_max(x.values, delta)
-    t_max = e.length - delta
-    counts = np.empty((r, ladder.m), dtype=np.int64)
-
-    def fill(lo: int, hi: int) -> None:
-        for j in range(lo, hi):
-            perm = permute_events(e, replicate_rng(seed, j))
-            counts[j] = _tcp_counts(win, perm.occurrences, t_max, ladder.thresholds)
-
-    if workers <= 1:
-        fill(0, r)
-    else:
-        step = math.ceil(r / workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill, lo, min(lo + step, r)) for lo in range(0, r, step)]
-            for fut in futures:
-                fut.result()
-
-    return _nll_rows(counts, e.n_events, pis)
+    pis = _as_pis(pis)
+    return _nll_rows(_null_counts(rungs, n_events, pis.size, r, seed), n_events, pis)
 
 
-def mc_multi_threshold_test(e: EventSeries, x: TimeSeries, delta: int, ladder: ThresholdLadder,
-                            process: TriggerCoincidenceProcess, pis: np.ndarray, r: int, seed: int,
-                            workers: int = 1) -> MultiTestResult:
+def mc_multi_threshold_test(process: TriggerCoincidenceProcess, rungs: np.ndarray, pis: np.ndarray,
+                            r: int, seed: int) -> MultiTestResult:
     """Monte Carlo test of the observed process NLL against event permutations.
 
-    ``process`` is the observed process, ``compute_tcp(e, x, delta, ladder)``,
-    and ``pis`` the ladder's success probabilities; both are computed once by
+    ``process`` is the observed process, ``compute_tcp(e, rungs, m)``, and
+    ``pis`` the ladder's success probabilities; both are computed once by
     the caller and shared with the pointwise tests and the QTR table.  The
     p-value estimate is (1 + #{null >= observed}) / (r + 1), which is never
     zero and counts ties against the alternative.
     """
-    _check_same_grid(e.length, x.length)
-    _check_delta(delta, x.length)
     observed = tcp_nll(process, pis)
-    null_stats = null_nll_replicates(e, x, delta, ladder, pis, r, seed, workers=workers)
+    null_stats = null_nll_replicates(rungs, process.n_events, pis, r, seed)
     p_hat = (1 + int(np.count_nonzero(null_stats >= observed))) / (r + 1)
     return MultiTestResult(statistic=float(observed), replicates=int(r), p_hat=float(p_hat),
                            seed=int(seed), null_min=float(null_stats.min()),

@@ -21,6 +21,7 @@ __all__ = [
     "CoincidenceResult",
     "exceedance_series",
     "forward_window_max",
+    "rung_index",
     "count_trigger",
     "count_precursor",
     "count_trigger_exceedances",
@@ -140,6 +141,24 @@ def forward_window_max(x: TimeSeries, delta: int) -> np.ndarray:
     """
     _check_delta(delta, x.length)
     return _window_max(x.values, delta).copy()
+
+
+def rung_index(x: TimeSeries, delta: int, thresholds) -> np.ndarray:
+    """Rung of every step: how many ``thresholds`` its window maximum strictly exceeds.
+
+    Entry t-1 belongs to step t and counts the thresholds below the maximum
+    of x over [t, t+delta]; the final ``delta`` steps, whose window runs past
+    the end, get rung 0.  ``thresholds`` must be ascending.  An event at step
+    t counts at the i-th threshold (1-based) exactly when its rung is >= i,
+    so every trigger count along a ladder is a count over this array.
+    """
+    _check_delta(delta, x.length)
+    thr = np.asarray(thresholds, dtype=float).ravel()
+    if np.any(np.diff(thr) < 0):
+        raise ValueError("thresholds must be ascending")
+    rungs = np.zeros(x.length, dtype=np.int64)
+    rungs[:x.length - delta] = np.searchsorted(thr, _window_max(x.values, delta), side="left")
+    return rungs
 
 
 def exceedance_series(x: TimeSeries, tau: float) -> EventSeries:

@@ -9,14 +9,12 @@ distribution of the trigger count as serial dependence grows.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .multi import _tcp_counts
-from .nulls import binom_cdf, block_maxima, fit_gev_mle, gev_sf
-from .series import EventSeries, TimeSeries, _window_max
+from .nulls import bernoulli_null_pvalue, binom_cdf, block_maxima, fit_gev_mle, gev_sf
+from .series import EventSeries, TimeSeries, rung_index
 
 __all__ = [
     "SimConfig",
@@ -183,20 +181,17 @@ def null_distribution_comparison(config: SimConfig) -> NullComparisonResult:
     for order in config.ma_orders:
         x = gen_ma_exponential(config.length, order, seed=_substream(config.seed, order, 0))
         theta = fit_gev_mle(block_maxima(x, config.delta)).params
-        win = _window_max(x.values, config.delta)
-        t_max = config.length - config.delta
-        counts = np.empty((config.replicates, taus.size), dtype=np.int64)
+        rungs = rung_index(x, config.delta, taus)
+        at_events = np.empty((config.replicates, n), dtype=np.int64)
         for j in range(config.replicates):
             e = gen_independent_events(config.length, n,
                                        seed=_substream(config.seed, order, 1, j))
-            counts[j] = _tcp_counts(win, e.occurrences, t_max, taus)
+            at_events[j] = rungs[e.occurrences - 1]
+        counts = np.count_nonzero(at_events[:, :, None] > np.arange(taus.size), axis=1)
         for ti, tau in enumerate(taus):
             emp = np.searchsorted(np.sort(counts[:, ti]), ks, side="right") / config.replicates
             p_exc = np.count_nonzero(x.values > tau) / config.length
-            if p_exc >= 1.0:
-                pi_ber = 1.0
-            else:
-                pi_ber = -math.expm1((config.delta + 1) * math.log1p(-p_exc))
+            pi_ber = bernoulli_null_pvalue(0, n, p_exc, config.delta).success_prob
             ber = binom_cdf(ks, n, pi_ber)
             gev = binom_cdf(ks, n, gev_sf(float(tau), theta))
             cells.append(NullComparisonCell(

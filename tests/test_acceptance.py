@@ -27,7 +27,7 @@ from peca.multi import (
     tcp_nll,
 )
 from peca.nulls import block_maxima, fit_gev_mle
-from peca.series import count_trigger_exceedances
+from peca.series import count_trigger_exceedances, rung_index
 from peca.sim import (
     SimConfig,
     _substream,
@@ -92,8 +92,9 @@ def test_criterion_2_planted_trigger_construction():
     ind = gen_independent_events(4096, 32, seed=_substream(0, 102))
     rate4 = count_trigger_exceedances(dep, x, 4.0, 7).rate
     ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
-    rd = compute_tcp(dep, x, 7, ladder).rates()
-    ri = compute_tcp(ind, x, 7, ladder).rates()
+    rungs = rung_index(x, 7, ladder.thresholds)
+    rd = compute_tcp(dep, rungs, ladder.m).rates()
+    ri = compute_tcp(ind, rungs, ladder.m).rates()
     i4 = int(np.argmax(ladder.thresholds >= 4.0))
     # at the top level the threshold is the series maximum, which nothing
     # strictly exceeds, so both curves are identically zero there
@@ -110,10 +111,11 @@ def test_criterion_2_planted_trigger_construction():
 def test_criterion_3_qtr_identity_line():
     x = gen_ma_exponential(4096, 0, seed=_substream(3000, 0))
     ladder = build_ladder_from_quantiles(x, 0.0, 1.0, 21)
+    rungs = rung_index(x, 0, ladder.thresholds)
     rates = np.empty((100, ladder.m))
     for j in range(100):
         e = gen_independent_events(4096, 32, seed=_substream(3000, 1, j))
-        rates[j] = compute_tcp(e, x, 0, ladder).rates()
+        rates[j] = compute_tcp(e, rungs, ladder.m).rates()
     mean = rates.mean(axis=0)
     se = rates.std(axis=0, ddof=1) / np.sqrt(100)
     target = 1.0 - ladder.levels
@@ -134,7 +136,8 @@ def test_criterion_4_test_calibration():
         e = gen_independent_events(4096, 32, seed=_substream(7000, i, 1))
         fit = fit_gev_mle(block_maxima(x, 7))
         ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
-        res = mc_multi_threshold_test(e, x, 7, ladder, compute_tcp(e, x, 7, ladder),
+        rungs = rung_index(x, 7, ladder.thresholds)
+        res = mc_multi_threshold_test(compute_tcp(e, rungs, ladder.m), rungs,
                                       success_probabilities(ladder, fit.params), r=200,
                                       seed=int(_substream(7000, i, 2).generate_state(1)[0]))
         rejections += res.p_hat < 0.05
@@ -159,7 +162,8 @@ def test_criterion_5_dp_envelope():
     fit = fit_gev_mle(block_maxima(x, 7))
     ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
     pis = success_probabilities(ladder, fit.params)
-    nlls = null_nll_replicates(e, x, 7, ladder, pis, r=1000, seed=50)
+    nlls = null_nll_replicates(rung_index(x, 7, ladder.thresholds), e.n_events, pis, r=1000,
+                               seed=50)
     lo, _ = dp_extreme_nll(32, pis, "min")
     hi, _ = dp_extreme_nll(32, pis, "max")
     inside = bool(np.all((nlls >= lo - 1e-9) & (nlls <= hi + 1e-9)))
@@ -235,18 +239,18 @@ def test_criterion_8_adjustments():
 def test_criterion_9_cli_determinism(synthetic_dataset, tmp_path):
     root, series, events = synthetic_dataset
     blobs = []
-    for tag, workers in (("r1", "1"), ("r2", "1"), ("r4", "4")):
+    for tag in ("r1", "r2"):
         out = tmp_path / f"{tag}.json"
         qtr = tmp_path / f"{tag}.csv"
         svg = tmp_path / f"{tag}.svg"
         code = main(["multi", "--series", str(series), "--events", str(events),
                      "--preprocess", "--delta", "7", "--r", "10000", "--seed", "11",
-                     "--workers", workers, "--out", str(out), "--qtr", str(qtr),
+                     "--out", str(out), "--qtr", str(qtr),
                      "--svg", str(svg)])
         assert code == 0
         blobs.append((out.read_bytes(), qtr.read_bytes(), svg.read_bytes()))
-    ok = blobs[0] == blobs[1] == blobs[2]
-    report_line(9, ok, "multi run outputs byte-identical across two runs and 1 vs 4 workers")
+    ok = blobs[0] == blobs[1]
+    report_line(9, ok, "multi run outputs byte-identical across two runs")
     assert ok
 
 

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import chi2, chi2_contingency, hypergeom
 
 from peca.multi import (
     MultiTestResult,
     ThresholdLadder,
     TriggerCoincidenceProcess,
+    _null_counts,
     build_ladder_from_quantiles,
     compute_tcp,
     dp_extreme_nll,
@@ -18,14 +20,16 @@ from peca.multi import (
     expected_process_with_band,
     mc_multi_threshold_test,
     null_nll_replicates,
-    permute_events,
     pointwise_tests_along_ladder,
-    replicate_rng,
     success_probabilities,
     tcp_nll,
 )
 from peca.nulls import GevParams, binom_logpmf, gev_null_pvalue, gev_sf
-from peca.series import EventSeries, TimeSeries, count_trigger_exceedances
+from peca.series import EventSeries, TimeSeries, count_trigger_exceedances, rung_index
+
+
+def tcp(e, x, delta, ladder):
+    return compute_tcp(e, rung_index(x, delta, ladder.thresholds), ladder.m)
 
 
 # --- quantiles and ladders ----------------------------------------------------
@@ -100,10 +104,10 @@ def test_compute_tcp_agrees_with_single_counts():
     x = TimeSeries(rng.exponential(size=300))
     e = EventSeries(300, tuple(sorted(rng.choice(np.arange(1, 301), 20, replace=False))))
     ladder = build_ladder_from_quantiles(x, 0.1, 0.98, 13)
-    tcp = compute_tcp(e, x, 5, ladder)
-    for k, tau in zip(tcp.counts, ladder.thresholds):
+    proc = tcp(e, x, 5, ladder)
+    for k, tau in zip(proc.counts, ladder.thresholds):
         assert k == count_trigger_exceedances(e, x, float(tau), 5).count
-    assert np.all(np.diff(tcp.counts) <= 0)
+    assert np.all(np.diff(proc.counts) <= 0)
 
 
 def test_process_validation():
@@ -176,34 +180,117 @@ def test_tcp_thresholds_outside_data_range():
     x = TimeSeries(np.array([2.0, 5.0, 3.0, 7.0, 4.0, 6.0]))
     e = EventSeries(6, (1, 4, 6))
     ladder = ThresholdLadder(thresholds=np.array([0.0, 10.0]))
-    tcp = compute_tcp(e, x, 1, ladder)
     # below the minimum every event with a full window scores; above the
     # maximum nothing does
-    assert tcp.counts.tolist() == [2, 0]
+    assert tcp(e, x, 1, ladder).counts.tolist() == [2, 0]
 
 
-# --- permutation machinery ------------------------------------------------------
+def test_compute_tcp_validates_rungs():
+    e = EventSeries(4, (1, 3))
+    with pytest.raises(ValueError):
+        compute_tcp(e, np.array([0, 1, 2]), 2)        # wrong grid
+    with pytest.raises(ValueError):
+        compute_tcp(e, np.array([0, 0, 3, 0]), 2)     # rung above m
+
+
+# --- the permutation null -------------------------------------------------------
+
+def permute_occurrences(length, n, rng):
+    """Reference placement: n distinct steps drawn uniformly from 1..length."""
+    occ = rng.choice(length, size=n, replace=False)
+    occ.sort()
+    return occ + 1
+
+
+def permutation_counts(rungs, n, m, r, rng):
+    """Reference sampler: place the events one replicate at a time, count over the rungs."""
+    return np.array([compute_tcp(EventSeries(rungs.size, permute_occurrences(rungs.size, n, rng)),
+                                 rungs, m).counts for _ in range(r)])
+
 
 def test_permute_preserves_count_and_bounds():
-    e = EventSeries(50, (1, 9, 33))
-    rng = replicate_rng(0, 0)
+    rng = np.random.default_rng(0)
     for _ in range(100):
-        p = permute_events(e, rng)
-        assert p.n_events == 3
-        assert p.length == 50
-        assert 1 <= p.occurrences[0] and p.occurrences[-1] <= 50
+        occ = permute_occurrences(50, 3, rng)
+        assert occ.size == 3
+        assert np.all(np.diff(occ) > 0)
+        assert 1 <= occ[0] and occ[-1] <= 50
 
 
 def test_permute_occupancy_uniform():
-    e = EventSeries(12, (1, 2, 3, 4))
     freq = np.zeros(12)
-    rng = replicate_rng(123, 0)
+    rng = np.random.default_rng(123)
     draws = 10000
     for _ in range(draws):
-        freq[permute_events(e, rng).occurrences - 1] += 1
+        freq[permute_occurrences(12, 4, rng) - 1] += 1
     expect = draws * 4 / 12
     sd = np.sqrt(draws * (4 / 12) * (8 / 12))
     assert np.all(np.abs(freq - expect) < 4.5 * sd)
+
+
+def test_chain_matches_permutation_oracle():
+    # 60 steps over rungs 0..4, rung 4 empty; 9 events
+    rungs = np.random.default_rng(17).permutation(np.repeat(np.arange(4), (20, 15, 15, 10)))
+    t, n, m, r = rungs.size, 9, 4, 4000
+    at_least = np.array([np.count_nonzero(rungs >= i) for i in range(1, m + 1)])
+    p = at_least / t
+    mean = n * p
+    var = n * p * (1 - p) * (t - n) / (t - 1)
+    chain = _null_counts(rungs, n, m, r, seed=1)
+    oracle = permutation_counts(rungs, n, m, r, np.random.default_rng(2))
+    for counts in (chain, oracle):
+        assert np.all(np.diff(counts, axis=1) <= 0)
+        np.testing.assert_array_equal(counts[:, 3], 0)
+        se = np.sqrt(var[:3] / r)
+        assert np.all(np.abs(counts[:, :3].mean(axis=0) - mean[:3]) < 4.5 * se)
+        # the sample variance has a relative standard error near sqrt(2/r), 2.2 %
+        np.testing.assert_allclose(counts[:, :3].var(axis=0, ddof=1), var[:3], rtol=0.12)
+    # the count at the first rung: both samplers against each other, and the
+    # chain against the exact hypergeometric law
+    ks = np.arange(n + 1)
+    table = np.array([np.bincount(chain[:, 0], minlength=n + 1),
+                      np.bincount(oracle[:, 0], minlength=n + 1)])
+    table = table[:, table.sum(axis=0) >= 10]
+    assert chi2_contingency(table)[1] > 1e-3
+    observed = np.bincount(chain[:, 0], minlength=n + 1)
+    expected = r * hypergeom.pmf(ks, t, at_least[0], n)
+    keep = expected >= 5
+    stat = np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep])
+    assert chi2.sf(stat, keep.sum() - 1) > 1e-3
+
+
+def test_chain_edge_cases():
+    rungs = np.array([2, 0, 1, 2, 2, 0, 1, 0])
+    # no events: every count is zero, and so is every NLL
+    np.testing.assert_array_equal(_null_counts(rungs, 0, 3, 5, seed=0), 0)
+    np.testing.assert_array_equal(null_nll_replicates(rungs, 0, [0.5, 0.3, 0.1], 5, seed=0), 0.0)
+    # rung 3 has no step, so its count is always zero
+    counts = _null_counts(rungs, 4, 3, 200, seed=1)
+    np.testing.assert_array_equal(counts[:, 2], 0)
+    assert counts[:, 0].max() <= 5 and counts[:, 1].max() <= 3
+    # every step drawn: four sit at the top rung, the late one at rung 0
+    full = _null_counts(np.array([3, 3, 3, 3, 0]), 5, 3, 20, seed=2)
+    np.testing.assert_array_equal(full, [[4, 4, 4]] * 20)
+    with pytest.raises(ValueError):
+        _null_counts(rungs, 9, 3, 5, seed=0)         # more events than steps
+    with pytest.raises(ValueError):
+        _null_counts(rungs, 2, 1, 5, seed=0)         # rung above m
+    with pytest.raises(ValueError):
+        null_nll_replicates(rungs, 2, [0.5, 0.3, 0.1], 0, seed=0)
+
+
+def test_events_only_in_final_window():
+    rng = np.random.default_rng(6)
+    x = TimeSeries(rng.exponential(size=100))
+    e = EventSeries(100, (97, 99, 100))
+    ladder = build_ladder_from_quantiles(x, 0.3, 0.9, 4)
+    rungs = rung_index(x, 5, ladder.thresholds)
+    proc = compute_tcp(e, rungs, ladder.m)
+    assert proc.counts.tolist() == [0, 0, 0, 0]
+    pis = success_probabilities(ladder, GevParams(0.0, 1.0, 1.0))
+    res = mc_multi_threshold_test(proc, rungs, pis, r=99, seed=4)
+    assert res.statistic == tcp_nll(proc, pis)
+    assert 0.0 < res.p_hat <= 1.0
 
 
 def test_full_occupancy_is_fixed_point():
@@ -211,23 +298,23 @@ def test_full_occupancy_is_fixed_point():
     e = EventSeries(40, tuple(range(1, 41)))
     ladder = build_ladder_from_quantiles(x, 0.2, 0.9, 5)
     pis = success_probabilities(ladder, GevParams(0.0, np.median(x.values), 1.0))
-    res = mc_multi_threshold_test(e, x, 2, ladder, compute_tcp(e, x, 2, ladder), pis,
-                                  r=50, seed=9)
+    rungs = rung_index(x, 2, ladder.thresholds)
+    res = mc_multi_threshold_test(compute_tcp(e, rungs, ladder.m), rungs, pis, r=50, seed=9)
     # permuting all positions returns the same series, so every replicate ties
     assert res.p_hat == 1.0
 
 
-def test_replicates_deterministic_and_worker_independent():
+def test_replicates_deterministic():
     rng = np.random.default_rng(21)
     x = TimeSeries(rng.exponential(size=400))
-    e = EventSeries(400, tuple(sorted(rng.choice(np.arange(1, 401), 25, replace=False))))
     ladder = build_ladder_from_quantiles(x, 0.5, 0.99, 9)
     pis = success_probabilities(ladder, GevParams(0.05, 1.0, 0.8))
-    a = null_nll_replicates(e, x, 4, ladder, pis, r=64, seed=5, workers=1)
-    b = null_nll_replicates(e, x, 4, ladder, pis, r=64, seed=5, workers=4)
-    c = null_nll_replicates(e, x, 4, ladder, pis, r=64, seed=5, workers=1)
+    rungs = rung_index(x, 4, ladder.thresholds)
+    a = null_nll_replicates(rungs, 25, pis, r=64, seed=5)
+    b = null_nll_replicates(rungs, 25, pis, r=64, seed=5)
+    c = null_nll_replicates(rungs, 25, pis, r=64, seed=6)
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(a, c)
+    assert not np.array_equal(a, c)
 
 
 def test_mc_pvalue_counting_rule():
@@ -236,10 +323,11 @@ def test_mc_pvalue_counting_rule():
     e = EventSeries(200, tuple(sorted(rng.choice(np.arange(1, 201), 12, replace=False))))
     ladder = build_ladder_from_quantiles(x, 0.4, 0.95, 6)
     pis = success_probabilities(ladder, GevParams(0.1, 1.0, 1.0))
-    tcp = compute_tcp(e, x, 3, ladder)
-    res = mc_multi_threshold_test(e, x, 3, ladder, tcp, pis, r=99, seed=3)
-    nulls = null_nll_replicates(e, x, 3, ladder, pis, r=99, seed=3)
-    assert res.statistic == tcp_nll(tcp, pis)
+    rungs = rung_index(x, 3, ladder.thresholds)
+    proc = compute_tcp(e, rungs, ladder.m)
+    res = mc_multi_threshold_test(proc, rungs, pis, r=99, seed=3)
+    nulls = null_nll_replicates(rungs, e.n_events, pis, r=99, seed=3)
+    assert res.statistic == tcp_nll(proc, pis)
     ge = int(np.count_nonzero(nulls >= res.statistic))
     assert res.p_hat == (1 + ge) / (99 + 1)
     assert res.replicates == 99
@@ -320,9 +408,9 @@ def test_pointwise_along_ladder_matches_direct():
     e = EventSeries(600, tuple(sorted(rng.choice(np.arange(1, 601), 24, replace=False))))
     ladder = build_ladder_from_quantiles(x, 0.5, 0.98, 7)
     theta = GevParams(0.02, 1.2, 0.9)
-    tcp = compute_tcp(e, x, 6, ladder)
-    results = pointwise_tests_along_ladder(tcp, success_probabilities(ladder, theta))
-    assert [r.k_observed for r in results] == tcp.counts.tolist()
+    proc = tcp(e, x, 6, ladder)
+    results = pointwise_tests_along_ladder(proc, success_probabilities(ladder, theta))
+    assert [r.k_observed for r in results] == proc.counts.tolist()
     for r, tau in zip(results, ladder.thresholds):
         assert r.success_prob == pytest.approx(gev_sf(float(tau), theta), abs=1e-15)
         direct = gev_null_pvalue(r.k_observed, e.n_events, float(tau), theta)

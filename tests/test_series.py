@@ -18,6 +18,7 @@ from peca.series import (
     forward_window_max,
     late_events,
     preprocess,
+    rung_index,
 )
 
 
@@ -140,6 +141,27 @@ def test_forward_window_max_oracle():
     np.testing.assert_array_equal(forward_window_max(x, 0), x.values)
     np.testing.assert_array_equal(forward_window_max(x, 2), (4.0, 4.0, 5.0))
     np.testing.assert_array_equal(forward_window_max(x, 4), (5.0,))
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=30), st.data())
+def test_rung_index_matches_window_loop(values, data):
+    delta = data.draw(st.integers(0, len(values) - 1))
+    thresholds = sorted(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.5, 2.0, 4.0, 9.0]),
+                                           min_size=1, max_size=5)))
+    rungs = rung_index(TimeSeries(values), delta, thresholds)
+    t_max = len(values) - delta
+    for t in range(1, len(values) + 1):
+        window = values[t - 1:t + delta]
+        want = sum(max(window) > tau for tau in thresholds) if t <= t_max else 0
+        assert rungs[t - 1] == want
+
+
+def test_rung_index_validation():
+    x = TimeSeries((1.0, 2.0, 3.0))
+    with pytest.raises(ValueError):
+        rung_index(x, 3, [1.0])
+    with pytest.raises(ValueError):
+        rung_index(x, 1, [2.0, 1.0])
 
 
 def test_rate_examples():
