@@ -10,7 +10,8 @@ from .ingest import DayGrid, IngestError, ingest_events, ingest_timeseries
 from .multi import (MultiTestResult, ThresholdLadder, TriggerCoincidenceProcess,
                     build_ladder_from_quantiles, compute_tcp, dp_extreme_nll, empirical_quantile,
                     expected_process_with_band, mc_multi_threshold_test, null_nll_replicates,
-                    pointwise_tests_along_ladder, success_probabilities, tcp_nll)
+                    permutation_success_probabilities, pointwise_tests_along_ladder,
+                    success_probabilities, tcp_nll)
 from .nulls import (GevFit, GevFitError, GevParams, PointwiseTestResult, bernoulli_null_pvalue,
                     binom_logpmf, binom_tail, block_maxima, estimate_event_rate, fit_gev_mle,
                     gev_cdf, gev_null_pvalue, gev_sf)
@@ -36,7 +37,7 @@ __all__ = [
     "gen_dependent_events", "gen_independent_events", "gen_ma_exponential", "gev_cdf",
     "gev_null_pvalue", "gev_sf", "ingest_events", "ingest_timeseries", "late_events",
     "mc_multi_threshold_test", "null_distribution_comparison", "null_nll_replicates",
-    "pointwise_tests_along_ladder", "preprocess", "reject_set", "rung_index",
-    "success_probabilities", "tcp_nll", "write_comparison_csv",
+    "permutation_success_probabilities", "pointwise_tests_along_ladder", "preprocess",
+    "reject_set", "rung_index", "success_probabilities", "tcp_nll", "write_comparison_csv",
     "write_qtr_csv", "write_qtr_svg",
 ]

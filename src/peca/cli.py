@@ -22,7 +22,8 @@ from .adjust import METHODS, adjust, reject_set
 from .ingest import IngestError, ingest_events, ingest_timeseries
 from .multi import (build_ladder_from_quantiles, compute_tcp, dp_extreme_nll, empirical_quantile,
                     expected_process_with_band, mc_multi_threshold_test, null_nll_replicates,
-                    pointwise_tests_along_ladder, success_probabilities, tcp_nll)
+                    permutation_success_probabilities, pointwise_tests_along_ladder,
+                    success_probabilities)
 from .nulls import GevFit, GevFitError, block_maxima, estimate_event_rate, fit_gev_mle, gev_null_pvalue
 from .qtr import QtrTable, write_qtr_csv, write_qtr_svg
 from .series import (EventSeries, TimeSeries, count_trigger_exceedances, late_events, preprocess,
@@ -144,7 +145,8 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
     rungs = rung_index(x, config.delta, ladder.thresholds)
     tcp = compute_tcp(events, rungs, ladder.m)
     pis = success_probabilities(ladder, fit.params)
-    result = mc_multi_threshold_test(tcp, rungs, pis, config.r, config.seed)
+    null_stats = null_nll_replicates(rungs, events.n_events, pis, config.r, config.seed)
+    result = mc_multi_threshold_test(tcp, pis, null_stats)
     pointwise = pointwise_tests_along_ladder(tcp, pis)
     adjusted = adjust([t.p_value for t in pointwise], config.adjust_method)
     rejected = reject_set(adjusted, config.alpha)
@@ -163,7 +165,7 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
         "statistic": result.statistic,
         "replicates": result.replicates,
         "p_hat": result.p_hat,
-        "seed": result.seed,
+        "seed": config.seed,
         "null_min": result.null_min,
         "null_median": result.null_median,
         "null_max": result.null_max,
@@ -195,6 +197,8 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
         "pointwise": {
             "k_observed": [int(k) for k in tcp.counts],
             "success_probs": [float(t.success_prob) for t in pointwise],
+            "permutation_success_probs": [
+                float(v) for v in permutation_success_probabilities(rungs, ladder.m)],
             "raw_p_values": [float(t.p_value) for t in pointwise],
             "adjust_method": config.adjust_method,
             "adjusted_p_values": [float(v) for v in adjusted.adjusted],
@@ -248,6 +252,8 @@ def _simulate_qtr_extremes(seed: int, out_dir: Path, length: int | None,
     pis = success_probabilities(ladder, fit.params)
     _, lower, upper = expected_process_with_band(n, pis, level=0.95)
     rungs = rung_index(x, delta, ladder.thresholds)
+    # one null draw scores both event sets: both have n events on the same rungs
+    nlls = null_nll_replicates(rungs, n, pis, r, seed)
 
     outputs = []
     results = {}
@@ -260,14 +266,13 @@ def _simulate_qtr_extremes(seed: int, out_dir: Path, length: int | None,
         write_qtr_csv(table, path)
         write_qtr_svg(table, out_dir / f"qtr_{label}.svg", title=f"{label} events")
         outputs.extend([path.name, f"qtr_{label}.svg"])
-        test = mc_multi_threshold_test(tcp, rungs, pis, r, seed)
+        test = mc_multi_threshold_test(tcp, pis, nlls)
         results[label] = {
             "statistic": test.statistic,
             "p_hat": test.p_hat,
             "rate_at_trigger_tau": count_trigger_exceedances(events, x, trigger_tau, delta).rate,
         }
 
-    nlls = null_nll_replicates(rungs, n, pis, r, seed)
     nll_path = out_dir / "replicate_nlls.csv"
     with open(nll_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("replicate,nll\n")
@@ -321,6 +326,7 @@ def run_simulate(preset: str, seed: int, out_dir, length: int | None = None,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = AnalysisConfig()
     parser = argparse.ArgumentParser(
         prog="peca",
         description="Does a sparse event series systematically trigger peaks in a time series?")
@@ -331,11 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--events", required=True, help="text file with one ISO event date per line")
         p.add_argument("--fill-zero", action="store_true",
                        help="insert zero values for missing days instead of failing")
-        p.add_argument("--delta", type=int, default=7, help="tolerance window in steps")
+        p.add_argument("--delta", type=int, default=defaults.delta,
+                       help="tolerance window in steps")
         p.add_argument("--preprocess", action="store_true",
                        help="log2(x+1) then subtract the running mean")
-        p.add_argument("--window", type=int, default=30, help="running-mean window for --preprocess")
-        p.add_argument("--min-blocks", type=int, default=20,
+        p.add_argument("--window", type=int, default=defaults.window,
+                       help="running-mean window for --preprocess")
+        p.add_argument("--min-blocks", type=int, default=defaults.min_blocks,
                        help="minimum number of block maxima for the GEV fit")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -347,13 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     mu = sub.add_parser("multi", help="multi-threshold Monte Carlo test")
     add_ingest_args(mu)
-    mu.add_argument("--qlo", type=float, default=0.75, help="lowest quantile level")
-    mu.add_argument("--qhi", type=float, default=1.0, help="highest quantile level")
-    mu.add_argument("--m", type=int, default=32, help="number of quantile levels")
-    mu.add_argument("--r", type=int, default=10000, help="Monte Carlo replicates")
-    mu.add_argument("--seed", type=int, default=0, help="replication seed")
-    mu.add_argument("--adjust", choices=METHODS, default="holm", help="multiplicity adjustment")
-    mu.add_argument("--alpha", type=float, default=0.05, help="family-wise level")
+    mu.add_argument("--qlo", type=float, default=defaults.qlo, help="lowest quantile level")
+    mu.add_argument("--qhi", type=float, default=defaults.qhi, help="highest quantile level")
+    mu.add_argument("--m", type=int, default=defaults.m, help="number of quantile levels")
+    mu.add_argument("--r", type=int, default=defaults.r, help="Monte Carlo replicates")
+    mu.add_argument("--seed", type=int, default=defaults.seed, help="replication seed")
+    mu.add_argument("--adjust", choices=METHODS, default=defaults.adjust_method,
+                    help="multiplicity adjustment")
+    mu.add_argument("--alpha", type=float, default=defaults.alpha, help="family-wise level")
     mu.add_argument("--qtr", help="write the QTR table CSV here")
     mu.add_argument("--svg", help="write the QTR chart here")
 

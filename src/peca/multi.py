@@ -29,6 +29,7 @@ __all__ = [
     "empirical_quantile",
     "build_ladder_from_quantiles",
     "success_probabilities",
+    "permutation_success_probabilities",
     "compute_tcp",
     "tcp_nll",
     "null_nll_replicates",
@@ -108,7 +109,6 @@ class MultiTestResult:
     statistic: float
     replicates: int
     p_hat: float
-    seed: int
     null_min: float
     null_median: float
     null_max: float
@@ -193,11 +193,10 @@ def _as_pis(pis, m: int | None = None) -> np.ndarray:
 
 def _nll_rows(counts: np.ndarray, n_events: int, pis: np.ndarray) -> np.ndarray:
     """Process NLL for each row of a (rows, M) count matrix (no validation)."""
-    k = counts.astype(float)
-    total = -binom_logpmf(k[:, 0], float(n_events), float(pis[0]))
+    total = -binom_logpmf(counts[:, 0], n_events, float(pis[0]))
     for i in range(1, pis.size):
         rho = min(1.0, float(pis[i] / pis[i - 1]))
-        total = total - binom_logpmf(k[:, i], k[:, i - 1], rho)
+        total = total - binom_logpmf(counts[:, i], counts[:, i - 1], rho)
     return total
 
 
@@ -213,6 +212,26 @@ def tcp_nll(process: TriggerCoincidenceProcess, pis) -> float:
     return float(_nll_rows(process.counts[None, :], process.n_events, pis)[0])
 
 
+def _steps_at_least(rungs: np.ndarray, m: int) -> np.ndarray:
+    """A_0..A_m: the number of steps at rung >= i; A_0 is the series length."""
+    rungs = np.asarray(rungs)
+    if np.any((rungs < 0) | (rungs > m)):
+        raise ValueError(f"rungs must lie in [0, {m}]")
+    return np.bincount(rungs, minlength=m + 1)[::-1].cumsum()[::-1]
+
+
+def permutation_success_probabilities(rungs: np.ndarray, m: int) -> np.ndarray:
+    """Share A_i / T of steps at rung >= i, for i = 1..m.
+
+    This is the chance that one uniformly placed event is counted at
+    threshold i: the permutation null's counterpart of
+    ``success_probabilities``, read off the series without the GEV fit.
+    Non-increasing along the ladder.
+    """
+    at_least = _steps_at_least(rungs, m)
+    return at_least[1:] / at_least[0]
+
+
 def _null_counts(rungs: np.ndarray, n_events: int, m: int, r: int, seed: int) -> np.ndarray:
     """Counts of r uniform re-placements of n_events events, as an (r, m) matrix.
 
@@ -221,12 +240,9 @@ def _null_counts(rungs: np.ndarray, n_events: int, m: int, r: int, seed: int) ->
     and k_i | k_{i-1} ~ HG(A_i of A_{i-1}, k_{i-1} draws).  Every replicate
     is drawn at once, one rung at a time, from ``default_rng(seed)``.
     """
-    rungs = np.asarray(rungs)
-    if np.any((rungs < 0) | (rungs > m)):
-        raise ValueError(f"rungs must lie in [0, {m}]")
-    if not 0 <= n_events <= rungs.size:
-        raise ValueError(f"cannot place {n_events} events on {rungs.size} steps")
-    at_least = np.bincount(rungs, minlength=m + 1)[::-1].cumsum()[::-1]
+    at_least = _steps_at_least(rungs, m)
+    if not 0 <= n_events <= at_least[0]:
+        raise ValueError(f"cannot place {n_events} events on {at_least[0]} steps")
     rng = np.random.default_rng(seed)
     counts = np.empty((r, m), dtype=np.int64)
     k = n_events
@@ -252,21 +268,26 @@ def null_nll_replicates(rungs: np.ndarray, n_events: int, pis: np.ndarray, r: in
     return _nll_rows(_null_counts(rungs, n_events, pis.size, r, seed), n_events, pis)
 
 
-def mc_multi_threshold_test(process: TriggerCoincidenceProcess, rungs: np.ndarray, pis: np.ndarray,
-                            r: int, seed: int) -> MultiTestResult:
+def mc_multi_threshold_test(process: TriggerCoincidenceProcess, pis: np.ndarray,
+                            null_stats: np.ndarray) -> MultiTestResult:
     """Monte Carlo test of the observed process NLL against event permutations.
 
-    ``process`` is the observed process, ``compute_tcp(e, rungs, m)``, and
-    ``pis`` the ladder's success probabilities; both are computed once by
-    the caller and shared with the pointwise tests and the QTR table.  The
-    p-value estimate is (1 + #{null >= observed}) / (r + 1), which is never
-    zero and counts ties against the alternative.
+    ``process`` is the observed process, ``compute_tcp(e, rungs, m)``,
+    ``pis`` the ladder's success probabilities and ``null_stats`` the
+    replicate NLLs, ``null_nll_replicates(rungs, process.n_events, pis, r,
+    seed)``.  All three are computed once by the caller, so one draw of
+    the null can score several event sets with the same number of events.
+    The p-value estimate is (1 + #{null >= observed}) / (r + 1), which is
+    never zero and counts ties against the alternative.
     """
+    null_stats = np.asarray(null_stats, dtype=float).ravel()
+    if null_stats.size < 1:
+        raise ValueError("need at least one replicate")
     observed = tcp_nll(process, pis)
-    null_stats = null_nll_replicates(rungs, process.n_events, pis, r, seed)
+    r = null_stats.size
     p_hat = (1 + int(np.count_nonzero(null_stats >= observed))) / (r + 1)
     return MultiTestResult(statistic=float(observed), replicates=int(r), p_hat=float(p_hat),
-                           seed=int(seed), null_min=float(null_stats.min()),
+                           null_min=float(null_stats.min()),
                            null_median=float(np.median(null_stats)),
                            null_max=float(null_stats.max()))
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaln, logsumexp
 
 from .series import EventSeries, TimeSeries
 
@@ -171,6 +169,108 @@ def _pwm_initializer(z: np.ndarray) -> tuple[float, float, float]:
     return -k, mu, sigma
 
 
+class _BudgetSpent(Exception):
+    """Raised by the counted objective once ``maxfev`` evaluations are spent."""
+
+
+def _nelder_mead(func, x0, maxiter: int, maxfev: int, xatol: float,
+                 fatol: float) -> tuple[np.ndarray, float, int, bool]:
+    """Nelder-Mead simplex minimization (Nelder & Mead 1965, Comput. J. 7: 308-313).
+
+    Follows the unbounded, non-adaptive path of SciPy's
+    ``minimize(method="Nelder-Mead")`` step for step, so results agree with
+    it exactly: the same initial simplex (x0 plus each coordinate scaled by
+    1.05, or set to 0.00025 where it is zero), the same reflection /
+    expansion / contraction / shrink coefficients (1, 2, 0.5, 0.5), the same
+    vertex ordering and termination test (every vertex within ``xatol`` of
+    the best in every coordinate, and every value within ``fatol`` of the
+    best).  Once ``maxfev`` evaluations are spent the search stops, even in
+    the middle of an iteration.  Returns (x, fun, nfev, success); success
+    means neither the evaluation nor the iteration limit was reached.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = len(x0)
+    sim = np.empty((n + 1, n), dtype=float)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return func(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            doshrink = False
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:
+                # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    success = nfev < maxfev and iterations < maxiter
+    return sim[0], float(np.min(fsim)), nfev, success
+
+
 def fit_gev_mle(maxima, min_samples: int = 20) -> GevFit:
     """Maximum-likelihood GEV fit to a sample of block maxima.
 
@@ -205,40 +305,119 @@ def fit_gev_mle(maxima, min_samples: int = 20) -> GevFit:
     def objective(p):
         return _gev_nll(p[0], p[1], math.exp(p[2]), z)
 
-    res = minimize(
-        objective,
-        x0=np.array([xi0, mu0, math.log(sigma0)]),
-        method="Nelder-Mead",
-        options={"maxiter": 20000, "maxfev": 20000, "xatol": 1e-9, "fatol": 1e-10},
-    )
-    nll = float(res.fun)
+    x, fun, _, success = _nelder_mead(objective, np.array([xi0, mu0, math.log(sigma0)]),
+                                      maxiter=20000, maxfev=20000, xatol=1e-9, fatol=1e-10)
+    nll = float(fun)
     if not math.isfinite(nll):
         raise GevFitError("GEV optimization found no feasible likelihood")
-    xi, mu, log_sigma = (float(v) for v in res.x)
+    xi, mu, log_sigma = (float(v) for v in x)
     params = GevParams(shape=xi, location=mu, scale=math.exp(log_sigma))
-    return GevFit(params=params, converged=bool(res.success), nll=nll, n_samples=int(z.size))
+    return GevFit(params=params, converged=success, nll=nll, n_samples=int(z.size))
+
+
+# Stirling-series coefficients of the Cephes log-gamma, below and above x = 1000
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_STIRLING_LARGE = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                   0.0833333333333333333333)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _log_factorial(i: int) -> float:
+    """log(i!) evaluated as the Cephes log-gamma at i + 1.
+
+    Below 12 the factorial is exact; from there on the Stirling series with
+    Cephes' coefficients.  This is the evaluation SciPy's ``gammaln`` makes,
+    so the two agree to the last bit wherever ``math.log`` rounds as the C
+    library's ``log`` does.
+    """
+    if i < 12:
+        return math.log(math.factorial(i))
+    x = float(i + 1)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    coeffs = _STIRLING_LARGE if x >= 1000.0 else _STIRLING
+    series = coeffs[0]
+    for c in coeffs[1:]:
+        series = series * p + c
+    return q + series / x
+
+
+_log_factorial_table = np.zeros(1)
+
+
+def _log_factorials(n_max: int) -> np.ndarray:
+    """Table of log(i!) for i = 0..n_max at least; cached and grown on demand."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    if n_max >= table.size:
+        grown = max(n_max + 1, 2 * table.size, 1024)
+        table = np.concatenate((table, [_log_factorial(i) for i in range(table.size, grown)]))
+        _log_factorial_table = table
+    return table
+
+
+def _as_counts(v, name: str) -> np.ndarray:
+    """Integer-valued input as an int64 array; raises ValueError otherwise."""
+    v = np.asarray(v)
+    if v.dtype.kind in "iu":
+        return v.astype(np.int64)
+    f = v.astype(float)
+    if not np.all(np.isfinite(f)) or np.any(f != np.floor(f)):
+        raise ValueError(f"binomial {name} must be integer-valued")
+    return f.astype(np.int64)
 
 
 def binom_logpmf(k, n, p: float):
     """Log of the binomial pmf, vectorized over k and n; p is a scalar in [0, 1].
 
-    Entries with k outside [0, n] get -inf.
+    ``k`` and ``n`` are counts: integer arrays, or float arrays holding
+    integer values; anything else (a fraction, nan, inf) raises ValueError.
+    Entries with k outside [0, n] get -inf.  The log-factorials are read by
+    index from a cached table (see ``_log_factorial``).
     """
-    k = np.asarray(k, dtype=float)
-    n = np.asarray(n, dtype=float)
+    k = _as_counts(k, "k")
+    n = _as_counts(n, "n")
     if not 0.0 <= p <= 1.0:
         raise ValueError("binomial success probability must lie in [0, 1]")
     valid = (k >= 0) & (k <= n)
     if p == 0.0:
-        out = np.where(k == 0.0, 0.0, -np.inf)
+        out = np.where(k == 0, 0.0, -np.inf)
     elif p == 1.0:
         out = np.where(k == n, 0.0, -np.inf)
     else:
-        kk = np.where(valid, k, 0.0)
-        nn = np.where(valid, n, 1.0)
-        out = (gammaln(nn + 1.0) - gammaln(kk + 1.0) - gammaln(nn - kk + 1.0)
+        kk = np.where(valid, k, 0)
+        nn = np.where(valid, n, 0)
+        logfact = _log_factorials(int(nn.max(initial=0)))
+        out = (logfact[nn] - logfact[kk] - logfact[nn - kk]
                + kk * math.log(p) + (nn - kk) * math.log1p(-p))
     return np.where(valid, out, -np.inf)
+
+
+def _logsumexp(a) -> float:
+    """log(sum(exp(a))) over a 1-D array, following SciPy's ``logsumexp``.
+
+    The largest term(s) are taken out of the sum: with a_max the maximum, m
+    the number of terms equal to it and s the sum of exp(a - a_max) over the
+    rest, the result is log1p(s / m) + log(m) + a_max.  All -inf (or empty)
+    gives -inf.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a)
+        top = a == a_max
+        m = np.float64(np.count_nonzero(top))
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
 
 
 def binom_cdf(k, n: int, p: float) -> np.ndarray:
@@ -272,7 +451,7 @@ def binom_tail(k: int, n: int, p: float) -> float:
     if p == 1.0:
         return 1.0
     js = np.arange(k, n + 1)
-    return float(min(1.0, math.exp(logsumexp(binom_logpmf(js, n, p)))))
+    return min(1.0, math.exp(_logsumexp(binom_logpmf(js, n, p))))
 
 
 @dataclass(frozen=True)

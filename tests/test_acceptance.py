@@ -137,9 +137,10 @@ def test_criterion_4_test_calibration():
         fit = fit_gev_mle(block_maxima(x, 7))
         ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
         rungs = rung_index(x, 7, ladder.thresholds)
-        res = mc_multi_threshold_test(compute_tcp(e, rungs, ladder.m), rungs,
-                                      success_probabilities(ladder, fit.params), r=200,
-                                      seed=int(_substream(7000, i, 2).generate_state(1)[0]))
+        pis = success_probabilities(ladder, fit.params)
+        nulls = null_nll_replicates(rungs, e.n_events, pis, r=200,
+                                    seed=int(_substream(7000, i, 2).generate_state(1)[0]))
+        res = mc_multi_threshold_test(compute_tcp(e, rungs, ladder.m), pis, nulls)
         rejections += res.p_hat < 0.05
     lo = int(binom.ppf(0.005, 500, 0.05))
     hi = int(binom.ppf(0.995, 500, 0.05))

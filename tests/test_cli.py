@@ -86,6 +86,10 @@ def test_multi_report_and_files(dataset, tmp_path):
     assert report["ladder"]["requested"] == 16
     pw = report["pointwise"]
     assert len(pw["raw_p_values"]) == report["ladder"]["size"]
+    assert list(pw)[:3] == ["k_observed", "success_probs", "permutation_success_probs"]
+    perm = pw["permutation_success_probs"]
+    assert len(perm) == report["ladder"]["size"]
+    assert all(0.0 <= b <= a <= 1.0 for a, b in zip(perm, perm[1:]))
     assert pw["adjust_method"] == "holm"
     assert all(a >= r - 1e-12 for a, r in zip(pw["adjusted_p_values"], pw["raw_p_values"]))
 
@@ -276,13 +280,31 @@ def test_analysis_config_validation():
         AnalysisConfig(alpha=0.0)
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs about half a second of every cold process; the
-    # package needs only scipy.optimize and scipy.special
+def test_cli_runs_leave_scipy_out(dataset, tmp_path):
+    # importing SciPy costs more than half a second of every cold process;
+    # the package needs NumPy alone, for import and for both analyses
+    series, events = dataset
     src = str(Path(peca.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import peca.cli, sys; print('scipy.stats' in sys.modules)"
+    common = ["--series", str(series), "--events", str(events), "--delta", "5"]
+    runs = [["pointwise", *common, "--quantile", "0.9", "--out", str(tmp_path / "pw.json")],
+            ["multi", *common, "--m", "8", "--r", "200", "--out", str(tmp_path / "mu.json")]]
+    probe = ("import sys, peca.cli\n"
+             f"for argv in {runs!r}:\n"
+             "    assert peca.cli.main(argv) == 0, argv\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+    assert json.loads((tmp_path / "mu.json").read_text())["command"] == "multi"
+
+
+def test_cli_defaults_come_from_analysis_config():
+    from peca.cli import build_parser
+    args = build_parser().parse_args(["multi", "--series", "s.csv", "--events", "e.txt"])
+    defaults = AnalysisConfig()
+    for option, field in (("delta", "delta"), ("window", "window"), ("min_blocks", "min_blocks"),
+                          ("qlo", "qlo"), ("qhi", "qhi"), ("m", "m"), ("r", "r"),
+                          ("seed", "seed"), ("adjust", "adjust_method"), ("alpha", "alpha")):
+        assert getattr(args, option) == getattr(defaults, field), option

@@ -20,6 +20,7 @@ from peca.multi import (
     expected_process_with_band,
     mc_multi_threshold_test,
     null_nll_replicates,
+    permutation_success_probabilities,
     pointwise_tests_along_ladder,
     success_probabilities,
     tcp_nll,
@@ -259,6 +260,42 @@ def test_chain_matches_permutation_oracle():
     assert chi2.sf(stat, keep.sum() - 1) > 1e-3
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 6))
+def test_permutation_success_probs_match_window_count(seed, delta, m):
+    rng = np.random.default_rng(seed)
+    values = rng.exponential(size=int(rng.integers(delta + 2, 80)))
+    thresholds = np.sort(rng.choice(values, size=min(m, values.size), replace=False))
+    got = permutation_success_probabilities(rung_index(TimeSeries(values), delta, thresholds),
+                                            thresholds.size)
+    # brute force: steps whose full window t..t+delta holds a strict exceedance
+    t = values.size
+    want = [sum(values[s:s + delta + 1].max() > tau for s in range(t - delta)) / t
+            for tau in thresholds]
+    np.testing.assert_array_equal(got, want)
+    assert np.all(np.diff(got) <= 0.0)
+
+
+def test_permutation_success_probs_validation():
+    with pytest.raises(ValueError):
+        permutation_success_probabilities(np.array([0, 3, 1]), 2)
+
+
+def test_one_null_draw_scores_several_event_sets():
+    rng = np.random.default_rng(12)
+    x = TimeSeries(rng.exponential(size=300))
+    ladder = build_ladder_from_quantiles(x, 0.5, 0.95, 5)
+    pis = success_probabilities(ladder, GevParams(0.0, 1.5, 1.0))
+    rungs = rung_index(x, 3, ladder.thresholds)
+    nulls = null_nll_replicates(rungs, 10, pis, r=199, seed=1)
+    for _ in range(3):
+        e = EventSeries(300, tuple(sorted(rng.choice(np.arange(1, 301), 10, replace=False))))
+        proc = compute_tcp(e, rungs, ladder.m)
+        res = mc_multi_threshold_test(proc, pis, nulls)
+        assert res.p_hat == (1 + np.count_nonzero(nulls >= tcp_nll(proc, pis))) / 200
+    with pytest.raises(ValueError):
+        mc_multi_threshold_test(proc, pis, np.array([]))
+
+
 def test_chain_edge_cases():
     rungs = np.array([2, 0, 1, 2, 2, 0, 1, 0])
     # no events: every count is zero, and so is every NLL
@@ -288,7 +325,7 @@ def test_events_only_in_final_window():
     proc = compute_tcp(e, rungs, ladder.m)
     assert proc.counts.tolist() == [0, 0, 0, 0]
     pis = success_probabilities(ladder, GevParams(0.0, 1.0, 1.0))
-    res = mc_multi_threshold_test(proc, rungs, pis, r=99, seed=4)
+    res = mc_multi_threshold_test(proc, pis, null_nll_replicates(rungs, 3, pis, r=99, seed=4))
     assert res.statistic == tcp_nll(proc, pis)
     assert 0.0 < res.p_hat <= 1.0
 
@@ -299,7 +336,8 @@ def test_full_occupancy_is_fixed_point():
     ladder = build_ladder_from_quantiles(x, 0.2, 0.9, 5)
     pis = success_probabilities(ladder, GevParams(0.0, np.median(x.values), 1.0))
     rungs = rung_index(x, 2, ladder.thresholds)
-    res = mc_multi_threshold_test(compute_tcp(e, rungs, ladder.m), rungs, pis, r=50, seed=9)
+    res = mc_multi_threshold_test(compute_tcp(e, rungs, ladder.m), pis,
+                                  null_nll_replicates(rungs, 40, pis, r=50, seed=9))
     # permuting all positions returns the same series, so every replicate ties
     assert res.p_hat == 1.0
 
@@ -325,8 +363,8 @@ def test_mc_pvalue_counting_rule():
     pis = success_probabilities(ladder, GevParams(0.1, 1.0, 1.0))
     rungs = rung_index(x, 3, ladder.thresholds)
     proc = compute_tcp(e, rungs, ladder.m)
-    res = mc_multi_threshold_test(proc, rungs, pis, r=99, seed=3)
     nulls = null_nll_replicates(rungs, e.n_events, pis, r=99, seed=3)
+    res = mc_multi_threshold_test(proc, pis, nulls)
     assert res.statistic == tcp_nll(proc, pis)
     ge = int(np.count_nonzero(nulls >= res.statistic))
     assert res.p_hat == (1 + ge) / (99 + 1)

@@ -15,6 +15,10 @@ from hypothesis import strategies as st
 from scipy.stats import genextreme, gumbel_r
 
 from peca.nulls import (
+    _gev_nll,
+    _log_factorials,
+    _logsumexp,
+    _nelder_mead,
     GUMBEL_SHAPE_TOL,
     GevFitError,
     GevParams,
@@ -198,6 +202,93 @@ def test_binom_cdf_edges():
     np.testing.assert_array_equal(binom_cdf(np.arange(4), 3, 1.0), [0.0, 0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         binom_cdf(1, -1, 0.5)
+
+
+def test_binom_logpmf_rejects_non_counts():
+    np.testing.assert_array_equal(binom_logpmf(np.array([0, 2]), np.array([2, 1]), 0.5),
+                                  [math.log(0.25), -np.inf])
+    for k, n in ((1.5, 4), (1, 4.25), (np.nan, 4), (1, np.inf), (np.array([0.0, 0.5]), 3)):
+        with pytest.raises(ValueError, match="integer-valued"):
+            binom_logpmf(k, n, 0.3)
+
+
+# --- NumPy ports of the SciPy routines, with SciPy as the oracle -------------
+
+NM_OPTIONS = {"maxiter": 20000, "maxfev": 20000, "xatol": 1e-9, "fatol": 1e-10}
+
+
+def assert_same_minimize(func, x0, options):
+    from scipy.optimize import minimize
+    x, fun, nfev, success = _nelder_mead(func, x0, **options)
+    ref = minimize(func, x0, method="Nelder-Mead", options=options)
+    np.testing.assert_array_equal(x, ref.x)
+    assert fun == ref.fun
+    assert nfev == ref.nfev
+    assert success == ref.success
+    return success
+
+
+@pytest.mark.parametrize("seed, x0", [
+    (0, (0.1, 5.0, 0.5)),
+    (1, (-0.1, 4.5, 0.7)),
+    # the support's lower end, location - scale / shape, sits 0.06 above the
+    # sample minimum, so the start point is +inf; only the simplex vertex with
+    # the larger scale is feasible
+    (2, (0.5, 5.5, 1.0)),
+])
+def test_nelder_mead_matches_scipy_on_gev(seed, x0):
+    z = 2.0 * np.random.default_rng(seed).gumbel(size=150) + 5.0
+    x0 = np.array(x0)
+    if seed == 2:
+        x0[1] += z.min()
+    assert (seed == 2) == math.isinf(_gev_nll(x0[0], x0[1], math.exp(x0[2]), z))
+
+    def objective(p):
+        return _gev_nll(p[0], p[1], math.exp(p[2]), z)
+
+    assert assert_same_minimize(objective, x0, NM_OPTIONS)
+
+
+@pytest.mark.parametrize("maxfev", [3, 7, 40, 151])
+def test_nelder_mead_matches_scipy_when_budget_runs_out(maxfev):
+    from scipy.optimize import rosen
+    # the budget ends mid-iteration (or mid-initial-simplex for 3): same x, fun, nfev
+    options = dict(NM_OPTIONS, maxfev=maxfev)
+    assert not assert_same_minimize(rosen, np.array([-1.2, 1.0, 0.0, 2.0]), options)
+
+
+def test_nelder_mead_iteration_limit():
+    from scipy.optimize import rosen
+    assert not assert_same_minimize(rosen, np.array([-1.2, 1.0]), dict(NM_OPTIONS, maxiter=30))
+
+
+def test_log_factorials_match_gammaln():
+    from scipy.special import gammaln
+    n = 10**5
+    table = _log_factorials(n)[: n + 1]
+    np.testing.assert_allclose(table, gammaln(np.arange(n + 1) + 1.0), rtol=1e-14, atol=0)
+    assert table[0] == table[1] == 0.0
+
+
+@pytest.mark.parametrize("a", [
+    [0.5, 2.0, 2.0, -1.0, 2.0],             # ties at the max
+    [-np.inf, -np.inf, -np.inf],
+    [-3.25],
+    [-np.inf, 1e-300, -np.inf],
+    [np.inf, 0.0],
+])
+def test_logsumexp_matches_scipy(a):
+    from scipy.special import logsumexp
+    assert _logsumexp(np.array(a)) == logsumexp(np.array(a))
+
+
+def test_logsumexp_matches_scipy_on_binomial_tail():
+    from scipy.special import logsumexp
+    terms = binom_logpmf(np.arange(1001), 1000, 0.37)
+    got = _logsumexp(terms)
+    assert got == pytest.approx(logsumexp(terms), rel=1e-15, abs=1e-15)
+    assert math.exp(got) == pytest.approx(1.0, abs=1e-12)
+    assert _logsumexp(np.array([])) == -math.inf
 
 
 # --- single-threshold tests --------------------------------------------------
