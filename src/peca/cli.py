@@ -13,14 +13,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .adjust import METHODS, adjust, reject_set
 from .ingest import IngestError, ingest_events, ingest_timeseries
-from .multi import (build_ladder_from_quantiles, compute_tcp, dp_extreme_nll, empirical_quantile,
+from .multi import (MultiTestResult, ThresholdLadder, TriggerCoincidenceProcess,
+                    build_ladder_from_quantiles, compute_tcp, dp_extreme_nll, empirical_quantile,
                     expected_process_with_band, mc_multi_threshold_test, null_nll_replicates,
                     permutation_success_probabilities, pointwise_tests_along_ladder,
                     success_probabilities)
@@ -29,7 +30,7 @@ from .qtr import QtrTable, write_qtr_csv, write_qtr_svg
 from .series import (EventSeries, TimeSeries, count_trigger_exceedances, late_events, preprocess,
                      rung_index)
 from .sim import (SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential,
-                  null_distribution_comparison, write_comparison_csv, _substream)
+                  null_distribution_comparison, write_comparison_csv)
 
 __all__ = ["AnalysisConfig", "run_pointwise", "run_multi", "run_simulate", "main"]
 
@@ -126,6 +127,43 @@ def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSerie
     }
 
 
+@dataclass(frozen=True)
+class _MultiNull:
+    """The null side of the multi-threshold test, shared by every event set of one size."""
+
+    ladder: ThresholdLadder
+    fit: GevFit
+    rungs: np.ndarray
+    pis: np.ndarray
+    null_stats: np.ndarray
+    band_lower_rates: np.ndarray
+    band_upper_rates: np.ndarray
+
+
+def _multi_null(config: AnalysisConfig, x: TimeSeries, n_events: int) -> _MultiNull:
+    """Ladder, GEV fit, success probabilities, replicate NLLs and the 95% band."""
+    ladder = build_ladder_from_quantiles(x, config.qlo, config.qhi, config.m)
+    fit = fit_gev_mle(block_maxima(x, config.delta), min_samples=config.min_blocks)
+    rungs = rung_index(x, config.delta, ladder.thresholds)
+    pis = success_probabilities(ladder, fit.params)
+    null_stats = null_nll_replicates(rungs, n_events, pis, config.r, config.seed)
+    _, lower, upper = expected_process_with_band(n_events, pis, level=0.95)
+    return _MultiNull(ladder=ladder, fit=fit, rungs=rungs, pis=pis, null_stats=null_stats,
+                      band_lower_rates=lower / n_events, band_upper_rates=upper / n_events)
+
+
+def _score(null: _MultiNull, events: EventSeries
+           ) -> tuple[TriggerCoincidenceProcess, MultiTestResult, QtrTable]:
+    """Observed process, Monte Carlo test and QTR table of one event set against ``null``."""
+    tcp = compute_tcp(events, null.rungs, null.ladder.m)
+    result = mc_multi_threshold_test(tcp, null.pis, null.null_stats)
+    table = QtrTable(levels=null.ladder.levels, thresholds=null.ladder.thresholds,
+                     observed_counts=tcp.counts, n_events=events.n_events,
+                     expected_rates=null.pis, band_lower_rates=null.band_lower_rates,
+                     band_upper_rates=null.band_upper_rates)
+    return tcp, result, table
+
+
 def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
               warnings: list[str] | None = None) -> tuple[dict, QtrTable]:
     """Multi-threshold Monte Carlo test; returns the report dict and QTR table."""
@@ -133,34 +171,20 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
         raise ValueError("multi needs at least one event")
     warn = list(warnings or [])
     x = preprocess(series, config.window) if config.preprocess else series
-    ladder = build_ladder_from_quantiles(x, config.qlo, config.qhi, config.m)
+    null = _multi_null(config, x, events.n_events)
+    ladder, fit, pis = null.ladder, null.fit, null.pis
     if ladder.n_collapsed:
         warn.append(f"{ladder.n_collapsed} duplicate threshold(s) collapsed; "
                     f"effective ladder size {ladder.m}")
-    fit = fit_gev_mle(block_maxima(x, config.delta), min_samples=config.min_blocks)
     if not fit.converged:
         warn.append("GEV fit did not satisfy the optimizer's convergence test")
     _late_event_warning(events, config.delta, warn)
 
-    rungs = rung_index(x, config.delta, ladder.thresholds)
-    tcp = compute_tcp(events, rungs, ladder.m)
-    pis = success_probabilities(ladder, fit.params)
-    null_stats = null_nll_replicates(rungs, events.n_events, pis, config.r, config.seed)
-    result = mc_multi_threshold_test(tcp, pis, null_stats)
+    tcp, result, table = _score(null, events)
     pointwise = pointwise_tests_along_ladder(tcp, pis)
     adjusted = adjust([t.p_value for t in pointwise], config.adjust_method)
     rejected = reject_set(adjusted, config.alpha)
 
-    _, lower, upper = expected_process_with_band(events.n_events, pis, level=0.95)
-    table = QtrTable(
-        levels=ladder.levels,
-        thresholds=ladder.thresholds,
-        observed_counts=tcp.counts,
-        n_events=events.n_events,
-        expected_rates=pis,
-        band_lower_rates=lower / events.n_events,
-        band_upper_rates=upper / events.n_events,
-    )
     multi_test = {
         "statistic": result.statistic,
         "replicates": result.replicates,
@@ -198,7 +222,7 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
             "k_observed": [int(k) for k in tcp.counts],
             "success_probs": [float(t.success_prob) for t in pointwise],
             "permutation_success_probs": [
-                float(v) for v in permutation_success_probabilities(rungs, ladder.m)],
+                float(v) for v in permutation_success_probabilities(null.rungs, ladder.m)],
             "raw_p_values": [float(t.p_value) for t in pointwise],
             "adjust_method": config.adjust_method,
             "adjusted_p_values": [float(v) for v in adjusted.adjusted],
@@ -210,11 +234,9 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
     return report, table
 
 
-def _simulate_comparison(seed: int, out_dir: Path, length: int | None,
-                         replicates: int | None, orders: tuple[int, ...] | None) -> dict:
-    config = SimConfig(length=length or 4096, ma_orders=orders or (0, 32, 64),
-                       replicates=replicates or 1000, seed=seed)
+def _simulate_comparison(out_dir: Path, config: SimConfig) -> dict:
     result = null_distribution_comparison(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "null_comparison.csv"
     write_comparison_csv(result, csv_path)
     summary = {
@@ -238,41 +260,35 @@ def _simulate_comparison(seed: int, out_dir: Path, length: int | None,
     return summary
 
 
-def _simulate_qtr_extremes(seed: int, out_dir: Path, length: int | None,
-                           replicates: int | None) -> dict:
-    t = length or 4096
-    r = replicates or 1000
-    delta, n, trigger_tau, lag = 7, 32, 4.0, 4
-    x = gen_ma_exponential(t, 8, seed=_substream(seed, 100))
-    dependent = gen_dependent_events(x, n, trigger_tau, lag, seed=_substream(seed, 101))
-    independent = gen_independent_events(t, n, seed=_substream(seed, 102))
-
-    ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
-    fit = fit_gev_mle(block_maxima(x, delta))
-    pis = success_probabilities(ladder, fit.params)
-    _, lower, upper = expected_process_with_band(n, pis, level=0.95)
-    rungs = rung_index(x, delta, ladder.thresholds)
+def _simulate_qtr_extremes(out_dir: Path, seed: int = AnalysisConfig.seed, length: int = 4096,
+                           replicates: int = 1000) -> dict:
+    config = AnalysisConfig(r=replicates, seed=seed)
+    ma_order, n, trigger_tau, lag = 8, 32, 4.0, 4
+    x = gen_ma_exponential(length, ma_order, seed=(seed, 100))
+    event_sets = {
+        "dependent": gen_dependent_events(x, n, trigger_tau, lag, seed=(seed, 101)),
+        "independent": gen_independent_events(length, n, seed=(seed, 102)),
+    }
     # one null draw scores both event sets: both have n events on the same rungs
-    nlls = null_nll_replicates(rungs, n, pis, r, seed)
+    null = _multi_null(config, x, n)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs = []
     results = {}
-    for label, events in (("dependent", dependent), ("independent", independent)):
-        tcp = compute_tcp(events, rungs, ladder.m)
-        table = QtrTable(levels=ladder.levels, thresholds=ladder.thresholds,
-                         observed_counts=tcp.counts, n_events=n, expected_rates=pis,
-                         band_lower_rates=lower / n, band_upper_rates=upper / n)
+    for label, events in event_sets.items():
+        _, test, table = _score(null, events)
         path = out_dir / f"qtr_{label}.csv"
         write_qtr_csv(table, path)
         write_qtr_svg(table, out_dir / f"qtr_{label}.svg", title=f"{label} events")
         outputs.extend([path.name, f"qtr_{label}.svg"])
-        test = mc_multi_threshold_test(tcp, pis, nlls)
         results[label] = {
             "statistic": test.statistic,
             "p_hat": test.p_hat,
-            "rate_at_trigger_tau": count_trigger_exceedances(events, x, trigger_tau, delta).rate,
+            "rate_at_trigger_tau":
+                count_trigger_exceedances(events, x, trigger_tau, config.delta).rate,
         }
 
+    nlls = null.null_stats
     nll_path = out_dir / "replicate_nlls.csv"
     with open(nll_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("replicate,nll\n")
@@ -280,8 +296,9 @@ def _simulate_qtr_extremes(seed: int, out_dir: Path, length: int | None,
             fh.write(f"{j},{float(v)!r}\n")
     outputs.append(nll_path.name)
 
-    stat_min, proc_min = dp_extreme_nll(n, pis, "min")
-    stat_max, proc_max = dp_extreme_nll(n, pis, "max")
+    ladder = null.ladder
+    stat_min, proc_min = dp_extreme_nll(n, null.pis, "min")
+    stat_max, proc_max = dp_extreme_nll(n, null.pis, "max")
     ext_path = out_dir / "extreme_processes.csv"
     with open(ext_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("quantile_level,threshold,min_count,max_count\n")
@@ -292,9 +309,9 @@ def _simulate_qtr_extremes(seed: int, out_dir: Path, length: int | None,
 
     return {
         "preset": "fig4",
-        "config": {"length": t, "ma_order": 8, "n_events": n, "delta": delta,
-                   "trigger_tau": trigger_tau, "lag": lag, "qlo": 0.75, "qhi": 1.0,
-                   "m": 32, "replicates": r, "seed": seed},
+        "config": {"length": length, "ma_order": ma_order, "n_events": n, "delta": config.delta,
+                   "trigger_tau": trigger_tau, "lag": lag, "qlo": config.qlo, "qhi": config.qhi,
+                   "m": config.m, "replicates": config.r, "seed": config.seed},
         "results": results,
         "dp": {"min_statistic": stat_min, "max_statistic": stat_max,
                "replicate_nll_min": float(nlls.min()), "replicate_nll_max": float(nlls.max())},
@@ -302,26 +319,32 @@ def _simulate_qtr_extremes(seed: int, out_dir: Path, length: int | None,
     }
 
 
-def run_simulate(preset: str, seed: int, out_dir, length: int | None = None,
+def run_simulate(preset: str, seed: int | None, out_dir, length: int | None = None,
                  replicates: int | None = None, orders: tuple[int, ...] | None = None) -> dict:
     """Run a bundled simulation study and write its outputs under ``out_dir``.
 
-    ``appendix-b1`` runs the null comparison harness; ``fig4`` builds the
-    planted-trigger demonstration with QTR curves, permutation NLLs, and the
-    exact NLL envelope.  Returns the summary dict (also written as JSON).
+    ``appendix-b1`` runs the null comparison harness on ``SimConfig``;
+    ``fig4`` builds the planted-trigger demonstration with QTR curves,
+    permutation NLLs, and the exact NLL envelope, analysed with
+    ``AnalysisConfig``.  An argument left ``None`` keeps the preset's
+    default; ``orders`` applies to ``appendix-b1`` only.  Returns the
+    summary dict (also written as JSON).
     """
+    given = {name: value for name, value in (("seed", seed), ("length", length),
+                                               ("replicates", replicates), ("ma_orders", orders))
+             if value is not None}
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if preset == "appendix-b1":
-        summary = _simulate_comparison(seed, out, length, replicates, orders)
+        summary = _simulate_comparison(out, replace(SimConfig(), **given))
     elif preset == "fig4":
-        summary = _simulate_qtr_extremes(seed, out, length, replicates)
+        if "ma_orders" in given:
+            raise ValueError("filter orders apply to the appendix-b1 preset only")
+        summary = _simulate_qtr_extremes(out, **given)
     else:
         raise ValueError(f"unknown preset: {preset!r}")
     summary_path = out / "summary.json"
     summary["outputs"].append(summary_path.name)
-    summary_path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n",
-                            encoding="utf-8")
+    _emit_report(summary, summary_path)
     return summary
 
 
@@ -368,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     si = sub.add_parser("simulate", help="bundled simulation studies")
     si.add_argument("--preset", choices=("appendix-b1", "fig4"), required=True)
-    si.add_argument("--seed", type=int, default=0)
+    si.add_argument("--seed", type=int,
+                    help=f"replication seed (default {AnalysisConfig.seed} for fig4, "
+                         f"{SimConfig.seed} for appendix-b1)")
     si.add_argument("--out", required=True, help="output directory")
     si.add_argument("--length", type=int, help="override the series length")
     si.add_argument("--replicates", type=int, help="override the replicate count")
@@ -381,7 +406,7 @@ def _fail(category: str, exc: Exception) -> int:
     return 1
 
 
-def _emit_report(report: dict, out: str | None) -> None:
+def _emit_report(report: dict, out: str | Path | None) -> None:
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -414,10 +439,11 @@ def main(argv=None) -> int:
                     write_qtr_svg(table, args.svg, title="quantile-trigger-rate")
         else:
             orders = None
-            if args.orders:
+            if args.orders is not None:
                 orders = tuple(int(tok) for tok in args.orders.split(","))
-            run_simulate(args.preset, args.seed, args.out, length=args.length,
-                         replicates=args.replicates, orders=orders)
+            summary = run_simulate(args.preset, args.seed, args.out, length=args.length,
+                                   replicates=args.replicates, orders=orders)
+            _emit_report(summary, None)
     except IngestError as exc:
         return _fail("ingest", exc)
     except GevFitError as exc:

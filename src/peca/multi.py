@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nulls import GevParams, PointwiseTestResult, binom_cdf, binom_logpmf, binom_tail, gev_sf
-from .series import EventSeries, TimeSeries, _check_same_grid, _frozen
+from .series import EventSeries, TimeSeries, check_same_grid, frozen_copy
 
 __all__ = [
     "ThresholdLadder",
@@ -56,14 +56,14 @@ class ThresholdLadder:
             raise ValueError("thresholds must be finite")
         if np.any(np.diff(thr) <= 0):
             raise ValueError("thresholds must be strictly increasing")
-        object.__setattr__(self, "thresholds", _frozen(thr))
+        object.__setattr__(self, "thresholds", frozen_copy(thr))
         if self.levels is not None:
             lv = np.asarray(self.levels, dtype=float).ravel()
             if lv.size != thr.size:
                 raise ValueError("levels must match thresholds in length")
             if np.any((lv < 0) | (lv > 1)):
                 raise ValueError("quantile levels must lie in [0, 1]")
-            object.__setattr__(self, "levels", _frozen(lv))
+            object.__setattr__(self, "levels", frozen_copy(lv))
         if self.n_collapsed < 0:
             raise ValueError("n_collapsed must be non-negative")
 
@@ -89,7 +89,7 @@ class TriggerCoincidenceProcess:
             raise ValueError("counts must lie in [0, n_events]")
         if np.any(np.diff(counts) > 0):
             raise ValueError("counts must be non-increasing along the ladder")
-        object.__setattr__(self, "counts", _frozen(counts))
+        object.__setattr__(self, "counts", frozen_copy(counts))
 
     @property
     def m(self) -> int:
@@ -169,7 +169,7 @@ def compute_tcp(e: EventSeries, rungs: np.ndarray, m: int) -> TriggerCoincidence
     of events at a rung above i.
     """
     rungs = np.asarray(rungs)
-    _check_same_grid(e.length, rungs.size)
+    check_same_grid(e.length, rungs.size)
     at_events = rungs[e.occurrences - 1]
     if np.any((at_events < 0) | (at_events > m)):
         raise ValueError(f"rungs must lie in [0, {m}]")

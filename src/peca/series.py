@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def frozen_copy(arr: np.ndarray) -> np.ndarray:
+    """Read-only copy of ``arr``, for the array fields of frozen containers."""
     out = np.array(arr, copy=True)
     out.setflags(write=False)
     return out
@@ -52,7 +53,7 @@ class EventSeries:
                 raise ValueError("occurrences must be strictly increasing")
             if occ[0] < 1 or occ[-1] > self.length:
                 raise ValueError(f"occurrences must lie in [1, {self.length}]")
-        object.__setattr__(self, "occurrences", _frozen(occ))
+        object.__setattr__(self, "occurrences", frozen_copy(occ))
 
     @property
     def n_events(self) -> int:
@@ -84,7 +85,7 @@ class TimeSeries:
             raise ValueError("time series must contain at least one value")
         if not np.all(np.isfinite(vals)):
             raise ValueError("time series values must be finite")
-        object.__setattr__(self, "values", _frozen(vals))
+        object.__setattr__(self, "values", frozen_copy(vals))
 
     @property
     def length(self) -> int:
@@ -119,7 +120,8 @@ def _check_delta(delta: int, length: int) -> None:
         raise ValueError(f"delta must be smaller than the series length ({length})")
 
 
-def _check_same_grid(len_a: int, len_b: int) -> None:
+def check_same_grid(len_a: int, len_b: int) -> None:
+    """Raise unless two series share one grid length."""
     if len_a != len_b:
         raise ValueError(f"series lengths differ: {len_a} vs {len_b}")
 
@@ -173,7 +175,7 @@ def count_trigger(b: EventSeries, a: EventSeries, delta: int) -> CoincidenceResu
     [t, t+delta]; only t <= T-delta is scanned, so ``b`` events in the final
     ``delta`` steps can never count, but they remain in the rate denominator.
     """
-    _check_same_grid(b.length, a.length)
+    check_same_grid(b.length, a.length)
     _check_delta(delta, b.length)
     win = _window_max(a.indicator(), delta)
     early = b.occurrences[b.occurrences <= b.length - delta]
@@ -188,7 +190,7 @@ def count_precursor(b: EventSeries, a: EventSeries, delta: int) -> CoincidenceRe
     [t-delta, t]; only t >= delta+1 is scanned.  The rate denominator is the
     total number of ``a`` events.
     """
-    _check_same_grid(b.length, a.length)
+    check_same_grid(b.length, a.length)
     _check_delta(delta, a.length)
     win = _window_max(b.indicator(), delta)
     late = a.occurrences[a.occurrences >= delta + 1]
@@ -202,7 +204,7 @@ def count_trigger_exceedances(e: EventSeries, x: TimeSeries, tau: float, delta: 
     Equivalent to ``count_trigger(e, exceedance_series(x, tau), delta)`` but
     phrased through window maxima, so the exceedance series is never built.
     """
-    _check_same_grid(e.length, x.length)
+    check_same_grid(e.length, x.length)
     _check_delta(delta, x.length)
     win = _window_max(x.values, delta)
     early = e.occurrences[e.occurrences <= e.length - delta]

@@ -3,7 +3,9 @@
 The generators build standardized smoothed-noise series plus independent or
 planted event series; the comparison harness tabulates how well the
 Bernoulli-based and GEV-based binomial nulls match the simulated
-distribution of the trigger count as serial dependence grows.
+distribution of the trigger count as serial dependence grows.  Every
+generator takes a ``seed`` that ``numpy.random.default_rng`` accepts; the
+studies pass ``(root seed, *path)`` tuples, one named stream per draw.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class SimConfig:
     delta: int = 7
     thresholds: tuple[float, ...] = (3.0, 4.0, 5.0)
     replicates: int = 1000
-    seed: int = 0
+    seed: int = 131
 
     def __post_init__(self):
         if not self.ma_orders:
@@ -62,11 +64,6 @@ class SimConfig:
             raise ValueError("need at least one replicate")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-
-def _substream(seed: int, *path: int) -> np.random.SeedSequence:
-    """Deterministic named sub-stream of a root seed."""
-    return np.random.SeedSequence((seed, *path))
 
 
 def _causal_mean_filter(draws: np.ndarray, order: int) -> np.ndarray:
@@ -179,13 +176,12 @@ def null_distribution_comparison(config: SimConfig) -> NullComparisonResult:
     ks = np.arange(n + 1)
     taus = np.asarray(config.thresholds, dtype=float)
     for order in config.ma_orders:
-        x = gen_ma_exponential(config.length, order, seed=_substream(config.seed, order, 0))
+        x = gen_ma_exponential(config.length, order, seed=(config.seed, order, 0))
         theta = fit_gev_mle(block_maxima(x, config.delta)).params
         rungs = rung_index(x, config.delta, taus)
         at_events = np.empty((config.replicates, n), dtype=np.int64)
         for j in range(config.replicates):
-            e = gen_independent_events(config.length, n,
-                                       seed=_substream(config.seed, order, 1, j))
+            e = gen_independent_events(config.length, n, seed=(config.seed, order, 1, j))
             at_events[j] = rungs[e.occurrences - 1]
         counts = np.count_nonzero(at_events[:, :, None] > np.arange(taus.size), axis=1)
         for ti, tau in enumerate(taus):

@@ -30,7 +30,6 @@ from peca.nulls import block_maxima, fit_gev_mle
 from peca.series import count_trigger_exceedances, rung_index
 from peca.sim import (
     SimConfig,
-    _substream,
     gen_dependent_events,
     gen_independent_events,
     gen_ma_exponential,
@@ -87,9 +86,9 @@ def test_criterion_1_null_distribution_accuracy():
 
 
 def test_criterion_2_planted_trigger_construction():
-    x = gen_ma_exponential(4096, 8, seed=_substream(0, 100))
-    dep = gen_dependent_events(x, 32, 4.0, 4, seed=_substream(0, 101))
-    ind = gen_independent_events(4096, 32, seed=_substream(0, 102))
+    x = gen_ma_exponential(4096, 8, seed=(0, 100))
+    dep = gen_dependent_events(x, 32, 4.0, 4, seed=(0, 101))
+    ind = gen_independent_events(4096, 32, seed=(0, 102))
     rate4 = count_trigger_exceedances(dep, x, 4.0, 7).rate
     ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
     rungs = rung_index(x, 7, ladder.thresholds)
@@ -109,12 +108,12 @@ def test_criterion_2_planted_trigger_construction():
 
 
 def test_criterion_3_qtr_identity_line():
-    x = gen_ma_exponential(4096, 0, seed=_substream(3000, 0))
+    x = gen_ma_exponential(4096, 0, seed=(3000, 0))
     ladder = build_ladder_from_quantiles(x, 0.0, 1.0, 21)
     rungs = rung_index(x, 0, ladder.thresholds)
     rates = np.empty((100, ladder.m))
     for j in range(100):
-        e = gen_independent_events(4096, 32, seed=_substream(3000, 1, j))
+        e = gen_independent_events(4096, 32, seed=(3000, 1, j))
         rates[j] = compute_tcp(e, rungs, ladder.m).rates()
     mean = rates.mean(axis=0)
     se = rates.std(axis=0, ddof=1) / np.sqrt(100)
@@ -132,14 +131,14 @@ def test_criterion_3_qtr_identity_line():
 def test_criterion_4_test_calibration():
     rejections = 0
     for i in range(500):
-        x = gen_ma_exponential(4096, 8, seed=_substream(7000, i, 0))
-        e = gen_independent_events(4096, 32, seed=_substream(7000, i, 1))
+        x = gen_ma_exponential(4096, 8, seed=(7000, i, 0))
+        e = gen_independent_events(4096, 32, seed=(7000, i, 1))
         fit = fit_gev_mle(block_maxima(x, 7))
         ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
         rungs = rung_index(x, 7, ladder.thresholds)
         pis = success_probabilities(ladder, fit.params)
-        nulls = null_nll_replicates(rungs, e.n_events, pis, r=200,
-                                    seed=int(_substream(7000, i, 2).generate_state(1)[0]))
+        null_seed = int(np.random.SeedSequence((7000, i, 2)).generate_state(1)[0])
+        nulls = null_nll_replicates(rungs, e.n_events, pis, r=200, seed=null_seed)
         res = mc_multi_threshold_test(compute_tcp(e, rungs, ladder.m), pis, nulls)
         rejections += res.p_hat < 0.05
     lo = int(binom.ppf(0.005, 500, 0.05))
@@ -158,8 +157,8 @@ def iter_monotone(m, n):
 
 def test_criterion_5_dp_envelope():
     # simulated replicates stay inside the exact envelope
-    x = gen_ma_exponential(4096, 8, seed=_substream(5000, 0))
-    e = gen_independent_events(4096, 32, seed=_substream(5000, 1))
+    x = gen_ma_exponential(4096, 8, seed=(5000, 0))
+    e = gen_independent_events(4096, 32, seed=(5000, 1))
     fit = fit_gev_mle(block_maxima(x, 7))
     ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
     pis = success_probabilities(ladder, fit.params)

@@ -13,8 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import peca
-from peca.cli import AnalysisConfig, main
+import peca.cli
+from peca.cli import AnalysisConfig, main, run_multi
+from peca.multi import null_nll_replicates
+from peca.qtr import write_qtr_csv
+from peca.sim import SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential
 
 
 def run_cli(args):
@@ -267,6 +270,58 @@ def test_simulate_qtr_preset(tmp_path):
     dp = summary["dp"]
     assert dp["min_statistic"] <= dp["replicate_nll_min"]
     assert dp["replicate_nll_max"] <= dp["max_statistic"]
+
+
+def test_simulate_prints_its_summary(tmp_path):
+    # without --seed, appendix-b1 runs on SimConfig's seed
+    out = tmp_path / "study"
+    code, stdout, _ = run_cli(["simulate", "--preset", "appendix-b1", "--length", "512",
+                               "--replicates", "20", "--orders", "0", "--out", str(out)])
+    assert code == 0
+    assert stdout == (out / "summary.json").read_text()
+    summary = json.loads(stdout)
+    assert summary["config"]["seed"] == SimConfig().seed == 131
+    assert summary["outputs"] == ["null_comparison.csv", "summary.json"]
+
+
+@pytest.mark.parametrize("preset, override", [
+    ("appendix-b1", ["--replicates", "0"]),
+    ("appendix-b1", ["--length", "0"]),
+    ("fig4", ["--replicates", "0"]),
+    ("fig4", ["--length", "0"]),
+    ("fig4", ["--orders", "0,8"]),
+])
+def test_simulate_override_is_never_dropped(tmp_path, preset, override):
+    # an override reaches the preset's config and its validation, or is refused
+    out = tmp_path / "study"
+    code, stdout, err = run_cli(["simulate", "--preset", preset, *override, "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    assert json.loads(err)["error"]["category"] == "config"
+    assert not out.exists()
+
+
+def test_fig4_runs_the_multi_pipeline(tmp_path, monkeypatch):
+    # fig4 draws one null for both event sets; each set scores as `multi` would score it
+    draws = []
+    monkeypatch.setattr(peca.cli, "null_nll_replicates",
+                        lambda *a: draws.append(a) or null_nll_replicates(*a))
+    out = tmp_path / "fig"
+    code, _, _ = run_cli(["simulate", "--preset", "fig4", "--seed", "0",
+                          "--replicates", "500", "--out", str(out)])
+    assert code == 0
+    assert len(draws) == 1
+    results = json.loads((out / "summary.json").read_text())["results"]
+    x = gen_ma_exponential(4096, 8, seed=(0, 100))
+    event_sets = {"dependent": gen_dependent_events(x, 32, 4.0, 4, seed=(0, 101)),
+                  "independent": gen_independent_events(4096, 32, seed=(0, 102))}
+    for label, events in event_sets.items():
+        report, table = run_multi(AnalysisConfig(r=500, seed=0), x, events)
+        write_qtr_csv(table, tmp_path / f"{label}.csv")
+        assert ((tmp_path / f"{label}.csv").read_bytes()
+                == (out / f"qtr_{label}.csv").read_bytes()), label
+        assert report["multi_test"]["statistic"] == results[label]["statistic"], label
+        assert report["multi_test"]["p_hat"] == results[label]["p_hat"], label
 
 
 def test_analysis_config_validation():
