@@ -27,8 +27,7 @@ from .multi import (MultiTestResult, ThresholdLadder, TriggerCoincidenceProcess,
                     success_probabilities)
 from .nulls import GevFit, GevFitError, block_maxima, estimate_event_rate, fit_gev_mle, gev_null_pvalue
 from .qtr import QtrTable, write_qtr_csv, write_qtr_svg
-from .series import (EventSeries, TimeSeries, count_trigger_exceedances, late_events, preprocess,
-                     rung_index)
+from .series import EventSeries, TimeSeries, late_events, preprocess, rung_index
 from .sim import (SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential,
                   null_distribution_comparison, write_comparison_csv)
 
@@ -90,12 +89,19 @@ def _late_event_warning(events: EventSeries, delta: int, warn: list[str]) -> Non
                     f"but stay in the rate denominator: steps {late.tolist()}")
 
 
+def _trigger_count(events: EventSeries, x: TimeSeries, tau: float, delta: int) -> int:
+    """Events whose window [t, t+delta] holds a strict exceedance of ``tau``: a ladder of one."""
+    return int(compute_tcp(events, rung_index(x, delta, [tau]), 1).counts[0])
+
+
 def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
                   tau: float | None = None, quantile: float | None = None,
                   warnings: list[str] | None = None) -> dict:
     """Single-threshold trigger test; returns the JSON-ready report dict."""
     if (tau is None) == (quantile is None):
         raise ValueError("exactly one of tau and quantile is required")
+    if tau is not None and not math.isfinite(tau):
+        raise ValueError("tau must be finite")
     warn = list(warnings or [])
     x = preprocess(series, config.window) if config.preprocess else series
     if quantile is not None:
@@ -105,8 +111,8 @@ def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSerie
     fit = fit_gev_mle(block_maxima(x, config.delta), min_samples=config.min_blocks)
     if not fit.converged:
         warn.append("GEV fit did not satisfy the optimizer's convergence test")
-    observed = count_trigger_exceedances(events, x, threshold, config.delta)
-    test = gev_null_pvalue(observed.count, observed.n_events, threshold, fit.params)
+    k = _trigger_count(events, x, threshold, config.delta)
+    test = gev_null_pvalue(k, events.n_events, threshold, fit.params)
     _late_event_warning(events, config.delta, warn)
     return {
         "command": "pointwise",
@@ -118,8 +124,8 @@ def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSerie
         },
         "threshold": threshold,
         "quantile_level": quantile,
-        "k_observed": observed.count,
-        "rate": observed.rate,
+        "k_observed": k,
+        "rate": k / events.n_events if events.n_events else None,
         "success_prob": test.success_prob,
         "p_value": test.p_value,
         "gev": _gev_dict(fit),
@@ -285,7 +291,7 @@ def _simulate_qtr_extremes(out_dir: Path, seed: int = AnalysisConfig.seed, lengt
             "statistic": test.statistic,
             "p_hat": test.p_hat,
             "rate_at_trigger_tau":
-                count_trigger_exceedances(events, x, trigger_tau, config.delta).rate,
+                _trigger_count(events, x, trigger_tau, config.delta) / events.n_events,
         }
 
     nlls = null.null_stats

@@ -49,12 +49,12 @@ def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGri
     Dates must be ISO formatted and strictly increasing, one row per day.
     A missing day is an error naming the first gap unless ``fill_zero``,
     which inserts 0.0 for every skipped day.  Values must be non-negative
-    finite reals.
+    finite reals.  A leading UTF-8 byte-order mark is skipped.
     """
     values: list[float] = []
     start: date | None = None
     prev: date | None = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header] != ["date", "value"]:
@@ -97,12 +97,12 @@ def ingest_events(path, grid: DayGrid) -> tuple[EventSeries, list[str]]:
 
     Blank lines are skipped.  Duplicate dates collapse with a warning; a date
     outside the grid is an error naming it.  An empty file yields an empty
-    event series plus a warning.
+    event series plus a warning.  A leading UTF-8 byte-order mark is skipped.
     """
     warnings: list[str] = []
     seen: dict[int, date] = {}
     duplicates: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

@@ -95,12 +95,6 @@ class TriggerCoincidenceProcess:
     def m(self) -> int:
         return int(self.counts.size)
 
-    def rates(self) -> np.ndarray:
-        """Counts divided by n_events; NaN entries when there are no events."""
-        if self.n_events == 0:
-            return np.full(self.counts.size, np.nan)
-        return self.counts / self.n_events
-
 
 @dataclass(frozen=True)
 class MultiTestResult:

@@ -1,12 +1,11 @@
-"""Event series, time series, and coincidence counting.
+"""Event series, time series, and the rung index that every trigger count reads.
 
 An event series marks occurrences (attacks, outages, announcements) on a
-discrete time grid; a time series holds one real value per step.  A trigger
-coincidence is a leading event that is followed, within a tolerance of
-``delta`` steps, by an event of the other series; a precursor coincidence is
-the time-reversed notion.  Thresholding a time series turns it into the
-event series of its strict exceedances, which is how peaks enter the
-counting framework.
+discrete time grid; a time series holds one real value per step.  An event
+at step t is triggered at threshold tau when the window [t, t+delta] holds a
+strict exceedance of tau.  ``rung_index`` gives every step its rung against
+an ascending ladder of thresholds, and ``multi.compute_tcp`` counts the
+events over those rungs; a single threshold is a ladder of one.
 """
 
 from __future__ import annotations
@@ -15,19 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "EventSeries",
-    "TimeSeries",
-    "CoincidenceResult",
-    "exceedance_series",
-    "forward_window_max",
-    "rung_index",
-    "count_trigger",
-    "count_precursor",
-    "count_trigger_exceedances",
-    "preprocess",
-    "late_events",
-]
+__all__ = ["EventSeries", "TimeSeries", "rung_index", "preprocess", "late_events"]
 
 
 def frozen_copy(arr: np.ndarray) -> np.ndarray:
@@ -59,19 +46,6 @@ class EventSeries:
     def n_events(self) -> int:
         return int(self.occurrences.size)
 
-    @classmethod
-    def from_indicator(cls, indicator) -> "EventSeries":
-        """Build from a 0/1 (or boolean) array, one entry per step."""
-        ind = np.asarray(indicator).ravel()
-        return cls(length=int(ind.size), occurrences=np.flatnonzero(ind) + 1)
-
-    def indicator(self) -> np.ndarray:
-        """Dense 0/1 representation of the series."""
-        out = np.zeros(self.length, dtype=np.int8)
-        if self.occurrences.size:
-            out[self.occurrences - 1] = 1
-        return out
-
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -92,27 +66,6 @@ class TimeSeries:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class CoincidenceResult:
-    """A coincidence count together with the event count it is rated against."""
-
-    count: int
-    n_events: int
-
-    def __post_init__(self):
-        if self.n_events < 0:
-            raise ValueError("n_events must be non-negative")
-        if not 0 <= self.count <= self.n_events:
-            raise ValueError("count must lie in [0, n_events]")
-
-    @property
-    def rate(self) -> float | None:
-        """count / n_events, or None when there are no events to rate."""
-        if self.n_events == 0:
-            return None
-        return self.count / self.n_events
-
-
 def _check_delta(delta: int, length: int) -> None:
     if delta < 0:
         raise ValueError("delta must be non-negative")
@@ -124,25 +77,6 @@ def check_same_grid(len_a: int, len_b: int) -> None:
     """Raise unless two series share one grid length."""
     if len_a != len_b:
         raise ValueError(f"series lengths differ: {len_a} vs {len_b}")
-
-
-def _window_max(values: np.ndarray, delta: int) -> np.ndarray:
-    """max(values[i], ..., values[i+delta]) for every start index; length shrinks by delta."""
-    if delta == 0:
-        return values
-    return np.max(np.lib.stride_tricks.sliding_window_view(values, delta + 1), axis=1)
-
-
-def forward_window_max(x: TimeSeries, delta: int) -> np.ndarray:
-    """Per-step maximum of x over the window [t, t+delta], for t = 1..T-delta.
-
-    Entry i (0-based) is the window maximum for step t = i+1.  Comparing this
-    array against a threshold is equivalent to asking whether the window
-    contains a strict exceedance, which is what makes trigger counting over
-    many thresholds cheap.
-    """
-    _check_delta(delta, x.length)
-    return _window_max(x.values, delta).copy()
 
 
 def rung_index(x: TimeSeries, delta: int, thresholds) -> np.ndarray:
@@ -159,57 +93,9 @@ def rung_index(x: TimeSeries, delta: int, thresholds) -> np.ndarray:
     if np.any(np.diff(thr) < 0):
         raise ValueError("thresholds must be ascending")
     rungs = np.zeros(x.length, dtype=np.int64)
-    rungs[:x.length - delta] = np.searchsorted(thr, _window_max(x.values, delta), side="left")
+    window_max = np.lib.stride_tricks.sliding_window_view(x.values, delta + 1).max(axis=1)
+    rungs[:x.length - delta] = np.searchsorted(thr, window_max, side="left")
     return rungs
-
-
-def exceedance_series(x: TimeSeries, tau: float) -> EventSeries:
-    """Event series marking the steps where x strictly exceeds ``tau``."""
-    return EventSeries.from_indicator(x.values > tau)
-
-
-def count_trigger(b: EventSeries, a: EventSeries, delta: int) -> CoincidenceResult:
-    """Count leading events of ``b`` followed by an ``a`` event within ``delta`` steps.
-
-    A ``b`` event at step t counts when ``a`` has an event anywhere in
-    [t, t+delta]; only t <= T-delta is scanned, so ``b`` events in the final
-    ``delta`` steps can never count, but they remain in the rate denominator.
-    """
-    check_same_grid(b.length, a.length)
-    _check_delta(delta, b.length)
-    win = _window_max(a.indicator(), delta)
-    early = b.occurrences[b.occurrences <= b.length - delta]
-    count = int(win[early - 1].sum()) if early.size else 0
-    return CoincidenceResult(count=count, n_events=b.n_events)
-
-
-def count_precursor(b: EventSeries, a: EventSeries, delta: int) -> CoincidenceResult:
-    """Count ``a`` events preceded by a ``b`` event within ``delta`` steps.
-
-    An ``a`` event at step t counts when ``b`` has an event anywhere in
-    [t-delta, t]; only t >= delta+1 is scanned.  The rate denominator is the
-    total number of ``a`` events.
-    """
-    check_same_grid(b.length, a.length)
-    _check_delta(delta, a.length)
-    win = _window_max(b.indicator(), delta)
-    late = a.occurrences[a.occurrences >= delta + 1]
-    count = int(win[late - 1 - delta].sum()) if late.size else 0
-    return CoincidenceResult(count=count, n_events=a.n_events)
-
-
-def count_trigger_exceedances(e: EventSeries, x: TimeSeries, tau: float, delta: int) -> CoincidenceResult:
-    """Trigger coincidences between ``e`` and the strict exceedances of ``tau`` in ``x``.
-
-    Equivalent to ``count_trigger(e, exceedance_series(x, tau), delta)`` but
-    phrased through window maxima, so the exceedance series is never built.
-    """
-    check_same_grid(e.length, x.length)
-    _check_delta(delta, x.length)
-    win = _window_max(x.values, delta)
-    early = e.occurrences[e.occurrences <= e.length - delta]
-    count = int(np.count_nonzero(win[early - 1] > tau)) if early.size else 0
-    return CoincidenceResult(count=count, n_events=e.n_events)
 
 
 def preprocess(x: TimeSeries, window: int = 30) -> TimeSeries:

@@ -27,7 +27,7 @@ from peca.multi import (
     tcp_nll,
 )
 from peca.nulls import block_maxima, fit_gev_mle
-from peca.series import count_trigger_exceedances, rung_index
+from peca.series import rung_index
 from peca.sim import (
     SimConfig,
     gen_dependent_events,
@@ -89,11 +89,11 @@ def test_criterion_2_planted_trigger_construction():
     x = gen_ma_exponential(4096, 8, seed=(0, 100))
     dep = gen_dependent_events(x, 32, 4.0, 4, seed=(0, 101))
     ind = gen_independent_events(4096, 32, seed=(0, 102))
-    rate4 = count_trigger_exceedances(dep, x, 4.0, 7).rate
+    rate4 = compute_tcp(dep, rung_index(x, 7, [4.0]), 1).counts[0] / dep.n_events
     ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
     rungs = rung_index(x, 7, ladder.thresholds)
-    rd = compute_tcp(dep, rungs, ladder.m).rates()
-    ri = compute_tcp(ind, rungs, ladder.m).rates()
+    rd = compute_tcp(dep, rungs, ladder.m).counts / dep.n_events
+    ri = compute_tcp(ind, rungs, ladder.m).counts / ind.n_events
     i4 = int(np.argmax(ladder.thresholds >= 4.0))
     # at the top level the threshold is the series maximum, which nothing
     # strictly exceeds, so both curves are identically zero there
@@ -114,7 +114,7 @@ def test_criterion_3_qtr_identity_line():
     rates = np.empty((100, ladder.m))
     for j in range(100):
         e = gen_independent_events(4096, 32, seed=(3000, 1, j))
-        rates[j] = compute_tcp(e, rungs, ladder.m).rates()
+        rates[j] = compute_tcp(e, rungs, ladder.m).counts / e.n_events
     mean = rates.mean(axis=0)
     se = rates.std(axis=0, ddof=1) / np.sqrt(100)
     target = 1.0 - ladder.levels

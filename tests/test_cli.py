@@ -73,6 +73,67 @@ def test_pointwise_fixed_tau_without_out_writes_stdout(dataset):
     assert report["quantile_level"] is None
 
 
+def read_dataset(series, events):
+    """The fixture's values and 1-based event steps, parsed with plain Python."""
+    rows = series.read_text().splitlines()[1:]
+    start = datetime.date.fromisoformat(rows[0].split(",")[0])
+    values = [float(row.split(",")[1]) for row in rows]
+    steps = sorted({(datetime.date.fromisoformat(line) - start).days + 1
+                    for line in events.read_text().split()})
+    return values, steps
+
+
+@pytest.mark.parametrize("threshold", [["--quantile", "0.9"], ["--tau", "100"]],
+                         ids=["quantile", "tau"])
+def test_pointwise_count_matches_window_loop(dataset, tmp_path, threshold):
+    series, events = dataset
+    with open(events, "a") as fh:
+        fh.write("2020-02-03\n")  # day 399: inside the final 5 steps, never counted
+    out = tmp_path / "r.json"
+    code, _, _ = run_cli(["pointwise", "--series", str(series), "--events", str(events),
+                          "--delta", "5", *threshold, "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    values, steps = read_dataset(series, events)
+    assert len(values) == 400 and len(steps) == 13 and steps[-1] == 399
+    tau = sorted(values)[359] if threshold[0] == "--quantile" else 100.0
+    assert report["threshold"] == tau
+    k = sum(1 for t in steps if t <= 400 - 5 and max(values[t - 1:t + 5]) > tau)
+    assert report["k_observed"] == k
+    assert report["rate"] == k / 13
+
+
+@pytest.mark.parametrize("tau", ["--tau=nan", "--tau=inf", "--tau=1e400", "--tau=-inf"])
+def test_pointwise_rejects_non_finite_tau(dataset, tmp_path, tau):
+    series, events = dataset
+    out = tmp_path / "r.json"
+    code, stdout, err = run_cli(["pointwise", "--series", str(series), "--events", str(events),
+                                 tau, "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    payload = json.loads(err)["error"]
+    assert payload["category"] == "config"
+    assert "tau" in payload["message"]
+    assert not out.exists()
+
+
+def test_byte_order_mark_is_ignored(dataset, tmp_path):
+    series, events = dataset
+    reports = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        paths = []
+        for src in (series, events):
+            copy = tmp_path / f"{len(prefix)}{src.name}"
+            copy.write_bytes(prefix + src.read_bytes())
+            paths.append(str(copy))
+        out = tmp_path / f"{len(prefix)}.json"
+        code, _, err = run_cli(["pointwise", "--series", paths[0], "--events", paths[1],
+                                "--quantile", "0.9", "--out", str(out)])
+        assert code == 0, err
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_multi_report_and_files(dataset, tmp_path):
     series, events = dataset
     out = tmp_path / "report.json"

@@ -1,25 +1,16 @@
-"""Counting kernels checked against literal double-loop oracles."""
+"""The counting kernel, ``compute_tcp`` over ``rung_index``, against literal loop oracles."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from peca.series import (
-    CoincidenceResult,
-    EventSeries,
-    TimeSeries,
-    count_precursor,
-    count_trigger,
-    count_trigger_exceedances,
-    exceedance_series,
-    forward_window_max,
-    late_events,
-    preprocess,
-    rung_index,
-)
+from peca.cli import AnalysisConfig, run_pointwise
+from peca.multi import compute_tcp
+from peca.series import EventSeries, TimeSeries, late_events, preprocess, rung_index
 
 
 def brute_trigger(b_ind, a_ind, delta):
@@ -48,14 +39,36 @@ def all_indicator_pairs(t_max):
             yield bits_b, bits_a
 
 
+def events_from_bits(bits):
+    return EventSeries(len(bits), np.flatnonzero(bits) + 1)
+
+
+def bits_of(length, occurrences):
+    bits = np.zeros(length, dtype=int)
+    bits[np.asarray(occurrences) - 1] = 1
+    return bits
+
+
+def kernel_trigger(bits_b, bits_a, delta):
+    # event-to-event trigger count: the kernel on a's 0/1 series at tau = 0.5
+    return compute_tcp(events_from_bits(bits_b), rung_index(TimeSeries(bits_a), delta, [0.5]), 1)
+
+
+def kernel_precursor(bits_b, bits_a, delta):
+    # the precursor count is the trigger count of the time-reversed pair
+    return kernel_trigger(bits_a[::-1], bits_b[::-1], delta)
+
+
+def kernel_count(e, x, tau, delta):
+    return int(compute_tcp(e, rung_index(x, delta, [tau]), 1).counts[0])
+
+
 def test_trigger_matches_brute_force_exhaustively():
     for t_max in range(1, 6):
         for delta in range(t_max):
             for bits_b, bits_a in all_indicator_pairs(t_max):
-                b = EventSeries.from_indicator(bits_b)
-                a = EventSeries.from_indicator(bits_a)
-                got = count_trigger(b, a, delta)
-                assert got.count == brute_trigger(bits_b, bits_a, delta)
+                got = kernel_trigger(bits_b, bits_a, delta)
+                assert got.counts[0] == brute_trigger(bits_b, bits_a, delta)
                 assert got.n_events == sum(bits_b)
 
 
@@ -63,31 +76,27 @@ def test_precursor_matches_brute_force_exhaustively():
     for t_max in range(1, 6):
         for delta in range(t_max):
             for bits_b, bits_a in all_indicator_pairs(t_max):
-                b = EventSeries.from_indicator(bits_b)
-                a = EventSeries.from_indicator(bits_a)
-                got = count_precursor(b, a, delta)
-                assert got.count == brute_precursor(bits_b, bits_a, delta)
+                got = kernel_precursor(bits_b, bits_a, delta)
+                assert got.counts[0] == brute_precursor(bits_b, bits_a, delta)
                 assert got.n_events == sum(bits_a)
 
 
 def test_worked_example_pair():
     # one fully hand-checked configuration on a 31-day grid
-    b = EventSeries(31, (6, 14, 26))
-    a = EventSeries(31, (2, 7, 14, 20, 27, 30))
-    tr = count_trigger(b, a, 4)
-    pre = count_precursor(b, a, 4)
-    assert (tr.count, tr.n_events, tr.rate) == (3, 3, 1.0)
-    assert (pre.count, pre.n_events) == (4, 6)
-    assert pre.rate == pytest.approx(2.0 / 3.0)
+    b = bits_of(31, (6, 14, 26))
+    a = bits_of(31, (2, 7, 14, 20, 27, 30))
+    tr = kernel_trigger(b, a, 4)
+    pre = kernel_precursor(b, a, 4)
+    assert (tr.counts[0], tr.n_events, tr.counts[0] / tr.n_events) == (3, 3, 1.0)
+    assert (pre.counts[0], pre.n_events) == (4, 6)
+    assert pre.counts[0] / pre.n_events == pytest.approx(2.0 / 3.0)
 
 
 def test_delta_zero_is_symmetric_intersection():
     for bits_b, bits_a in all_indicator_pairs(5):
-        b = EventSeries.from_indicator(bits_b)
-        a = EventSeries.from_indicator(bits_a)
         both = sum(x and y for x, y in zip(bits_b, bits_a))
-        assert count_trigger(b, a, 0).count == both
-        assert count_precursor(b, a, 0).count == both
+        assert kernel_trigger(bits_b, bits_a, 0).counts[0] == both
+        assert kernel_precursor(bits_b, bits_a, 0).counts[0] == both
 
 
 def test_exceedance_trigger_equals_trigger_on_exceedance_series():
@@ -97,13 +106,12 @@ def test_exceedance_trigger_equals_trigger_on_exceedance_series():
     for values in itertools.product(values_grid, repeat=t_max):
         x = TimeSeries(values)
         for bits_e in itertools.product((0, 1), repeat=t_max):
-            e = EventSeries.from_indicator(bits_e)
-            for tau in taus:
-                for delta in range(t_max):
-                    direct = count_trigger_exceedances(e, x, tau, delta)
-                    via_series = count_trigger(e, exceedance_series(x, tau), delta)
-                    assert direct.count == via_series.count
-                    assert direct.n_events == via_series.n_events
+            e = events_from_bits(bits_e)
+            for delta in range(t_max):
+                tcp = compute_tcp(e, rung_index(x, delta, taus), len(taus))
+                assert tcp.n_events == sum(bits_e)
+                for k, tau in zip(tcp.counts, taus):
+                    assert k == brute_trigger(bits_e, [v > tau for v in values], delta)
 
 
 @st.composite
@@ -119,11 +127,11 @@ def series_and_events(draw):
 @given(series_and_events())
 def test_count_monotone_in_tau_and_delta(args):
     x, e, tau, delta = args
-    k = count_trigger_exceedances(e, x, tau, delta).count
-    assert count_trigger_exceedances(e, x, tau + 0.25, delta).count <= k
+    k = kernel_count(e, x, tau, delta)
+    assert kernel_count(e, x, tau + 0.25, delta) <= k
     if delta + 1 < x.length:
         # a wider window can only gain coincidences from events it still covers
-        wider = count_trigger_exceedances(e, x, tau, delta + 1).count
+        wider = kernel_count(e, x, tau, delta + 1)
         eligible_now = sum(1 for t in e.occurrences if t <= x.length - delta - 1)
         assert wider >= k - (e.n_events - eligible_now)
 
@@ -131,16 +139,17 @@ def test_count_monotone_in_tau_and_delta(args):
 @given(series_and_events())
 def test_exceedance_equivalence_randomized(args):
     x, e, tau, delta = args
-    direct = count_trigger_exceedances(e, x, tau, delta)
-    via = count_trigger(e, exceedance_series(x, tau), delta)
-    assert direct.count == via.count
+    bits_e = bits_of(x.length, e.occurrences)
+    assert kernel_count(e, x, tau, delta) == brute_trigger(bits_e, x.values > tau, delta)
 
 
 def test_forward_window_max_oracle():
+    # window maxima 3,1,4,1,5 / 4,4,5 / 5 against thresholds between the values
     x = TimeSeries((3.0, 1.0, 4.0, 1.0, 5.0))
-    np.testing.assert_array_equal(forward_window_max(x, 0), x.values)
-    np.testing.assert_array_equal(forward_window_max(x, 2), (4.0, 4.0, 5.0))
-    np.testing.assert_array_equal(forward_window_max(x, 4), (5.0,))
+    thresholds = (0.5, 1.5, 3.5, 4.5)
+    np.testing.assert_array_equal(rung_index(x, 0, thresholds), (2, 1, 3, 1, 4))
+    np.testing.assert_array_equal(rung_index(x, 2, thresholds), (3, 3, 4, 0, 0))
+    np.testing.assert_array_equal(rung_index(x, 4, thresholds), (4, 0, 0, 0, 0))
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=30), st.data())
@@ -165,8 +174,19 @@ def test_rung_index_validation():
 
 
 def test_rate_examples():
-    assert CoincidenceResult(9, 17).rate == pytest.approx(9 / 17)
-    assert CoincidenceResult(0, 0).rate is None
+    # 9 of 17 events sit on exceedances; with delta 0 exactly those count
+    x = TimeSeries(np.random.default_rng(5).exponential(size=400))
+    tau = float(np.median(x.values))
+    above, below = np.flatnonzero(x.values > tau) + 1, np.flatnonzero(x.values <= tau) + 1
+    events = EventSeries(400, np.sort(np.concatenate((above[:9], below[:8]))))
+    config = AnalysisConfig(delta=0)
+    report = run_pointwise(config, x, events, tau=tau)
+    assert (report["k_observed"], report["series"]["n_events"]) == (9, 17)
+    assert report["rate"] == pytest.approx(9 / 17)
+    empty = run_pointwise(config, x, EventSeries(400, ()), tau=tau)
+    assert empty["k_observed"] == 0
+    assert empty["rate"] is None
+    assert json.loads(json.dumps(empty, allow_nan=False))["rate"] is None
 
 
 def test_preprocess_hand_series():
@@ -218,21 +238,21 @@ def test_delta_bounds_checked():
     e = EventSeries(5, (1,))
     x = TimeSeries((1.0,) * 5)
     with pytest.raises(ValueError):
-        count_trigger_exceedances(e, x, 0.5, -1)
+        compute_tcp(e, rung_index(x, -1, [0.5]), 1)
     with pytest.raises(ValueError):
-        count_trigger_exceedances(e, x, 0.5, 5)
+        compute_tcp(e, rung_index(x, 5, [0.5]), 1)
 
 
 def test_grid_mismatch_rejected():
-    b = EventSeries(5, (1,))
-    a = EventSeries(6, (1,))
+    e = EventSeries(5, (1,))
+    x = TimeSeries((0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        count_trigger(b, a, 1)
+        compute_tcp(e, rung_index(x, 1, [0.5]), 1)
 
 
 def test_event_series_roundtrip_and_frozen():
-    e = EventSeries.from_indicator((0, 1, 0, 1))
+    e = events_from_bits((0, 1, 0, 1))
     assert e.occurrences.tolist() == [2, 4]
-    np.testing.assert_array_equal(e.indicator(), (0, 1, 0, 1))
+    np.testing.assert_array_equal(bits_of(e.length, e.occurrences), (0, 1, 0, 1))
     with pytest.raises(ValueError):
         e.occurrences[0] = 3

@@ -5,7 +5,8 @@ import csv
 import numpy as np
 import pytest
 
-from peca.series import count_trigger_exceedances
+from peca.multi import compute_tcp
+from peca.series import rung_index
 from peca.sim import (
     NullComparisonResult,
     SimConfig,
@@ -91,7 +92,7 @@ def test_dependent_events_postcondition():
     for pos in e.occurrences:
         assert x.values[pos + 4 - 1] > 4.0
     # with a tolerance at least as long as the lag, every event scores
-    assert count_trigger_exceedances(e, x, 4.0, 7).rate == 1.0
+    assert compute_tcp(e, rung_index(x, 7, [4.0]), 1).counts[0] / e.n_events == 1.0
 
 
 def test_dependent_events_insufficient_exceedances():
