@@ -23,9 +23,9 @@ from .ingest import IngestError, ingest_events, ingest_timeseries
 from .multi import (MultiTestResult, ThresholdLadder, TriggerCoincidenceProcess,
                     build_ladder_from_quantiles, compute_tcp, dp_extreme_nll, empirical_quantile,
                     expected_process_with_band, mc_multi_threshold_test, null_nll_replicates,
-                    permutation_success_probabilities, pointwise_tests_along_ladder,
-                    success_probabilities)
-from .nulls import GevFit, GevFitError, block_maxima, estimate_event_rate, fit_gev_mle, gev_null_pvalue
+                    permutation_success_probabilities, success_probabilities)
+from .nulls import (GevFit, GevFitError, binom_tail, block_maxima, estimate_event_rate, fit_gev_mle,
+                    gev_sf)
 from .qtr import QtrTable, write_qtr_csv, write_qtr_svg
 from .series import EventSeries, TimeSeries, late_events, preprocess, rung_index
 from .sim import (SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential,
@@ -112,7 +112,7 @@ def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSerie
     if not fit.converged:
         warn.append("GEV fit did not satisfy the optimizer's convergence test")
     k = _trigger_count(events, x, threshold, config.delta)
-    test = gev_null_pvalue(k, events.n_events, threshold, fit.params)
+    pi = gev_sf(threshold, fit.params)
     _late_event_warning(events, config.delta, warn)
     return {
         "command": "pointwise",
@@ -126,8 +126,8 @@ def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSerie
         "quantile_level": quantile,
         "k_observed": k,
         "rate": k / events.n_events if events.n_events else None,
-        "success_prob": test.success_prob,
-        "p_value": test.p_value,
+        "success_prob": pi,
+        "p_value": binom_tail(k, events.n_events, pi),
         "gev": _gev_dict(fit),
         "warnings": warn,
     }
@@ -187,8 +187,9 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
     _late_event_warning(events, config.delta, warn)
 
     tcp, result, table = _score(null, events)
-    pointwise = pointwise_tests_along_ladder(tcp, pis)
-    adjusted = adjust([t.p_value for t in pointwise], config.adjust_method)
+    raw_p_values = [binom_tail(int(k), events.n_events, float(pi))
+                    for k, pi in zip(tcp.counts, pis)]
+    adjusted = adjust(raw_p_values, config.adjust_method)
     rejected = reject_set(adjusted, config.alpha)
 
     multi_test = {
@@ -226,10 +227,10 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
         "multi_test": multi_test,
         "pointwise": {
             "k_observed": [int(k) for k in tcp.counts],
-            "success_probs": [float(t.success_prob) for t in pointwise],
+            "success_probs": [float(pi) for pi in pis],
             "permutation_success_probs": [
                 float(v) for v in permutation_success_probabilities(null.rungs, ladder.m)],
-            "raw_p_values": [float(t.p_value) for t in pointwise],
+            "raw_p_values": raw_p_values,
             "adjust_method": config.adjust_method,
             "adjusted_p_values": [float(v) for v in adjusted.adjusted],
             "reject_at_alpha": [bool(v) for v in rejected],

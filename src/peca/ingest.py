@@ -37,16 +37,25 @@ class DayGrid:
 
 
 def _parse_date(text: str, where: str) -> date:
+    """An ASCII ``YYYY-MM-DD`` date, after stripping surrounding whitespace.
+
+    ``date.fromisoformat`` alone would also take ``20200101`` or
+    ``2020-W01-3`` on Python 3.11 and later, but not on 3.10; the shape
+    check keeps the accepted set the same on every version.
+    """
+    text = text.strip()
     try:
-        return date.fromisoformat(text.strip())
+        if len(text) != 10 or text[4] != "-" or text[7] != "-" or not text.isascii():
+            raise ValueError(text)
+        return date.fromisoformat(text)
     except ValueError as exc:
-        raise IngestError(f"{where}: unparseable date {text.strip()!r}") from exc
+        raise IngestError(f"{where}: unparseable date {text!r}") from exc
 
 
 def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGrid]:
     """Read a ``date,value`` CSV into a contiguous daily series.
 
-    Dates must be ISO formatted and strictly increasing, one row per day.
+    Dates must be ``YYYY-MM-DD`` and strictly increasing, one row per day.
     A missing day is an error naming the first gap unless ``fill_zero``,
     which inserts 0.0 for every skipped day.  Values must be non-negative
     finite reals.  A leading UTF-8 byte-order mark is skipped.
@@ -93,7 +102,7 @@ def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGri
 
 
 def ingest_events(path, grid: DayGrid) -> tuple[EventSeries, list[str]]:
-    """Read one ISO date per line and align to the day grid.
+    """Read one ``YYYY-MM-DD`` date per line and align to the day grid.
 
     Blank lines are skipped.  Duplicate dates collapse with a warning; a date
     outside the grid is an error naming it.  An empty file yields an empty

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nulls import GevParams, PointwiseTestResult, binom_cdf, binom_logpmf, binom_tail, gev_sf
+from .nulls import GevParams, binom_cdf, binom_logpmf, gev_sf
 from .series import EventSeries, TimeSeries, check_same_grid, frozen_copy
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "mc_multi_threshold_test",
     "expected_process_with_band",
     "dp_extreme_nll",
-    "pointwise_tests_along_ladder",
 ]
 
 
@@ -351,17 +350,3 @@ def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, TriggerCo
     path.reverse()
     process = TriggerCoincidenceProcess(counts=np.array(path, dtype=np.int64), n_events=n)
     return statistic, process
-
-
-def pointwise_tests_along_ladder(process: TriggerCoincidenceProcess,
-                                 pis: np.ndarray) -> list[PointwiseTestResult]:
-    """Raw (unadjusted) single-threshold tests of each count of the observed process.
-
-    The count at rung i is scored against Binomial(n_events, pis[i]), the
-    upper tail that ``gev_null_pvalue`` takes at that threshold.
-    """
-    pis = _as_pis(pis, process.m)
-    n = process.n_events
-    return [PointwiseTestResult(k_observed=int(k), n_events=n, success_prob=float(pi),
-                                p_value=binom_tail(int(k), n, float(pi)))
-            for k, pi in zip(process.counts, pis)]

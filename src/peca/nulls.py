@@ -1,11 +1,14 @@
 """Single-threshold null distributions for trigger coincidence counts.
 
 Both nulls treat the count as a binomial over the number of leading events;
-they differ in the probability that a tolerance window contains an
-exceedance.  The Bernoulli null derives that probability from the marginal
-exceedance rate and is only adequate for serially independent series.  The
-GEV null fits a generalized extreme value distribution to block maxima of
-the series, which also covers smooth, serially dependent data.
+they differ only in pi, the probability that a tolerance window contains an
+exceedance, so under either the p-value of k coincidences among n events is
+the upper tail ``binom_tail`` of Binomial(n, pi) at k.  The Bernoulli null
+derives pi from the marginal exceedance rate (``bernoulli_success_prob``)
+and is only adequate for serially independent series.  The GEV null fits a
+generalized extreme value distribution to block maxima of the series and
+reads pi off its survival function (``gev_sf``), which also covers smooth,
+serially dependent data.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ __all__ = [
     "binom_logpmf",
     "binom_cdf",
     "binom_tail",
-    "PointwiseTestResult",
-    "bernoulli_null_pvalue",
-    "gev_null_pvalue",
+    "bernoulli_success_prob",
     "estimate_event_rate",
 ]
 
@@ -454,49 +455,19 @@ def binom_tail(k: int, n: int, p: float) -> float:
     return min(1.0, math.exp(_logsumexp(binom_logpmf(js, n, p))))
 
 
-@dataclass(frozen=True)
-class PointwiseTestResult:
-    """One-sided single-threshold test outcome."""
+def bernoulli_success_prob(p_a: float, delta: int) -> float:
+    """Window-exceedance probability under the independence (Bernoulli) null.
 
-    k_observed: int
-    n_events: int
-    success_prob: float
-    p_value: float
-
-
-def bernoulli_null_pvalue(k: int, n_b: int, p_a: float, delta: int) -> PointwiseTestResult:
-    """Upper-tail p-value for k trigger coincidences under an independence null.
-
-    A tolerance window of delta+1 steps contains at least one event of
-    marginal rate p_a with probability 1 - (1 - p_a)^(delta + 1); the
-    coincidence count over n_b leading events is binomial with that success
-    probability.
+    A tolerance window of delta+1 steps contains at least one exceedance of
+    marginal rate p_a with probability 1 - (1 - p_a)^(delta + 1).
     """
-    if n_b < 0 or not 0 <= k <= n_b:
-        raise ValueError("need 0 <= k <= n_b")
     if not 0.0 <= p_a <= 1.0:
         raise ValueError("p_a must lie in [0, 1]")
     if delta < 0:
         raise ValueError("delta must be non-negative")
     if p_a == 1.0:
-        pi = 1.0
-    else:
-        pi = -math.expm1((delta + 1) * math.log1p(-p_a))
-    return PointwiseTestResult(k_observed=k, n_events=n_b, success_prob=pi,
-                               p_value=binom_tail(k, n_b, pi))
-
-
-def gev_null_pvalue(k: int, n_e: int, tau: float, theta: GevParams) -> PointwiseTestResult:
-    """Upper-tail p-value with the window-exceedance probability taken from a fitted GEV.
-
-    The GEV is understood as the distribution of the window maximum, so the
-    success probability is its exceedance probability at ``tau``.
-    """
-    if n_e < 0 or not 0 <= k <= n_e:
-        raise ValueError("need 0 <= k <= n_e")
-    pi = gev_sf(tau, theta)
-    return PointwiseTestResult(k_observed=k, n_events=n_e, success_prob=pi,
-                               p_value=binom_tail(k, n_e, pi))
+        return 1.0
+    return -math.expm1((delta + 1) * math.log1p(-p_a))
 
 
 def estimate_event_rate(e: EventSeries) -> float:

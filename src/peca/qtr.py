@@ -45,26 +45,17 @@ class QtrTable:
             raise ValueError("QTR table needs at least one row")
         if any(a.size != size for a in arrays.values()):
             raise ValueError("QTR table columns must have equal length")
-        if self.n_events < 0:
-            raise ValueError("n_events must be non-negative")
-        rates = self.rates_from(arrays["observed_counts"])
-        if rates is not None and np.any(np.diff(rates) > 0):
-            raise ValueError("observed rate must be non-increasing in the quantile level")
+        if self.n_events < 1:
+            raise ValueError("QTR table needs at least one event")
+        if np.any(np.diff(arrays["observed_counts"]) > 0):
+            raise ValueError("observed count must be non-increasing in the quantile level")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
-    def rates_from(self, counts: np.ndarray) -> np.ndarray | None:
-        if self.n_events == 0:
-            return None
-        return counts / self.n_events
-
     @property
     def observed_rates(self) -> np.ndarray:
-        """Observed counts over n_events; NaN when there are no events."""
-        rates = self.rates_from(np.asarray(self.observed_counts))
-        if rates is None:
-            return np.full(np.asarray(self.levels).size, np.nan)
-        return rates
+        """Observed counts over n_events."""
+        return self.observed_counts / self.n_events
 
     def rows(self):
         obs = self.observed_rates
@@ -123,10 +114,8 @@ def write_qtr_svg(table: QtrTable, path, title: str = "") -> None:
     parts.append(f'<polygon points="{_polyline(band[0], band[1])}" fill="#d8d8d8" stroke="none"/>')
     parts.append(f'<polyline points="{_polyline(xs, [y_px(r) for r in table.expected_rates])}" '
                  f'fill="none" stroke="#777777" stroke-width="1.5" stroke-dasharray="6 4"/>')
-    obs = table.observed_rates
-    if not np.any(np.isnan(obs)):
-        parts.append(f'<polyline points="{_polyline(xs, [y_px(r) for r in obs])}" '
-                     f'fill="none" stroke="#7b2d8b" stroke-width="2.5"/>')
+    parts.append(f'<polyline points="{_polyline(xs, [y_px(r) for r in table.observed_rates])}" '
+                 f'fill="none" stroke="#7b2d8b" stroke-width="2.5"/>')
 
     # axes and ticks
     parts.append(f'<line x1="{ml:.2f}" y1="{mt + ph:.2f}" x2="{ml + pw:.2f}" y2="{mt + ph:.2f}" '

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nulls import bernoulli_null_pvalue, binom_cdf, block_maxima, fit_gev_mle, gev_sf
+from .nulls import bernoulli_success_prob, binom_cdf, block_maxima, fit_gev_mle, gev_sf
 from .series import EventSeries, TimeSeries, rung_index
 
 __all__ = [
@@ -187,8 +187,7 @@ def null_distribution_comparison(config: SimConfig) -> NullComparisonResult:
         for ti, tau in enumerate(taus):
             emp = np.searchsorted(np.sort(counts[:, ti]), ks, side="right") / config.replicates
             p_exc = np.count_nonzero(x.values > tau) / config.length
-            pi_ber = bernoulli_null_pvalue(0, n, p_exc, config.delta).success_prob
-            ber = binom_cdf(ks, n, pi_ber)
+            ber = binom_cdf(ks, n, bernoulli_success_prob(p_exc, config.delta))
             gev = binom_cdf(ks, n, gev_sf(float(tau), theta))
             cells.append(NullComparisonCell(
                 ma_order=int(order), tau=float(tau), k=ks.copy(),

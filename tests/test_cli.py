@@ -165,6 +165,27 @@ def test_multi_report_and_files(dataset, tmp_path):
     ET.parse(svg)
 
 
+def test_pointwise_at_each_rung_matches_multi(dataset, tmp_path):
+    # multi's per-rung test is the single-threshold test at that rung's threshold
+    series, events = dataset
+    files = ["--series", str(series), "--events", str(events), "--delta", "5"]
+    out = tmp_path / "multi.json"
+    code, _, _ = run_cli(["multi", *files, "--r", "50", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    pw = report["pointwise"]
+    thresholds = report["ladder"]["thresholds"]
+    assert len(thresholds) > 1
+    for i, tau in enumerate(thresholds):
+        code, text, _ = run_cli(["pointwise", *files, "--tau", repr(tau)])
+        assert code == 0
+        single = json.loads(text)
+        assert single["threshold"] == tau
+        assert single["k_observed"] == pw["k_observed"][i]
+        assert single["success_prob"] == pw["success_probs"][i]
+        assert single["p_value"] == pw["raw_p_values"][i]
+
+
 def test_multi_byte_determinism(dataset, tmp_path):
     series, events = dataset
     outs = []

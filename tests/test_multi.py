@@ -21,11 +21,10 @@ from peca.multi import (
     mc_multi_threshold_test,
     null_nll_replicates,
     permutation_success_probabilities,
-    pointwise_tests_along_ladder,
     success_probabilities,
     tcp_nll,
 )
-from peca.nulls import GevParams, binom_logpmf, gev_null_pvalue, gev_sf
+from peca.nulls import GevParams, binom_logpmf, gev_sf
 from peca.series import EventSeries, TimeSeries, rung_index
 
 
@@ -439,18 +438,3 @@ def test_dp_brackets_random_feasible_processes(n, m, seed):
     v = tcp_nll(TriggerCoincidenceProcess(ks, n), pis)
     if np.isfinite(v):
         assert lo - 1e-9 <= v <= hi + 1e-9
-
-
-def test_pointwise_along_ladder_matches_direct():
-    rng = np.random.default_rng(31)
-    x = TimeSeries(rng.exponential(size=600))
-    e = EventSeries(600, tuple(sorted(rng.choice(np.arange(1, 601), 24, replace=False))))
-    ladder = build_ladder_from_quantiles(x, 0.5, 0.98, 7)
-    theta = GevParams(0.02, 1.2, 0.9)
-    proc = tcp(e, x, 6, ladder)
-    results = pointwise_tests_along_ladder(proc, success_probabilities(ladder, theta))
-    assert [r.k_observed for r in results] == proc.counts.tolist()
-    for r, tau in zip(results, ladder.thresholds):
-        assert r.success_prob == pytest.approx(gev_sf(float(tau), theta), abs=1e-15)
-        direct = gev_null_pvalue(r.k_observed, e.n_events, float(tau), theta)
-        assert r.p_value == pytest.approx(direct.p_value, abs=1e-15)

@@ -22,7 +22,7 @@ from peca.nulls import (
     GUMBEL_SHAPE_TOL,
     GevFitError,
     GevParams,
-    bernoulli_null_pvalue,
+    bernoulli_success_prob,
     binom_cdf,
     binom_logpmf,
     binom_tail,
@@ -30,7 +30,6 @@ from peca.nulls import (
     estimate_event_rate,
     fit_gev_mle,
     gev_cdf,
-    gev_null_pvalue,
     gev_sf,
 )
 from peca.series import EventSeries, TimeSeries
@@ -295,32 +294,29 @@ def test_logsumexp_matches_scipy_on_binomial_tail():
 
 def test_bernoulli_null_hand_case():
     # window success probability 1 - (1-p)^(delta+1) with p = 0.1, delta = 1
-    res = bernoulli_null_pvalue(3, 5, 0.1, 1)
-    pi = 1.0 - 0.9**2
-    assert res.success_prob == pytest.approx(pi, abs=1e-15)
-    assert res.p_value == pytest.approx(float(exact_tail(3, 5, Fraction(19, 100))), abs=1e-12)
+    pi = bernoulli_success_prob(0.1, 1)
+    assert pi == pytest.approx(1.0 - 0.9**2, abs=1e-15)
+    assert binom_tail(3, 5, pi) == pytest.approx(float(exact_tail(3, 5, Fraction(19, 100))),
+                                                 abs=1e-12)
 
 
 def test_bernoulli_null_edge_cases():
-    assert bernoulli_null_pvalue(0, 5, 0.1, 2).p_value == 1.0
-    assert bernoulli_null_pvalue(2, 5, 0.0, 2).p_value == 0.0
-    assert bernoulli_null_pvalue(0, 0, 0.3, 2).p_value == 1.0
+    assert binom_tail(0, 5, bernoulli_success_prob(0.1, 2)) == 1.0
+    assert binom_tail(2, 5, bernoulli_success_prob(0.0, 2)) == 0.0
+    assert binom_tail(0, 0, bernoulli_success_prob(0.3, 2)) == 1.0
+    assert bernoulli_success_prob(1.0, 2) == 1.0
+    for p_a, delta in ((-0.1, 2), (1.5, 2), (0.3, -1)):
+        with pytest.raises(ValueError):
+            bernoulli_success_prob(p_a, delta)
 
 
 def test_pvalue_decreases_in_observed_count():
+    pi = bernoulli_success_prob(0.2, 3)
     prev = 1.0
     for k in range(0, 11):
-        cur = bernoulli_null_pvalue(k, 10, 0.2, 3).p_value
+        cur = binom_tail(k, 10, pi)
         assert cur <= prev + 1e-15
         prev = cur
-
-
-def test_gev_null_pvalue_consistency():
-    theta = GevParams(0.1, 2.0, 1.0)
-    res = gev_null_pvalue(4, 20, 3.0, theta)
-    pi = gev_sf(3.0, theta)
-    assert res.success_prob == pytest.approx(pi, abs=1e-15)
-    assert res.p_value == pytest.approx(binom_tail(4, 20, pi), abs=1e-15)
 
 
 def test_estimate_event_rate():

@@ -24,17 +24,9 @@ def test_observed_rates():
     np.testing.assert_allclose(t.observed_rates, [0.75, 0.45, 0.10])
 
 
-def test_no_events_rates_are_nan():
-    t = QtrTable(
-        levels=np.array([0.5]),
-        thresholds=np.array([1.0]),
-        observed_counts=np.array([0]),
-        n_events=0,
-        expected_rates=np.array([0.2]),
-        band_lower_rates=np.array([0.0]),
-        band_upper_rates=np.array([0.4]),
-    )
-    assert np.isnan(t.observed_rates).all()
+def test_zero_events_rejected():
+    with pytest.raises(ValueError, match="at least one event"):
+        small_table(n_events=0)
 
 
 def test_monotonicity_enforced():
@@ -97,18 +89,3 @@ def test_svg_title_escaped(tmp_path):
     path = tmp_path / "t.svg"
     write_qtr_svg(t, path, title="a < b & c")
     ET.parse(path)  # parses only if special characters were escaped
-
-
-def test_svg_skips_observed_curve_without_events(tmp_path):
-    t = QtrTable(
-        levels=np.array([0.5, 0.9]),
-        thresholds=np.array([1.0, 2.0]),
-        observed_counts=np.array([0, 0]),
-        n_events=0,
-        expected_rates=np.array([0.3, 0.1]),
-        band_lower_rates=np.array([0.0, 0.0]),
-        band_upper_rates=np.array([0.6, 0.2]),
-    )
-    path = tmp_path / "e.svg"
-    write_qtr_svg(t, path)
-    ET.parse(path)
