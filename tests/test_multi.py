@@ -24,7 +24,7 @@ from peca.multi import (
     success_probabilities,
     tcp_nll,
 )
-from peca.nulls import GevParams, binom_logpmf, gev_sf
+from peca.nulls import GevParams, binom_logpmf, binom_tail, gev_sf
 from peca.series import EventSeries, TimeSeries, rung_index
 
 
@@ -438,3 +438,21 @@ def test_dp_brackets_random_feasible_processes(n, m, seed):
     v = tcp_nll(TriggerCoincidenceProcess(ks, n), pis)
     if np.isfinite(v):
         assert lo - 1e-9 <= v <= hi + 1e-9
+
+
+def test_pointwise_along_ladder_matches_direct():
+    # each rung's test is the single-threshold test at that rung's threshold
+    rng = np.random.default_rng(31)
+    x = TimeSeries(rng.exponential(size=600))
+    e = EventSeries(600, tuple(sorted(rng.choice(np.arange(1, 601), 24, replace=False))))
+    ladder = build_ladder_from_quantiles(x, 0.5, 0.98, 7)
+    theta = GevParams(0.02, 1.2, 0.9)
+    proc = tcp(e, x, 6, ladder)
+    pis = success_probabilities(ladder, theta)
+    for k, pi, tau in zip(proc.counts, pis, ladder.thresholds):
+        k_direct = int(compute_tcp(e, rung_index(x, 6, [float(tau)]), 1).counts[0])
+        pi_direct = gev_sf(float(tau), theta)
+        assert k == k_direct
+        assert pi == pytest.approx(pi_direct, abs=1e-15)
+        assert binom_tail(int(k), e.n_events, float(pi)) == pytest.approx(
+            binom_tail(k_direct, e.n_events, pi_direct), abs=1e-15)

@@ -319,6 +319,14 @@ def test_pvalue_decreases_in_observed_count():
         prev = cur
 
 
+def test_gev_null_pvalue_consistency():
+    # the GEV null's p-value is the binomial tail at pi = 1 - G(tau)
+    theta = GevParams(0.1, 2.0, 1.0)
+    pi = gev_sf(3.0, theta)
+    assert pi == pytest.approx(1.0 - gev_cdf(3.0, theta), abs=1e-15)
+    assert binom_tail(4, 20, pi) == pytest.approx(float(exact_tail(4, 20, Fraction(pi))), abs=1e-12)
+
+
 def test_estimate_event_rate():
     e = EventSeries(1096, tuple(range(1, 18)))
     assert estimate_event_rate(e) == pytest.approx(17 / 1096, abs=1e-15)
