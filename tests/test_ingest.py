@@ -1,9 +1,17 @@
-"""CSV ingestion against small handwritten files."""
+"""CSV ingestion against small handwritten files, and the fast path against the row parser."""
 
+import contextlib
 import datetime
+import io
+import json
+import re
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from peca import cli, ingest
 from peca.ingest import DayGrid, IngestError, ingest_events, ingest_timeseries
 
 SERIES_HEAD = "date,value\n"
@@ -156,3 +164,133 @@ def test_day_grid_indexing():
     assert grid.index(datetime.date(2020, 1, 10)) == 10
     assert grid.contains(datetime.date(2020, 1, 10))
     assert not grid.contains(datetime.date(2020, 1, 11))
+
+
+def cli_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, json.loads(err.getvalue())["error"]
+
+
+def test_non_utf8_files_are_ingest_errors(tmp_path):
+    series = tmp_path / "s.csv"
+    series.write_bytes(b"date,value\n2020-01-01,1\n2020-01-02,\xff\n")
+    with pytest.raises(IngestError, match=re.escape(f"{series}:3: not UTF-8 text (byte 0xff)")):
+        ingest_timeseries(series)
+    events = tmp_path / "e.txt"
+    events.write_bytes(b"\xef\xbb\xbf2020-01-01\n\n2020-01-\xff2\n")
+    with pytest.raises(IngestError, match=re.escape(f"{events}:3: not UTF-8 text (byte 0xff)")):
+        ingest_events(events, DayGrid(datetime.date(2020, 1, 1), 31))
+    good_series = write(tmp_path, "g.csv", daily_csv("2020-01-01", [1, 2, 3]))
+    args = ("--delta", 1, "--quantile", 0.5)
+    for s, e in ((series, events), (good_series, events)):
+        code, error = cli_error(["pointwise", "--series", s, "--events", e, *args])
+        assert code == 1
+        assert error["category"] == "ingest"
+        assert error["message"].endswith("not UTF-8 text (byte 0xff)")
+
+
+def test_oversized_field_is_an_ingest_error(tmp_path):
+    limit = 131072                         # the csv module's default field_size_limit
+    big = "1" * (limit + 1)
+    series = write(tmp_path, "s.csv", SERIES_HEAD + f"2020-01-01,1\n2020-01-02,{big}\n")
+    events = write(tmp_path, "e.txt", "2020-01-01\n")
+    code, error = cli_error(["pointwise", "--series", series, "--events", events,
+                             "--delta", 1, "--quantile", 0.5])
+    assert code == 1
+    assert error == {"category": "ingest",
+                     "message": f"{series}:3: field larger than field limit ({limit})"}
+
+
+def test_fast_path_reads_canonical_files(tmp_path, monkeypatch):
+    def refuse(path, fill_zero):
+        raise AssertionError(f"the row parser ran on {path}")
+
+    monkeypatch.setattr(ingest, "_read_rows", refuse)
+    # the benchmark's shape: integer counts on consecutive days, LF rows
+    counts = np.random.default_rng(7).poisson(20, size=1 << 16)
+    dates = (np.datetime64("2000-01-01") + np.arange(counts.size)).astype(str)
+    p = write(tmp_path, "counts.csv",
+              SERIES_HEAD + "".join(f"{d},{c}\n" for d, c in zip(dates.tolist(), counts.tolist())))
+    x, grid = ingest_timeseries(p)
+    assert x.values.tobytes() == counts.astype(np.float64).tobytes()
+    assert grid == DayGrid(datetime.date(2000, 1, 1), 1 << 16)
+    # decimals, a leap day skipped and a two-day gap, under fill_zero
+    p = write(tmp_path, "decimals.csv",
+              SERIES_HEAD + "2000-02-28,0.1\n2000-03-01,12.345678901234\n2000-03-04,007.50\n")
+    x, grid = ingest_timeseries(p, fill_zero=True)
+    assert x.values.tolist() == [0.1, 0.0, 12.345678901234, 0.0, 0.0, 7.5]
+    assert grid == DayGrid(datetime.date(2000, 2, 28), 6)
+
+
+ODD_DATES = ["2000-02-29", "1900-02-29", "2100-02-29", "0001-01-01", "9999-12-31",
+             "0000-01-01", "2000-00-10", "2000-13-01", "2000-01-00", "2000-01-32",
+             "2000-1-1", "2000-01-01T00", " 2000-01-01", '"2000-01-01"', "2000-01-0\u0663"]
+ODD_VALUES = ["nan", "inf", "-0", "1e3", "1_000", " 5", "5 ", '"5"', ".5", "5.", "1.2.3", "",
+              "-1", "+1", "0x10", "\u0663", "0.0000000000000000000001", "0.00000000000000000000001"]
+
+
+@st.composite
+def decimals(draw):
+    """``<digits>[.<digits>]`` texts, many of them with 15 to 17 significant digits."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=18)
+                  | st.integers(10**14, 10**17 - 1).map(str))
+    dot = draw(st.integers(0, len(digits) - 1))
+    text = digits if dot == 0 else f"{digits[:dot]}.{digits[dot:]}"
+    return "0" * draw(st.integers(0, 2)) + text
+
+
+@st.composite
+def series_files(draw):
+    """Series CSVs: canonical ones, and ones with forms only the row parser takes."""
+    odd = draw(st.booleans())
+
+    def sometimes(choices, default, one_in):
+        if odd and draw(st.integers(1, one_in)) == 1:
+            return draw(st.sampled_from(choices))
+        return default
+
+    day = draw(st.sampled_from([datetime.date(1, 1, 1), datetime.date(1900, 2, 27),
+                                datetime.date(2000, 2, 27), datetime.date(9999, 12, 30)])
+               | st.dates(datetime.date(1, 1, 1), datetime.date(9999, 12, 31)))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        value = draw(st.integers(0, 10**6).map(str) | decimals()
+                     | st.sampled_from(["0", "7", "1.5"]))
+        rows.append(f"{sometimes(ODD_DATES, day.isoformat(), 4)},{sometimes(ODD_VALUES, value, 4)}")
+        rows.extend(sometimes([[""], [" "], [","], ["2000-01-01,1,2"]], [], 6))
+        try:
+            day += datetime.timedelta(days=draw(st.sampled_from([1, 1, 1, 1, 2, 3, 0, -1])))
+        except OverflowError:
+            break
+    header = sometimes(["Date,Value", " date , value ", "value,date"], "date,value", 4)
+    eol = sometimes(["\r\n", "\r"], "\n", 3)
+    text = eol.join([header, *rows]) + sometimes(["", eol + eol, eol + " "], eol, 3)
+    data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+    if sometimes([True], False, 10):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(series_files())
+def test_fast_path_agrees_with_row_parser(tmp_path, case):
+    data, fill_zero = case
+    p = tmp_path / "s.csv"
+    p.write_bytes(data)
+    fast = ingest._read_canonical(p, fill_zero)
+    try:
+        values, start = ingest._read_rows(p, fill_zero)
+    except IngestError as exc:
+        assert fast is None
+        with pytest.raises(IngestError) as got:
+            ingest_timeseries(p, fill_zero)
+        assert str(got.value) == str(exc)
+        return
+    x, grid = ingest_timeseries(p, fill_zero)
+    assert x.values.tobytes() == values.tobytes()
+    assert grid == DayGrid(start, values.size)
+    assert fast is None or (fast[0].tobytes() == values.tobytes() and fast[1] == start)
