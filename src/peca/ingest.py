@@ -73,10 +73,14 @@ def _decoded(path, lines):
 
 
 def _records(path, fh):
-    """The CSV records of an open file; a malformed one raises ``IngestError``."""
+    """``(line, record)`` for the CSV records of an open file, numbered by the
+    physical line each starts on; a malformed one raises ``IngestError``."""
     reader = csv.reader(_decoded(path, fh))
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
 
@@ -199,10 +203,10 @@ def _read_rows(path, fill_zero: bool) -> tuple[np.ndarray, date]:
     prev: date | None = None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = _records(path, fh)
-        header = next(rows, None)
+        _, header = next(rows, (None, None))
         if header is None or [c.strip().lower() for c in header] != ["date", "value"]:
             raise IngestError(f"{path}: expected header 'date,value', got {header!r}")
-        for lineno, row in enumerate(rows, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != 2:

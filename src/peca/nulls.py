@@ -438,8 +438,9 @@ def binom_cdf(k, n: int, p: float) -> np.ndarray:
 def binom_tail(k: int, n: int, p: float) -> float:
     """Upper-tail probability P(K >= k) for K ~ Binomial(n, p).
 
-    Summed in log space (log-gamma pmf terms combined with log-sum-exp), so
-    small tails keep their relative accuracy.  Exactly 1.0 for k <= 0.
+    The pmf terms for n down to 0 are accumulated in log space, as in
+    ``binom_cdf``, so small tails keep their relative accuracy and the result
+    is non-increasing in k.  Exactly 1.0 for k <= 0.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -451,8 +452,8 @@ def binom_tail(k: int, n: int, p: float) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-    js = np.arange(k, n + 1)
-    return min(1.0, math.exp(_logsumexp(binom_logpmf(js, n, p))))
+    tails = np.logaddexp.accumulate(binom_logpmf(np.arange(n, -1, -1), n, p))
+    return min(1.0, math.exp(tails[n - k]))
 
 
 def bernoulli_success_prob(p_a: float, delta: int) -> float:

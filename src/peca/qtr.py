@@ -9,7 +9,6 @@ dependency-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -77,6 +76,14 @@ def write_qtr_csv(table: QtrTable, path) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape`` writes them.
+
+    Inline, because importing ``xml.sax`` loads the network stack.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _polyline(xs, ys) -> str:
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
 
@@ -106,7 +113,7 @@ def write_qtr_svg(table: QtrTable, path, title: str = "") -> None:
     ]
     if title:
         parts.append(f'<text x="{width / 2:.2f}" y="26" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="16">{escape(title)}</text>')
+                     f'font-family="sans-serif" font-size="16">{_escape(title)}</text>')
 
     band = ([x_px(p) for p in levels] + [x_px(p) for p in levels[::-1]],
             [y_px(r) for r in table.band_upper_rates]

@@ -135,6 +135,21 @@ def gen_dependent_events(x: TimeSeries, n: int, trigger_tau: float, lag: int, se
     return EventSeries(length=x.length, occurrences=np.sort(picked - lag))
 
 
+def _seed_words(*path: int) -> list[int]:
+    """The uint32 words ``SeedSequence`` makes of a tuple of non-negative ints.
+
+    Each int becomes its little-endian 32-bit words, at least one, and the
+    tuple their concatenation; so ``SeedSequence`` of these words as a uint32
+    array seeds exactly as ``default_rng(path)`` does, only faster.
+    """
+    words = []
+    for v in path:
+        words.append(v & 0xFFFFFFFF)
+        while v := v >> 32:
+            words.append(v & 0xFFFFFFFF)
+    return words
+
+
 @dataclass(frozen=True)
 class NullComparisonCell:
     """Empirical and analytical trigger-count CMFs for one (order, threshold) pair."""
@@ -180,9 +195,13 @@ def null_distribution_comparison(config: SimConfig) -> NullComparisonResult:
         theta = fit_gev_mle(block_maxima(x, config.delta)).params
         rungs = rung_index(x, config.delta, taus)
         at_events = np.empty((config.replicates, n), dtype=np.int64)
+        # replicate j draws the positions gen_independent_events(seed=(seed, order, 1, j))
+        # draws, zero-based and unsorted; only the last seed word changes per replicate
+        words = np.array(_seed_words(config.seed, order, 1, 0), dtype=np.uint32)
         for j in range(config.replicates):
-            e = gen_independent_events(config.length, n, seed=(config.seed, order, 1, j))
-            at_events[j] = rungs[e.occurrences - 1]
+            words[-1] = j
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+            at_events[j] = rungs[rng.choice(config.length, size=n, replace=False)]
         counts = np.count_nonzero(at_events[:, :, None] > np.arange(taus.size), axis=1)
         for ti, tau in enumerate(taus):
             emp = np.searchsorted(np.sort(counts[:, ti]), ks, side="right") / config.replicates

@@ -417,24 +417,39 @@ def test_analysis_config_validation():
         AnalysisConfig(alpha=0.0)
 
 
-def test_cli_runs_leave_scipy_out(dataset, tmp_path):
-    # importing SciPy costs more than half a second of every cold process;
-    # the package needs NumPy alone, for import and for both analyses
+def loaded_after_cli_runs(dataset, tmp_path, packages):
+    """The modules of ``packages`` a fresh process holds after a pointwise and a multi run."""
     series, events = dataset
     src = str(Path(peca.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     common = ["--series", str(series), "--events", str(events), "--delta", "5"]
     runs = [["pointwise", *common, "--quantile", "0.9", "--out", str(tmp_path / "pw.json")],
-            ["multi", *common, "--m", "8", "--r", "200", "--out", str(tmp_path / "mu.json")]]
-    probe = ("import sys, peca.cli\n"
+            ["multi", *common, "--m", "8", "--r", "200", "--out", str(tmp_path / "mu.json"),
+             "--qtr", str(tmp_path / "qtr.csv"), "--svg", str(tmp_path / "qtr.svg")]]
+    probe = ("import json, sys, peca.cli\n"
              f"for argv in {runs!r}:\n"
              "    assert peca.cli.main(argv) == 0, argv\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(json.dumps(sorted(m for m in sys.modules if m in {packages!r} "
+             f"or m.split('.')[0] in {packages!r})))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
     assert json.loads((tmp_path / "mu.json").read_text())["command"] == "multi"
+    assert (tmp_path / "qtr.svg").stat().st_size > 0
+    return json.loads(out.stdout)
+
+
+def test_cli_runs_leave_scipy_out(dataset, tmp_path):
+    # importing SciPy costs more than half a second of every cold process;
+    # the package needs NumPy alone, for import and for both analyses
+    assert loaded_after_cli_runs(dataset, tmp_path, ("scipy",)) == []
+
+
+def test_cli_runs_leave_network_stack_out(dataset, tmp_path):
+    # xml.sax alone pulls in urllib.request, http, email and ssl: tens of
+    # milliseconds of every cold process, for one escaped SVG title
+    packages = ("xml", "urllib.request", "http", "email", "ssl")
+    assert loaded_after_cli_runs(dataset, tmp_path, packages) == []
 
 
 def test_cli_defaults_come_from_analysis_config():

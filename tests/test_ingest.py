@@ -86,6 +86,16 @@ def test_malformed_rows_carry_line_numbers(tmp_path):
         ingest_timeseries(negative)
 
 
+def test_line_numbers_count_physical_lines(tmp_path):
+    # a quoted field may span lines; later errors still name the line they are on
+    quoted = write(tmp_path, "q.csv", SERIES_HEAD + '"2020-01-01\n",1\n2020-01-02,x\n')
+    with pytest.raises(IngestError, match=r"q\.csv:4: unparseable value 'x'$"):
+        ingest_timeseries(quoted)
+    blank = write(tmp_path, "b.csv", SERIES_HEAD + '\n2020-01-01,"1\n\n"\n\n2020-01-01,2\n')
+    with pytest.raises(IngestError, match=r"b\.csv:7: duplicate date 2020-01-01$"):
+        ingest_timeseries(blank)
+
+
 def test_header_tolerates_case_and_spaces(tmp_path):
     p = write(tmp_path, "s.csv", " Date , VALUE \n2020-01-01,2\n")
     x, _ = ingest_timeseries(p)

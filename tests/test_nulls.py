@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import genextreme, gumbel_r
 
@@ -172,6 +172,7 @@ def test_binom_tail_deep_tail_stays_positive():
 
 
 @given(st.integers(0, 40), st.integers(1, 40), st.floats(0.01, 0.99))
+@example(8, 34, 0.9115925572867744)  # a point a separate log-sum-exp per k got wrong
 def test_binom_tail_monotone_in_k(k, n, p):
     if k > n:
         return

@@ -89,3 +89,11 @@ def test_svg_title_escaped(tmp_path):
     path = tmp_path / "t.svg"
     write_qtr_svg(t, path, title="a < b & c")
     ET.parse(path)  # parses only if special characters were escaped
+
+
+def test_svg_title_reads_back(tmp_path):
+    path = tmp_path / "t.svg"
+    write_qtr_svg(small_table(), path, title="a&b<c>")
+    assert "a&amp;b&lt;c&gt;" in path.read_text()
+    texts = [el.text for el in ET.parse(path).getroot().iter() if el.tag.endswith("text")]
+    assert texts[0] == "a&b<c>"

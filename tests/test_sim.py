@@ -141,6 +141,25 @@ def test_comparison_lookup_and_determinism():
         res1.cell(99, 2.5)
 
 
+@pytest.mark.parametrize("seed", [131, 2**32 - 1, 2**32, 2**64 + 5])
+def test_replicates_draw_the_stream_of_gen_independent_events(seed):
+    # replicate j of order q places its events as default_rng((seed, q, 1, j))
+    # does, seeds past one 32-bit word included
+    config = SimConfig(length=256, ma_orders=(0, 4), n_events=8, replicates=40, seed=seed)
+    res = null_distribution_comparison(config)
+    ks = np.arange(config.n_events + 1)
+    for order in config.ma_orders:
+        x = gen_ma_exponential(config.length, order, seed=(seed, order, 0))
+        rungs = rung_index(x, config.delta, config.thresholds)
+        counts = np.array([
+            compute_tcp(gen_independent_events(config.length, config.n_events, seed=(seed, order, 1, j)),
+                        rungs, len(config.thresholds)).counts
+            for j in range(config.replicates)])
+        for i, tau in enumerate(config.thresholds):
+            want = np.searchsorted(np.sort(counts[:, i]), ks, side="right") / config.replicates
+            assert res.cell(order, tau).empirical_cmf.tobytes() == want.tobytes()
+
+
 def test_iid_series_bernoulli_null_is_accurate():
     # order 0 with the reference protocol; both analytical nulls should sit
     # close to the Monte Carlo distribution on an iid series
