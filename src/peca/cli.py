@@ -196,6 +196,7 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
         "statistic": result.statistic,
         "replicates": result.replicates,
         "p_hat": result.p_hat,
+        "p_hat_se": math.sqrt(result.p_hat * (1.0 - result.p_hat) / result.replicates),
         "seed": config.seed,
         "null_min": result.null_min,
         "null_median": result.null_median,

@@ -231,7 +231,9 @@ def _null_counts(rungs: np.ndarray, n_events: int, m: int, r: int, seed: int) ->
     With A_i the number of steps at rung >= i (A_0 the series length), the
     count at rung i is hypergeometric: k_1 ~ HG(A_1 of A_0, n_events draws)
     and k_i | k_{i-1} ~ HG(A_i of A_{i-1}, k_{i-1} draws).  Every replicate
-    is drawn at once, one rung at a time, from ``default_rng(seed)``.
+    is drawn at once, one rung at a time, from ``default_rng(seed)``.  Only
+    rungs with 0 < A_i < A_{i-1} draw: A_i = 0 makes the count 0, and
+    A_i = A_{i-1} (no step at rung i-1) keeps the previous count.
     """
     at_least = _steps_at_least(rungs, m)
     if not 0 <= n_events <= at_least[0]:
@@ -240,7 +242,11 @@ def _null_counts(rungs: np.ndarray, n_events: int, m: int, r: int, seed: int) ->
     counts = np.empty((r, m), dtype=np.int64)
     k = n_events
     for i in range(1, m + 1):
-        k = rng.hypergeometric(at_least[i], at_least[i - 1] - at_least[i], k, size=r)
+        good, bad = at_least[i], at_least[i - 1] - at_least[i]
+        if good == 0:
+            k = 0
+        elif bad > 0:
+            k = rng.hypergeometric(good, bad, k, size=r)
         counts[:, i - 1] = k
     return counts
 

@@ -397,30 +397,6 @@ def binom_logpmf(k, n, p: float):
     return np.where(valid, out, -np.inf)
 
 
-def _logsumexp(a) -> float:
-    """log(sum(exp(a))) over a 1-D array, following SciPy's ``logsumexp``.
-
-    The largest term(s) are taken out of the sum: with a_max the maximum, m
-    the number of terms equal to it and s the sum of exp(a - a_max) over the
-    rest, the result is log1p(s / m) + log(m) + a_max.  All -inf (or empty)
-    gives -inf.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    if a.size == 0:
-        return -math.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a)
-        top = a == a_max
-        m = np.float64(np.count_nonzero(top))
-        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
-        if s != 0:
-            s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a)))
-    return float(out)
-
-
 def binom_cdf(k, n: int, p: float) -> np.ndarray:
     """Distribution function P(K <= k) for K ~ Binomial(n, p), vectorized over k.
 

@@ -92,9 +92,17 @@ def rung_index(x: TimeSeries, delta: int, thresholds) -> np.ndarray:
     thr = np.asarray(thresholds, dtype=float).ravel()
     if np.any(np.diff(thr) < 0):
         raise ValueError("thresholds must be ascending")
+    # window maxima by doubling: after each pass span_max[s] is the maximum over
+    # [s, s + span); two spans of the largest power of two <= delta + 1, one
+    # flush with each end, cover the window exactly
+    n = x.length - delta
+    span_max, span = x.values, 1
+    while 2 * span <= delta + 1:
+        span_max = np.maximum(span_max[:-span], span_max[span:])
+        span *= 2
+    window_max = np.maximum(span_max[:n], span_max[delta + 1 - span:delta + 1 - span + n])
     rungs = np.zeros(x.length, dtype=np.int64)
-    window_max = np.lib.stride_tricks.sliding_window_view(x.values, delta + 1).max(axis=1)
-    rungs[:x.length - delta] = np.searchsorted(thr, window_max, side="left")
+    rungs[:n] = np.searchsorted(thr, window_max, side="left")
     return rungs
 
 
@@ -111,12 +119,12 @@ def preprocess(x: TimeSeries, window: int = 30) -> TimeSeries:
     if np.any(x.values < 0):
         raise ValueError("preprocess requires non-negative values")
     logs = np.log2(x.values + 1.0)
-    cs = np.concatenate(([0.0], np.cumsum(logs)))
-    t = np.arange(1, x.length + 1)
-    lo = np.maximum(t - 1 - window, 0)
-    hi = t - 1
-    n_prior = hi - lo
-    means = np.where(n_prior > 0, (cs[hi] - cs[lo]) / np.maximum(n_prior, 1), logs)
+    cs = np.cumsum(logs)
+    head = min(window, x.length - 1)
+    means = np.empty_like(logs)
+    means[0] = logs[0]
+    means[1:head + 1] = cs[:head] / np.arange(1, head + 1)
+    means[window + 1:] = (cs[window:-1] - cs[:-window - 1]) / window
     return TimeSeries(values=logs - means)
 
 

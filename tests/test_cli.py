@@ -4,6 +4,7 @@ import contextlib
 import datetime
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -147,6 +148,8 @@ def test_multi_report_and_files(dataset, tmp_path):
     assert report["command"] == "multi"
     assert report["multi_test"]["replicates"] == 400
     assert 0.0 < report["multi_test"]["p_hat"] <= 1.0
+    p_hat = report["multi_test"]["p_hat"]
+    assert report["multi_test"]["p_hat_se"] == math.sqrt(p_hat * (1.0 - p_hat) / 400)
     assert report["ladder"]["requested"] == 16
     pw = report["pointwise"]
     assert len(pw["raw_p_values"]) == report["ladder"]["size"]

@@ -230,34 +230,102 @@ def test_permute_occupancy_uniform():
 
 
 def test_chain_matches_permutation_oracle():
-    # 60 steps over rungs 0..4, rung 4 empty; 9 events
-    rungs = np.random.default_rng(17).permutation(np.repeat(np.arange(4), (20, 15, 15, 10)))
-    t, n, m, r = rungs.size, 9, 4, 4000
-    at_least = np.array([np.count_nonzero(rungs >= i) for i in range(1, m + 1)])
-    p = at_least / t
-    mean = n * p
-    var = n * p * (1 - p) * (t - n) / (t - 1)
-    chain = _null_counts(rungs, n, m, r, seed=1)
-    oracle = permutation_counts(rungs, n, m, r, np.random.default_rng(2))
-    for counts in (chain, oracle):
-        assert np.all(np.diff(counts, axis=1) <= 0)
-        np.testing.assert_array_equal(counts[:, 3], 0)
-        se = np.sqrt(var[:3] / r)
-        assert np.all(np.abs(counts[:, :3].mean(axis=0) - mean[:3]) < 4.5 * se)
-        # the sample variance has a relative standard error near sqrt(2/r), 2.2 %
-        np.testing.assert_allclose(counts[:, :3].var(axis=0, ddof=1), var[:3], rtol=0.12)
-    # the count at the first rung: both samplers against each other, and the
-    # chain against the exact hypergeometric law
-    ks = np.arange(n + 1)
-    table = np.array([np.bincount(chain[:, 0], minlength=n + 1),
-                      np.bincount(oracle[:, 0], minlength=n + 1)])
-    table = table[:, table.sum(axis=0) >= 10]
-    assert chi2_contingency(table)[1] > 1e-3
-    observed = np.bincount(chain[:, 0], minlength=n + 1)
-    expected = r * hypergeom.pmf(ks, t, at_least[0], n)
-    keep = expected >= 5
-    stat = np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep])
-    assert chi2.sf(stat, keep.sum() - 1) > 1e-3
+    # 60 steps over the rungs, the top rung empty, 9 events; the second ladder
+    # also has no step at rung 2, so its counts at rungs 2 and 3 coincide
+    for sizes in ((20, 15, 15, 10, 0), (20, 15, 0, 15, 10, 0)):
+        m = len(sizes) - 1
+        rungs = np.random.default_rng(17).permutation(np.repeat(np.arange(m + 1), sizes))
+        t, n, r = rungs.size, 9, 4000
+        at_least = np.array([np.count_nonzero(rungs >= i) for i in range(1, m + 1)])
+        p = at_least / t
+        mean = n * p
+        var = n * p * (1 - p) * (t - n) / (t - 1)
+        chain = _null_counts(rungs, n, m, r, seed=1)
+        oracle = permutation_counts(rungs, n, m, r, np.random.default_rng(2))
+        for counts in (chain, oracle):
+            assert np.all(np.diff(counts, axis=1) <= 0)
+            np.testing.assert_array_equal(counts[:, m - 1], 0)
+            for i in np.flatnonzero(np.asarray(sizes[1:m]) == 0):
+                np.testing.assert_array_equal(counts[:, i + 1], counts[:, i])
+            se = np.sqrt(var[:m - 1] / r)
+            assert np.all(np.abs(counts[:, :m - 1].mean(axis=0) - mean[:m - 1]) < 4.5 * se)
+            # the sample variance has a relative standard error near sqrt(2/r), 2.2 %
+            np.testing.assert_allclose(counts[:, :m - 1].var(axis=0, ddof=1), var[:m - 1],
+                                       rtol=0.12)
+        # the count at the first rung: both samplers against each other, and the
+        # chain against the exact hypergeometric law
+        ks = np.arange(n + 1)
+        table = np.array([np.bincount(chain[:, 0], minlength=n + 1),
+                          np.bincount(oracle[:, 0], minlength=n + 1)])
+        table = table[:, table.sum(axis=0) >= 10]
+        assert chi2_contingency(table)[1] > 1e-3
+        observed = np.bincount(chain[:, 0], minlength=n + 1)
+        expected = r * hypergeom.pmf(ks, t, at_least[0], n)
+        keep = expected >= 5
+        stat = np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep])
+        assert chi2.sf(stat, keep.sum() - 1) > 1e-3
+
+
+def chain_drawing_every_rung(rungs, n, m, r, seed):
+    """Reference chain: one hypergeometric draw at every rung, certain or not."""
+    at_least = np.bincount(rungs, minlength=m + 1)[::-1].cumsum()[::-1]
+    rng = np.random.default_rng(seed)
+    counts = np.empty((r, m), dtype=np.int64)
+    k = n
+    for i in range(1, m + 1):
+        k = rng.hypergeometric(at_least[i], at_least[i - 1] - at_least[i], k, size=r)
+        counts[:, i - 1] = k
+    return counts
+
+
+class CountingRng:
+    """A Generator that counts its hypergeometric calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.hypergeometric_calls = 0
+
+    def hypergeometric(self, *args, **kwargs):
+        self.hypergeometric_calls += 1
+        return self.rng.hypergeometric(*args, **kwargs)
+
+
+def test_chain_draws_only_random_rungs(monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        made.append(CountingRng(default_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    # steps per rung 0..6: rungs 1, 3, 4 and the top one are empty
+    sizes = (20, 0, 15, 0, 0, 10, 0)
+    m = len(sizes) - 1
+    rungs = np.repeat(np.arange(m + 1), sizes)
+    at_least = np.bincount(rungs, minlength=m + 1)[::-1].cumsum()[::-1]
+    random_rungs = np.count_nonzero((at_least[1:] > 0) & (at_least[1:] < at_least[:-1]))
+    counts = _null_counts(rungs, 12, m, 300, seed=3)
+    assert random_rungs == 2
+    assert [rng.hypergeometric_calls for rng in made] == [random_rungs]
+    # a certain rung repeats the count below it, and an empty one is 0
+    np.testing.assert_array_equal(counts[:, 1], counts[:, 0])
+    np.testing.assert_array_equal(counts[:, 3], counts[:, 2])
+    np.testing.assert_array_equal(counts[:, 4], counts[:, 2])
+    np.testing.assert_array_equal(counts[:, 5], 0)
+    assert np.all(counts[:, 2] <= counts[:, 0])
+
+
+@pytest.mark.parametrize("sizes, n", [((30, 25, 20, 15, 10, 0), 12),
+                                      ((400, 80, 40, 20, 10, 5, 0), 60),
+                                      ((3, 9, 27, 81, 0), 100)])
+def test_chain_keeps_the_stream_when_only_the_top_rung_is_empty(sizes, n):
+    # n >= 10 and below A_0 - 10: the first draws take NumPy's ratio-of-uniforms path
+    m = len(sizes) - 1
+    rungs = np.random.default_rng(5).permutation(np.repeat(np.arange(m + 1), sizes))
+    for seed in range(4):
+        np.testing.assert_array_equal(_null_counts(rungs, n, m, 500, seed),
+                                      chain_drawing_every_rung(rungs, n, m, 500, seed))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 6))

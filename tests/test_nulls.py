@@ -17,7 +17,6 @@ from scipy.stats import genextreme, gumbel_r
 from peca.nulls import (
     _gev_nll,
     _log_factorials,
-    _logsumexp,
     _nelder_mead,
     GUMBEL_SHAPE_TOL,
     GevFitError,
@@ -268,27 +267,6 @@ def test_log_factorials_match_gammaln():
     table = _log_factorials(n)[: n + 1]
     np.testing.assert_allclose(table, gammaln(np.arange(n + 1) + 1.0), rtol=1e-14, atol=0)
     assert table[0] == table[1] == 0.0
-
-
-@pytest.mark.parametrize("a", [
-    [0.5, 2.0, 2.0, -1.0, 2.0],             # ties at the max
-    [-np.inf, -np.inf, -np.inf],
-    [-3.25],
-    [-np.inf, 1e-300, -np.inf],
-    [np.inf, 0.0],
-])
-def test_logsumexp_matches_scipy(a):
-    from scipy.special import logsumexp
-    assert _logsumexp(np.array(a)) == logsumexp(np.array(a))
-
-
-def test_logsumexp_matches_scipy_on_binomial_tail():
-    from scipy.special import logsumexp
-    terms = binom_logpmf(np.arange(1001), 1000, 0.37)
-    got = _logsumexp(terms)
-    assert got == pytest.approx(logsumexp(terms), rel=1e-15, abs=1e-15)
-    assert math.exp(got) == pytest.approx(1.0, abs=1e-12)
-    assert _logsumexp(np.array([])) == -math.inf
 
 
 # --- single-threshold tests --------------------------------------------------

@@ -165,6 +165,20 @@ def test_rung_index_matches_window_loop(values, data):
         assert rungs[t - 1] == want
 
 
+def test_rung_index_matches_sliding_window_max():
+    rng = np.random.default_rng(11)
+    for t in (1, 2, 3, 7, 64, 97, 1000, 4999, 5000):
+        values = rng.standard_normal(t) * 3.0
+        values[rng.integers(0, t, size=t // 4)] = 1.5       # ties with a threshold
+        thresholds = np.sort(np.concatenate((rng.choice(values, size=min(t, 6)), [1.5])))
+        for delta in sorted({0, min(1, t - 1), t - 1, int(rng.integers(0, t))}):
+            window_max = np.lib.stride_tricks.sliding_window_view(values, delta + 1).max(axis=1)
+            want = np.zeros(t, dtype=np.int64)
+            want[:t - delta] = np.searchsorted(thresholds, window_max, side="left")
+            np.testing.assert_array_equal(rung_index(TimeSeries(values), delta, thresholds),
+                                          want)
+
+
 def test_rung_index_validation():
     x = TimeSeries((1.0, 2.0, 3.0))
     with pytest.raises(ValueError):
@@ -201,6 +215,27 @@ def test_preprocess_window_limits_history():
     # with window 1 each step only sees its immediate predecessor
     expect = [0.0, 0.0, 0.0, 4.0, 0.0, 0.0]
     np.testing.assert_allclose(out.values, expect, atol=1e-12)
+
+
+def preprocess_index_arrays(values, window):
+    """Reference: each step's running mean from index arrays into one padded cumsum."""
+    logs = np.log2(values + 1.0)
+    cs = np.concatenate(([0.0], np.cumsum(logs)))
+    t = np.arange(1, values.size + 1)
+    lo = np.maximum(t - 1 - window, 0)
+    hi = t - 1
+    n_prior = hi - lo
+    means = np.where(n_prior > 0, (cs[hi] - cs[lo]) / np.maximum(n_prior, 1), logs)
+    return logs - means
+
+
+def test_preprocess_matches_index_arrays():
+    rng = np.random.default_rng(13)
+    for window in range(1, 41):
+        for length in (*range(1, window + 4), 3000):
+            values = rng.exponential(50.0, size=length).round(rng.integers(0, 3))
+            np.testing.assert_array_equal(preprocess(TimeSeries(values), window).values,
+                                          preprocess_index_arrays(values, window))
 
 
 def test_preprocess_zero_counts_are_fine():
