@@ -6,23 +6,14 @@ Adjusted p-values compare directly against the target alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["METHODS", "AdjustedPValues", "adjust", "reject_set"]
+__all__ = ["METHODS", "adjust", "reject_set"]
 
 METHODS = ("bonferroni", "sidak", "holm", "holm-sidak")
 
 
-@dataclass(frozen=True)
-class AdjustedPValues:
-    method: str
-    raw: np.ndarray
-    adjusted: np.ndarray
-
-
-def adjust(pvals, method: str) -> AdjustedPValues:
+def adjust(pvals, method: str) -> np.ndarray:
     """Adjust p-values for multiplicity; ties are broken stably by position."""
     p = np.asarray(pvals, dtype=float).ravel()
     if p.size < 1:
@@ -47,11 +38,11 @@ def adjust(pvals, method: str) -> AdjustedPValues:
             adj[order] = np.maximum.accumulate(steps)
         else:
             raise ValueError(f"unknown adjustment method: {method!r}")
-    return AdjustedPValues(method=method, raw=p.copy(), adjusted=np.minimum(adj, 1.0))
+    return np.minimum(adj, 1.0)
 
 
-def reject_set(adjusted: AdjustedPValues, alpha: float) -> np.ndarray:
-    """Boolean mask of hypotheses rejected at family-wise level alpha."""
+def reject_set(adjusted, alpha: float) -> np.ndarray:
+    """Boolean mask of hypotheses rejected at family-wise level alpha, from ``adjust``'s array."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return adjusted.adjusted < alpha
+    return np.asarray(adjusted) < alpha

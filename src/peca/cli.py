@@ -20,10 +20,9 @@ import numpy as np
 
 from .adjust import METHODS, adjust, reject_set
 from .ingest import IngestError, ingest_events, ingest_timeseries
-from .multi import (MultiTestResult, ThresholdLadder, TriggerCoincidenceProcess,
-                    build_ladder_from_quantiles, compute_tcp, dp_extreme_nll, empirical_quantile,
-                    expected_process_with_band, mc_multi_threshold_test, null_nll_replicates,
-                    permutation_success_probabilities, success_probabilities)
+from .multi import (ThresholdLadder, build_ladder_from_quantiles, compute_tcp, dp_extreme_nll,
+                    empirical_quantile, expected_process_with_band, mc_p_value, null_nll_replicates,
+                    permutation_success_probabilities, success_probabilities, tcp_nll)
 from .nulls import (GevFit, GevFitError, binom_tail, block_maxima, estimate_event_rate, fit_gev_mle,
                     gev_sf)
 from .qtr import QtrTable, write_qtr_csv, write_qtr_svg
@@ -91,7 +90,7 @@ def _late_event_warning(events: EventSeries, delta: int, warn: list[str]) -> Non
 
 def _trigger_count(events: EventSeries, x: TimeSeries, tau: float, delta: int) -> int:
     """Events whose window [t, t+delta] holds a strict exceedance of ``tau``: a ladder of one."""
-    return int(compute_tcp(events, rung_index(x, delta, [tau]), 1).counts[0])
+    return int(compute_tcp(events, rung_index(x, delta, [tau]), 1)[0])
 
 
 def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
@@ -153,21 +152,21 @@ def _multi_null(config: AnalysisConfig, x: TimeSeries, n_events: int) -> _MultiN
     rungs = rung_index(x, config.delta, ladder.thresholds)
     pis = success_probabilities(ladder, fit.params)
     null_stats = null_nll_replicates(rungs, n_events, pis, config.r, config.seed)
-    _, lower, upper = expected_process_with_band(n_events, pis, level=0.95)
+    lower, upper = expected_process_with_band(n_events, pis, level=0.95)
     return _MultiNull(ladder=ladder, fit=fit, rungs=rungs, pis=pis, null_stats=null_stats,
                       band_lower_rates=lower / n_events, band_upper_rates=upper / n_events)
 
 
 def _score(null: _MultiNull, events: EventSeries
-           ) -> tuple[TriggerCoincidenceProcess, MultiTestResult, QtrTable]:
-    """Observed process, Monte Carlo test and QTR table of one event set against ``null``."""
-    tcp = compute_tcp(events, null.rungs, null.ladder.m)
-    result = mc_multi_threshold_test(tcp, null.pis, null.null_stats)
+           ) -> tuple[np.ndarray, float, float, QtrTable]:
+    """Observed counts, NLL statistic, Monte Carlo p-value and QTR table of one event set."""
+    counts = compute_tcp(events, null.rungs, null.ladder.m)
+    statistic = tcp_nll(counts, events.n_events, null.pis)
     table = QtrTable(levels=null.ladder.levels, thresholds=null.ladder.thresholds,
-                     observed_counts=tcp.counts, n_events=events.n_events,
+                     observed_counts=counts, n_events=events.n_events,
                      expected_rates=null.pis, band_lower_rates=null.band_lower_rates,
                      band_upper_rates=null.band_upper_rates)
-    return tcp, result, table
+    return counts, statistic, mc_p_value(statistic, null.null_stats), table
 
 
 def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
@@ -186,21 +185,21 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
         warn.append("GEV fit did not satisfy the optimizer's convergence test")
     _late_event_warning(events, config.delta, warn)
 
-    tcp, result, table = _score(null, events)
-    raw_p_values = [binom_tail(int(k), events.n_events, float(pi))
-                    for k, pi in zip(tcp.counts, pis)]
+    counts, statistic, p_hat, table = _score(null, events)
+    raw_p_values = [binom_tail(int(k), events.n_events, float(pi)) for k, pi in zip(counts, pis)]
     adjusted = adjust(raw_p_values, config.adjust_method)
     rejected = reject_set(adjusted, config.alpha)
 
+    nlls = null.null_stats
     multi_test = {
-        "statistic": result.statistic,
-        "replicates": result.replicates,
-        "p_hat": result.p_hat,
-        "p_hat_se": math.sqrt(result.p_hat * (1.0 - result.p_hat) / result.replicates),
+        "statistic": statistic,
+        "replicates": nlls.size,
+        "p_hat": p_hat,
+        "p_hat_se": math.sqrt(p_hat * (1.0 - p_hat) / nlls.size),
         "seed": config.seed,
-        "null_min": result.null_min,
-        "null_median": result.null_median,
-        "null_max": result.null_max,
+        "null_min": float(nlls.min()),
+        "null_median": float(np.median(nlls)),
+        "null_max": float(nlls.max()),
     }
     infinite = [key for key, v in multi_test.items() if not math.isfinite(v)]
     multi_test.update(dict.fromkeys(infinite))
@@ -227,13 +226,13 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
         "gev": _gev_dict(fit),
         "multi_test": multi_test,
         "pointwise": {
-            "k_observed": [int(k) for k in tcp.counts],
+            "k_observed": [int(k) for k in counts],
             "success_probs": [float(pi) for pi in pis],
             "permutation_success_probs": [
                 float(v) for v in permutation_success_probabilities(null.rungs, ladder.m)],
             "raw_p_values": raw_p_values,
             "adjust_method": config.adjust_method,
-            "adjusted_p_values": [float(v) for v in adjusted.adjusted],
+            "adjusted_p_values": [float(v) for v in adjusted],
             "reject_at_alpha": [bool(v) for v in rejected],
             "alpha": config.alpha,
         },
@@ -249,15 +248,7 @@ def _simulate_comparison(out_dir: Path, config: SimConfig) -> dict:
     write_comparison_csv(result, csv_path)
     summary = {
         "preset": "appendix-b1",
-        "config": {
-            "length": config.length,
-            "ma_orders": list(config.ma_orders),
-            "n_events": config.n_events,
-            "delta": config.delta,
-            "thresholds": list(config.thresholds),
-            "replicates": config.replicates,
-            "seed": config.seed,
-        },
+        "config": asdict(config),
         "cells": [
             {"order": c.ma_order, "tau": c.tau,
              "sup_bernoulli": c.sup_bernoulli, "sup_gev": c.sup_gev}
@@ -284,14 +275,14 @@ def _simulate_qtr_extremes(out_dir: Path, seed: int = AnalysisConfig.seed, lengt
     outputs = []
     results = {}
     for label, events in event_sets.items():
-        _, test, table = _score(null, events)
+        _, statistic, p_hat, table = _score(null, events)
         path = out_dir / f"qtr_{label}.csv"
         write_qtr_csv(table, path)
         write_qtr_svg(table, out_dir / f"qtr_{label}.svg", title=f"{label} events")
         outputs.extend([path.name, f"qtr_{label}.svg"])
         results[label] = {
-            "statistic": test.statistic,
-            "p_hat": test.p_hat,
+            "statistic": statistic,
+            "p_hat": p_hat,
             "rate_at_trigger_tau":
                 _trigger_count(events, x, trigger_tau, config.delta) / events.n_events,
         }
@@ -305,14 +296,14 @@ def _simulate_qtr_extremes(out_dir: Path, seed: int = AnalysisConfig.seed, lengt
     outputs.append(nll_path.name)
 
     ladder = null.ladder
-    stat_min, proc_min = dp_extreme_nll(n, null.pis, "min")
-    stat_max, proc_max = dp_extreme_nll(n, null.pis, "max")
+    stat_min, counts_min = dp_extreme_nll(n, null.pis, "min")
+    stat_max, counts_max = dp_extreme_nll(n, null.pis, "max")
     ext_path = out_dir / "extreme_processes.csv"
     with open(ext_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("quantile_level,threshold,min_count,max_count\n")
         for i in range(ladder.m):
             fh.write(f"{ladder.levels[i]!r},{ladder.thresholds[i]!r},"
-                     f"{int(proc_min.counts[i])},{int(proc_max.counts[i])}\n")
+                     f"{int(counts_min[i])},{int(counts_max[i])}\n")
     outputs.append(ext_path.name)
 
     return {

@@ -19,21 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nulls import GevParams, binom_cdf, binom_logpmf, gev_sf
+from .nulls import GevFitError, GevParams, binom_cdf, binom_logpmf, gev_sf
 from .series import EventSeries, TimeSeries, check_same_grid, frozen_copy
 
 __all__ = [
     "ThresholdLadder",
-    "TriggerCoincidenceProcess",
-    "MultiTestResult",
     "empirical_quantile",
     "build_ladder_from_quantiles",
     "success_probabilities",
     "permutation_success_probabilities",
+    "count_at_rungs",
     "compute_tcp",
     "tcp_nll",
     "null_nll_replicates",
-    "mc_multi_threshold_test",
+    "mc_p_value",
     "expected_process_with_band",
     "dp_extreme_nll",
 ]
@@ -69,42 +68,6 @@ class ThresholdLadder:
     @property
     def m(self) -> int:
         return int(self.thresholds.size)
-
-
-@dataclass(frozen=True)
-class TriggerCoincidenceProcess:
-    """Trigger coincidence counts along a ladder; non-increasing by construction."""
-
-    counts: np.ndarray
-    n_events: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64).ravel()
-        if counts.size < 1:
-            raise ValueError("process needs at least one count")
-        if self.n_events < 0:
-            raise ValueError("n_events must be non-negative")
-        if np.any((counts < 0) | (counts > self.n_events)):
-            raise ValueError("counts must lie in [0, n_events]")
-        if np.any(np.diff(counts) > 0):
-            raise ValueError("counts must be non-increasing along the ladder")
-        object.__setattr__(self, "counts", frozen_copy(counts))
-
-    @property
-    def m(self) -> int:
-        return int(self.counts.size)
-
-
-@dataclass(frozen=True)
-class MultiTestResult:
-    """Monte Carlo outcome for the process NLL statistic."""
-
-    statistic: float
-    replicates: int
-    p_hat: float
-    null_min: float
-    null_median: float
-    null_max: float
 
 
 def empirical_quantile(sorted_values: np.ndarray, p: float) -> float:
@@ -145,29 +108,44 @@ def success_probabilities(ladder: ThresholdLadder, theta: GevParams) -> np.ndarr
     """Window-exceedance probability at each ladder threshold under the fitted GEV.
 
     Strictly positive and non-increasing; one-ulp inversions from the power
-    evaluation are clamped.  Raises when a threshold sits at or beyond the
-    upper end of the fitted support.
+    evaluation are clamped.  Raises ``GevFitError`` when a threshold sits at
+    or beyond the upper end of the fitted support, as a fit with negative
+    shape can put it below the series maximum.
     """
     pis = np.array([gev_sf(float(t), theta) for t in ladder.thresholds])
     if np.any(pis <= 0.0):
-        raise ValueError("threshold beyond the fitted support: zero exceedance probability")
+        i = int(np.argmax(pis <= 0.0))
+        end = theta.location - theta.scale / theta.shape if theta.shape < 0 else math.inf
+        raise GevFitError(
+            f"ladder threshold {float(ladder.thresholds[i])!r} (rung {i + 1} of {ladder.m}) "
+            f"has zero exceedance probability: the fitted GEV's upper support end, "
+            f"location - scale/shape, is {end!r}; choose a lower --qhi")
     return np.minimum.accumulate(pis)
 
 
-def compute_tcp(e: EventSeries, rungs: np.ndarray, m: int) -> TriggerCoincidenceProcess:
-    """Trigger coincidence counts at the m ladder thresholds.
+def count_at_rungs(event_rungs, m: int) -> np.ndarray:
+    """Trigger counts at m ladder thresholds, over the last axis of ``event_rungs``.
+
+    ``event_rungs`` holds the rung of each event (see ``rung_index``), one
+    event set per row of any leading shape; the count at threshold i
+    (0-based) is the number of events at a rung above i.  Shape (..., n)
+    gives shape (..., m): the rows of a non-increasing int count array.
+    """
+    event_rungs = np.asarray(event_rungs)
+    if np.any((event_rungs < 0) | (event_rungs > m)):
+        raise ValueError(f"rungs must lie in [0, {m}]")
+    return np.count_nonzero(event_rungs[..., None] > np.arange(m), axis=-2)
+
+
+def compute_tcp(e: EventSeries, rungs: np.ndarray, m: int) -> np.ndarray:
+    """Trigger coincidence process of ``e``: its (m,) counts at the ladder thresholds.
 
     ``rungs`` is the rung of every step, ``rung_index(x, delta,
-    ladder.thresholds)``; the count at threshold i (0-based) is the number
-    of events at a rung above i.
+    ladder.thresholds)``.
     """
     rungs = np.asarray(rungs)
     check_same_grid(e.length, rungs.size)
-    at_events = rungs[e.occurrences - 1]
-    if np.any((at_events < 0) | (at_events > m)):
-        raise ValueError(f"rungs must lie in [0, {m}]")
-    counts = np.count_nonzero(at_events[:, None] > np.arange(m), axis=0)
-    return TriggerCoincidenceProcess(counts=counts, n_events=e.n_events)
+    return count_at_rungs(rungs[e.occurrences - 1], m)
 
 
 def _as_pis(pis, m: int | None = None) -> np.ndarray:
@@ -193,16 +171,25 @@ def _nll_rows(counts: np.ndarray, n_events: int, pis: np.ndarray) -> np.ndarray:
     return total
 
 
-def tcp_nll(process: TriggerCoincidenceProcess, pis) -> float:
+def tcp_nll(counts, n_events: int, pis) -> float:
     """Negative log-likelihood of a trigger coincidence process under the chained null.
 
+    ``counts`` are the process's counts of ``n_events`` events along the
+    ladder (see ``compute_tcp``): each in [0, n_events], non-increasing.
     The first term scores the lowest-threshold count against
     Binomial(n_events, pis[0]); each later term scores the count against
     Binomial(previous count, pis[i] / pis[i-1]).  The conditional success
     ratio is clamped to [0, 1] against floating-point overshoot.
     """
-    pis = _as_pis(pis, process.m)
-    return float(_nll_rows(process.counts[None, :], process.n_events, pis)[0])
+    counts = np.asarray(counts, dtype=np.int64).ravel()
+    if n_events < 0:
+        raise ValueError("n_events must be non-negative")
+    if np.any((counts < 0) | (counts > n_events)):
+        raise ValueError("counts must lie in [0, n_events]")
+    if np.any(np.diff(counts) > 0):
+        raise ValueError("counts must be non-increasing along the ladder")
+    pis = _as_pis(pis, counts.size)
+    return float(_nll_rows(counts[None, :], n_events, pis)[0])
 
 
 def _steps_at_least(rungs: np.ndarray, m: int) -> np.ndarray:
@@ -267,44 +254,32 @@ def null_nll_replicates(rungs: np.ndarray, n_events: int, pis: np.ndarray, r: in
     return _nll_rows(_null_counts(rungs, n_events, pis.size, r, seed), n_events, pis)
 
 
-def mc_multi_threshold_test(process: TriggerCoincidenceProcess, pis: np.ndarray,
-                            null_stats: np.ndarray) -> MultiTestResult:
-    """Monte Carlo test of the observed process NLL against event permutations.
+def mc_p_value(statistic: float, null_stats) -> float:
+    """Monte Carlo p-value of an observed statistic against r replicate statistics.
 
-    ``process`` is the observed process, ``compute_tcp(e, rungs, m)``,
-    ``pis`` the ladder's success probabilities and ``null_stats`` the
-    replicate NLLs, ``null_nll_replicates(rungs, process.n_events, pis, r,
-    seed)``.  All three are computed once by the caller, so one draw of
-    the null can score several event sets with the same number of events.
-    The p-value estimate is (1 + #{null >= observed}) / (r + 1), which is
-    never zero and counts ties against the alternative.
+    The add-one rule (1 + #{null >= statistic}) / (r + 1) is never zero and
+    counts ties against the alternative.  One draw of the null
+    (``null_nll_replicates``) can score several event sets with the same
+    number of events.
     """
     null_stats = np.asarray(null_stats, dtype=float).ravel()
     if null_stats.size < 1:
         raise ValueError("need at least one replicate")
-    observed = tcp_nll(process, pis)
-    r = null_stats.size
-    p_hat = (1 + int(np.count_nonzero(null_stats >= observed))) / (r + 1)
-    return MultiTestResult(statistic=float(observed), replicates=int(r), p_hat=float(p_hat),
-                           null_min=float(null_stats.min()),
-                           null_median=float(np.median(null_stats)),
-                           null_max=float(null_stats.max()))
+    return (1 + int(np.count_nonzero(null_stats >= statistic))) / (null_stats.size + 1)
 
 
 def expected_process_with_band(n_events: int, pis, level: float = 0.95):
-    """Null expectation and central binomial band for the process counts.
+    """Central binomial band for the process counts.
 
-    Returns (expected, lower, upper): expected counts n_events * pi, and the
-    (1-level)/2 and (1+level)/2 quantiles of Binomial(n_events, pi) at each
-    threshold.  A quantile q is the smallest count whose distribution
-    function reaches q.
+    Returns (lower, upper): the (1-level)/2 and (1+level)/2 quantiles of
+    Binomial(n_events, pi) at each threshold.  A quantile q is the smallest
+    count whose distribution function reaches q.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("band level must lie in (0, 1)")
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
     pis = _as_pis(pis)
-    expected = n_events * pis
     lower = np.empty(pis.size, dtype=np.int64)
     upper = np.empty(pis.size, dtype=np.int64)
     q_lo, q_hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
@@ -314,16 +289,16 @@ def expected_process_with_band(n_events: int, pis, level: float = 0.95):
         else:
             cmf = binom_cdf(np.arange(n_events + 1), n_events, float(pi))
             lower[i], upper[i] = np.minimum(np.searchsorted(cmf, (q_lo, q_hi)), n_events)
-    return expected, lower, upper
+    return lower, upper
 
 
-def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, TriggerCoincidenceProcess]:
+def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, np.ndarray]:
     """Exact extreme of the process NLL over every feasible count vector.
 
     Dynamic program over the count value at each threshold (a count is
     feasible when it does not exceed its predecessor), O(M * n_events^2).
     ``direction`` is "min" or "max".  Returns the optimal statistic together
-    with a process attaining it.
+    with the counts of a process attaining it.
     """
     if direction not in ("min", "max"):
         raise ValueError('direction must be "min" or "max"')
@@ -354,5 +329,4 @@ def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, TriggerCo
     for arg in reversed(back):
         path.append(int(arg[path[-1]]))
     path.reverse()
-    process = TriggerCoincidenceProcess(counts=np.array(path, dtype=np.int64), n_events=n)
-    return statistic, process
+    return statistic, np.array(path, dtype=np.int64)

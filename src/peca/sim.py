@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .multi import count_at_rungs
 from .nulls import bernoulli_success_prob, binom_cdf, block_maxima, fit_gev_mle, gev_sf
 from .series import EventSeries, TimeSeries, rung_index
 
@@ -202,7 +203,7 @@ def null_distribution_comparison(config: SimConfig) -> NullComparisonResult:
             words[-1] = j
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
             at_events[j] = rungs[rng.choice(config.length, size=n, replace=False)]
-        counts = np.count_nonzero(at_events[:, :, None] > np.arange(taus.size), axis=1)
+        counts = count_at_rungs(at_events, taus.size)
         for ti, tau in enumerate(taus):
             emp = np.searchsorted(np.sort(counts[:, ti]), ks, side="right") / config.replicates
             p_exc = np.count_nonzero(x.values > tau) / config.length

@@ -17,11 +17,10 @@ from scipy.stats import binom, genextreme, gumbel_r
 from peca.adjust import adjust, reject_set
 from peca.cli import main
 from peca.multi import (
-    TriggerCoincidenceProcess,
     build_ladder_from_quantiles,
     compute_tcp,
     dp_extreme_nll,
-    mc_multi_threshold_test,
+    mc_p_value,
     null_nll_replicates,
     success_probabilities,
     tcp_nll,
@@ -89,11 +88,11 @@ def test_criterion_2_planted_trigger_construction():
     x = gen_ma_exponential(4096, 8, seed=(0, 100))
     dep = gen_dependent_events(x, 32, 4.0, 4, seed=(0, 101))
     ind = gen_independent_events(4096, 32, seed=(0, 102))
-    rate4 = compute_tcp(dep, rung_index(x, 7, [4.0]), 1).counts[0] / dep.n_events
+    rate4 = compute_tcp(dep, rung_index(x, 7, [4.0]), 1)[0] / dep.n_events
     ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
     rungs = rung_index(x, 7, ladder.thresholds)
-    rd = compute_tcp(dep, rungs, ladder.m).counts / dep.n_events
-    ri = compute_tcp(ind, rungs, ladder.m).counts / ind.n_events
+    rd = compute_tcp(dep, rungs, ladder.m) / dep.n_events
+    ri = compute_tcp(ind, rungs, ladder.m) / ind.n_events
     i4 = int(np.argmax(ladder.thresholds >= 4.0))
     # at the top level the threshold is the series maximum, which nothing
     # strictly exceeds, so both curves are identically zero there
@@ -114,7 +113,7 @@ def test_criterion_3_qtr_identity_line():
     rates = np.empty((100, ladder.m))
     for j in range(100):
         e = gen_independent_events(4096, 32, seed=(3000, 1, j))
-        rates[j] = compute_tcp(e, rungs, ladder.m).counts / e.n_events
+        rates[j] = compute_tcp(e, rungs, ladder.m) / e.n_events
     mean = rates.mean(axis=0)
     se = rates.std(axis=0, ddof=1) / np.sqrt(100)
     target = 1.0 - ladder.levels
@@ -139,8 +138,8 @@ def test_criterion_4_test_calibration():
         pis = success_probabilities(ladder, fit.params)
         null_seed = int(np.random.SeedSequence((7000, i, 2)).generate_state(1)[0])
         nulls = null_nll_replicates(rungs, e.n_events, pis, r=200, seed=null_seed)
-        res = mc_multi_threshold_test(compute_tcp(e, rungs, ladder.m), pis, nulls)
-        rejections += res.p_hat < 0.05
+        statistic = tcp_nll(compute_tcp(e, rungs, ladder.m), e.n_events, pis)
+        rejections += mc_p_value(statistic, nulls) < 0.05
     lo = int(binom.ppf(0.005, 500, 0.05))
     hi = int(binom.ppf(0.995, 500, 0.05))
     ok = lo <= rejections <= hi
@@ -174,7 +173,7 @@ def test_criterion_5_dp_envelope():
     for m in (1, 2, 3):
         for n in (1, 4, 6):
             p = np.sort(rng.uniform(0.05, 0.95, size=m))[::-1].copy()
-            finite = [tcp_nll(TriggerCoincidenceProcess(np.array(ks), n), p)
+            finite = [tcp_nll(np.array(ks), n, p)
                       for ks in iter_monotone(m, n)]
             finite = [v for v in finite if np.isfinite(v)]
             exact &= dp_extreme_nll(n, p, "min")[0] == min(finite)
@@ -194,7 +193,7 @@ def test_criterion_6_markov_normalization():
             pis = np.sort(rng.uniform(0.05, 0.95, size=m))[::-1].copy()
             total = 0.0
             for ks in iter_monotone(m, n):
-                v = tcp_nll(TriggerCoincidenceProcess(np.array(ks), n), pis)
+                v = tcp_nll(np.array(ks), n, pis)
                 if np.isfinite(v):
                     total += np.exp(-v)
             worst = max(worst, abs(total - 1.0))
@@ -219,9 +218,9 @@ def test_criterion_7_gev_fitting():
 
 
 def test_criterion_8_adjustments():
-    holm = adjust(np.array([0.01, 0.04, 0.03]), "holm").adjusted
+    holm = adjust(np.array([0.01, 0.04, 0.03]), "holm")
     holm_ok = np.allclose(holm, [0.03, 0.06, 0.06], atol=1e-12)
-    sidak = adjust(np.array([0.01, 0.4, 0.9]), "sidak").adjusted[0]
+    sidak = adjust(np.array([0.01, 0.4, 0.9]), "sidak")[0]
     sidak_ok = abs(sidak - 0.029701) <= 1e-9
     rng = np.random.default_rng(88)
     superset = True

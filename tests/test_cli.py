@@ -247,6 +247,41 @@ def test_fit_error_category(tmp_path):
     assert json.loads(err)["error"]["category"] == "fit"
 
 
+def test_ladder_beyond_fitted_support_is_a_fit_error(tmp_path):
+    # the maximum sits in the partial block that block_maxima drops, so the fit
+    # (shape near -0.95) ends its support below the top rung at --qhi 1
+    t = 8 * 200 + 3
+    rng = np.random.default_rng(0)
+    values = rng.uniform(10, 20, size=t)
+    values[t - 2] = 500.0  # step T - 1
+    start = datetime.date(2020, 1, 1)
+    series = tmp_path / "s.csv"
+    series.write_text("date,value\n" + "".join(
+        f"{start + datetime.timedelta(days=i)},{v!r}\n" for i, v in enumerate(values.tolist())))
+    events = tmp_path / "e.txt"
+    events.write_text("".join(f"{start + datetime.timedelta(days=int(i))}\n"
+                              for i in np.sort(rng.choice(t - 10, size=20, replace=False))))
+    ingest = ["--series", str(series), "--events", str(events)]
+
+    code, out, _ = run_cli(["pointwise", *ingest, "--quantile", "1.0"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["success_prob"], report["p_value"]) == (0.0, 1.0)
+    gev = report["gev"]
+    assert gev["shape"] < -0.9
+    end = gev["location"] - gev["scale"] / gev["shape"]
+
+    code, out, err = run_cli(["multi", *ingest, "--r", "100"])
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["category"] == "fit"
+    assert "threshold 500.0 (rung 32 of 32)" in error["message"]
+    assert f"location - scale/shape, is {end!r}" in error["message"]
+    assert "lower --qhi" in error["message"]
+    code, _, err = run_cli(["multi", *ingest, "--r", "100", "--qhi", "0.95"])
+    assert code == 0, err
+
+
 def test_config_error_category(dataset):
     series, events = dataset
     code, _, err = run_cli(["multi", "--series", str(series), "--events", str(events),

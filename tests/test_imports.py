@@ -1,4 +1,4 @@
-"""No module of the package imports another module's private names."""
+"""No module of the package imports another module's private names, or a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -21,7 +21,48 @@ def private_imports(path):
                 yield f"{path.name}:{node.lineno}: {alias.name}"
 
 
+def exported_names(tree):
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def unused_imports(path):
+    """``module:line: name`` for every name an import binds that the module neither reads nor exports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= exported_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    yield f"{path.name}:{node.lineno}: {bound}"
+
+
 def test_no_module_imports_private_names():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 10
     assert [hit for path in modules for hit in private_imports(path)] == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+def test_unused_import_check_flags_a_leftover(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os.path\nimport sys as system\n"
+                      "from .multi import compute_tcp, tcp_nll\nfrom .adjust import adjust\n"
+                      "__all__ = ['adjust']\n"
+                      "def f():\n    return compute_tcp, os.path\n", encoding="utf-8")
+    assert list(unused_imports(module)) == ["m.py:3: system", "m.py:4: tcp_nll"]

@@ -9,22 +9,21 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, chi2_contingency, hypergeom
 
 from peca.multi import (
-    MultiTestResult,
     ThresholdLadder,
-    TriggerCoincidenceProcess,
     _null_counts,
     build_ladder_from_quantiles,
     compute_tcp,
+    count_at_rungs,
     dp_extreme_nll,
     empirical_quantile,
     expected_process_with_band,
-    mc_multi_threshold_test,
+    mc_p_value,
     null_nll_replicates,
     permutation_success_probabilities,
     success_probabilities,
     tcp_nll,
 )
-from peca.nulls import GevParams, binom_logpmf, binom_tail, gev_sf
+from peca.nulls import GevFitError, GevParams, binom_logpmf, binom_tail, gev_sf
 from peca.series import EventSeries, TimeSeries, rung_index
 
 
@@ -90,10 +89,11 @@ def test_success_probabilities_non_increasing_and_positive():
 
 
 def test_success_probabilities_reject_zero_mass():
-    # thresholds beyond the upper support endpoint have survival zero
+    # thresholds beyond the upper support endpoint, 0 - 1/(-0.5) = 2, have survival zero:
+    # a fault of the fit, named with the first such rung
     theta = GevParams(-0.5, 0.0, 1.0)
-    ladder = ThresholdLadder(thresholds=np.array([1.0, 5.0]))
-    with pytest.raises(ValueError):
+    ladder = ThresholdLadder(thresholds=np.array([1.0, 5.0, 6.0]))
+    with pytest.raises(GevFitError, match=r"threshold 5\.0 \(rung 2 of 3\).* is 2\.0; .*--qhi"):
         success_probabilities(ladder, theta)
 
 
@@ -104,20 +104,42 @@ def test_compute_tcp_agrees_with_single_counts():
     x = TimeSeries(rng.exponential(size=300))
     e = EventSeries(300, tuple(sorted(rng.choice(np.arange(1, 301), 20, replace=False))))
     ladder = build_ladder_from_quantiles(x, 0.1, 0.98, 13)
-    proc = tcp(e, x, 5, ladder)
-    for k, tau in zip(proc.counts, ladder.thresholds):
+    counts = tcp(e, x, 5, ladder)
+    assert counts.shape == (ladder.m,)
+    for k, tau in zip(counts, ladder.thresholds):
         # an event at t <= T - delta counts when max(x[t..t+delta]) > tau
         want = sum(1 for t in e.occurrences if t <= 300 - 5 and max(x.values[t - 1:t + 5]) > tau)
         assert k == want
-    assert np.all(np.diff(proc.counts) <= 0)
+    assert np.all(np.diff(counts) <= 0)
+
+
+@given(st.integers(1, 40), st.integers(0, 12), st.integers(1, 6), st.integers(0, 2**31 - 1))
+def test_count_at_rungs_matches_compute_tcp_row_by_row(rows, n, m, seed):
+    # the batched kernel on an (R, n) rung matrix is compute_tcp on each row's events
+    rng = np.random.default_rng(seed)
+    t = n + int(rng.integers(1, 20))
+    rungs = rng.integers(0, m + 1, size=t)
+    occurrences = np.array([np.sort(rng.choice(t, size=n, replace=False)) + 1
+                            for _ in range(rows)]).reshape(rows, n)
+    batched = count_at_rungs(rungs[occurrences - 1], m)
+    assert batched.shape == (rows, m)
+    for row, occ in zip(batched, occurrences):
+        np.testing.assert_array_equal(row, compute_tcp(EventSeries(t, occ), rungs, m))
+    with pytest.raises(ValueError):
+        count_at_rungs(np.array([[0, m + 1]]), m)
 
 
 def test_process_validation():
+    pis = np.array([0.5, 0.25])
     with pytest.raises(ValueError):
-        TriggerCoincidenceProcess(np.array([2, 3]), 5)   # increasing
+        tcp_nll(np.array([2, 3]), 5, pis)   # increasing
     with pytest.raises(ValueError):
-        TriggerCoincidenceProcess(np.array([6, 2]), 5)   # above n_events
-    assert TriggerCoincidenceProcess(np.array([0, 0]), 0).m == 2   # zero events is valid
+        tcp_nll(np.array([6, 2]), 5, pis)   # above n_events
+    with pytest.raises(ValueError):
+        tcp_nll(np.array([1, -1]), 5, pis)   # below zero
+    with pytest.raises(ValueError):
+        tcp_nll(np.array([0, 0]), -1, pis)   # negative n_events
+    assert tcp_nll(np.array([0, 0]), 0, pis) == 0.0   # zero events is valid
 
 
 # --- the chained-binomial likelihood -------------------------------------------
@@ -135,7 +157,7 @@ def test_nll_normalizes_exhaustively():
             pis = np.sort(rng.uniform(0.05, 0.95, size=m))[::-1].copy()
             total = 0.0
             for ks in iter_monotone_processes(m, n):
-                nll = tcp_nll(TriggerCoincidenceProcess(np.array(ks), n), pis)
+                nll = tcp_nll(np.array(ks), n, pis)
                 if np.isfinite(nll):
                     total += np.exp(-nll)
             assert total == pytest.approx(1.0, abs=1e-9)
@@ -144,35 +166,34 @@ def test_nll_normalizes_exhaustively():
 def test_nll_chain_hand_case():
     # two thresholds: Binom(k1; n, pi1) then Binom(k2; k1, pi2/pi1)
     pis = np.array([0.5, 0.25])
-    proc = TriggerCoincidenceProcess(np.array([3, 1]), 4)
     want = -(binom_logpmf(3, 4, 0.5) + binom_logpmf(1, 3, 0.5))
-    assert tcp_nll(proc, pis) == pytest.approx(float(want), abs=1e-12)
+    assert tcp_nll(np.array([3, 1]), 4, pis) == pytest.approx(float(want), abs=1e-12)
 
 
 def test_nll_rejects_bad_pis():
-    proc = TriggerCoincidenceProcess(np.array([2, 1]), 4)
+    counts = np.array([2, 1])
     with pytest.raises(ValueError):
-        tcp_nll(proc, np.array([0.2, 0.5]))     # increasing
+        tcp_nll(counts, 4, np.array([0.2, 0.5]))     # increasing
     with pytest.raises(ValueError):
-        tcp_nll(proc, np.array([0.5, 0.0]))     # zero mass
+        tcp_nll(counts, 4, np.array([0.5, 0.0]))     # zero mass
     with pytest.raises(ValueError):
-        tcp_nll(proc, np.array([1.2, 0.5]))     # above one
+        tcp_nll(counts, 4, np.array([1.2, 0.5]))     # above one
 
 
 def test_nll_infinite_only_off_support():
     pis = np.array([0.9, 0.3])
-    ok = tcp_nll(TriggerCoincidenceProcess(np.array([4, 2]), 4), pis)
+    ok = tcp_nll(np.array([4, 2]), 4, pis)
     assert np.isfinite(ok)
 
 
 def test_nll_certain_outcome_scores_zero():
-    assert tcp_nll(TriggerCoincidenceProcess(np.array([4]), 4), np.array([1.0])) == 0.0
+    assert tcp_nll(np.array([4]), 4, np.array([1.0])) == 0.0
 
 
 def test_nll_tied_probabilities_force_equal_counts():
     pis = np.array([0.6, 0.6])   # ratio exactly one: the count cannot drop
-    same = tcp_nll(TriggerCoincidenceProcess(np.array([3, 3]), 4), pis)
-    drop = tcp_nll(TriggerCoincidenceProcess(np.array([3, 2]), 4), pis)
+    same = tcp_nll(np.array([3, 3]), 4, pis)
+    drop = tcp_nll(np.array([3, 2]), 4, pis)
     assert np.isfinite(same)
     assert drop == np.inf
 
@@ -183,7 +204,7 @@ def test_tcp_thresholds_outside_data_range():
     ladder = ThresholdLadder(thresholds=np.array([0.0, 10.0]))
     # below the minimum every event with a full window scores; above the
     # maximum nothing does
-    assert tcp(e, x, 1, ladder).counts.tolist() == [2, 0]
+    assert tcp(e, x, 1, ladder).tolist() == [2, 0]
 
 
 def test_compute_tcp_validates_rungs():
@@ -206,7 +227,7 @@ def permute_occurrences(length, n, rng):
 def permutation_counts(rungs, n, m, r, rng):
     """Reference sampler: place the events one replicate at a time, count over the rungs."""
     return np.array([compute_tcp(EventSeries(rungs.size, permute_occurrences(rungs.size, n, rng)),
-                                 rungs, m).counts for _ in range(r)])
+                                 rungs, m) for _ in range(r)])
 
 
 def test_permute_preserves_count_and_bounds():
@@ -357,11 +378,10 @@ def test_one_null_draw_scores_several_event_sets():
     nulls = null_nll_replicates(rungs, 10, pis, r=199, seed=1)
     for _ in range(3):
         e = EventSeries(300, tuple(sorted(rng.choice(np.arange(1, 301), 10, replace=False))))
-        proc = compute_tcp(e, rungs, ladder.m)
-        res = mc_multi_threshold_test(proc, pis, nulls)
-        assert res.p_hat == (1 + np.count_nonzero(nulls >= tcp_nll(proc, pis))) / 200
+        statistic = tcp_nll(compute_tcp(e, rungs, ladder.m), 10, pis)
+        assert mc_p_value(statistic, nulls) == (1 + np.count_nonzero(nulls >= statistic)) / 200
     with pytest.raises(ValueError):
-        mc_multi_threshold_test(proc, pis, np.array([]))
+        mc_p_value(statistic, np.array([]))
 
 
 def test_chain_edge_cases():
@@ -390,12 +410,11 @@ def test_events_only_in_final_window():
     e = EventSeries(100, (97, 99, 100))
     ladder = build_ladder_from_quantiles(x, 0.3, 0.9, 4)
     rungs = rung_index(x, 5, ladder.thresholds)
-    proc = compute_tcp(e, rungs, ladder.m)
-    assert proc.counts.tolist() == [0, 0, 0, 0]
+    counts = compute_tcp(e, rungs, ladder.m)
+    assert counts.tolist() == [0, 0, 0, 0]
     pis = success_probabilities(ladder, GevParams(0.0, 1.0, 1.0))
-    res = mc_multi_threshold_test(proc, pis, null_nll_replicates(rungs, 3, pis, r=99, seed=4))
-    assert res.statistic == tcp_nll(proc, pis)
-    assert 0.0 < res.p_hat <= 1.0
+    p_hat = mc_p_value(tcp_nll(counts, 3, pis), null_nll_replicates(rungs, 3, pis, r=99, seed=4))
+    assert 0.0 < p_hat <= 1.0
 
 
 def test_full_occupancy_is_fixed_point():
@@ -404,10 +423,9 @@ def test_full_occupancy_is_fixed_point():
     ladder = build_ladder_from_quantiles(x, 0.2, 0.9, 5)
     pis = success_probabilities(ladder, GevParams(0.0, np.median(x.values), 1.0))
     rungs = rung_index(x, 2, ladder.thresholds)
-    res = mc_multi_threshold_test(compute_tcp(e, rungs, ladder.m), pis,
-                                  null_nll_replicates(rungs, 40, pis, r=50, seed=9))
+    statistic = tcp_nll(compute_tcp(e, rungs, ladder.m), 40, pis)
     # permuting all positions returns the same series, so every replicate ties
-    assert res.p_hat == 1.0
+    assert mc_p_value(statistic, null_nll_replicates(rungs, 40, pis, r=50, seed=9)) == 1.0
 
 
 def test_replicates_deterministic():
@@ -430,17 +448,13 @@ def test_mc_pvalue_counting_rule():
     ladder = build_ladder_from_quantiles(x, 0.4, 0.95, 6)
     pis = success_probabilities(ladder, GevParams(0.1, 1.0, 1.0))
     rungs = rung_index(x, 3, ladder.thresholds)
-    proc = compute_tcp(e, rungs, ladder.m)
-    nulls = null_nll_replicates(rungs, e.n_events, pis, r=99, seed=3)
-    res = mc_multi_threshold_test(proc, pis, nulls)
-    assert res.statistic == tcp_nll(proc, pis)
-    ge = int(np.count_nonzero(nulls >= res.statistic))
-    assert res.p_hat == (1 + ge) / (99 + 1)
-    assert res.replicates == 99
-    assert res.null_min == nulls.min()
-    assert res.null_max == nulls.max()
-    assert res.null_min <= res.null_median <= res.null_max
-    assert isinstance(res, MultiTestResult)
+    statistic = tcp_nll(compute_tcp(e, rungs, ladder.m), 12, pis)
+    nulls = null_nll_replicates(rungs, 12, pis, r=99, seed=3)
+    ge = int(np.count_nonzero(nulls >= statistic))
+    assert mc_p_value(statistic, nulls) == (1 + ge) / (99 + 1)
+    # a tie counts against the alternative; an observation above every replicate gets 1/(r+1)
+    assert mc_p_value(float(nulls.max()), nulls) == (1 + np.count_nonzero(nulls == nulls.max())) / 100
+    assert mc_p_value(np.inf, nulls) == 1 / 100
 
 
 # --- expectation band and DP extremes -------------------------------------------
@@ -451,17 +465,15 @@ def test_expected_band_exact_quantiles():
     pis = np.array([1 - 1e-12, 1 - 1e-6, 0.999, 0.95, 0.6, 0.5, 0.2, 0.05,
                     1e-3, 1e-6, 1e-12])
     for n, level in itertools.product((0, 1, 17, 32, 1000), (0.9, 0.95)):
-        expected, lower, upper = expected_process_with_band(n, pis, level=level)
-        np.testing.assert_allclose(expected, n * pis)
+        lower, upper = expected_process_with_band(n, pis, level=level)
         np.testing.assert_array_equal(lower, binom.ppf((1 - level) / 2, n, pis))
         np.testing.assert_array_equal(upper, binom.ppf((1 + level) / 2, n, pis))
 
 
 def test_expected_band_degenerate_pi():
-    expected, lower, upper = expected_process_with_band(10, np.array([1.0, 1.0]))
+    lower, upper = expected_process_with_band(10, np.array([1.0, 1.0]))
     assert lower.tolist() == [10, 10]
     assert upper.tolist() == [10, 10]
-    np.testing.assert_allclose(expected, [10.0, 10.0])
 
 
 def test_expected_band_validation():
@@ -479,7 +491,7 @@ def test_dp_extremes_equal_brute_force():
         pis = np.sort(rng.uniform(0.05, 0.95, size=m))[::-1].copy()
         nlls = []
         for ks in iter_monotone_processes(m, n):
-            v = tcp_nll(TriggerCoincidenceProcess(np.array(ks), n), pis)
+            v = tcp_nll(np.array(ks), n, pis)
             if np.isfinite(v):
                 nlls.append((v, ks))
         lo, proc_lo = dp_extreme_nll(n, pis, "min")
@@ -487,8 +499,8 @@ def test_dp_extremes_equal_brute_force():
         assert lo == min(v for v, _ in nlls)
         assert hi == max(v for v, _ in nlls)
         # the returned witnesses must attain their own statistic
-        assert tcp_nll(proc_lo, pis) == lo
-        assert tcp_nll(proc_hi, pis) == hi
+        assert tcp_nll(proc_lo, n, pis) == lo
+        assert tcp_nll(proc_hi, n, pis) == hi
 
 
 def test_dp_direction_validation():
@@ -503,7 +515,7 @@ def test_dp_brackets_random_feasible_processes(n, m, seed):
     lo, _ = dp_extreme_nll(n, pis, "min")
     hi, _ = dp_extreme_nll(n, pis, "max")
     ks = np.minimum.accumulate(rng.integers(0, n + 1, size=m))
-    v = tcp_nll(TriggerCoincidenceProcess(ks, n), pis)
+    v = tcp_nll(ks, n, pis)
     if np.isfinite(v):
         assert lo - 1e-9 <= v <= hi + 1e-9
 
@@ -515,10 +527,10 @@ def test_pointwise_along_ladder_matches_direct():
     e = EventSeries(600, tuple(sorted(rng.choice(np.arange(1, 601), 24, replace=False))))
     ladder = build_ladder_from_quantiles(x, 0.5, 0.98, 7)
     theta = GevParams(0.02, 1.2, 0.9)
-    proc = tcp(e, x, 6, ladder)
+    counts = tcp(e, x, 6, ladder)
     pis = success_probabilities(ladder, theta)
-    for k, pi, tau in zip(proc.counts, pis, ladder.thresholds):
-        k_direct = int(compute_tcp(e, rung_index(x, 6, [float(tau)]), 1).counts[0])
+    for k, pi, tau in zip(counts, pis, ladder.thresholds):
+        k_direct = int(compute_tcp(e, rung_index(x, 6, [float(tau)]), 1)[0])
         pi_direct = gev_sf(float(tau), theta)
         assert k == k_direct
         assert pi == pytest.approx(pi_direct, abs=1e-15)

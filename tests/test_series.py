@@ -50,8 +50,10 @@ def bits_of(length, occurrences):
 
 
 def kernel_trigger(bits_b, bits_a, delta):
-    # event-to-event trigger count: the kernel on a's 0/1 series at tau = 0.5
-    return compute_tcp(events_from_bits(bits_b), rung_index(TimeSeries(bits_a), delta, [0.5]), 1)
+    # event-to-event trigger count, and the events it counts: the kernel on a's
+    # 0/1 series at tau = 0.5
+    events = events_from_bits(bits_b)
+    return int(compute_tcp(events, rung_index(TimeSeries(bits_a), delta, [0.5]), 1)[0]), events
 
 
 def kernel_precursor(bits_b, bits_a, delta):
@@ -60,43 +62,43 @@ def kernel_precursor(bits_b, bits_a, delta):
 
 
 def kernel_count(e, x, tau, delta):
-    return int(compute_tcp(e, rung_index(x, delta, [tau]), 1).counts[0])
+    return int(compute_tcp(e, rung_index(x, delta, [tau]), 1)[0])
 
 
 def test_trigger_matches_brute_force_exhaustively():
     for t_max in range(1, 6):
         for delta in range(t_max):
             for bits_b, bits_a in all_indicator_pairs(t_max):
-                got = kernel_trigger(bits_b, bits_a, delta)
-                assert got.counts[0] == brute_trigger(bits_b, bits_a, delta)
-                assert got.n_events == sum(bits_b)
+                k, events = kernel_trigger(bits_b, bits_a, delta)
+                assert k == brute_trigger(bits_b, bits_a, delta)
+                assert events.n_events == sum(bits_b)
 
 
 def test_precursor_matches_brute_force_exhaustively():
     for t_max in range(1, 6):
         for delta in range(t_max):
             for bits_b, bits_a in all_indicator_pairs(t_max):
-                got = kernel_precursor(bits_b, bits_a, delta)
-                assert got.counts[0] == brute_precursor(bits_b, bits_a, delta)
-                assert got.n_events == sum(bits_a)
+                k, events = kernel_precursor(bits_b, bits_a, delta)
+                assert k == brute_precursor(bits_b, bits_a, delta)
+                assert events.n_events == sum(bits_a)
 
 
 def test_worked_example_pair():
     # one fully hand-checked configuration on a 31-day grid
     b = bits_of(31, (6, 14, 26))
     a = bits_of(31, (2, 7, 14, 20, 27, 30))
-    tr = kernel_trigger(b, a, 4)
-    pre = kernel_precursor(b, a, 4)
-    assert (tr.counts[0], tr.n_events, tr.counts[0] / tr.n_events) == (3, 3, 1.0)
-    assert (pre.counts[0], pre.n_events) == (4, 6)
-    assert pre.counts[0] / pre.n_events == pytest.approx(2.0 / 3.0)
+    k_tr, e_tr = kernel_trigger(b, a, 4)
+    k_pre, e_pre = kernel_precursor(b, a, 4)
+    assert (k_tr, e_tr.n_events, k_tr / e_tr.n_events) == (3, 3, 1.0)
+    assert (k_pre, e_pre.n_events) == (4, 6)
+    assert k_pre / e_pre.n_events == pytest.approx(2.0 / 3.0)
 
 
 def test_delta_zero_is_symmetric_intersection():
     for bits_b, bits_a in all_indicator_pairs(5):
         both = sum(x and y for x, y in zip(bits_b, bits_a))
-        assert kernel_trigger(bits_b, bits_a, 0).counts[0] == both
-        assert kernel_precursor(bits_b, bits_a, 0).counts[0] == both
+        assert kernel_trigger(bits_b, bits_a, 0)[0] == both
+        assert kernel_precursor(bits_b, bits_a, 0)[0] == both
 
 
 def test_exceedance_trigger_equals_trigger_on_exceedance_series():
@@ -108,9 +110,9 @@ def test_exceedance_trigger_equals_trigger_on_exceedance_series():
         for bits_e in itertools.product((0, 1), repeat=t_max):
             e = events_from_bits(bits_e)
             for delta in range(t_max):
-                tcp = compute_tcp(e, rung_index(x, delta, taus), len(taus))
-                assert tcp.n_events == sum(bits_e)
-                for k, tau in zip(tcp.counts, taus):
+                counts = compute_tcp(e, rung_index(x, delta, taus), len(taus))
+                assert e.n_events == sum(bits_e)
+                for k, tau in zip(counts, taus):
                     assert k == brute_trigger(bits_e, [v > tau for v in values], delta)
 
 

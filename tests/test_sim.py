@@ -92,7 +92,7 @@ def test_dependent_events_postcondition():
     for pos in e.occurrences:
         assert x.values[pos + 4 - 1] > 4.0
     # with a tolerance at least as long as the lag, every event scores
-    assert compute_tcp(e, rung_index(x, 7, [4.0]), 1).counts[0] / e.n_events == 1.0
+    assert compute_tcp(e, rung_index(x, 7, [4.0]), 1)[0] / e.n_events == 1.0
 
 
 def test_dependent_events_insufficient_exceedances():
@@ -153,7 +153,7 @@ def test_replicates_draw_the_stream_of_gen_independent_events(seed):
         rungs = rung_index(x, config.delta, config.thresholds)
         counts = np.array([
             compute_tcp(gen_independent_events(config.length, config.n_events, seed=(seed, order, 1, j)),
-                        rungs, len(config.thresholds)).counts
+                        rungs, len(config.thresholds))
             for j in range(config.replicates)])
         for i, tau in enumerate(config.thresholds):
             want = np.searchsorted(np.sort(counts[:, i]), ks, side="right") / config.replicates
