@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nulls import GevFitError, GevParams, binom_cdf, binom_logpmf, gev_sf
+from .nulls import GUMBEL_SHAPE_TOL, GevFitError, GevParams, binom_cdf, binom_logpmf, gev_sf
 from .series import EventSeries, TimeSeries, check_same_grid, frozen_copy
 
 __all__ = [
@@ -108,18 +108,23 @@ def success_probabilities(ladder: ThresholdLadder, theta: GevParams) -> np.ndarr
     """Window-exceedance probability at each ladder threshold under the fitted GEV.
 
     Strictly positive and non-increasing; one-ulp inversions from the power
-    evaluation are clamped.  Raises ``GevFitError`` when a threshold sits at
-    or beyond the upper end of the fitted support, as a fit with negative
-    shape can put it below the series maximum.
+    evaluation are clamped.  Raises ``GevFitError`` when a threshold has zero
+    exceedance probability: it sits at or beyond the upper end of the fitted
+    support, as a fit with negative shape can put it below the series
+    maximum, or so far in the tail that the probability underflows.
     """
     pis = np.array([gev_sf(float(t), theta) for t in ladder.thresholds])
     if np.any(pis <= 0.0):
         i = int(np.argmax(pis <= 0.0))
-        end = theta.location - theta.scale / theta.shape if theta.shape < 0 else math.inf
-        raise GevFitError(
-            f"ladder threshold {float(ladder.thresholds[i])!r} (rung {i + 1} of {ladder.m}) "
-            f"has zero exceedance probability: the fitted GEV's upper support end, "
-            f"location - scale/shape, is {end!r}; choose a lower --qhi")
+        tau = float(ladder.thresholds[i])
+        # off the support exactly where gev_sf finds it so; elsewhere the zero is an underflow
+        beyond = (theta.shape <= -GUMBEL_SHAPE_TOL
+                  and 1.0 + theta.shape * (tau - theta.location) / theta.scale <= 0.0)
+        cause = ("the fitted GEV's upper support end, location - scale/shape, "
+                 f"is {theta.location - theta.scale / theta.shape!r}" if beyond
+                 else "the fitted GEV's exceedance probability underflows to 0 there")
+        raise GevFitError(f"ladder threshold {tau!r} (rung {i + 1} of {ladder.m}) "
+                          f"has zero exceedance probability: {cause}; choose a lower --qhi")
     return np.minimum.accumulate(pis)
 
 

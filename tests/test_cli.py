@@ -135,8 +135,11 @@ def test_byte_order_mark_is_ignored(dataset, tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_multi_report_and_files(dataset, tmp_path):
+def test_multi_report_and_files(dataset, tmp_path, monkeypatch):
     series, events = dataset
+    draws = []
+    monkeypatch.setattr(peca.cli, "null_nll_replicates",
+                        lambda *a: draws.append(null_nll_replicates(*a)) or draws[-1])
     out = tmp_path / "report.json"
     qtr = tmp_path / "qtr.csv"
     svg = tmp_path / "qtr.svg"
@@ -150,6 +153,13 @@ def test_multi_report_and_files(dataset, tmp_path):
     assert 0.0 < report["multi_test"]["p_hat"] <= 1.0
     p_hat = report["multi_test"]["p_hat"]
     assert report["multi_test"]["p_hat_se"] == math.sqrt(p_hat * (1.0 - p_hat) / 400)
+    # the null summary is that of the replicate statistics the run drew
+    assert len(draws) == 1 and draws[0].shape == (400,)
+    mt = report["multi_test"]
+    assert mt["null_min"] == float(draws[0].min())
+    assert mt["null_median"] == float(np.median(draws[0]))
+    assert mt["null_max"] == float(draws[0].max())
+    assert mt["null_min"] <= mt["null_median"] <= mt["null_max"]
     assert report["ladder"]["requested"] == 16
     pw = report["pointwise"]
     assert len(pw["raw_p_values"]) == report["ladder"]["size"]

@@ -93,8 +93,17 @@ def test_success_probabilities_reject_zero_mass():
     # a fault of the fit, named with the first such rung
     theta = GevParams(-0.5, 0.0, 1.0)
     ladder = ThresholdLadder(thresholds=np.array([1.0, 5.0, 6.0]))
-    with pytest.raises(GevFitError, match=r"threshold 5\.0 \(rung 2 of 3\).* is 2\.0; .*--qhi"):
+    with pytest.raises(GevFitError, match=r"threshold 5\.0 \(rung 2 of 3\).*support end.* is 2\.0; .*--qhi"):
         success_probabilities(ladder, theta)
+
+
+@pytest.mark.parametrize("shape", [0.0, 0.5])
+def test_success_probabilities_name_an_underflow(shape):
+    # inside an unbounded support the zero is an underflow, and no support end is named
+    ladder = ThresholdLadder(thresholds=np.array([1.0, 800.0 if shape == 0.0 else 1e300]))
+    with pytest.raises(GevFitError, match=r"\(rung 2 of 2\).*underflows to 0 there; .*--qhi") as err:
+        success_probabilities(ladder, GevParams(shape, 0.0, 1.0))
+    assert "support end" not in str(err.value)
 
 
 # --- the observed process -----------------------------------------------------
