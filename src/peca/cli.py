@@ -23,8 +23,8 @@ from .ingest import IngestError, ingest_events, ingest_timeseries
 from .multi import (ThresholdLadder, build_ladder_from_quantiles, compute_tcp, dp_extreme_nll,
                     empirical_quantile, expected_process_with_band, mc_p_value, null_nll_replicates,
                     permutation_success_probabilities, success_probabilities, tcp_nll)
-from .nulls import (GevFit, GevFitError, binom_tail, block_maxima, estimate_event_rate, fit_gev_mle,
-                    gev_sf)
+from .nulls import (GevFit, GevFitError, binom_tail, block_maxima, estimate_event_rate,
+                    fit_gev_mle)
 from .qtr import QtrTable, write_qtr_csv, write_qtr_svg
 from .series import EventSeries, TimeSeries, late_events, preprocess, rung_index
 from .sim import (SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential,
@@ -111,7 +111,7 @@ def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSerie
     if not fit.converged:
         warn.append("GEV fit did not satisfy the optimizer's convergence test")
     k = _trigger_count(events, x, threshold, config.delta)
-    pi = gev_sf(threshold, fit.params)
+    pi = float(success_probabilities(ThresholdLadder(thresholds=[threshold]), fit.params)[0])
     _late_event_warning(events, config.delta, warn)
     return {
         "command": "pointwise",

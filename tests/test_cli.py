@@ -257,10 +257,16 @@ def test_fit_error_category(tmp_path):
     assert json.loads(err)["error"]["category"] == "fit"
 
 
-def test_ladder_beyond_fitted_support_is_a_fit_error(tmp_path):
-    # the maximum sits in the partial block that block_maxima drops, so the fit
-    # (shape near -0.95) ends its support below the top rung at --qhi 1
-    t = 8 * 200 + 3
+BEYOND_SUPPORT_T = 8 * 200 + 3
+
+
+def beyond_support_series(tmp_path, extra_steps=()):
+    """T = 1603 uniform(10, 20) values with 500 at step T - 1, and 20 events plus ``extra_steps``.
+
+    The maximum sits in the partial block that block_maxima drops, so the fit
+    (shape near -0.95) ends its support near 20, below the series maximum.
+    """
+    t = BEYOND_SUPPORT_T
     rng = np.random.default_rng(0)
     values = rng.uniform(10, 20, size=t)
     values[t - 2] = 500.0  # step T - 1
@@ -268,18 +274,28 @@ def test_ladder_beyond_fitted_support_is_a_fit_error(tmp_path):
     series = tmp_path / "s.csv"
     series.write_text("date,value\n" + "".join(
         f"{start + datetime.timedelta(days=i)},{v!r}\n" for i, v in enumerate(values.tolist())))
+    days = np.sort(np.concatenate([rng.choice(t - 10, size=20, replace=False),
+                                   np.asarray(extra_steps, dtype=int) - 1]))
     events = tmp_path / "e.txt"
-    events.write_text("".join(f"{start + datetime.timedelta(days=int(i))}\n"
-                              for i in np.sort(rng.choice(t - 10, size=20, replace=False))))
-    ingest = ["--series", str(series), "--events", str(events)]
+    events.write_text("".join(f"{start + datetime.timedelta(days=int(i))}\n" for i in days))
+    return ["--series", str(series), "--events", str(events)]
 
-    code, out, _ = run_cli(["pointwise", *ingest, "--quantile", "1.0"])
+
+def test_ladder_beyond_fitted_support_is_a_fit_error(tmp_path):
+    ingest = beyond_support_series(tmp_path)
+    code, out, _ = run_cli(["pointwise", *ingest, "--quantile", "0.95"])
     assert code == 0
-    report = json.loads(out)
-    assert (report["success_prob"], report["p_value"]) == (0.0, 1.0)
-    gev = report["gev"]
+    gev = json.loads(out)["gev"]
     assert gev["shape"] < -0.9
     end = gev["location"] - gev["scale"] / gev["shape"]
+
+    # pointwise's threshold is a one-rung ladder, refused by the same rule
+    code, out, err = run_cli(["pointwise", *ingest, "--quantile", "1.0"])
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["category"] == "fit"
+    assert "threshold 500.0 (rung 1 of 1)" in error["message"]
+    assert f"location - scale/shape, is {end!r}" in error["message"]
 
     code, out, err = run_cli(["multi", *ingest, "--r", "100"])
     assert (code, out) == (1, "")
@@ -290,6 +306,22 @@ def test_ladder_beyond_fitted_support_is_a_fit_error(tmp_path):
     assert "lower --qhi" in error["message"]
     code, _, err = run_cli(["multi", *ingest, "--r", "100", "--qhi", "0.95"])
     assert code == 0, err
+
+
+def test_pointwise_tau_beyond_fitted_support_is_a_fit_error(tmp_path):
+    # the event at T - 7 is the last countable step whose window holds the 500,
+    # so it is counted at --tau 50, where the fitted GEV has no mass
+    ingest = beyond_support_series(tmp_path, extra_steps=[BEYOND_SUPPORT_T - 7])
+    code, out, err = run_cli(["pointwise", *ingest, "--tau", "50"])
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["category"] == "fit"
+    assert "threshold 50.0 (rung 1 of 1)" in error["message"]
+    assert "--tau/--quantile (pointwise)" in error["message"]
+    code, out, _ = run_cli(["pointwise", *ingest, "--tau", "15"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["k_observed"] >= 1 and report["success_prob"] > 0.0
 
 
 def test_config_error_category(dataset):

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, chi2_contingency, hypergeom
 
 from peca.multi import (
+    _POSITION_DRAWS_PER_RUNG_DRAW,
     ThresholdLadder,
+    _chain_counts,
     _null_counts,
+    _position_counts,
+    _steps_at_least,
     build_ladder_from_quantiles,
     compute_tcp,
     count_at_rungs,
@@ -259,7 +263,8 @@ def test_permute_occupancy_uniform():
     assert np.all(np.abs(freq - expect) < 4.5 * sd)
 
 
-def test_chain_matches_permutation_oracle():
+@pytest.mark.parametrize("sampler", [_position_counts, _chain_counts], ids=["positions", "chain"])
+def test_chain_matches_permutation_oracle(sampler):
     # 60 steps over the rungs, the top rung empty, 9 events; the second ladder
     # also has no step at rung 2, so its counts at rungs 2 and 3 coincide
     for sizes in ((20, 15, 15, 10, 0), (20, 15, 0, 15, 10, 0)):
@@ -270,9 +275,9 @@ def test_chain_matches_permutation_oracle():
         p = at_least / t
         mean = n * p
         var = n * p * (1 - p) * (t - n) / (t - 1)
-        chain = _null_counts(rungs, n, m, r, seed=1)
+        drawn = sampler(_steps_at_least(rungs, m), n, r, np.random.default_rng(1))
         oracle = permutation_counts(rungs, n, m, r, np.random.default_rng(2))
-        for counts in (chain, oracle):
+        for counts in (drawn, oracle):
             assert np.all(np.diff(counts, axis=1) <= 0)
             np.testing.assert_array_equal(counts[:, m - 1], 0)
             for i in np.flatnonzero(np.asarray(sizes[1:m]) == 0):
@@ -282,14 +287,14 @@ def test_chain_matches_permutation_oracle():
             # the sample variance has a relative standard error near sqrt(2/r), 2.2 %
             np.testing.assert_allclose(counts[:, :m - 1].var(axis=0, ddof=1), var[:m - 1],
                                        rtol=0.12)
-        # the count at the first rung: both samplers against each other, and the
-        # chain against the exact hypergeometric law
+        # the count at the first rung: the sampler and the oracle against each
+        # other, and the sampler against the exact hypergeometric law
         ks = np.arange(n + 1)
-        table = np.array([np.bincount(chain[:, 0], minlength=n + 1),
+        table = np.array([np.bincount(drawn[:, 0], minlength=n + 1),
                           np.bincount(oracle[:, 0], minlength=n + 1)])
         table = table[:, table.sum(axis=0) >= 10]
         assert chi2_contingency(table)[1] > 1e-3
-        observed = np.bincount(chain[:, 0], minlength=n + 1)
+        observed = np.bincount(drawn[:, 0], minlength=n + 1)
         expected = r * hypergeom.pmf(ks, t, at_least[0], n)
         keep = expected >= 5
         stat = np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep])
@@ -309,18 +314,28 @@ def chain_drawing_every_rung(rungs, n, m, r, seed):
 
 
 class CountingRng:
-    """A Generator that counts its hypergeometric calls."""
+    """A Generator that counts its hypergeometric and multivariate hypergeometric calls."""
 
     def __init__(self, rng):
         self.rng = rng
         self.hypergeometric_calls = 0
+        self.multivariate_hypergeometric_calls = 0
 
     def hypergeometric(self, *args, **kwargs):
         self.hypergeometric_calls += 1
         return self.rng.hypergeometric(*args, **kwargs)
 
+    def multivariate_hypergeometric(self, *args, **kwargs):
+        self.multivariate_hypergeometric_calls += 1
+        return self.rng.multivariate_hypergeometric(*args, **kwargs)
 
-def test_chain_draws_only_random_rungs(monkeypatch):
+    def calls(self):
+        return self.hypergeometric_calls, self.multivariate_hypergeometric_calls
+
+
+@pytest.fixture
+def counting_rngs(monkeypatch):
+    """Every Generator ``np.random.default_rng`` makes during the test, counting its draws."""
     made = []
     default_rng = np.random.default_rng
 
@@ -329,6 +344,10 @@ def test_chain_draws_only_random_rungs(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    return made
+
+
+def test_chain_draws_only_random_rungs(counting_rngs):
     # steps per rung 0..6: rungs 1, 3, 4 and the top one are empty
     sizes = (20, 0, 15, 0, 0, 10, 0)
     m = len(sizes) - 1
@@ -337,13 +356,44 @@ def test_chain_draws_only_random_rungs(monkeypatch):
     random_rungs = np.count_nonzero((at_least[1:] > 0) & (at_least[1:] < at_least[:-1]))
     counts = _null_counts(rungs, 12, m, 300, seed=3)
     assert random_rungs == 2
-    assert [rng.hypergeometric_calls for rng in made] == [random_rungs]
+    assert [rng.calls() for rng in counting_rngs] == [(random_rungs, 0)]
     # a certain rung repeats the count below it, and an empty one is 0
     np.testing.assert_array_equal(counts[:, 1], counts[:, 0])
     np.testing.assert_array_equal(counts[:, 3], counts[:, 2])
     np.testing.assert_array_equal(counts[:, 4], counts[:, 2])
     np.testing.assert_array_equal(counts[:, 5], 0)
     assert np.all(counts[:, 2] <= counts[:, 0])
+
+
+def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
+    # two random rungs (0 < A_i < A_{i-1} at rungs 1 and 3)
+    sizes = (20, 0, 15, 0, 0, 10, 0)
+    m = len(sizes) - 1
+    rungs = np.repeat(np.arange(m + 1), sizes)
+    most = _POSITION_DRAWS_PER_RUNG_DRAW * 2
+    for n, calls in ((most, (0, 1)), (most + 1, (2, 0))):
+        counts = _null_counts(rungs, n, m, 300, seed=3)
+        assert counting_rngs[-1].calls() == calls
+        np.testing.assert_array_equal(counts[:, 1], counts[:, 0])
+        np.testing.assert_array_equal(counts[:, 5], 0)
+        assert counts.shape == (300, m) and counts.max() <= n
+    # no events on a ladder with random rungs: the position draws, all zero
+    np.testing.assert_array_equal(_null_counts(rungs, 0, m, 30, seed=3), 0)
+    assert counting_rngs[-1].calls() == (0, 1)
+    # every step on one rung: no count is random, and nothing is drawn
+    for n in (0, 6):
+        counts = _null_counts(np.full(10, 2), n, 4, 30, seed=3)
+        np.testing.assert_array_equal(counts, [[n, n, 0, 0]] * 30)
+        assert counting_rngs[-1].calls() == (0, 0)
+
+
+@pytest.mark.parametrize("sampler", [_position_counts, _chain_counts], ids=["positions", "chain"])
+def test_both_samplers_are_exact_at_no_events_and_every_step(sampler):
+    rungs = np.array([2, 0, 1, 4, 2, 0, 1, 0, 4])
+    at_least = _steps_at_least(rungs, 4)
+    rng = np.random.default_rng(4)
+    np.testing.assert_array_equal(sampler(at_least, 0, 20, rng), np.zeros((20, 4)))
+    np.testing.assert_array_equal(sampler(at_least, rungs.size, 20, rng), [at_least[1:]] * 20)
 
 
 @pytest.mark.parametrize("sizes, n", [((30, 25, 20, 15, 10, 0), 12),
@@ -354,8 +404,9 @@ def test_chain_keeps_the_stream_when_only_the_top_rung_is_empty(sizes, n):
     m = len(sizes) - 1
     rungs = np.random.default_rng(5).permutation(np.repeat(np.arange(m + 1), sizes))
     for seed in range(4):
-        np.testing.assert_array_equal(_null_counts(rungs, n, m, 500, seed),
-                                      chain_drawing_every_rung(rungs, n, m, 500, seed))
+        np.testing.assert_array_equal(
+            _chain_counts(_steps_at_least(rungs, m), n, 500, np.random.default_rng(seed)),
+            chain_drawing_every_rung(rungs, n, m, 500, seed))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 6))
