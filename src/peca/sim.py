@@ -11,6 +11,7 @@ studies pass ``(root seed, *path)`` tuples, one named stream per draw.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class SimConfig:
             raise ValueError("need at least one filter order")
         if any(q < 0 for q in self.ma_orders):
             raise ValueError("filter orders must be non-negative")
+        if len(set(self.ma_orders)) < len(self.ma_orders):
+            raise ValueError(f"repeated filter order in {list(self.ma_orders)}")
         if self.length <= max(self.ma_orders):
             raise ValueError("series length must exceed the largest filter order")
         if not 0 <= self.n_events <= self.length:
@@ -140,8 +143,8 @@ def _seed_words(*path: int) -> list[int]:
     """The uint32 words ``SeedSequence`` makes of a tuple of non-negative ints.
 
     Each int becomes its little-endian 32-bit words, at least one, and the
-    tuple their concatenation; so ``SeedSequence`` of these words as a uint32
-    array seeds exactly as ``default_rng(path)`` does, only faster.
+    tuple their concatenation: the entropy ``default_rng(path)`` hashes, and
+    the words ``_pcg64_states`` hashes into the same PCG64 states.
     """
     words = []
     for v in path:
@@ -149,6 +152,63 @@ def _seed_words(*path: int) -> list[int]:
         while v := v >> 32:
             words.append(v & 0xFFFFFFFF)
     return words
+
+
+# SeedSequence's hash constants (pool of 4 words) and PCG64's multiplier; NumPy's
+# stream-compatibility policy fixes both algorithms, so these never change
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+# replicates hashed per call: bounds the Python ints a block keeps alive (peak RSS)
+_SEED_BLOCK = 1024
+
+
+def _hash32(hc: int, mult: int):
+    """SeedSequence's running hash: xor the constant, step it, multiply, fold."""
+    def step(v):
+        nonlocal hc
+        v = v ^ hc
+        hc = hc * mult & _M32
+        v = v * hc & _M32
+        return v ^ v >> 16
+    return step
+
+
+def _pcg64_states(words: list[int], js) -> Iterator[dict]:
+    """``PCG64(SeedSequence(words[:-1] + [j])).state`` for each uint32 j of ``js``.
+
+    SeedSequence's ``mix_entropy`` and ``generate_state(4, uint64)`` run over
+    all of ``js`` at once, as uint64 arrays masked to 32 bits (array products
+    wrap silently); PCG64's ``srandom`` then runs on Python ints.  ``words``
+    has at least the 4 words of SeedSequence's pool.
+    """
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    hashmix = _hash32(_INIT_A, _MULT_A)
+    entropy = [*words[:-1], np.asarray(js, dtype=np.uint64)]
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    generate = _hash32(_INIT_B, _MULT_B)
+    out = [generate(pool[i % 4]) for i in range(8)]
+    # generate_state's little-endian uint64 pairs: the high and low halves of
+    # PCG64's initstate, then of its initseq
+    s_hi, s_lo, q_hi, q_lo = (((out[2 * i + 1] << 32) | out[2 * i]).tolist() for i in range(4))
+    for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
 
 
 @dataclass(frozen=True)
@@ -197,12 +257,15 @@ def null_distribution_comparison(config: SimConfig) -> NullComparisonResult:
         rungs = rung_index(x, config.delta, taus)
         at_events = np.empty((config.replicates, n), dtype=np.int64)
         # replicate j draws the positions gen_independent_events(seed=(seed, order, 1, j))
-        # draws, zero-based and unsorted; only the last seed word changes per replicate
-        words = np.array(_seed_words(config.seed, order, 1, 0), dtype=np.uint32)
-        for j in range(config.replicates):
-            words[-1] = j
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
-            at_events[j] = rungs[rng.choice(config.length, size=n, replace=False)]
+        # draws, zero-based and unsorted: one Generator, set to each replicate's state
+        words = _seed_words(config.seed, order, 1, 0)
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        for j0 in range(0, config.replicates, _SEED_BLOCK):
+            js = np.arange(j0, min(j0 + _SEED_BLOCK, config.replicates))
+            for j, state in enumerate(_pcg64_states(words, js), j0):
+                bits.state = state
+                at_events[j] = rungs[rng.choice(config.length, size=n, replace=False)]
         counts = count_at_rungs(at_events, taus.size)
         for ti, tau in enumerate(taus):
             emp = np.searchsorted(np.sort(counts[:, ti]), ks, side="right") / config.replicates

@@ -463,6 +463,19 @@ def test_simulate_override_is_never_dropped(tmp_path, preset, override):
     assert not out.exists()
 
 
+def test_simulate_refuses_a_repeated_order(tmp_path):
+    # a repeated order would compute its cells twice and write duplicate
+    # (k, order, tau) rows, of which a lookup only ever finds the first
+    out = tmp_path / "study"
+    code, stdout, err = run_cli(["simulate", "--preset", "appendix-b1", "--orders", "0,0",
+                                 "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    assert json.loads(err)["error"] == {"category": "config",
+                                        "message": "repeated filter order in [0, 0]"}
+    assert not out.exists()
+
+
 def test_fig4_runs_the_multi_pipeline(tmp_path, monkeypatch):
     # fig4 draws one null for both event sets; each set scores as `multi` would score it
     draws = []

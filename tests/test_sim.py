@@ -12,6 +12,8 @@ from peca.sim import (
     SimConfig,
     _causal_mean_filter,
     _filtered_exponential,
+    _pcg64_states,
+    _seed_words,
     gen_dependent_events,
     gen_independent_events,
     gen_ma_exponential,
@@ -108,6 +110,8 @@ def test_simconfig_validation():
         SimConfig(n_events=-1)
     with pytest.raises(ValueError):
         SimConfig(replicates=0)
+    with pytest.raises(ValueError, match="repeated filter order"):
+        SimConfig(ma_orders=(0, 32, 0))
 
 
 def small_config():
@@ -141,11 +145,14 @@ def test_comparison_lookup_and_determinism():
         res1.cell(99, 2.5)
 
 
-@pytest.mark.parametrize("seed", [131, 2**32 - 1, 2**32, 2**64 + 5])
-def test_replicates_draw_the_stream_of_gen_independent_events(seed):
+@pytest.mark.parametrize("seed, replicates", [
+    *(pytest.param(seed, 40, id=str(seed)) for seed in (131, 2**32 - 1, 2**32, 2**64 + 5)),
+    pytest.param(131, 1025, id="131-1025"),   # crosses a seeding block
+])
+def test_replicates_draw_the_stream_of_gen_independent_events(seed, replicates):
     # replicate j of order q places its events as default_rng((seed, q, 1, j))
     # does, seeds past one 32-bit word included
-    config = SimConfig(length=256, ma_orders=(0, 4), n_events=8, replicates=40, seed=seed)
+    config = SimConfig(length=256, ma_orders=(0, 4), n_events=8, replicates=replicates, seed=seed)
     res = null_distribution_comparison(config)
     ks = np.arange(config.n_events + 1)
     for order in config.ma_orders:
@@ -158,6 +165,20 @@ def test_replicates_draw_the_stream_of_gen_independent_events(seed):
         for i, tau in enumerate(config.thresholds):
             want = np.searchsorted(np.sort(counts[:, i]), ks, side="right") / config.replicates
             assert res.cell(order, tau).empirical_cmf.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 131, 2**32 - 1, 2**32, 2**64 + 5])   # 4, 5 and 6 words
+@pytest.mark.parametrize("order", [0, 64])
+def test_pcg64_states_match_seed_sequence(seed, order):
+    # the port of SeedSequence and PCG64's seeding gives NumPy's own state, for
+    # entropy past the pool of 4 words and j across a block boundary up to 2**32 - 1
+    words = _seed_words(seed, order, 1, 0)
+    js = [0, 1, 1023, 1024, 2**31, 2**32 - 1]
+    for j, state in zip(js, _pcg64_states(words, js), strict=True):
+        want = np.random.PCG64(np.random.SeedSequence(words[:-1] + [j])).state
+        assert state["state"] == want["state"], j
+        assert state["has_uint32"] == state["uinteger"] == 0
+        assert state == want
 
 
 def test_iid_series_bernoulli_null_is_accurate():
