@@ -451,6 +451,8 @@ def main(argv=None) -> int:
         return _fail("io", exc)
     except ValueError as exc:
         return _fail("config", exc)
+    except MemoryError as exc:
+        return _fail("memory", exc)
     return 0
 
 

@@ -9,8 +9,8 @@ threshold also exceeds the lower.  The negative log-likelihood of the whole
 process is the test statistic; its null distribution is estimated by
 re-placing the events uniformly at random.  Only the rung of each step
 (see ``rung_index``) enters the counts, so the re-placed process is the
-hypergeometric analogue of the binomial chain.  It is sampled as that chain,
-or by placing the events on the rungs where that takes fewer draws.
+hypergeometric analogue of the binomial chain: the events per rung are
+multivariate hypergeometric, and one NumPy call draws every replicate.
 """
 
 from __future__ import annotations
@@ -219,74 +219,38 @@ def permutation_success_probabilities(rungs: np.ndarray, m: int) -> np.ndarray:
     return at_least[1:] / at_least[0]
 
 
-# Position draws that cost about one hypergeometric draw of the chain.  On a
-# 2-core Xeon with NumPy 2.4 (r = 10^4; T 4096 to 2^20, m 8 to 128) the
-# position draws won at n = 4 per random rung by 1.39x or more, and lost by
-# 2.7x at 18 per rung (T = 2^20, m = 8, n = 128).
+# Position draws that cost about one hypergeometric draw.  On a 2-core Xeon
+# with NumPy 2.4 (r = 10^4; T 4096 to 2^20, m 8 to 128, every rung random)
+# NumPy's "count" method won at n = 4 per random rung by 2.0x or more.  Beyond
+# that "marginals" won by up to 14x at m = 8 (T = 2^20, n = 1000) and lost by
+# up to 4.8x at m = 128 (T = 2^16, n = 509).
 _POSITION_DRAWS_PER_RUNG_DRAW = 4
-
-
-def _chain_counts(at_least: np.ndarray, n_events: int, r: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """The (r, m) null counts drawn as a chain of hypergeometric counts, one rung at a time.
-
-    k_1 ~ HG(A_1 of A_0, n_events draws) and k_i | k_{i-1} ~ HG(A_i of
-    A_{i-1}, k_{i-1} draws), every replicate at once.  Only rungs with
-    0 < A_i < A_{i-1} draw: A_i = 0 makes the count 0, and A_i = A_{i-1}
-    (no step at rung i-1) keeps the previous count.
-    """
-    m = at_least.size - 1
-    counts = np.empty((r, m), dtype=np.int64)
-    k = n_events
-    for i in range(1, m + 1):
-        good, bad = at_least[i], at_least[i - 1] - at_least[i]
-        if good == 0:
-            k = 0
-        elif bad > 0:
-            k = rng.hypergeometric(good, bad, k, size=r)
-        counts[:, i - 1] = k
-    return counts
-
-
-def _position_counts(at_least: np.ndarray, n_events: int, r: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """The (r, m) null counts drawn by placing each replicate's n_events events on distinct steps.
-
-    One multivariate hypergeometric call gives, per replicate, the number of
-    events on each rung from m down to 0; their running sum is the number at
-    rung >= i.  NumPy's ``count`` method draws n_events positions per
-    replicate from a temporary of A_0 integers, one per step, and raises
-    ``MemoryError`` when that temporary cannot be allocated.
-    """
-    m = at_least.size - 1
-    steps_per_rung = -np.diff(at_least, append=0)
-    placed = rng.multivariate_hypergeometric(steps_per_rung[::-1], n_events, size=r,
-                                             method="count")
-    np.cumsum(placed, axis=1, out=placed)
-    return placed[:, m - 1::-1]
 
 
 def _null_counts(rungs: np.ndarray, n_events: int, m: int, r: int, seed: int) -> np.ndarray:
     """Counts of r uniform re-placements of n_events events, as an (r, m) matrix.
 
-    With A_i the number of steps at rung >= i (A_0 the series length), the
-    count at rung i is hypergeometric: k_1 ~ HG(A_1 of A_0, n_events draws)
-    and k_i | k_{i-1} ~ HG(A_i of A_{i-1}, k_{i-1} draws).  Two exact
-    samplers of that law draw every replicate from ``default_rng(seed)``,
-    and the one cheaper in draws runs: event positions
-    (``_position_counts``) when n_events is at most
-    ``_POSITION_DRAWS_PER_RUNG_DRAW`` times the number of random rungs,
-    0 < A_i < A_{i-1}, and the hypergeometric chain (``_chain_counts``)
-    otherwise, including a ladder with no random rung, which draws nothing.
+    Only the rung of a step enters the counts, so the number of events on
+    each rung is multivariate hypergeometric over the steps per rung.  One
+    ``default_rng(seed).multivariate_hypergeometric`` call draws every
+    replicate's events per rung, from rung m down to 0, and their running sum
+    is the count at rung >= i.  NumPy's ``count`` method, n_events position
+    draws per replicate from a temporary of one integer per step, runs when
+    n_events is at most ``_POSITION_DRAWS_PER_RUNG_DRAW`` times the number of
+    random rungs, 0 < A_i < A_{i-1} with A_i the steps at rung >= i; its
+    ``marginals`` method, a chain of hypergeometric draws over the rungs, runs
+    otherwise.
     """
     at_least = _steps_at_least(rungs, m)
     if not 0 <= n_events <= at_least[0]:
         raise ValueError(f"cannot place {n_events} events on {at_least[0]} steps")
     random_rungs = int(np.count_nonzero((at_least[1:] > 0) & (at_least[1:] < at_least[:-1])))
-    rng = np.random.default_rng(seed)
-    if 0 < random_rungs and n_events <= _POSITION_DRAWS_PER_RUNG_DRAW * random_rungs:
-        return _position_counts(at_least, n_events, r, rng)
-    return _chain_counts(at_least, n_events, r, rng)
+    method = "count" if n_events <= _POSITION_DRAWS_PER_RUNG_DRAW * random_rungs else "marginals"
+    steps_per_rung = -np.diff(at_least, append=0)
+    placed = np.random.default_rng(seed).multivariate_hypergeometric(
+        steps_per_rung[::-1], n_events, size=r, method=method)
+    np.cumsum(placed, axis=1, out=placed)
+    return placed[:, m - 1::-1]
 
 
 def null_nll_replicates(rungs: np.ndarray, n_events: int, pis: np.ndarray, r: int,

@@ -340,6 +340,22 @@ def test_io_error_category(dataset, tmp_path):
     assert json.loads(err)["error"]["category"] == "io"
 
 
+def test_memory_error_category(dataset, tmp_path, monkeypatch):
+    # a huge --r fails to allocate the replicate counts; raised here, never allocated
+    message = "Unable to allocate 492. GiB for an array with shape (2000000000, 33)"
+
+    def cannot_allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(peca.cli, "null_nll_replicates", cannot_allocate)
+    series, events = dataset
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(["multi", "--series", str(series), "--events", str(events),
+                                 "--r", "2000000000", "--out", str(out)])
+    assert code == 1 and stdout == "" and not out.exists()
+    assert json.loads(err) == {"error": {"category": "memory", "message": message}}
+
+
 def test_missing_series_file(tmp_path):
     ev = tmp_path / "e.txt"
     ev.write_text("2020-01-01\n")

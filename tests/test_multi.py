@@ -11,9 +11,7 @@ from scipy.stats import chi2, chi2_contingency, hypergeom
 from peca.multi import (
     _POSITION_DRAWS_PER_RUNG_DRAW,
     ThresholdLadder,
-    _chain_counts,
     _null_counts,
-    _position_counts,
     _steps_at_least,
     build_ladder_from_quantiles,
     compute_tcp,
@@ -263,19 +261,23 @@ def test_permute_occupancy_uniform():
     assert np.all(np.abs(freq - expect) < 4.5 * sd)
 
 
-@pytest.mark.parametrize("sampler", [_position_counts, _chain_counts], ids=["positions", "chain"])
-def test_chain_matches_permutation_oracle(sampler):
-    # 60 steps over the rungs, the top rung empty, 9 events; the second ladder
-    # also has no step at rung 2, so its counts at rungs 2 and 3 coincide
+# three random rungs in each ladder: NumPy's "count" method places up to 12
+# events, "marginals" draws more; above half the steps it draws the complement
+@pytest.mark.parametrize("n, method", [(9, "count"), (13, "marginals"), (40, "marginals")],
+                         ids=["positions", "chain", "chain-complement"])
+def test_chain_matches_permutation_oracle(counting_rngs, n, method):
+    # 60 steps over the rungs, the top rung empty; the second ladder also has
+    # no step at rung 2, so its counts at rungs 2 and 3 coincide
     for sizes in ((20, 15, 15, 10, 0), (20, 15, 0, 15, 10, 0)):
         m = len(sizes) - 1
         rungs = np.random.default_rng(17).permutation(np.repeat(np.arange(m + 1), sizes))
-        t, n, r = rungs.size, 9, 4000
+        t, r = rungs.size, 4000
         at_least = np.array([np.count_nonzero(rungs >= i) for i in range(1, m + 1)])
         p = at_least / t
         mean = n * p
         var = n * p * (1 - p) * (t - n) / (t - 1)
-        drawn = sampler(_steps_at_least(rungs, m), n, r, np.random.default_rng(1))
+        drawn = _null_counts(rungs, n, m, r, seed=1)
+        assert counting_rngs[-1].methods == [method]
         oracle = permutation_counts(rungs, n, m, r, np.random.default_rng(2))
         for counts in (drawn, oracle):
             assert np.all(np.diff(counts, axis=1) <= 0)
@@ -301,36 +303,24 @@ def test_chain_matches_permutation_oracle(sampler):
         assert chi2.sf(stat, keep.sum() - 1) > 1e-3
 
 
-def chain_drawing_every_rung(rungs, n, m, r, seed):
-    """Reference chain: one hypergeometric draw at every rung, certain or not."""
-    at_least = np.bincount(rungs, minlength=m + 1)[::-1].cumsum()[::-1]
-    rng = np.random.default_rng(seed)
-    counts = np.empty((r, m), dtype=np.int64)
-    k = n
-    for i in range(1, m + 1):
-        k = rng.hypergeometric(at_least[i], at_least[i - 1] - at_least[i], k, size=r)
-        counts[:, i - 1] = k
-    return counts
-
-
 class CountingRng:
-    """A Generator that counts its hypergeometric and multivariate hypergeometric calls."""
+    """A Generator that counts its hypergeometric calls and records each multivariate method."""
 
     def __init__(self, rng):
         self.rng = rng
         self.hypergeometric_calls = 0
-        self.multivariate_hypergeometric_calls = 0
+        self.methods = []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
     def hypergeometric(self, *args, **kwargs):
         self.hypergeometric_calls += 1
         return self.rng.hypergeometric(*args, **kwargs)
 
     def multivariate_hypergeometric(self, *args, **kwargs):
-        self.multivariate_hypergeometric_calls += 1
+        self.methods.append(kwargs.get("method"))
         return self.rng.multivariate_hypergeometric(*args, **kwargs)
-
-    def calls(self):
-        return self.hypergeometric_calls, self.multivariate_hypergeometric_calls
 
 
 @pytest.fixture
@@ -347,66 +337,42 @@ def counting_rngs(monkeypatch):
     return made
 
 
-def test_chain_draws_only_random_rungs(counting_rngs):
-    # steps per rung 0..6: rungs 1, 3, 4 and the top one are empty
-    sizes = (20, 0, 15, 0, 0, 10, 0)
-    m = len(sizes) - 1
-    rungs = np.repeat(np.arange(m + 1), sizes)
-    at_least = np.bincount(rungs, minlength=m + 1)[::-1].cumsum()[::-1]
-    random_rungs = np.count_nonzero((at_least[1:] > 0) & (at_least[1:] < at_least[:-1]))
-    counts = _null_counts(rungs, 12, m, 300, seed=3)
-    assert random_rungs == 2
-    assert [rng.calls() for rng in counting_rngs] == [(random_rungs, 0)]
-    # a certain rung repeats the count below it, and an empty one is 0
-    np.testing.assert_array_equal(counts[:, 1], counts[:, 0])
-    np.testing.assert_array_equal(counts[:, 3], counts[:, 2])
-    np.testing.assert_array_equal(counts[:, 4], counts[:, 2])
-    np.testing.assert_array_equal(counts[:, 5], 0)
-    assert np.all(counts[:, 2] <= counts[:, 0])
-
-
 def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
     # two random rungs (0 < A_i < A_{i-1} at rungs 1 and 3)
     sizes = (20, 0, 15, 0, 0, 10, 0)
     m = len(sizes) - 1
     rungs = np.repeat(np.arange(m + 1), sizes)
     most = _POSITION_DRAWS_PER_RUNG_DRAW * 2
-    for n, calls in ((most, (0, 1)), (most + 1, (2, 0))):
+    for n, method in ((most, "count"), (most + 1, "marginals")):
         counts = _null_counts(rungs, n, m, 300, seed=3)
-        assert counting_rngs[-1].calls() == calls
+        assert counting_rngs[-1].methods == [method]
+        # a certain rung repeats the count below it, and an empty one is 0
         np.testing.assert_array_equal(counts[:, 1], counts[:, 0])
+        np.testing.assert_array_equal(counts[:, 3], counts[:, 2])
+        np.testing.assert_array_equal(counts[:, 4], counts[:, 2])
         np.testing.assert_array_equal(counts[:, 5], 0)
         assert counts.shape == (300, m) and counts.max() <= n
     # no events on a ladder with random rungs: the position draws, all zero
     np.testing.assert_array_equal(_null_counts(rungs, 0, m, 30, seed=3), 0)
-    assert counting_rngs[-1].calls() == (0, 1)
-    # every step on one rung: no count is random, and nothing is drawn
-    for n in (0, 6):
+    assert counting_rngs[-1].methods == ["count"]
+    # every step on one rung: no count is random, under either method
+    for n, method in ((0, "count"), (6, "marginals")):
         counts = _null_counts(np.full(10, 2), n, 4, 30, seed=3)
         np.testing.assert_array_equal(counts, [[n, n, 0, 0]] * 30)
-        assert counting_rngs[-1].calls() == (0, 0)
+        assert counting_rngs[-1].methods == [method]
+    assert all(rng.hypergeometric_calls == 0 for rng in counting_rngs)
 
 
-@pytest.mark.parametrize("sampler", [_position_counts, _chain_counts], ids=["positions", "chain"])
-def test_both_samplers_are_exact_at_no_events_and_every_step(sampler):
-    rungs = np.array([2, 0, 1, 4, 2, 0, 1, 0, 4])
+# the 9 steps have three random rungs: all 9 take the position draws, 27 the chain
+@pytest.mark.parametrize("copies, method", [(1, "count"), (3, "marginals")],
+                         ids=["positions", "chain"])
+def test_both_samplers_are_exact_at_no_events_and_every_step(counting_rngs, copies, method):
+    rungs = np.tile([2, 0, 1, 4, 2, 0, 1, 0, 4], copies)
     at_least = _steps_at_least(rungs, 4)
-    rng = np.random.default_rng(4)
-    np.testing.assert_array_equal(sampler(at_least, 0, 20, rng), np.zeros((20, 4)))
-    np.testing.assert_array_equal(sampler(at_least, rungs.size, 20, rng), [at_least[1:]] * 20)
-
-
-@pytest.mark.parametrize("sizes, n", [((30, 25, 20, 15, 10, 0), 12),
-                                      ((400, 80, 40, 20, 10, 5, 0), 60),
-                                      ((3, 9, 27, 81, 0), 100)])
-def test_chain_keeps_the_stream_when_only_the_top_rung_is_empty(sizes, n):
-    # n >= 10 and below A_0 - 10: the first draws take NumPy's ratio-of-uniforms path
-    m = len(sizes) - 1
-    rungs = np.random.default_rng(5).permutation(np.repeat(np.arange(m + 1), sizes))
-    for seed in range(4):
-        np.testing.assert_array_equal(
-            _chain_counts(_steps_at_least(rungs, m), n, 500, np.random.default_rng(seed)),
-            chain_drawing_every_rung(rungs, n, m, 500, seed))
+    np.testing.assert_array_equal(_null_counts(rungs, 0, 4, 20, seed=4), np.zeros((20, 4)))
+    np.testing.assert_array_equal(_null_counts(rungs, rungs.size, 4, 20, seed=4),
+                                  [at_least[1:]] * 20)
+    assert counting_rngs[-1].methods == [method]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 6))
