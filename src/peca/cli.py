@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .adjust import METHODS, adjust, reject_set
 from .ingest import IngestError, ingest_events, ingest_timeseries
 from .multi import (ThresholdLadder, build_ladder_from_quantiles, compute_tcp, dp_extreme_nll,
                     empirical_quantile, expected_process_with_band, mc_p_value, null_nll_replicates,
-                    permutation_success_probabilities, success_probabilities, tcp_nll)
+                    steps_at_least, success_probabilities, tcp_nll)
 from .nulls import (GevFit, GevFitError, binom_tail, block_maxima, estimate_event_rate,
                     fit_gev_mle)
 from .qtr import QtrTable, write_qtr_csv, write_qtr_svg
@@ -139,6 +139,7 @@ class _MultiNull:
     ladder: ThresholdLadder
     fit: GevFit
     rungs: np.ndarray
+    at_least: np.ndarray
     pis: np.ndarray
     null_stats: np.ndarray
     band_lower_rates: np.ndarray
@@ -146,15 +147,17 @@ class _MultiNull:
 
 
 def _multi_null(config: AnalysisConfig, x: TimeSeries, n_events: int) -> _MultiNull:
-    """Ladder, GEV fit, success probabilities, replicate NLLs and the 95% band."""
+    """Ladder, GEV fit, steps per rung, success probabilities, replicate NLLs and the 95% band."""
     ladder = build_ladder_from_quantiles(x, config.qlo, config.qhi, config.m)
     fit = fit_gev_mle(block_maxima(x, config.delta), min_samples=config.min_blocks)
     rungs = rung_index(x, config.delta, ladder.thresholds)
+    at_least = steps_at_least(rungs, ladder.m)
     pis = success_probabilities(ladder, fit.params)
-    null_stats = null_nll_replicates(rungs, n_events, pis, config.r, config.seed)
+    null_stats = null_nll_replicates(at_least, n_events, pis, config.r, config.seed)
     lower, upper = expected_process_with_band(n_events, pis, level=0.95)
-    return _MultiNull(ladder=ladder, fit=fit, rungs=rungs, pis=pis, null_stats=null_stats,
-                      band_lower_rates=lower / n_events, band_upper_rates=upper / n_events)
+    return _MultiNull(ladder=ladder, fit=fit, rungs=rungs, at_least=at_least, pis=pis,
+                      null_stats=null_stats, band_lower_rates=lower / n_events,
+                      band_upper_rates=upper / n_events)
 
 
 def _score(null: _MultiNull, events: EventSeries
@@ -178,8 +181,9 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
     x = preprocess(series, config.window) if config.preprocess else series
     null = _multi_null(config, x, events.n_events)
     ladder, fit, pis = null.ladder, null.fit, null.pis
-    if ladder.n_collapsed:
-        warn.append(f"{ladder.n_collapsed} duplicate threshold(s) collapsed; "
+    collapsed = config.m - ladder.m
+    if collapsed:
+        warn.append(f"{collapsed} duplicate threshold(s) collapsed; "
                     f"effective ladder size {ladder.m}")
     if not fit.converged:
         warn.append("GEV fit did not satisfy the optimizer's convergence test")
@@ -219,7 +223,7 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
         "ladder": {
             "size": ladder.m,
             "requested": config.m,
-            "collapsed": ladder.n_collapsed,
+            "collapsed": collapsed,
             "levels": [float(v) for v in ladder.levels],
             "thresholds": [float(v) for v in ladder.thresholds],
         },
@@ -229,7 +233,7 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
             "k_observed": [int(k) for k in counts],
             "success_probs": [float(pi) for pi in pis],
             "permutation_success_probs": [
-                float(v) for v in permutation_success_probabilities(null.rungs, ladder.m)],
+                float(v) for v in null.at_least[1:] / null.at_least[0]],
             "raw_p_values": raw_p_values,
             "adjust_method": config.adjust_method,
             "adjusted_p_values": [float(v) for v in adjusted],
@@ -242,21 +246,22 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
 
 
 def _simulate_comparison(out_dir: Path, config: SimConfig) -> dict:
-    result = null_distribution_comparison(config)
+    cmfs = null_distribution_comparison(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "null_comparison.csv"
-    write_comparison_csv(result, csv_path)
-    summary = {
+    write_comparison_csv(config, cmfs, csv_path)
+    sups = np.abs(cmfs[:, :, 1:] - cmfs[:, :, :1]).max(axis=-1)
+    return {
         "preset": "appendix-b1",
         "config": asdict(config),
         "cells": [
-            {"order": c.ma_order, "tau": c.tau,
-             "sup_bernoulli": c.sup_bernoulli, "sup_gev": c.sup_gev}
-            for c in result.cells
+            {"order": int(order), "tau": float(tau),
+             "sup_bernoulli": float(sups[oi, ti, 0]), "sup_gev": float(sups[oi, ti, 1])}
+            for oi, order in enumerate(config.ma_orders)
+            for ti, tau in enumerate(config.thresholds)
         ],
         "outputs": [csv_path.name],
     }
-    return summary
 
 
 def _simulate_qtr_extremes(out_dir: Path, seed: int = AnalysisConfig.seed, length: int = 4096,
@@ -382,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     mu.add_argument("--m", type=int, default=defaults.m, help="number of quantile levels")
     mu.add_argument("--r", type=int, default=defaults.r, help="Monte Carlo replicates")
     mu.add_argument("--seed", type=int, default=defaults.seed, help="replication seed")
-    mu.add_argument("--adjust", choices=METHODS, default=defaults.adjust_method,
-                    help="multiplicity adjustment")
+    mu.add_argument("--adjust", dest="adjust_method", choices=METHODS,
+                    default=defaults.adjust_method, help="multiplicity adjustment")
     mu.add_argument("--alpha", type=float, default=defaults.alpha, help="family-wise level")
     mu.add_argument("--qtr", help="write the QTR table CSV here")
     mu.add_argument("--svg", help="write the QTR chart here")
@@ -419,17 +424,15 @@ def main(argv=None) -> int:
         if args.command in ("pointwise", "multi"):
             series, grid = ingest_timeseries(args.series, fill_zero=args.fill_zero)
             events, warn = ingest_events(args.events, grid)
+            # pointwise parses no multi-only option, so those fields keep their defaults
+            given = vars(args)
+            config = AnalysisConfig(**{f.name: given[f.name] for f in fields(AnalysisConfig)
+                                       if f.name in given})
             if args.command == "pointwise":
-                config = AnalysisConfig(delta=args.delta, preprocess=args.preprocess,
-                                        window=args.window, min_blocks=args.min_blocks)
                 report = run_pointwise(config, series, events, tau=args.tau,
                                        quantile=args.quantile, warnings=warn)
                 _emit_report(report, args.out)
             else:
-                config = AnalysisConfig(delta=args.delta, qlo=args.qlo, qhi=args.qhi, m=args.m,
-                                        r=args.r, alpha=args.alpha, adjust_method=args.adjust,
-                                        seed=args.seed, preprocess=args.preprocess,
-                                        window=args.window, min_blocks=args.min_blocks)
                 report, table = run_multi(config, series, events, warnings=warn)
                 _emit_report(report, args.out)
                 if args.qtr:

@@ -28,7 +28,7 @@ __all__ = [
     "empirical_quantile",
     "build_ladder_from_quantiles",
     "success_probabilities",
-    "permutation_success_probabilities",
+    "steps_at_least",
     "count_at_rungs",
     "compute_tcp",
     "tcp_nll",
@@ -45,7 +45,6 @@ class ThresholdLadder:
 
     thresholds: np.ndarray
     levels: np.ndarray | None = None
-    n_collapsed: int = 0
 
     def __post_init__(self):
         thr = np.asarray(self.thresholds, dtype=float).ravel()
@@ -63,8 +62,6 @@ class ThresholdLadder:
             if np.any((lv < 0) | (lv > 1)):
                 raise ValueError("quantile levels must lie in [0, 1]")
             object.__setattr__(self, "levels", frozen_copy(lv))
-        if self.n_collapsed < 0:
-            raise ValueError("n_collapsed must be non-negative")
 
     @property
     def m(self) -> int:
@@ -88,8 +85,7 @@ def build_ladder_from_quantiles(x: TimeSeries, lo: float, hi: float, m: int) -> 
     """Thresholds at m equidistant quantile levels of x between lo and hi.
 
     Tied quantiles collapse to one threshold (keeping the lowest level), so
-    the ladder can come out shorter than m; the number of collapsed entries
-    is recorded on the result.
+    the ladder can come out with fewer than m thresholds.
     """
     if not 0.0 <= lo <= hi <= 1.0:
         raise ValueError("need 0 <= lo <= hi <= 1")
@@ -101,8 +97,7 @@ def build_ladder_from_quantiles(x: TimeSeries, lo: float, hi: float, m: int) -> 
     sorted_vals = np.sort(x.values)
     thresholds = np.array([empirical_quantile(sorted_vals, p) for p in levels])
     keep = np.concatenate(([True], np.diff(thresholds) > 0))
-    return ThresholdLadder(thresholds=thresholds[keep], levels=levels[keep],
-                           n_collapsed=int(m - keep.sum()))
+    return ThresholdLadder(thresholds=thresholds[keep], levels=levels[keep])
 
 
 def success_probabilities(ladder: ThresholdLadder, theta: GevParams) -> np.ndarray:
@@ -199,24 +194,18 @@ def tcp_nll(counts, n_events: int, pis) -> float:
     return float(_nll_rows(counts[None, :], n_events, pis)[0])
 
 
-def _steps_at_least(rungs: np.ndarray, m: int) -> np.ndarray:
-    """A_0..A_m: the number of steps at rung >= i; A_0 is the series length."""
+def steps_at_least(rungs: np.ndarray, m: int) -> np.ndarray:
+    """A_0..A_m: the number of steps at rung >= i, of a series with rung index ``rungs``.
+
+    A_0 is the series length and A is non-increasing.  The permutation null
+    reads the series through A alone: A_i / T is the chance that one
+    uniformly placed event is counted at threshold i, the counterpart of
+    ``success_probabilities`` read off the series without the GEV fit.
+    """
     rungs = np.asarray(rungs)
     if np.any((rungs < 0) | (rungs > m)):
         raise ValueError(f"rungs must lie in [0, {m}]")
     return np.bincount(rungs, minlength=m + 1)[::-1].cumsum()[::-1]
-
-
-def permutation_success_probabilities(rungs: np.ndarray, m: int) -> np.ndarray:
-    """Share A_i / T of steps at rung >= i, for i = 1..m.
-
-    This is the chance that one uniformly placed event is counted at
-    threshold i: the permutation null's counterpart of
-    ``success_probabilities``, read off the series without the GEV fit.
-    Non-increasing along the ladder.
-    """
-    at_least = _steps_at_least(rungs, m)
-    return at_least[1:] / at_least[0]
 
 
 # Position draws that cost about one hypergeometric draw.  On a 2-core Xeon
@@ -227,38 +216,40 @@ def permutation_success_probabilities(rungs: np.ndarray, m: int) -> np.ndarray:
 _POSITION_DRAWS_PER_RUNG_DRAW = 4
 
 
-def _null_counts(rungs: np.ndarray, n_events: int, m: int, r: int, seed: int) -> np.ndarray:
+def _null_counts(at_least: np.ndarray, n_events: int, r: int, seed: int) -> np.ndarray:
     """Counts of r uniform re-placements of n_events events, as an (r, m) matrix.
 
-    Only the rung of a step enters the counts, so the number of events on
-    each rung is multivariate hypergeometric over the steps per rung.  One
+    ``at_least`` is A_0..A_m (see ``steps_at_least``).  Only the rung of a
+    step enters the counts, so the number of events on each rung is
+    multivariate hypergeometric over the steps per rung.  One
     ``default_rng(seed).multivariate_hypergeometric`` call draws every
     replicate's events per rung, from rung m down to 0, and their running sum
     is the count at rung >= i.  NumPy's ``count`` method, n_events position
     draws per replicate from a temporary of one integer per step, runs when
     n_events is at most ``_POSITION_DRAWS_PER_RUNG_DRAW`` times the number of
-    random rungs, 0 < A_i < A_{i-1} with A_i the steps at rung >= i; its
-    ``marginals`` method, a chain of hypergeometric draws over the rungs, runs
-    otherwise.
+    random rungs, 0 < A_i < A_{i-1}; its ``marginals`` method, a chain of
+    hypergeometric draws over the rungs, runs otherwise.
     """
-    at_least = _steps_at_least(rungs, m)
+    steps_per_rung = -np.diff(at_least, append=0)
+    if np.any(steps_per_rung < 0):
+        raise ValueError("steps at rung >= i must be non-negative and non-increasing in i")
+    m = at_least.size - 1
     if not 0 <= n_events <= at_least[0]:
         raise ValueError(f"cannot place {n_events} events on {at_least[0]} steps")
     random_rungs = int(np.count_nonzero((at_least[1:] > 0) & (at_least[1:] < at_least[:-1])))
     method = "count" if n_events <= _POSITION_DRAWS_PER_RUNG_DRAW * random_rungs else "marginals"
-    steps_per_rung = -np.diff(at_least, append=0)
     placed = np.random.default_rng(seed).multivariate_hypergeometric(
         steps_per_rung[::-1], n_events, size=r, method=method)
     np.cumsum(placed, axis=1, out=placed)
     return placed[:, m - 1::-1]
 
 
-def null_nll_replicates(rungs: np.ndarray, n_events: int, pis: np.ndarray, r: int,
+def null_nll_replicates(at_least: np.ndarray, n_events: int, pis: np.ndarray, r: int,
                         seed: int) -> np.ndarray:
     """Process NLL statistics for r permutation replicates.
 
-    ``rungs`` is the rung index of the series (see ``rung_index``) and
-    ``pis`` the ladder's success probabilities (see
+    ``at_least`` is the series' A_0..A_m (see ``steps_at_least``) and
+    ``pis`` the ladder's m success probabilities (see
     ``success_probabilities``).  The replicates are exact draws of the
     process under uniform re-placement of ``n_events`` events, reproducible
     from ``seed``.
@@ -266,7 +257,11 @@ def null_nll_replicates(rungs: np.ndarray, n_events: int, pis: np.ndarray, r: in
     if r < 1:
         raise ValueError("need at least one replicate")
     pis = _as_pis(pis)
-    return _nll_rows(_null_counts(rungs, n_events, pis.size, r, seed), n_events, pis)
+    at_least = np.asarray(at_least)
+    if at_least.shape != (pis.size + 1,):
+        raise ValueError(f"need the steps at rung >= i for i = 0..{pis.size}: "
+                         "one entry more than pis")
+    return _nll_rows(_null_counts(at_least, n_events, r, seed), n_events, pis)
 
 
 def mc_p_value(statistic: float, null_stats) -> float:

@@ -25,8 +25,6 @@ __all__ = [
     "gen_ma_exponential",
     "gen_independent_events",
     "gen_dependent_events",
-    "NullComparisonCell",
-    "NullComparisonResult",
     "null_distribution_comparison",
     "write_comparison_csv",
 ]
@@ -211,47 +209,24 @@ def _pcg64_states(words: list[int], js) -> Iterator[dict]:
                "has_uint32": 0, "uinteger": 0}
 
 
-@dataclass(frozen=True)
-class NullComparisonCell:
-    """Empirical and analytical trigger-count CMFs for one (order, threshold) pair."""
-
-    ma_order: int
-    tau: float
-    k: np.ndarray
-    empirical_cmf: np.ndarray
-    bernoulli_cmf: np.ndarray
-    gev_cmf: np.ndarray
-    sup_bernoulli: float
-    sup_gev: float
-
-
-@dataclass(frozen=True)
-class NullComparisonResult:
-    config: SimConfig
-    cells: tuple[NullComparisonCell, ...]
-
-    def cell(self, ma_order: int, tau: float) -> NullComparisonCell:
-        for c in self.cells:
-            if c.ma_order == ma_order and c.tau == tau:
-                return c
-        raise KeyError(f"no cell for order {ma_order}, tau {tau}")
-
-
-def null_distribution_comparison(config: SimConfig) -> NullComparisonResult:
+def null_distribution_comparison(config: SimConfig) -> np.ndarray:
     """Simulated trigger-count distribution under independence vs the two analytical nulls.
 
     For each filter order, one series is generated and a GEV is fitted to its
     block maxima; then ``replicates`` independent event series are drawn and
-    the trigger count tabulated at each threshold.  Each cell reports the
-    empirical CMF next to the Bernoulli-based and GEV-based binomial CMFs and
-    their sup-distances, which double as an adequacy diagnostic for the
-    analytical nulls.
+    the trigger count tabulated at each threshold.  Returns the CMFs over
+    k = 0..n_events as one array of shape (orders, thresholds, 3, n_events + 1),
+    in the order of ``config.ma_orders`` and ``config.thresholds``: the
+    empirical, the Bernoulli-based binomial and the GEV-based binomial CMF.
+    The sup-distances of the two analytical CMFs from the empirical one,
+    ``np.abs(cmfs[:, :, 1:] - cmfs[:, :, :1]).max(axis=-1)``, double as an
+    adequacy diagnostic for the analytical nulls.
     """
-    cells = []
     n = config.n_events
     ks = np.arange(n + 1)
     taus = np.asarray(config.thresholds, dtype=float)
-    for order in config.ma_orders:
+    cmfs = np.empty((len(config.ma_orders), taus.size, 3, n + 1))
+    for oi, order in enumerate(config.ma_orders):
         x = gen_ma_exponential(config.length, order, seed=(config.seed, order, 0))
         theta = fit_gev_mle(block_maxima(x, config.delta)).params
         rungs = rung_index(x, config.delta, taus)
@@ -268,26 +243,21 @@ def null_distribution_comparison(config: SimConfig) -> NullComparisonResult:
                 at_events[j] = rungs[rng.choice(config.length, size=n, replace=False)]
         counts = count_at_rungs(at_events, taus.size)
         for ti, tau in enumerate(taus):
-            emp = np.searchsorted(np.sort(counts[:, ti]), ks, side="right") / config.replicates
             p_exc = np.count_nonzero(x.values > tau) / config.length
-            ber = binom_cdf(ks, n, bernoulli_success_prob(p_exc, config.delta))
-            gev = binom_cdf(ks, n, gev_sf(float(tau), theta))
-            cells.append(NullComparisonCell(
-                ma_order=int(order), tau=float(tau), k=ks.copy(),
-                empirical_cmf=emp, bernoulli_cmf=ber, gev_cmf=gev,
-                sup_bernoulli=float(np.max(np.abs(emp - ber))),
-                sup_gev=float(np.max(np.abs(emp - gev)))))
-    return NullComparisonResult(config=config, cells=tuple(cells))
+            cmfs[oi, ti] = (
+                np.searchsorted(np.sort(counts[:, ti]), ks, side="right") / config.replicates,
+                binom_cdf(ks, n, bernoulli_success_prob(p_exc, config.delta)),
+                binom_cdf(ks, n, gev_sf(float(tau), theta)))
+    return cmfs
 
 
-def write_comparison_csv(result: NullComparisonResult, path) -> None:
-    """Long-format CSV of the comparison: one row per (k, order, tau)."""
+def write_comparison_csv(config: SimConfig, cmfs: np.ndarray, path) -> None:
+    """Long-format CSV of ``null_distribution_comparison(config)``: one row per (k, order, tau)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "order", "tau", "empirical_cmf", "bernoulli_cmf", "gev_cmf"])
-        for cell in result.cells:
-            for i, k in enumerate(cell.k):
-                writer.writerow([int(k), cell.ma_order, repr(cell.tau),
-                                 repr(float(cell.empirical_cmf[i])),
-                                 repr(float(cell.bernoulli_cmf[i])),
-                                 repr(float(cell.gev_cmf[i]))])
+        for order, by_tau in zip(config.ma_orders, cmfs):
+            for tau, cell in zip(config.thresholds, by_tau):
+                for k, row in enumerate(cell.T):
+                    writer.writerow([k, int(order), repr(float(tau)),
+                                     *(repr(float(v)) for v in row)])

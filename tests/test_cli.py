@@ -1,6 +1,8 @@
 """End-to-end runs of the command line interface, in process."""
 
 import contextlib
+import csv
+import dataclasses
 import datetime
 import io
 import json
@@ -428,8 +430,18 @@ def test_simulate_comparison_preset(tmp_path):
     assert (out / "null_comparison.csv").exists()
     cells = summary["cells"]
     assert len(cells) == 6   # two orders, three default thresholds
+    # each cell's sup-distances are those of its (order, tau) rows in the CSV
+    with open(out / "null_comparison.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 * 33
     for cell in cells:
         assert 0.0 <= cell["sup_gev"] <= 1.0
+        mine = [r for r in rows if int(r["order"]) == cell["order"]
+                and float(r["tau"]) == cell["tau"]]
+        assert len(mine) == 33
+        for model in ("bernoulli", "gev"):
+            assert cell[f"sup_{model}"] == max(
+                abs(float(r["empirical_cmf"]) - float(r[f"{model}_cmf"])) for r in mine), model
 
 
 def test_simulate_qtr_preset(tmp_path):
@@ -565,7 +577,5 @@ def test_cli_defaults_come_from_analysis_config():
     from peca.cli import build_parser
     args = build_parser().parse_args(["multi", "--series", "s.csv", "--events", "e.txt"])
     defaults = AnalysisConfig()
-    for option, field in (("delta", "delta"), ("window", "window"), ("min_blocks", "min_blocks"),
-                          ("qlo", "qlo"), ("qhi", "qhi"), ("m", "m"), ("r", "r"),
-                          ("seed", "seed"), ("adjust", "adjust_method"), ("alpha", "alpha")):
-        assert getattr(args, option) == getattr(defaults, field), option
+    for field in dataclasses.fields(AnalysisConfig):
+        assert getattr(args, field.name) == getattr(defaults, field.name), field.name

@@ -1,4 +1,5 @@
-"""No module of the package imports another module's private names, or keeps a name it never uses."""
+"""No module of the package imports another module's private names, keeps a name it never
+uses, or exports a name it does not bind."""
 
 import ast
 from pathlib import Path
@@ -64,6 +65,22 @@ def unread_private_names(path):
                 yield f"{path.name}:{node.lineno}: {name}"
 
 
+def unbound_exports(path):
+    """``module: name`` for every ``__all__`` entry the module does not bind at module level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    for name in sorted(exported_names(tree) - bound):
+        yield f"{path.name}: {name}"
+
+
 def test_no_module_imports_private_names():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 10
@@ -102,3 +119,18 @@ def test_unread_private_name_check_flags_a_leftover(tmp_path):
                       "def f():\n    _local = 1\n    return _helper() + _local\n", encoding="utf-8")
     assert list(unread_private_names(module)) == ["m.py:4: _OLD_FACTOR", "m.py:8: _leftover",
                                                   "m.py:10: _Unused"]
+
+
+def test_every_export_is_bound():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    assert [hit for path in modules for hit in unbound_exports(path)] == []
+
+
+def test_unbound_export_check_flags_a_leftover(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\nfrom .multi import compute_tcp as tcp\n"
+                      "__all__ = ['LIMIT', 'Gone', 'f', 'np', 'tcp', 'compute_tcp', 'g']\n"
+                      "LIMIT: int = 4\n"
+                      "def f():\n    g = 1\n    return g\n", encoding="utf-8")
+    assert list(unbound_exports(module)) == ["m.py: Gone", "m.py: compute_tcp", "m.py: g"]

@@ -12,7 +12,6 @@ from peca.multi import (
     _POSITION_DRAWS_PER_RUNG_DRAW,
     ThresholdLadder,
     _null_counts,
-    _steps_at_least,
     build_ladder_from_quantiles,
     compute_tcp,
     count_at_rungs,
@@ -21,7 +20,7 @@ from peca.multi import (
     expected_process_with_band,
     mc_p_value,
     null_nll_replicates,
-    permutation_success_probabilities,
+    steps_at_least,
     success_probabilities,
     tcp_nll,
 )
@@ -63,7 +62,6 @@ def test_ladder_collapses_duplicate_thresholds():
     ladder = build_ladder_from_quantiles(x, 0.0, 1.0, 11)
     # every level below the top resolves to the same threshold 0.0
     assert ladder.thresholds.tolist() == [0.0, 1.0]
-    assert ladder.n_collapsed == 9
     assert ladder.levels[0] == 0.0
 
 
@@ -276,7 +274,7 @@ def test_chain_matches_permutation_oracle(counting_rngs, n, method):
         p = at_least / t
         mean = n * p
         var = n * p * (1 - p) * (t - n) / (t - 1)
-        drawn = _null_counts(rungs, n, m, r, seed=1)
+        drawn = _null_counts(steps_at_least(rungs, m), n, r, seed=1)
         assert counting_rngs[-1].methods == [method]
         oracle = permutation_counts(rungs, n, m, r, np.random.default_rng(2))
         for counts in (drawn, oracle):
@@ -344,7 +342,7 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
     rungs = np.repeat(np.arange(m + 1), sizes)
     most = _POSITION_DRAWS_PER_RUNG_DRAW * 2
     for n, method in ((most, "count"), (most + 1, "marginals")):
-        counts = _null_counts(rungs, n, m, 300, seed=3)
+        counts = _null_counts(steps_at_least(rungs, m), n, 300, seed=3)
         assert counting_rngs[-1].methods == [method]
         # a certain rung repeats the count below it, and an empty one is 0
         np.testing.assert_array_equal(counts[:, 1], counts[:, 0])
@@ -353,11 +351,11 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
         np.testing.assert_array_equal(counts[:, 5], 0)
         assert counts.shape == (300, m) and counts.max() <= n
     # no events on a ladder with random rungs: the position draws, all zero
-    np.testing.assert_array_equal(_null_counts(rungs, 0, m, 30, seed=3), 0)
+    np.testing.assert_array_equal(_null_counts(steps_at_least(rungs, m), 0, 30, seed=3), 0)
     assert counting_rngs[-1].methods == ["count"]
     # every step on one rung: no count is random, under either method
     for n, method in ((0, "count"), (6, "marginals")):
-        counts = _null_counts(np.full(10, 2), n, 4, 30, seed=3)
+        counts = _null_counts(steps_at_least(np.full(10, 2), 4), n, 30, seed=3)
         np.testing.assert_array_equal(counts, [[n, n, 0, 0]] * 30)
         assert counting_rngs[-1].methods == [method]
     assert all(rng.hypergeometric_calls == 0 for rng in counting_rngs)
@@ -368,31 +366,44 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
                          ids=["positions", "chain"])
 def test_both_samplers_are_exact_at_no_events_and_every_step(counting_rngs, copies, method):
     rungs = np.tile([2, 0, 1, 4, 2, 0, 1, 0, 4], copies)
-    at_least = _steps_at_least(rungs, 4)
-    np.testing.assert_array_equal(_null_counts(rungs, 0, 4, 20, seed=4), np.zeros((20, 4)))
-    np.testing.assert_array_equal(_null_counts(rungs, rungs.size, 4, 20, seed=4),
+    at_least = steps_at_least(rungs, 4)
+    np.testing.assert_array_equal(_null_counts(at_least, 0, 20, seed=4), np.zeros((20, 4)))
+    np.testing.assert_array_equal(_null_counts(at_least, rungs.size, 20, seed=4),
                                   [at_least[1:]] * 20)
     assert counting_rngs[-1].methods == [method]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 6))
-def test_permutation_success_probs_match_window_count(seed, delta, m):
+def test_steps_at_least_match_window_count(seed, delta, m):
     rng = np.random.default_rng(seed)
     values = rng.exponential(size=int(rng.integers(delta + 2, 80)))
     thresholds = np.sort(rng.choice(values, size=min(m, values.size), replace=False))
-    got = permutation_success_probabilities(rung_index(TimeSeries(values), delta, thresholds),
-                                            thresholds.size)
+    got = steps_at_least(rung_index(TimeSeries(values), delta, thresholds), thresholds.size)
     # brute force: steps whose full window t..t+delta holds a strict exceedance
     t = values.size
-    want = [sum(values[s:s + delta + 1].max() > tau for s in range(t - delta)) / t
-            for tau in thresholds]
+    want = [t] + [sum(values[s:s + delta + 1].max() > tau for s in range(t - delta))
+                  for tau in thresholds]
     np.testing.assert_array_equal(got, want)
-    assert np.all(np.diff(got) <= 0.0)
+    assert np.all(np.diff(got) <= 0)
 
 
-def test_permutation_success_probs_validation():
+def test_steps_at_least_validation():
     with pytest.raises(ValueError):
-        permutation_success_probabilities(np.array([0, 3, 1]), 2)
+        steps_at_least(np.array([0, 3, 1]), 2)
+
+
+def test_null_draw_refuses_steps_that_do_not_fit_the_ladder():
+    rungs = np.array([2, 0, 1, 2, 2, 0, 1, 0])
+    pis = [0.5, 0.3]
+    at_least = steps_at_least(rungs, 2)
+    assert null_nll_replicates(at_least, 3, pis, 5, seed=0).shape == (5,)
+    # a ladder of m rungs needs m + 1 entries; one more would be scored on its first m
+    for wrong in (at_least[:-1], steps_at_least(rungs, 3)):
+        with pytest.raises(ValueError, match="one entry more than pis"):
+            null_nll_replicates(wrong, 3, pis, 5, seed=0)
+    # the steps at rung >= i cannot grow with i
+    with pytest.raises(ValueError, match="non-increasing"):
+        null_nll_replicates(np.array([8, 3, 5]), 3, pis, 5, seed=0)
 
 
 def test_one_null_draw_scores_several_event_sets():
@@ -401,7 +412,7 @@ def test_one_null_draw_scores_several_event_sets():
     ladder = build_ladder_from_quantiles(x, 0.5, 0.95, 5)
     pis = success_probabilities(ladder, GevParams(0.0, 1.5, 1.0))
     rungs = rung_index(x, 3, ladder.thresholds)
-    nulls = null_nll_replicates(rungs, 10, pis, r=199, seed=1)
+    nulls = null_nll_replicates(steps_at_least(rungs, ladder.m), 10, pis, r=199, seed=1)
     for _ in range(3):
         e = EventSeries(300, tuple(sorted(rng.choice(np.arange(1, 301), 10, replace=False))))
         statistic = tcp_nll(compute_tcp(e, rungs, ladder.m), 10, pis)
@@ -413,21 +424,23 @@ def test_one_null_draw_scores_several_event_sets():
 def test_chain_edge_cases():
     rungs = np.array([2, 0, 1, 2, 2, 0, 1, 0])
     # no events: every count is zero, and so is every NLL
-    np.testing.assert_array_equal(_null_counts(rungs, 0, 3, 5, seed=0), 0)
-    np.testing.assert_array_equal(null_nll_replicates(rungs, 0, [0.5, 0.3, 0.1], 5, seed=0), 0.0)
+    at_least = steps_at_least(rungs, 3)
+    np.testing.assert_array_equal(_null_counts(at_least, 0, 5, seed=0), 0)
+    np.testing.assert_array_equal(null_nll_replicates(at_least, 0, [0.5, 0.3, 0.1], 5, seed=0),
+                                  0.0)
     # rung 3 has no step, so its count is always zero
-    counts = _null_counts(rungs, 4, 3, 200, seed=1)
+    counts = _null_counts(at_least, 4, 200, seed=1)
     np.testing.assert_array_equal(counts[:, 2], 0)
     assert counts[:, 0].max() <= 5 and counts[:, 1].max() <= 3
     # every step drawn: four sit at the top rung, the late one at rung 0
-    full = _null_counts(np.array([3, 3, 3, 3, 0]), 5, 3, 20, seed=2)
+    full = _null_counts(steps_at_least(np.array([3, 3, 3, 3, 0]), 3), 5, 20, seed=2)
     np.testing.assert_array_equal(full, [[4, 4, 4]] * 20)
     with pytest.raises(ValueError):
-        _null_counts(rungs, 9, 3, 5, seed=0)         # more events than steps
+        _null_counts(at_least, 9, 5, seed=0)         # more events than steps
     with pytest.raises(ValueError):
-        _null_counts(rungs, 2, 1, 5, seed=0)         # rung above m
+        steps_at_least(rungs, 1)                     # rung above m
     with pytest.raises(ValueError):
-        null_nll_replicates(rungs, 2, [0.5, 0.3, 0.1], 0, seed=0)
+        null_nll_replicates(at_least, 2, [0.5, 0.3, 0.1], 0, seed=0)
 
 
 def test_events_only_in_final_window():
@@ -439,7 +452,8 @@ def test_events_only_in_final_window():
     counts = compute_tcp(e, rungs, ladder.m)
     assert counts.tolist() == [0, 0, 0, 0]
     pis = success_probabilities(ladder, GevParams(0.0, 1.0, 1.0))
-    p_hat = mc_p_value(tcp_nll(counts, 3, pis), null_nll_replicates(rungs, 3, pis, r=99, seed=4))
+    nulls = null_nll_replicates(steps_at_least(rungs, ladder.m), 3, pis, r=99, seed=4)
+    p_hat = mc_p_value(tcp_nll(counts, 3, pis), nulls)
     assert 0.0 < p_hat <= 1.0
 
 
@@ -451,7 +465,8 @@ def test_full_occupancy_is_fixed_point():
     rungs = rung_index(x, 2, ladder.thresholds)
     statistic = tcp_nll(compute_tcp(e, rungs, ladder.m), 40, pis)
     # permuting all positions returns the same series, so every replicate ties
-    assert mc_p_value(statistic, null_nll_replicates(rungs, 40, pis, r=50, seed=9)) == 1.0
+    nulls = null_nll_replicates(steps_at_least(rungs, ladder.m), 40, pis, r=50, seed=9)
+    assert mc_p_value(statistic, nulls) == 1.0
 
 
 def test_replicates_deterministic():
@@ -459,10 +474,10 @@ def test_replicates_deterministic():
     x = TimeSeries(rng.exponential(size=400))
     ladder = build_ladder_from_quantiles(x, 0.5, 0.99, 9)
     pis = success_probabilities(ladder, GevParams(0.05, 1.0, 0.8))
-    rungs = rung_index(x, 4, ladder.thresholds)
-    a = null_nll_replicates(rungs, 25, pis, r=64, seed=5)
-    b = null_nll_replicates(rungs, 25, pis, r=64, seed=5)
-    c = null_nll_replicates(rungs, 25, pis, r=64, seed=6)
+    at_least = steps_at_least(rung_index(x, 4, ladder.thresholds), ladder.m)
+    a = null_nll_replicates(at_least, 25, pis, r=64, seed=5)
+    b = null_nll_replicates(at_least, 25, pis, r=64, seed=5)
+    c = null_nll_replicates(at_least, 25, pis, r=64, seed=6)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -475,7 +490,7 @@ def test_mc_pvalue_counting_rule():
     pis = success_probabilities(ladder, GevParams(0.1, 1.0, 1.0))
     rungs = rung_index(x, 3, ladder.thresholds)
     statistic = tcp_nll(compute_tcp(e, rungs, ladder.m), 12, pis)
-    nulls = null_nll_replicates(rungs, 12, pis, r=99, seed=3)
+    nulls = null_nll_replicates(steps_at_least(rungs, ladder.m), 12, pis, r=99, seed=3)
     ge = int(np.count_nonzero(nulls >= statistic))
     assert mc_p_value(statistic, nulls) == (1 + ge) / (99 + 1)
     # a tie counts against the alternative; an observation above every replicate gets 1/(r+1)

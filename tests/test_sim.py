@@ -1,6 +1,7 @@
 """Generators and the null-comparison study."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from peca.multi import compute_tcp
 from peca.series import rung_index
 from peca.sim import (
-    NullComparisonResult,
     SimConfig,
     _causal_mean_filter,
     _filtered_exponential,
@@ -119,30 +119,27 @@ def small_config():
                      thresholds=(2.5, 3.5), replicates=100, seed=54)
 
 
+def sup_distances(cmfs):
+    """(order, tau, [Bernoulli, GEV]) sup-distances of the analytical CMFs from the empirical one."""
+    return np.abs(cmfs[:, :, 1:] - cmfs[:, :, :1]).max(axis=-1)
+
+
 def test_comparison_shape_and_cmf_properties():
-    res = null_distribution_comparison(small_config())
-    assert isinstance(res, NullComparisonResult)
-    assert len(res.cells) == 4
-    for cell in res.cells:
-        emp = cell.empirical_cmf
-        assert emp.size == 17
-        assert np.all(np.diff(emp) >= 0)
-        assert emp[-1] == pytest.approx(1.0)
-        for model in (cell.bernoulli_cmf, cell.gev_cmf):
-            assert np.all((0 <= model) & (model <= 1))
-            assert np.all(np.diff(model) >= -1e-12)
-        assert cell.sup_bernoulli == pytest.approx(np.max(np.abs(emp - cell.bernoulli_cmf)), abs=1e-15)
-        assert cell.sup_gev == pytest.approx(np.max(np.abs(emp - cell.gev_cmf)), abs=1e-15)
+    cmfs = null_distribution_comparison(small_config())
+    assert cmfs.shape == (2, 2, 3, 17) and cmfs.dtype == float
+    assert np.all((0 <= cmfs) & (cmfs <= 1))
+    emp = cmfs[:, :, 0]
+    assert np.all(np.diff(emp, axis=-1) >= 0)
+    np.testing.assert_allclose(emp[..., -1], 1.0)
+    assert np.all(np.diff(cmfs[:, :, 1:], axis=-1) >= -1e-12)
+    sups = sup_distances(cmfs)
+    assert sups.shape == (2, 2, 2)
+    assert sups[1, 0, 1] == np.max(np.abs(cmfs[1, 0, 2] - cmfs[1, 0, 0]))
 
 
-def test_comparison_lookup_and_determinism():
-    res1 = null_distribution_comparison(small_config())
-    res2 = null_distribution_comparison(small_config())
-    c1 = res1.cell(8, 2.5)
-    c2 = res2.cell(8, 2.5)
-    np.testing.assert_array_equal(c1.empirical_cmf, c2.empirical_cmf)
-    with pytest.raises(KeyError):
-        res1.cell(99, 2.5)
+def test_comparison_determinism():
+    np.testing.assert_array_equal(null_distribution_comparison(small_config()),
+                                  null_distribution_comparison(small_config()))
 
 
 @pytest.mark.parametrize("seed, replicates", [
@@ -153,9 +150,9 @@ def test_replicates_draw_the_stream_of_gen_independent_events(seed, replicates):
     # replicate j of order q places its events as default_rng((seed, q, 1, j))
     # does, seeds past one 32-bit word included
     config = SimConfig(length=256, ma_orders=(0, 4), n_events=8, replicates=replicates, seed=seed)
-    res = null_distribution_comparison(config)
+    cmfs = null_distribution_comparison(config)
     ks = np.arange(config.n_events + 1)
-    for order in config.ma_orders:
+    for oi, order in enumerate(config.ma_orders):
         x = gen_ma_exponential(config.length, order, seed=(seed, order, 0))
         rungs = rung_index(x, config.delta, config.thresholds)
         counts = np.array([
@@ -164,7 +161,7 @@ def test_replicates_draw_the_stream_of_gen_independent_events(seed, replicates):
             for j in range(config.replicates)])
         for i, tau in enumerate(config.thresholds):
             want = np.searchsorted(np.sort(counts[:, i]), ks, side="right") / config.replicates
-            assert res.cell(order, tau).empirical_cmf.tobytes() == want.tobytes()
+            assert cmfs[oi, i, 0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 131, 2**32 - 1, 2**32, 2**64 + 5])   # 4, 5 and 6 words
@@ -184,28 +181,28 @@ def test_pcg64_states_match_seed_sequence(seed, order):
 def test_iid_series_bernoulli_null_is_accurate():
     # order 0 with the reference protocol; both analytical nulls should sit
     # close to the Monte Carlo distribution on an iid series
-    res = null_distribution_comparison(SimConfig(seed=54))
-    for tau in (3.0, 4.0, 5.0):
-        cell = res.cell(0, tau)
-        assert cell.sup_bernoulli <= 0.05
-        assert cell.sup_gev <= 0.05
+    config = SimConfig(seed=54)
+    assert config.ma_orders[0] == 0 and config.thresholds == (3.0, 4.0, 5.0)
+    sups = sup_distances(null_distribution_comparison(config))
+    assert np.all(sups[0] <= 0.05)
 
 
 def test_dependent_series_gev_null_beats_bernoulli():
-    res = null_distribution_comparison(SimConfig(seed=131))
-    for order in (32, 64):
-        for tau in (3.0, 4.0, 5.0):
-            cell = res.cell(order, tau)
-            assert cell.sup_gev < cell.sup_bernoulli
+    config = SimConfig(seed=131)
+    assert config.ma_orders[1:] == (32, 64) and config.thresholds == (3.0, 4.0, 5.0)
+    sups = sup_distances(null_distribution_comparison(config))
+    assert np.all(sups[1:, :, 1] < sups[1:, :, 0])
 
 
 def test_comparison_csv_roundtrip(tmp_path):
-    res = null_distribution_comparison(small_config())
+    config = small_config()
+    cmfs = null_distribution_comparison(config)
     path = tmp_path / "cmp.csv"
-    write_comparison_csv(res, path)
+    write_comparison_csv(config, cmfs, path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 4 * 17
-    got = [float(r["empirical_cmf"]) for r in rows
-           if int(r["order"]) == 8 and float(r["tau"]) == 2.5]
-    np.testing.assert_array_equal(got, res.cell(8, 2.5).empirical_cmf)
+    assert ([(int(r["order"]), float(r["tau"]), int(r["k"])) for r in rows]
+            == list(itertools.product((0, 8), (2.5, 3.5), range(17))))
+    got = np.array([[float(r[col]) for col in ("empirical_cmf", "bernoulli_cmf", "gev_cmf")]
+                    for r in rows])
+    np.testing.assert_array_equal(got.reshape(2, 2, 17, 3).transpose(0, 1, 3, 2), cmfs)
