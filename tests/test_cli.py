@@ -1,4 +1,4 @@
-"""End-to-end runs of the command line interface, in process."""
+"""End-to-end runs of the command line interface, in process and through ``python -m peca``."""
 
 import contextlib
 import csv
@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -538,12 +539,22 @@ def test_analysis_config_validation():
         AnalysisConfig(alpha=0.0)
 
 
-def loaded_after_cli_runs(dataset, tmp_path, packages):
-    """The modules of ``packages`` a fresh process holds after a pointwise and a multi run."""
-    series, events = dataset
+def source_env(blas_threads=None):
+    """This environment with the package source on ``PYTHONPATH`` and
+    ``OPENBLAS_NUM_THREADS`` set to ``blas_threads``, or unset when it is None."""
     src = str(Path(peca.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+def loaded_after_cli_runs(dataset, tmp_path, packages):
+    """The modules of ``packages`` a fresh process holds after a pointwise and a multi run."""
+    series, events = dataset
+    env = source_env()
     common = ["--series", str(series), "--events", str(events), "--delta", "5"]
     runs = [["pointwise", *common, "--quantile", "0.9", "--out", str(tmp_path / "pw.json")],
             ["multi", *common, "--m", "8", "--r", "200", "--out", str(tmp_path / "mu.json"),
@@ -571,6 +582,57 @@ def test_cli_runs_leave_network_stack_out(dataset, tmp_path):
     # milliseconds of every cold process, for one escaped SVG title
     packages = ("xml", "urllib.request", "http", "email", "ssl")
     assert loaded_after_cli_runs(dataset, tmp_path, packages) == []
+
+
+@pytest.mark.parametrize("module, blas_threads, seen", [
+    ("peca.__main__", None, "1"),
+    ("peca.__main__", "4", "4"),
+    ("peca.cli", None, "None"),
+], ids=["entry-unset", "entry-keeps-user-value", "library-unset"])
+def test_only_the_entry_sets_one_blas_thread(module, blas_threads, seen):
+    # peca calls no BLAS routine, so the command line asks OpenBLAS for one
+    # thread; a library user's NumPy keeps its threads
+    probe = f"import {module}, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=source_env(blas_threads),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == seen + "\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_entry_sets_the_thread_count_before_numpy_loads():
+    # set after NumPy's import, the variable would come too late: OpenBLAS
+    # would already run its pool, one thread per core
+    probe = "import peca.__main__, os; print(len(os.listdir('/proc/self/task')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=source_env(),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "1\n"
+
+
+@pytest.mark.parametrize("blas_threads", [None, "2"], ids=["unset", "two"])
+def test_python_m_peca_writes_what_main_writes(dataset, tmp_path, blas_threads):
+    series, events = dataset
+
+    def argv(tag):
+        return ["multi", "--series", str(series), "--events", str(events), "--delta", "5",
+                "--m", "8", "--r", "200", "--out", str(tmp_path / f"{tag}.json"),
+                "--qtr", str(tmp_path / f"{tag}.csv"), "--svg", str(tmp_path / f"{tag}.svg")]
+
+    cold = subprocess.run([sys.executable, "-m", "peca", *argv("cold")],
+                          env=source_env(blas_threads), capture_output=True, timeout=120)
+    code, out, _ = run_cli(argv("warm"))
+    assert (cold.returncode, code) == (0, 0), cold.stderr
+    assert cold.stdout.decode() == out
+    for suffix in ("json", "csv", "svg"):
+        cold_bytes = (tmp_path / f"cold.{suffix}").read_bytes()
+        assert cold_bytes == (tmp_path / f"warm.{suffix}").read_bytes(), suffix
+
+
+def test_console_script_runs_the_entry_module():
+    # peca.cli imports NumPy, so a script that named peca.cli:main would load
+    # it before the entry could set the BLAS thread count; a text match,
+    # because Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^\[project\.scripts\]\npeca = "peca\.__main__:main"$', text, re.M)
 
 
 def test_cli_defaults_come_from_analysis_config():
