@@ -23,8 +23,7 @@ from .ingest import IngestError, ingest_events, ingest_timeseries
 from .multi import (ThresholdLadder, build_ladder_from_quantiles, compute_tcp, dp_extreme_nll,
                     empirical_quantile, expected_process_with_band, mc_p_value, null_nll_replicates,
                     steps_at_least, success_probabilities, tcp_nll)
-from .nulls import (GevFit, GevFitError, binom_tail, block_maxima, estimate_event_rate,
-                    fit_gev_mle)
+from .nulls import GevFit, GevFitError, binom_tail, block_maxima, fit_gev_mle
 from .qtr import QtrTable, write_qtr_csv, write_qtr_svg
 from .series import EventSeries, TimeSeries, late_events, preprocess, rung_index
 from .sim import (SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential,
@@ -119,7 +118,7 @@ def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSerie
         "series": {
             "length": x.length,
             "n_events": events.n_events,
-            "event_rate": estimate_event_rate(events),
+            "event_rate": events.n_events / events.length,
         },
         "threshold": threshold,
         "quantile_level": quantile,
@@ -218,7 +217,7 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
         "series": {
             "length": x.length,
             "n_events": events.n_events,
-            "event_rate": estimate_event_rate(events),
+            "event_rate": events.n_events / events.length,
         },
         "ladder": {
             "size": ladder.m,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -52,30 +53,23 @@ def _parse_date(text: str, where: str) -> date:
         raise IngestError(f"{where}: unparseable date {text!r}") from exc
 
 
-def _not_utf8(path) -> IngestError:
-    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _text(path, raw: bytes) -> str:
+    """The UTF-8 text of a file's bytes, less one leading byte-order mark.
+
+    A byte that is not UTF-8 raises ``IngestError`` naming its line.
+    """
     try:
-        raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        return IngestError(f"{path}:{line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})")
-    return IngestError(f"{path}: not UTF-8 text")
+        raise IngestError(f"{path}:{line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})") from exc
+    return text[1:] if text.startswith("\ufeff") else text
 
 
-def _decoded(path, lines):
-    """The text lines of an open file; a byte that is not UTF-8 raises ``IngestError``."""
-    try:
-        yield from lines
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
-
-
-def _records(path, fh):
-    """``(line, record)`` for the CSV records of an open file, numbered by the
+def _records(path, text: str):
+    """``(line, record)`` for the CSV records of ``text``, numbered by the
     physical line each starts on; a malformed one raises ``IngestError``."""
-    reader = csv.reader(_decoded(path, fh))
+    reader = csv.reader(io.StringIO(text, newline=""))
     start = 1
     try:
         for row in reader:
@@ -152,8 +146,8 @@ def _decimals(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray
     return mantissa / _POW10[decimals]
 
 
-def _read_canonical(path, fill_zero: bool) -> tuple[np.ndarray, date] | None:
-    """Values and first day of a canonical series file, or None for any other file.
+def _read_canonical(raw: bytes, fill_zero: bool) -> tuple[np.ndarray, date] | None:
+    """Values and first day of a canonical series file's bytes, or None for any other file.
 
     Canonical is an optional UTF-8 BOM, the header ``date,value``, then rows
     ``YYYY-MM-DD,<digits>[.<digits>]`` each ending in LF, on strictly increasing
@@ -161,8 +155,6 @@ def _read_canonical(path, fill_zero: bool) -> tuple[np.ndarray, date] | None:
     significant digits.  On such a file the result is the row parser's, bit for
     bit; every other file, valid or not, is left to the row parser and its errors.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     head = len(_BOM) if raw.startswith(_BOM) else 0
     if not raw.startswith(_HEADER, head) or not raw.endswith(b"\n"):
         return None
@@ -196,47 +188,56 @@ def _read_canonical(path, fill_zero: bool) -> tuple[np.ndarray, date] | None:
     return values, np.datetime64(int(days[0]), "D").item()
 
 
-def _read_rows(path, fill_zero: bool) -> tuple[np.ndarray, date]:
-    """Values and first day of any series file, parsed row by row, or ``IngestError``."""
+def _read_rows(path, text: str, fill_zero: bool) -> tuple[np.ndarray, date]:
+    """Values and first day of any series file's text, parsed row by row, or ``IngestError``."""
     values: list[float] = []
     start: date | None = None
     prev: date | None = None
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = _records(path, fh)
-        _, header = next(rows, (None, None))
-        if header is None or [c.strip().lower() for c in header] != ["date", "value"]:
-            raise IngestError(f"{path}: expected header 'date,value', got {header!r}")
-        for lineno, row in rows:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise IngestError(f"{path}:{lineno}: expected two fields, got {len(row)}")
-            d = _parse_date(row[0], f"{path}:{lineno}")
-            try:
-                v = float(row[1])
-            except ValueError as exc:
-                raise IngestError(f"{path}:{lineno}: unparseable value {row[1]!r}") from exc
-            if not math.isfinite(v) or v < 0:
-                raise IngestError(f"{path}:{lineno}: values must be non-negative and finite")
-            if prev is not None:
-                if d <= prev:
-                    kind = "duplicate" if d == prev else "out-of-order"
-                    raise IngestError(f"{path}:{lineno}: {kind} date {d.isoformat()}")
-                gap = (d - prev).days - 1
-                if gap > 0:
-                    if not fill_zero:
-                        missing = prev + timedelta(days=1)
-                        raise IngestError(
-                            f"{path}:{lineno}: missing day {missing.isoformat()}"
-                            " (pass --fill-zero to insert zeros)")
-                    values.extend([0.0] * gap)
-            else:
-                start = d
-            values.append(v)
-            prev = d
+    rows = _records(path, text)
+    _, header = next(rows, (None, None))
+    if header is None or [c.strip().lower() for c in header] != ["date", "value"]:
+        raise IngestError(f"{path}: expected header 'date,value', got {header!r}")
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) != 2:
+            raise IngestError(f"{path}:{lineno}: expected two fields, got {len(row)}")
+        d = _parse_date(row[0], f"{path}:{lineno}")
+        try:
+            v = float(row[1])
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: unparseable value {row[1]!r}") from exc
+        if not math.isfinite(v) or v < 0:
+            raise IngestError(f"{path}:{lineno}: values must be non-negative and finite")
+        if prev is not None:
+            if d <= prev:
+                kind = "duplicate" if d == prev else "out-of-order"
+                raise IngestError(f"{path}:{lineno}: {kind} date {d.isoformat()}")
+            gap = (d - prev).days - 1
+            if gap > 0:
+                if not fill_zero:
+                    missing = prev + timedelta(days=1)
+                    raise IngestError(
+                        f"{path}:{lineno}: missing day {missing.isoformat()}"
+                        " (pass --fill-zero to insert zeros)")
+                values.extend([0.0] * gap)
+        else:
+            start = d
+        values.append(v)
+        prev = d
     if start is None or not values:
         raise IngestError(f"{path}: no data rows")
     return np.array(values), start
+
+
+def _read_series(path, fill_zero: bool) -> tuple[np.ndarray, date]:
+    """Values and first day of a series file, read once.
+
+    The file's bytes are freed on return, before ``TimeSeries`` copies the values.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return _read_canonical(raw, fill_zero) or _read_rows(path, _text(path, raw), fill_zero)
 
 
 def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGrid]:
@@ -249,7 +250,7 @@ def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGri
     file is read by a vectorized parser; any other goes row by row, and only
     the row parser reports errors.
     """
-    values, start = _read_canonical(path, fill_zero) or _read_rows(path, fill_zero)
+    values, start = _read_series(path, fill_zero)
     return TimeSeries(values=values), DayGrid(start=start, length=values.size)
 
 
@@ -259,25 +260,27 @@ def ingest_events(path, grid: DayGrid) -> tuple[EventSeries, list[str]]:
     Blank lines are skipped.  Duplicate dates collapse with a warning; a date
     outside the grid is an error naming it.  An empty file yields an empty
     event series plus a warning.  A leading UTF-8 byte-order mark is skipped.
+    Lines end in LF, CRLF or CR.
     """
     warnings: list[str] = []
     seen: dict[int, date] = {}
     duplicates: list[str] = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(_decoded(path, fh), start=1):
-            text = line.strip()
-            if not text:
-                continue
-            d = _parse_date(text, f"{path}:{lineno}")
-            if not grid.contains(d):
-                raise IngestError(
-                    f"{path}:{lineno}: event date {d.isoformat()} outside series range "
-                    f"{grid.start.isoformat()}..{grid.end.isoformat()}")
-            idx = grid.index(d)
-            if idx in seen:
-                duplicates.append(d.isoformat())
-            else:
-                seen[idx] = d
+    with open(path, "rb") as fh:
+        text = _text(path, fh.read())
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        d = _parse_date(line, f"{path}:{lineno}")
+        if not grid.contains(d):
+            raise IngestError(
+                f"{path}:{lineno}: event date {d.isoformat()} outside series range "
+                f"{grid.start.isoformat()}..{grid.end.isoformat()}")
+        idx = grid.index(d)
+        if idx in seen:
+            duplicates.append(d.isoformat())
+        else:
+            seen[idx] = d
     if duplicates:
         warnings.append(f"collapsed duplicate event date(s): {', '.join(sorted(set(duplicates)))}")
     if not seen:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nulls import GUMBEL_SHAPE_TOL, GevFitError, GevParams, binom_cdf, binom_logpmf, gev_sf
-from .series import EventSeries, TimeSeries, check_same_grid, frozen_copy
+from .series import EventSeries, TimeSeries, frozen_copy
 
 __all__ = [
     "ThresholdLadder",
@@ -146,7 +146,8 @@ def compute_tcp(e: EventSeries, rungs: np.ndarray, m: int) -> np.ndarray:
     ladder.thresholds)``.
     """
     rungs = np.asarray(rungs)
-    check_same_grid(e.length, rungs.size)
+    if e.length != rungs.size:
+        raise ValueError(f"series lengths differ: {e.length} vs {rungs.size}")
     return count_at_rungs(rungs[e.occurrences - 1], m)
 
 
@@ -297,7 +298,7 @@ def expected_process_with_band(n_events: int, pis, level: float = 0.95):
         if pi >= 1.0:
             lower[i] = upper[i] = n_events
         else:
-            cmf = binom_cdf(np.arange(n_events + 1), n_events, float(pi))
+            cmf = binom_cdf(n_events, float(pi))
             lower[i], upper[i] = np.minimum(np.searchsorted(cmf, (q_lo, q_hi)), n_events)
     return lower, upper
 

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import EventSeries, TimeSeries
+from .series import TimeSeries
 
 __all__ = [
     "GUMBEL_SHAPE_TOL",
     "GevParams",
     "GevFit",
     "GevFitError",
-    "gev_cdf",
     "gev_sf",
     "block_maxima",
     "fit_gev_mle",
@@ -33,7 +32,6 @@ __all__ = [
     "binom_cdf",
     "binom_tail",
     "bernoulli_success_prob",
-    "estimate_event_rate",
 ]
 
 # Shape magnitudes below this are evaluated with the Gumbel limit form.
@@ -72,25 +70,15 @@ class GevFit:
     n_samples: int
 
 
-def gev_cdf(z: float, theta: GevParams) -> float:
-    """GEV distribution function.
-
-    For shape xi != 0 the value is exp(-(1 + xi*(z-mu)/sigma)^(-1/xi)) on the
-    support 1 + xi*(z-mu)/sigma > 0; outside the support it is 0 (xi > 0) or
-    1 (xi < 0).  Shapes within GUMBEL_SHAPE_TOL of zero use the Gumbel form
-    exp(-exp(-(z-mu)/sigma)).
-    """
-    s = (z - theta.location) / theta.scale
-    if abs(theta.shape) < GUMBEL_SHAPE_TOL:
-        return math.exp(-math.exp(-s))
-    w = 1.0 + theta.shape * s
-    if w <= 0.0:
-        return 0.0 if theta.shape > 0 else 1.0
-    return math.exp(-(w ** (-1.0 / theta.shape)))
-
-
 def gev_sf(z: float, theta: GevParams) -> float:
-    """Exceedance probability 1 - gev_cdf(z, theta), computed without cancellation."""
+    """GEV exceedance probability P(Z > z), computed without cancellation.
+
+    For shape xi != 0 the value is 1 - exp(-(1 + xi*(z-mu)/sigma)^(-1/xi)) on
+    the support 1 + xi*(z-mu)/sigma > 0; outside the support it is 1 (xi > 0)
+    or 0 (xi < 0).  Shapes within GUMBEL_SHAPE_TOL of zero use the Gumbel form
+    1 - exp(-exp(-(z-mu)/sigma)).  The outer 1 - exp(-t) is evaluated as
+    -expm1(-t), so a small probability keeps its relative accuracy.
+    """
     s = (z - theta.location) / theta.scale
     if abs(theta.shape) < GUMBEL_SHAPE_TOL:
         v = math.exp(-s)
@@ -397,18 +385,15 @@ def binom_logpmf(k, n, p: float):
     return np.where(valid, out, -np.inf)
 
 
-def binom_cdf(k, n: int, p: float) -> np.ndarray:
-    """Distribution function P(K <= k) for K ~ Binomial(n, p), vectorized over k.
+def binom_cdf(n: int, p: float) -> np.ndarray:
+    """Distribution function P(K <= k) for K ~ Binomial(n, p), at k = 0..n.
 
     The pmf terms for 0..n are accumulated in log space and clamped at 1.0,
-    so the result is non-decreasing in k.  Entries with k < 0 get 0.0 and
-    entries with k >= n get the last accumulated value.
+    so the result is non-decreasing in k.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    k = np.asarray(k)
-    cmf = np.minimum(np.exp(np.logaddexp.accumulate(binom_logpmf(np.arange(n + 1), n, p))), 1.0)
-    return np.where(k < 0, 0.0, cmf[np.clip(k, 0, n)])
+    return np.minimum(np.exp(np.logaddexp.accumulate(binom_logpmf(np.arange(n + 1), n, p))), 1.0)
 
 
 def binom_tail(k: int, n: int, p: float) -> float:
@@ -445,8 +430,3 @@ def bernoulli_success_prob(p_a: float, delta: int) -> float:
     if p_a == 1.0:
         return 1.0
     return -math.expm1((delta + 1) * math.log1p(-p_a))
-
-
-def estimate_event_rate(e: EventSeries) -> float:
-    """Empirical per-step event probability, n_events / length."""
-    return e.n_events / e.length

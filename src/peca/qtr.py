@@ -70,7 +70,7 @@ def write_qtr_csv(table: QtrTable, path) -> None:
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(QTR_COLUMNS)
         for row in table.rows():
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])

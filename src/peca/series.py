@@ -73,12 +73,6 @@ def _check_delta(delta: int, length: int) -> None:
         raise ValueError(f"delta must be smaller than the series length ({length})")
 
 
-def check_same_grid(len_a: int, len_b: int) -> None:
-    """Raise unless two series share one grid length."""
-    if len_a != len_b:
-        raise ValueError(f"series lengths differ: {len_a} vs {len_b}")
-
-
 def rung_index(x: TimeSeries, delta: int, thresholds) -> np.ndarray:
     """Rung of every step: how many ``thresholds`` its window maximum strictly exceeds.
 

@@ -246,15 +246,15 @@ def null_distribution_comparison(config: SimConfig) -> np.ndarray:
             p_exc = np.count_nonzero(x.values > tau) / config.length
             cmfs[oi, ti] = (
                 np.searchsorted(np.sort(counts[:, ti]), ks, side="right") / config.replicates,
-                binom_cdf(ks, n, bernoulli_success_prob(p_exc, config.delta)),
-                binom_cdf(ks, n, gev_sf(float(tau), theta)))
+                binom_cdf(n, bernoulli_success_prob(p_exc, config.delta)),
+                binom_cdf(n, gev_sf(float(tau), theta)))
     return cmfs
 
 
 def write_comparison_csv(config: SimConfig, cmfs: np.ndarray, path) -> None:
     """Long-format CSV of ``null_distribution_comparison(config)``: one row per (k, order, tau)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["k", "order", "tau", "empirical_cmf", "bernoulli_cmf", "gev_cmf"])
         for order, by_tau in zip(config.ma_orders, cmfs):
             for tau, cell in zip(config.thresholds, by_tau):

@@ -67,6 +67,17 @@ def test_pointwise_report(dataset, tmp_path):
     assert set(report["gev"]) == {"shape", "location", "scale", "converged", "nll", "n_blocks"}
 
 
+def test_reports_carry_the_event_rate(dataset, tmp_path):
+    series, events = dataset
+    common = ["--series", str(series), "--events", str(events), "--delta", "5"]
+    for argv in (["pointwise", *common, "--quantile", "0.9"],
+                 ["multi", *common, "--m", "8", "--r", "50"]):
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        summary = json.loads(out)["series"]
+        assert summary["event_rate"] == summary["n_events"] / summary["length"] == 12 / 400
+
+
 def test_pointwise_fixed_tau_without_out_writes_stdout(dataset):
     series, events = dataset
     code, out, _ = run_cli(["pointwise", "--series", str(series), "--events", str(events),
@@ -461,6 +472,28 @@ def test_simulate_qtr_preset(tmp_path):
     dp = summary["dp"]
     assert dp["min_statistic"] <= dp["replicate_nll_min"]
     assert dp["replicate_nll_max"] <= dp["max_statistic"]
+
+
+def test_every_csv_ends_rows_with_lf(dataset, tmp_path):
+    series, events = dataset
+    runs = {"multi": ["multi", "--series", str(series), "--events", str(events), "--delta", "5",
+                      "--m", "8", "--r", "50", "--out", str(tmp_path / "multi" / "report.json"),
+                      "--qtr", str(tmp_path / "multi" / "qtr.csv")],
+            "fig4": ["simulate", "--preset", "fig4", "--seed", "0", "--replicates", "50",
+                     "--out", str(tmp_path / "fig4")],
+            "appendix-b1": ["simulate", "--preset", "appendix-b1", "--length", "512",
+                            "--replicates", "20", "--orders", "0", "--out",
+                            str(tmp_path / "appendix-b1")]}
+    (tmp_path / "multi").mkdir()
+    for name, argv in runs.items():
+        assert run_cli(argv)[0] == 0, name
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("*/*.csv"))
+    assert written == ["appendix-b1/null_comparison.csv", "fig4/extreme_processes.csv",
+                       "fig4/qtr_dependent.csv", "fig4/qtr_independent.csv",
+                       "fig4/replicate_nlls.csv", "multi/qtr.csv"]
+    for name in written:
+        data = (tmp_path / name).read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, name
 
 
 def test_simulate_prints_its_summary(tmp_path):

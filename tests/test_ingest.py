@@ -201,6 +201,34 @@ def test_non_utf8_files_are_ingest_errors(tmp_path):
         assert error["message"].endswith("not UTF-8 text (byte 0xff)")
 
 
+def test_a_file_that_is_not_utf8_is_reported_as_such(tmp_path):
+    # a bad byte past the first 8 KiB still wins over an earlier malformed row
+    rows = "".join(f"{datetime.date(2000, 1, 1) + datetime.timedelta(days=i)},{i}\n"
+                   for i in range(1, 2000))
+    series = tmp_path / "s.csv"
+    series.write_bytes(f"{SERIES_HEAD}2000-01-01,1,2\n{rows}".encode() + b"2005-06-23,\xff\n")
+    assert series.stat().st_size > 8192
+    with pytest.raises(IngestError, match=re.escape(f"{series}:2002: not UTF-8 text (byte 0xff)")):
+        ingest_timeseries(series)
+    events = tmp_path / "e.txt"
+    events.write_bytes(b"Jan 5\n" + b"2000-01-01\n" * 1000 + b"\xff\n")
+    with pytest.raises(IngestError, match=re.escape(f"{events}:1002: not UTF-8 text (byte 0xff)")):
+        ingest_events(events, DayGrid(datetime.date(2000, 1, 1), 31))
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_event_line_endings(tmp_path, eol):
+    grid = DayGrid(datetime.date(2020, 1, 1), 31)
+    p = tmp_path / "e.txt"
+    p.write_bytes(("\ufeff" + eol.join(["2020-01-05", "", "2020-01-09", "2020-01-05", ""])).encode())
+    e, warnings = ingest_events(p, grid)
+    assert e.occurrences.tolist() == [5, 9]
+    assert warnings == ["collapsed duplicate event date(s): 2020-01-05"]
+    p.write_bytes(eol.join(["2020-01-05", "", "2020-02-09"]).encode())
+    with pytest.raises(IngestError, match=re.escape(f"{p}:3: event date 2020-02-09 outside")):
+        ingest_events(p, grid)
+
+
 def test_oversized_field_is_an_ingest_error(tmp_path):
     limit = 131072                         # the csv module's default field_size_limit
     big = "1" * (limit + 1)
@@ -214,7 +242,7 @@ def test_oversized_field_is_an_ingest_error(tmp_path):
 
 
 def test_fast_path_reads_canonical_files(tmp_path, monkeypatch):
-    def refuse(path, fill_zero):
+    def refuse(path, text, fill_zero):
         raise AssertionError(f"the row parser ran on {path}")
 
     monkeypatch.setattr(ingest, "_read_rows", refuse)
@@ -291,9 +319,9 @@ def test_fast_path_agrees_with_row_parser(tmp_path, case):
     data, fill_zero = case
     p = tmp_path / "s.csv"
     p.write_bytes(data)
-    fast = ingest._read_canonical(p, fill_zero)
+    fast = ingest._read_canonical(data, fill_zero)
     try:
-        values, start = ingest._read_rows(p, fill_zero)
+        values, start = ingest._read_rows(p, ingest._text(p, data), fill_zero)
     except IngestError as exc:
         assert fast is None
         with pytest.raises(IngestError) as got:

@@ -218,7 +218,7 @@ def test_tcp_thresholds_outside_data_range():
 
 def test_compute_tcp_validates_rungs():
     e = EventSeries(4, (1, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^series lengths differ: 4 vs 3$"):
         compute_tcp(e, np.array([0, 1, 2]), 2)        # wrong grid
     with pytest.raises(ValueError):
         compute_tcp(e, np.array([0, 0, 3, 0]), 2)     # rung above m

@@ -1,8 +1,8 @@
 """Extreme-value machinery and the single-threshold null tests.
 
 The binomial tail is checked against exact rational arithmetic, the GEV
-fitter against samples with known parameters, and the distribution
-functions at hand-computable points.
+fitter against samples with known parameters, and the GEV survival function
+at hand-computable points.
 """
 
 import math
@@ -26,27 +26,25 @@ from peca.nulls import (
     binom_logpmf,
     binom_tail,
     block_maxima,
-    estimate_event_rate,
     fit_gev_mle,
-    gev_cdf,
     gev_sf,
 )
-from peca.series import EventSeries, TimeSeries
+from peca.series import TimeSeries
 
 
 # --- distribution functions -------------------------------------------------
 
 def test_gev_cdf_at_location():
-    # G(mu) = exp(-1) for every shape
+    # G(mu) = exp(-1) for every shape, so the survival function reads 1 - exp(-1)
     for xi in (-0.4, 0.0, 0.7):
         theta = GevParams(xi, 3.0, 2.0)
-        assert gev_cdf(3.0, theta) == pytest.approx(math.exp(-1.0), abs=1e-14)
+        assert gev_sf(3.0, theta) == pytest.approx(-math.expm1(-1.0), abs=1e-14)
 
 
 def test_gumbel_closed_form():
     theta = GevParams(0.0, 0.0, 1.0)
     for z in (-1.0, 0.0, 2.5):
-        assert gev_cdf(z, theta) == pytest.approx(math.exp(-math.exp(-z)), abs=1e-14)
+        assert gev_sf(z, theta) == pytest.approx(-math.expm1(-math.exp(-z)), abs=1e-14)
 
 
 def test_shape_continuity_at_zero():
@@ -54,29 +52,21 @@ def test_shape_continuity_at_zero():
     theta0 = GevParams(0.0, 1.0, 2.0)
     theta_eps = GevParams(GUMBEL_SHAPE_TOL / 2, 1.0, 2.0)
     for z in (-2.0, 0.5, 4.0):
-        assert gev_cdf(z, theta_eps) == pytest.approx(gev_cdf(z, theta0), abs=1e-9)
+        assert gev_sf(z, theta_eps) == pytest.approx(gev_sf(z, theta0), abs=1e-9)
 
 
 def test_support_edges():
     heavy = GevParams(0.5, 0.0, 1.0)     # support bounded below at -2
     bounded = GevParams(-0.5, 0.0, 1.0)  # support bounded above at +2
-    assert gev_cdf(-2.5, heavy) == 0.0
     assert gev_sf(-2.5, heavy) == 1.0
-    assert gev_cdf(2.5, bounded) == 1.0
     assert gev_sf(2.5, bounded) == 0.0
-
-
-def test_sf_complements_cdf():
-    theta = GevParams(0.15, 2.0, 1.3)
-    for z in (0.0, 2.0, 6.0):
-        assert gev_sf(z, theta) == pytest.approx(1.0 - gev_cdf(z, theta), abs=1e-12)
 
 
 def test_matches_scipy_reference():
     theta = GevParams(0.2, 3.0, 1.0)
     for z in (2.0, 3.5, 8.0):
-        assert gev_cdf(z, theta) == pytest.approx(
-            genextreme.cdf(z, -0.2, loc=3.0, scale=1.0), abs=1e-12)
+        assert gev_sf(z, theta) == pytest.approx(
+            genextreme.sf(z, -0.2, loc=3.0, scale=1.0), abs=1e-12)
 
 
 def test_gev_params_validation():
@@ -189,18 +179,18 @@ def test_binom_logpmf_matches_scipy():
 @pytest.mark.parametrize("p", [0.0, 1e-12, 1e-4, 0.3, 0.5, 0.97, 1 - 1e-9, 1.0])
 def test_binom_cdf_matches_scipy(n, p):
     from scipy.stats import binom as sp_binom
-    ks = np.arange(-2, n + 3)
-    got = binom_cdf(ks, n, p)
+    ks = np.arange(n + 1)
+    got = binom_cdf(n, p)
     np.testing.assert_allclose(got, sp_binom.cdf(ks, n, p), rtol=0, atol=1e-11)
     assert np.all(np.diff(got) >= 0.0)
     assert np.all((got >= 0.0) & (got <= 1.0))
 
 
 def test_binom_cdf_edges():
-    np.testing.assert_array_equal(binom_cdf(np.arange(4), 3, 0.0), [1.0, 1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(binom_cdf(np.arange(4), 3, 1.0), [0.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(binom_cdf(3, 0.0), [1.0, 1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(binom_cdf(3, 1.0), [0.0, 0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
-        binom_cdf(1, -1, 0.5)
+        binom_cdf(-1, 0.5)
 
 
 def test_binom_logpmf_rejects_non_counts():
@@ -302,10 +292,6 @@ def test_gev_null_pvalue_consistency():
     # the GEV null's p-value is the binomial tail at pi = 1 - G(tau)
     theta = GevParams(0.1, 2.0, 1.0)
     pi = gev_sf(3.0, theta)
-    assert pi == pytest.approx(1.0 - gev_cdf(3.0, theta), abs=1e-15)
+    assert pi == pytest.approx(genextreme.sf(3.0, -0.1, loc=2.0, scale=1.0), abs=1e-15)
     assert binom_tail(4, 20, pi) == pytest.approx(float(exact_tail(4, 20, Fraction(pi))), abs=1e-12)
 
-
-def test_estimate_event_rate():
-    e = EventSeries(1096, tuple(range(1, 18)))
-    assert estimate_event_rate(e) == pytest.approx(17 / 1096, abs=1e-15)
