@@ -24,10 +24,10 @@ from .multi import (ThresholdLadder, build_ladder_from_quantiles, compute_tcp, d
                     empirical_quantile, expected_process_with_band, mc_p_value, null_nll_replicates,
                     steps_at_least, success_probabilities, tcp_nll)
 from .nulls import GevFit, GevFitError, binom_tail, block_maxima, fit_gev_mle
-from .qtr import QtrTable, write_qtr_csv, write_qtr_svg
+from .qtr import QtrTable, write_csv, write_qtr_svg
 from .series import EventSeries, TimeSeries, late_events, preprocess, rung_index
 from .sim import (SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential,
-                  null_distribution_comparison, write_comparison_csv)
+                  null_distribution_comparison)
 
 __all__ = ["AnalysisConfig", "run_pointwise", "run_multi", "run_simulate", "main"]
 
@@ -248,7 +248,13 @@ def _simulate_comparison(out_dir: Path, config: SimConfig) -> dict:
     cmfs = null_distribution_comparison(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "null_comparison.csv"
-    write_comparison_csv(config, cmfs, csv_path)
+    # long format, one row per (order, tau, k); a library caller may pass int thresholds
+    order, tau, k = (a.ravel() for a in np.meshgrid(
+        np.asarray(config.ma_orders, dtype=int), np.asarray(config.thresholds, dtype=float),
+        np.arange(cmfs.shape[-1]), indexing="ij"))
+    empirical, bernoulli, gev = cmfs.transpose(2, 0, 1, 3).reshape(3, -1)
+    write_csv(csv_path, {"k": k, "order": order, "tau": tau, "empirical_cmf": empirical,
+                         "bernoulli_cmf": bernoulli, "gev_cmf": gev})
     sups = np.abs(cmfs[:, :, 1:] - cmfs[:, :, :1]).max(axis=-1)
     return {
         "preset": "appendix-b1",
@@ -281,7 +287,7 @@ def _simulate_qtr_extremes(out_dir: Path, seed: int = AnalysisConfig.seed, lengt
     for label, events in event_sets.items():
         _, statistic, p_hat, table = _score(null, events)
         path = out_dir / f"qtr_{label}.csv"
-        write_qtr_csv(table, path)
+        write_csv(path, table.columns)
         write_qtr_svg(table, out_dir / f"qtr_{label}.svg", title=f"{label} events")
         outputs.extend([path.name, f"qtr_{label}.svg"])
         results[label] = {
@@ -293,21 +299,15 @@ def _simulate_qtr_extremes(out_dir: Path, seed: int = AnalysisConfig.seed, lengt
 
     nlls = null.null_stats
     nll_path = out_dir / "replicate_nlls.csv"
-    with open(nll_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("replicate,nll\n")
-        for j, v in enumerate(nlls):
-            fh.write(f"{j},{float(v)!r}\n")
+    write_csv(nll_path, {"replicate": np.arange(nlls.size), "nll": nlls})
     outputs.append(nll_path.name)
 
-    ladder = null.ladder
     stat_min, counts_min = dp_extreme_nll(n, null.pis, "min")
     stat_max, counts_max = dp_extreme_nll(n, null.pis, "max")
     ext_path = out_dir / "extreme_processes.csv"
-    with open(ext_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("quantile_level,threshold,min_count,max_count\n")
-        for i in range(ladder.m):
-            fh.write(f"{ladder.levels[i]!r},{ladder.thresholds[i]!r},"
-                     f"{int(counts_min[i])},{int(counts_max[i])}\n")
+    write_csv(ext_path, {"quantile_level": null.ladder.levels,
+                         "threshold": null.ladder.thresholds,
+                         "min_count": counts_min, "max_count": counts_max})
     outputs.append(ext_path.name)
 
     return {
@@ -435,7 +435,7 @@ def main(argv=None) -> int:
                 report, table = run_multi(config, series, events, warnings=warn)
                 _emit_report(report, args.out)
                 if args.qtr:
-                    write_qtr_csv(table, args.qtr)
+                    write_csv(args.qtr, table.columns)
                 if args.svg:
                     write_qtr_svg(table, args.svg, title="quantile-trigger-rate")
         else:

@@ -1,4 +1,4 @@
-"""Quantile-trigger-rate tables and their CSV / SVG renderings.
+"""Quantile-trigger-rate tables, their SVG chart, and the writer of every CSV.
 
 A QTR table puts the observed trigger rate at each quantile threshold next
 to the null expectation and a central null band, which is the standard
@@ -12,10 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QTR_COLUMNS", "QtrTable", "write_qtr_csv", "write_qtr_svg"]
-
-QTR_COLUMNS = ("quantile_level", "threshold", "observed_count", "observed_rate",
-               "expected_rate", "band_lower_rate", "band_upper_rate")
+__all__ = ["QtrTable", "write_csv", "write_qtr_svg"]
 
 
 @dataclass(frozen=True)
@@ -56,24 +53,29 @@ class QtrTable:
         """Observed counts over n_events."""
         return self.observed_counts / self.n_events
 
-    def rows(self):
-        obs = self.observed_rates
-        for i in range(np.asarray(self.levels).size):
-            yield (float(self.levels[i]), float(self.thresholds[i]),
-                   int(self.observed_counts[i]), float(obs[i]),
-                   float(self.expected_rates[i]), float(self.band_lower_rates[i]),
-                   float(self.band_upper_rates[i]))
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The table's CSV columns by header name, one row per threshold."""
+        return {"quantile_level": self.levels, "threshold": self.thresholds,
+                "observed_count": self.observed_counts, "observed_rate": self.observed_rates,
+                "expected_rate": self.expected_rates, "band_lower_rate": self.band_lower_rates,
+                "band_upper_rate": self.band_upper_rates}
 
 
-def write_qtr_csv(table: QtrTable, path) -> None:
-    """One CSV row per threshold; floats use their shortest round-trip form."""
-    import csv
+def write_csv(path, columns) -> None:
+    """CSV of named 1-D columns: a header of the names in mapping order, then one row per index.
 
+    Each cell is ``repr`` of the column's ``.tolist()`` item, so integers read
+    as integers and floats in their shortest round-trip form.  Rows end with
+    LF and the file is UTF-8.  Columns that are not all 1-D and of one length
+    raise ``ValueError`` before the file is created.
+    """
+    arrays = [np.asarray(c) for c in columns.values()]
+    if any(a.ndim != 1 for a in arrays) or len({a.size for a in arrays}) > 1:
+        raise ValueError("CSV columns must be 1-D and of one length")
+    rows = zip(*(map(repr, a.tolist()) for a in arrays))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(QTR_COLUMNS)
-        for row in table.rows():
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        fh.write("\n".join([",".join(columns), *map(",".join, rows), ""]))
 
 
 def _escape(text: str) -> str:

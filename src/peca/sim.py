@@ -10,7 +10,6 @@ studies pass ``(root seed, *path)`` tuples, one named stream per draw.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ __all__ = [
     "gen_independent_events",
     "gen_dependent_events",
     "null_distribution_comparison",
-    "write_comparison_csv",
 ]
 
 
@@ -249,15 +247,3 @@ def null_distribution_comparison(config: SimConfig) -> np.ndarray:
                 binom_cdf(n, bernoulli_success_prob(p_exc, config.delta)),
                 binom_cdf(n, gev_sf(float(tau), theta)))
     return cmfs
-
-
-def write_comparison_csv(config: SimConfig, cmfs: np.ndarray, path) -> None:
-    """Long-format CSV of ``null_distribution_comparison(config)``: one row per (k, order, tau)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "order", "tau", "empirical_cmf", "bernoulli_cmf", "gev_cmf"])
-        for order, by_tau in zip(config.ma_orders, cmfs):
-            for tau, cell in zip(config.thresholds, by_tau):
-                for k, row in enumerate(cell.T):
-                    writer.writerow([k, int(order), repr(float(tau)),
-                                     *(repr(float(v)) for v in row)])

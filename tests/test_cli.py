@@ -20,7 +20,7 @@ import pytest
 import peca.cli
 from peca.cli import AnalysisConfig, main, run_multi
 from peca.multi import null_nll_replicates
-from peca.qtr import write_qtr_csv
+from peca.qtr import write_csv
 from peca.sim import SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential
 
 
@@ -474,6 +474,17 @@ def test_simulate_qtr_preset(tmp_path):
     assert dp["replicate_nll_max"] <= dp["max_statistic"]
 
 
+def is_plain_number(cell):
+    """``cell`` reads as ``repr`` writes an int or a float."""
+    for parse in (int, float):
+        try:
+            if repr(parse(cell)) == cell:
+                return True
+        except ValueError:
+            pass
+    return False
+
+
 def test_every_csv_ends_rows_with_lf(dataset, tmp_path):
     series, events = dataset
     runs = {"multi": ["multi", "--series", str(series), "--events", str(events), "--delta", "5",
@@ -494,6 +505,10 @@ def test_every_csv_ends_rows_with_lf(dataset, tmp_path):
     for name in written:
         data = (tmp_path / name).read_bytes()
         assert data.endswith(b"\n") and b"\r" not in data, name
+        # every data cell is an int or a float as `repr` writes it (not `np.float64(...)`)
+        _, *rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        bad = [cell for row in rows for cell in row if not is_plain_number(cell)]
+        assert rows and bad == [], (name, bad[:3])
 
 
 def test_simulate_prints_its_summary(tmp_path):
@@ -554,7 +569,7 @@ def test_fig4_runs_the_multi_pipeline(tmp_path, monkeypatch):
                   "independent": gen_independent_events(4096, 32, seed=(0, 102))}
     for label, events in event_sets.items():
         report, table = run_multi(AnalysisConfig(r=500, seed=0), x, events)
-        write_qtr_csv(table, tmp_path / f"{label}.csv")
+        write_csv(tmp_path / f"{label}.csv", table.columns)
         assert ((tmp_path / f"{label}.csv").read_bytes()
                 == (out / f"qtr_{label}.csv").read_bytes()), label
         assert report["multi_test"]["statistic"] == results[label]["statistic"], label

@@ -1,5 +1,5 @@
 """No module of the package imports another module's private names, keeps a name it never
-uses, or exports a name it does not bind."""
+uses, or exports a name it does not bind, and only the output writers open files for writing."""
 
 import ast
 from pathlib import Path
@@ -134,3 +134,68 @@ def test_unbound_export_check_flags_a_leftover(tmp_path):
                       "LIMIT: int = 4\n"
                       "def f():\n    g = 1\n    return g\n", encoding="utf-8")
     assert list(unbound_exports(module)) == ["m.py: Gone", "m.py: compute_tcp", "m.py: g"]
+
+
+# the functions that may create or change a file: one writer per output format
+WRITERS = {"qtr.write_csv", "qtr.write_qtr_svg", "cli._emit_report"}
+
+
+def opens_for_writing(call):
+    """``open(path, mode)`` or ``path.open(mode)`` with a mode holding w, a or x (or not a
+    literal), or a ``.write_text`` / ``.write_bytes`` call."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0
+    else:
+        return False
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None and len(call.args) > position:
+        mode = call.args[position]
+    if mode is None:
+        return False   # the default mode reads
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True    # a mode known only at run time may write
+    return bool(set(mode.value) & set("wax"))
+
+
+def file_writes(path):
+    """``module.function:line`` for every call that opens a file for writing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and opens_for_writing(child):
+                yield f"{scope}:{child.lineno}"
+            yield from visit(child, scope)
+
+    yield from visit(tree, path.stem)
+
+
+def test_only_the_writers_open_files_for_writing():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    hits = [hit for path in modules for hit in file_writes(path)]
+    assert [hit for hit in hits if hit.split(":")[0] not in WRITERS] == []
+    assert {hit.split(":")[0] for hit in hits} == WRITERS   # no stale entry
+
+
+def test_file_write_check_flags_a_writer(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from pathlib import Path\n"
+                      "def read(p):\n    with open(p, encoding='utf-8') as fh:\n"
+                      "        return fh.read() + open(p, 'rb').read().decode()\n"
+                      "def save(p, mode):\n    open(p, 'w').close()\n"
+                      "    open(p, mode='ab').close()\n    open(p, mode).close()\n"
+                      "    Path(p).open('x').close()\n"
+                      "class Report:\n    def dump(self, p):\n        Path(p).write_bytes(b'')\n"
+                      "Path('x.txt').open().close()\nPath('out.txt').write_text('')\n",
+                      encoding="utf-8")
+    assert list(file_writes(module)) == ["m.save:6", "m.save:7", "m.save:8", "m.save:9",
+                                         "m.Report.dump:12", "m:14"]

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from peca.qtr import QTR_COLUMNS, QtrTable, write_qtr_csv, write_qtr_svg
+from peca.qtr import QtrTable, write_csv, write_qtr_svg
 
 
 def small_table(n_events=20):
@@ -58,15 +58,39 @@ def test_length_mismatch_rejected():
 def test_csv_layout_and_roundtrip(tmp_path):
     t = small_table()
     path = tmp_path / "qtr.csv"
-    write_qtr_csv(t, path)
+    write_csv(path, t.columns)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert tuple(rows[0].keys()) == QTR_COLUMNS
+    # the header is a file format: spelled out, not read back from `columns`
+    assert tuple(rows[0].keys()) == ("quantile_level", "threshold", "observed_count",
+                                     "observed_rate", "expected_rate", "band_lower_rate",
+                                     "band_upper_rate")
     assert len(rows) == 3
     assert float(rows[1]["observed_rate"]) == 0.45
     assert int(rows[2]["observed_count"]) == 2
     # repr round-trips floats exactly
     assert float(rows[0]["expected_rate"]) == t.expected_rates[0]
+
+
+def test_write_csv_mixed_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, {"rate": np.array([0.1, 1.0, 1e-20, float("inf")]),
+                     "count": np.array([3, -2, 0, 2**40], dtype=np.int64),
+                     "level": [0.75, 0.5, 2.0, 0.0]})
+    assert path.read_bytes() == (b"rate,count,level\n0.1,3,0.75\n1.0,-2,0.5\n"
+                                 b"1e-20,0,2.0\ninf,1099511627776,0.0\n")
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": np.arange(3), "b": np.arange(4.0)},
+    {"a": np.arange(4).reshape(2, 2)},
+    {"a": np.float64(1.0)},
+], ids=["unequal", "2-d", "0-d"])
+def test_write_csv_refuses_ragged_columns(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="1-D and of one length"):
+        write_csv(path, columns)
+    assert not path.exists()
 
 
 def test_svg_is_wellformed_and_deterministic(tmp_path):

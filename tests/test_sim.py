@@ -2,10 +2,12 @@
 
 import csv
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from peca.cli import main
 from peca.multi import compute_tcp
 from peca.series import rung_index
 from peca.sim import (
@@ -18,7 +20,6 @@ from peca.sim import (
     gen_independent_events,
     gen_ma_exponential,
     null_distribution_comparison,
-    write_comparison_csv,
 )
 
 
@@ -194,15 +195,17 @@ def test_dependent_series_gev_null_beats_bernoulli():
     assert np.all(sups[1:, :, 1] < sups[1:, :, 0])
 
 
-def test_comparison_csv_roundtrip(tmp_path):
-    config = small_config()
-    cmfs = null_distribution_comparison(config)
-    path = tmp_path / "cmp.csv"
-    write_comparison_csv(config, cmfs, path)
-    with open(path, newline="") as fh:
+def test_comparison_csv_roundtrip(tmp_path, capsys):
+    # appendix-b1 writes the CMF array of its config in long format, exactly
+    assert main(["simulate", "--preset", "appendix-b1", "--orders", "0,8", "--length", "1024",
+                 "--replicates", "100", "--seed", "54", "--out", str(tmp_path)]) == 0
+    assert "null_comparison.csv" in json.loads(capsys.readouterr().out)["outputs"]
+    cmfs = null_distribution_comparison(
+        SimConfig(length=1024, ma_orders=(0, 8), replicates=100, seed=54))
+    with open(tmp_path / "null_comparison.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert ([(int(r["order"]), float(r["tau"]), int(r["k"])) for r in rows]
-            == list(itertools.product((0, 8), (2.5, 3.5), range(17))))
+            == list(itertools.product((0, 8), (3.0, 4.0, 5.0), range(33))))
     got = np.array([[float(r[col]) for col in ("empirical_cmf", "bernoulli_cmf", "gev_cmf")]
                     for r in rows])
-    np.testing.assert_array_equal(got.reshape(2, 2, 17, 3).transpose(0, 1, 3, 2), cmfs)
+    np.testing.assert_array_equal(got.reshape(2, 3, 33, 3).transpose(0, 1, 3, 2), cmfs)
