@@ -140,7 +140,7 @@ def _seed_words(*path: int) -> list[int]:
 
     Each int becomes its little-endian 32-bit words, at least one, and the
     tuple their concatenation: the entropy ``default_rng(path)`` hashes, and
-    the words ``_pcg64_states`` hashes into the same PCG64 states.
+    the words ``_pcg64_seeded`` hashes into the same PCG64 states.
     """
     words = []
     for v in path:
@@ -157,9 +157,18 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
-# replicates hashed per call: bounds the Python ints a block keeps alive (peak RSS)
+# the same as uint64 words, so that NumPy 1.x's value-based casting and NEP 50
+# give the lane arithmetic one dtype; array products wrap mod 2**64 silently
+_U32, _U58, _U63, _U64 = (np.uint64(v) for v in (32, 58, 63, 64))
+_LOW = np.uint64(_M32)
+_MUL_HI, _MUL_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (1 << 64) - 1)
+_MUL_LO_HI, _MUL_LO_LO = _MUL_LO >> _U32, _MUL_LO & _LOW
+# replicates drawn per block: bounds the NumPy temporaries a block keeps alive (peak RSS)
 _SEED_BLOCK = 1024
+# the most events a block emulates: its cost grows with n faster than Generator.choice's,
+# whose per-call overhead it saves (per block, 10.0 against 19.4 ms at n = 64, 32.4
+# against 20.9 ms at n = 128; length 4096, 2 cores)
+_LANE_MAX_EVENTS = 64
 
 
 def _hash32(hc: int, mult: int):
@@ -173,13 +182,30 @@ def _hash32(hc: int, mult: int):
     return step
 
 
-def _pcg64_states(words: list[int], js) -> Iterator[dict]:
-    """``PCG64(SeedSequence(words[:-1] + [j])).state`` for each uint32 j of ``js``.
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's step ``state * _PCG_MULT + inc`` mod 2**128, on (high, low) uint64 arrays.
 
+    The wrapped array products give every term but the high word of
+    ``lo * _MUL_LO``, which comes from the products of 32-bit halves.
+    """
+    lo_hi, lo_lo = lo >> _U32, lo & _LOW
+    ll = lo_lo * _MUL_LO_LO
+    mid = lo_hi * _MUL_LO_LO + (ll >> _U32)
+    mid2 = lo_lo * _MUL_LO_HI + (mid & _LOW)
+    new_lo = lo * _MUL_LO + inc_lo
+    new_hi = (lo_hi * _MUL_LO_HI + (mid >> _U32) + (mid2 >> _U32)
+              + hi * _MUL_LO + lo * _MUL_HI + inc_hi + (new_lo < inc_lo))
+    return new_hi, new_lo
+
+
+def _pcg64_seeded(words: list[int], js) -> tuple[np.ndarray, ...]:
+    """``PCG64(SeedSequence(words[:-1] + [j]))``'s (state, inc) for each uint32 j of ``js``.
+
+    Returns the uint64 arrays (state high, state low, inc high, inc low).
     SeedSequence's ``mix_entropy`` and ``generate_state(4, uint64)`` run over
-    all of ``js`` at once, as uint64 arrays masked to 32 bits (array products
-    wrap silently); PCG64's ``srandom`` then runs on Python ints.  ``words``
-    has at least the 4 words of SeedSequence's pool.
+    all of ``js`` at once, as uint64 arrays masked to 32 bits, and so does
+    PCG64's ``srandom``.  ``words`` has at least the 4 words of
+    SeedSequence's pool.
     """
     def mix(x, y):
         r = (_MIX_L * x - _MIX_R * y) & _M32
@@ -199,12 +225,141 @@ def _pcg64_states(words: list[int], js) -> Iterator[dict]:
     out = [generate(pool[i % 4]) for i in range(8)]
     # generate_state's little-endian uint64 pairs: the high and low halves of
     # PCG64's initstate, then of its initseq
-    s_hi, s_lo, q_hi, q_lo = (((out[2 * i + 1] << 32) | out[2 * i]).tolist() for i in range(4))
-    for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
-        inc = ((c << 64 | d) << 1 | 1) & _M128
-        state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+    s_hi, s_lo, q_hi, q_lo = ((out[2 * i + 1] << _U32) | out[2 * i] for i in range(4))
+    # srandom: inc = initseq << 1 | 1, state = (inc + initstate) * mult + inc
+    inc_hi, inc_lo = q_hi << np.uint64(1) | q_lo >> _U63, q_lo << np.uint64(1) | np.uint64(1)
+    lo = inc_lo + s_lo
+    return (*_pcg64_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _pcg64_states(words: list[int], js) -> Iterator[dict]:
+    """``PCG64(SeedSequence(words[:-1] + [j])).state`` for each uint32 j of ``js``."""
+    s_hi, s_lo, i_hi, i_lo = (a.tolist() for a in _pcg64_seeded(words, js))
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        yield {"bit_generator": "PCG64", "state": {"state": a << 64 | b, "inc": c << 64 | d},
                "has_uint32": 0, "uinteger": 0}
+
+
+def _pcg64_raw(words: list[int], js, k: int) -> np.ndarray:
+    """``PCG64(SeedSequence(words[:-1] + [j])).random_raw(k)``, one column per j of ``js``.
+
+    Each word steps the state, then outputs it by XSL-RR: the xor of its
+    halves, rotated right by its top 6 bits.
+    """
+    hi, lo, inc_hi, inc_lo = _pcg64_seeded(words, js)
+    raw = np.empty((k, lo.size), dtype=np.uint64)
+    for row in raw:
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> _U58
+        row[:] = x >> rot | x << ((_U64 - rot) & _U63)
+    return raw
+
+
+def _numpy_choice(words: list[int], js, length: int, n: int) -> np.ndarray:
+    """``default_rng(words[:-1] + [j]).choice(length, n, replace=False)``, one row per j of ``js``.
+
+    One Generator, set to each replicate's state in turn.
+    """
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    rows = np.empty((len(js), n), dtype=np.int64)
+    for row, state in zip(rows, _pcg64_states(words, js)):
+        bits.state = state
+        row[:] = rng.choice(length, size=n, replace=False)
+    return rows
+
+
+def _floyd_picks(draws: np.ndarray, length: int) -> np.ndarray:
+    """Floyd's picks from its (n, columns) draws, the k-th drawn with inclusive bound length-n+k.
+
+    Draw k is in the set already, and so replaced by its bound, exactly when
+    it repeats an earlier draw or equals the bound of an earlier replaced
+    draw (bounds only grow, so no other value can be in the set).  The
+    second case chains back to earlier draws, so it is iterated to its fixed
+    point: a pass per link of the longest chain, not one per draw.
+    """
+    n, cols = draws.shape[0], np.arange(draws.shape[1])
+    order = np.argsort(draws, axis=0, kind="stable")
+    ordered = np.take_along_axis(draws, order, axis=0)
+    replaced = np.zeros(draws.shape, dtype=bool)
+    np.put_along_axis(replaced, order[1:], ordered[1:] == ordered[:-1], axis=0)
+    earlier = draws - (length - n)   # the draw whose bound this one equals
+    hits_bound = (earlier >= 0) & (earlier < np.arange(n)[:, None])
+    earlier[~hits_bound] = 0
+    while True:
+        more = replaced | (hits_bound & replaced[earlier, cols])
+        if np.array_equal(more, replaced):
+            return np.where(replaced, np.arange(length - n, length)[:, None], draws)
+        replaced = more
+
+
+def _lane_choice(words: list[int], js, length: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_numpy_choice``'s rows, drawn for all of ``js`` at once, and which rows are exact.
+
+    Reproduces ``Generator.choice``'s Floyd branch from the raw words: a
+    fresh PCG64 yields each word's low half, then its high half, as uint32
+    draws.  Floyd draws with inclusive bounds length-n .. length-1, a value
+    already taken becoming the bound; a Fisher-Yates shuffle follows with
+    bounds n-1 .. 1.  Each draw is Lemire's ``(u * (b + 1)) >> 32``.  Rows
+    where a draw is rejected (Lemire's ``leftover < (2**32 - b - 1) % (b +
+    1)``), every row outside the branch (n == length, whose zero bound takes
+    no draw; NumPy's tail shuffle; length >= 2**32), and every row past
+    ``_LANE_MAX_EVENTS``, where emulating is slower, are not exact.
+    """
+    if (n == length or n > _LANE_MAX_EVENTS or length >= 1 << 32
+            or (length > 10000 and n > length // 50)):
+        return np.empty((len(js), n), dtype=np.int64), np.zeros(len(js), dtype=bool)
+    if n == 0:
+        return np.empty((len(js), 0), dtype=np.int64), np.ones(len(js), dtype=bool)
+    raw = _pcg64_raw(words, js, n)
+    # the 2n-1 uint32 draws, low half then high half of each word, scaled in
+    # place: fresh (2n-1, block) temporaries cost more than the arithmetic
+    m = np.empty((2 * n, raw.shape[1]), dtype=np.uint64)
+    np.bitwise_and(raw, _LOW, out=m[0::2])
+    np.right_shift(raw, _U32, out=m[1::2])
+    m = m[:2 * n - 1]
+    bounds = np.concatenate((np.arange(length - n, length), np.arange(n - 1, 0, -1)))
+    span = bounds.astype(np.uint64) + np.uint64(1)
+    m *= span[:, None]
+    exact = ~np.any((m & _LOW) < ((np.uint64(1 << 32) - span) % span)[:, None], axis=0)
+    m >>= _U32
+    draws = m.view(np.int64)
+    pos = draws[:n]   # one column per replicate
+    # Floyd keeps a draw unless it is in the set already; then it takes its
+    # bound.  So only a column with a repeated draw can differ from its draws
+    ordered = np.sort(pos.T, axis=1)
+    repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
+    if repeats.size:
+        pos[:, repeats] = _floyd_picks(pos[:, repeats], length)
+    flat, cols = pos.reshape(-1), np.arange(pos.shape[1])   # pos is C-contiguous: a view
+    for i, pick in zip(range(n - 1, 0, -1), draws[n:]):
+        at = pick * pos.shape[1] + cols
+        taken = flat[at]
+        flat[at] = pos[i]
+        pos[i] = taken
+    return pos.T, exact
+
+
+def _replicate_positions(words: list[int], replicates: int, length: int,
+                         n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``_numpy_choice``'s rows for js 0 .. replicates-1: (first j, rows) per ``_SEED_BLOCK`` js.
+
+    ``_lane_choice`` draws each block, and ``_numpy_choice`` redraws its
+    inexact rows.  NumPy's policy fixes PCG64 and SeedSequence but not
+    ``choice``: the first exact row is checked against ``_numpy_choice``,
+    and on a mismatch every row is redrawn by it.
+    """
+    trusted = None   # until the first exact row is checked
+    for j0 in range(0, replicates, _SEED_BLOCK):
+        js = np.arange(j0, min(j0 + _SEED_BLOCK, replicates))
+        rows, exact = _lane_choice(words, js, length, n)
+        if trusted is None and exact.any():
+            i = int(np.argmax(exact))
+            trusted = np.array_equal(rows[i], _numpy_choice(words, js[i:i + 1], length, n)[0])
+        redo = np.flatnonzero(~exact | (trusted is False))
+        if redo.size:
+            rows[redo] = _numpy_choice(words, js[redo], length, n)
+        yield j0, rows
 
 
 def null_distribution_comparison(config: SimConfig) -> np.ndarray:
@@ -224,22 +379,16 @@ def null_distribution_comparison(config: SimConfig) -> np.ndarray:
     ks = np.arange(n + 1)
     taus = np.asarray(config.thresholds, dtype=float)
     cmfs = np.empty((len(config.ma_orders), taus.size, 3, n + 1))
+    counts = np.empty((config.replicates, taus.size), dtype=np.int64)
     for oi, order in enumerate(config.ma_orders):
         x = gen_ma_exponential(config.length, order, seed=(config.seed, order, 0))
         theta = fit_gev_mle(block_maxima(x, config.delta)).params
         rungs = rung_index(x, config.delta, taus)
-        at_events = np.empty((config.replicates, n), dtype=np.int64)
         # replicate j draws the positions gen_independent_events(seed=(seed, order, 1, j))
-        # draws, zero-based and unsorted: one Generator, set to each replicate's state
+        # draws, zero-based and unsorted
         words = _seed_words(config.seed, order, 1, 0)
-        bits = np.random.PCG64(0)
-        rng = np.random.Generator(bits)
-        for j0 in range(0, config.replicates, _SEED_BLOCK):
-            js = np.arange(j0, min(j0 + _SEED_BLOCK, config.replicates))
-            for j, state in enumerate(_pcg64_states(words, js), j0):
-                bits.state = state
-                at_events[j] = rungs[rng.choice(config.length, size=n, replace=False)]
-        counts = count_at_rungs(at_events, taus.size)
+        for j0, rows in _replicate_positions(words, config.replicates, config.length, n):
+            counts[j0:j0 + len(rows)] = count_at_rungs(rungs[rows], taus.size)
         for ti, tau in enumerate(taus):
             p_exc = np.count_nonzero(x.values > tau) / config.length
             cmfs[oi, ti] = (

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,15 @@ from peca.cli import main
 from peca.multi import compute_tcp
 from peca.series import rung_index
 from peca.sim import (
+    _LANE_MAX_EVENTS,
+    _SEED_BLOCK,
     SimConfig,
     _causal_mean_filter,
     _filtered_exponential,
+    _lane_choice,
+    _pcg64_raw,
     _pcg64_states,
+    _replicate_positions,
     _seed_words,
     gen_dependent_events,
     gen_independent_events,
@@ -143,14 +149,17 @@ def test_comparison_determinism():
                                   null_distribution_comparison(small_config()))
 
 
-@pytest.mark.parametrize("seed, replicates", [
-    *(pytest.param(seed, 40, id=str(seed)) for seed in (131, 2**32 - 1, 2**32, 2**64 + 5)),
-    pytest.param(131, 1025, id="131-1025"),   # crosses a seeding block
+@pytest.mark.parametrize("seed, replicates, length, n_events", [
+    *(pytest.param(seed, 40, 256, 8, id=str(seed)) for seed in (131, 2**32 - 1, 2**32, 2**64 + 5)),
+    pytest.param(131, 1025, 256, 8, id="131-1025"),      # crosses a seeding block
+    pytest.param(131, 40, 160, 160, id="zero-bound"),    # n == length: choice's first bound is 0
+    pytest.param(131, 40, 20000, 500, id="tail-shuffle"),
 ])
-def test_replicates_draw_the_stream_of_gen_independent_events(seed, replicates):
+def test_replicates_draw_the_stream_of_gen_independent_events(seed, replicates, length, n_events):
     # replicate j of order q places its events as default_rng((seed, q, 1, j))
     # does, seeds past one 32-bit word included
-    config = SimConfig(length=256, ma_orders=(0, 4), n_events=8, replicates=replicates, seed=seed)
+    config = SimConfig(length=length, ma_orders=(0, 4), n_events=n_events, replicates=replicates,
+                       seed=seed)
     cmfs = null_distribution_comparison(config)
     ks = np.arange(config.n_events + 1)
     for oi, order in enumerate(config.ma_orders):
@@ -177,6 +186,62 @@ def test_pcg64_states_match_seed_sequence(seed, order):
         assert state["state"] == want["state"], j
         assert state["has_uint32"] == state["uinteger"] == 0
         assert state == want
+    # and the lane PCG64 steps each of those states to NumPy's raw words
+    assert _pcg64_raw(words, js, 5).T.tolist() == [
+        np.random.PCG64(np.random.SeedSequence(words[:-1] + [j])).random_raw(5).tolist() for j in js]
+
+
+def choice_rows(seed, order, replicates, length, n):
+    """What gen_independent_events draws for replicates 0.., before the sort and the +1."""
+    return np.array([np.random.default_rng((seed, order, 1, j)).choice(length, n, replace=False)
+                     for j in range(replicates)], dtype=np.int64).reshape(replicates, n)
+
+
+@pytest.mark.parametrize("length, n, replicates, lanes", [
+    pytest.param(4096, 32, _SEED_BLOCK + 5, "all", id="floyd-across-blocks"),
+    pytest.param(100, 60, 50, "all", id="floyd-chained-repeats"),
+    pytest.param(4096, _LANE_MAX_EVENTS + 1, 20, "none", id="past-the-lane-limit"),
+    pytest.param(3 * 10**9, 4, 200, "some", id="lemire-rejections"),
+    pytest.param(20000, 500, 20, "none", id="tail-shuffle"),
+    pytest.param(160, 160, 50, "none", id="n-equals-length"),
+    pytest.param(160, 0, 50, "all", id="n-0"),
+    pytest.param(160, 1, 50, "all", id="n-1"),
+])
+def test_block_draw_is_generator_choice(length, n, replicates, lanes):
+    # every row, emulated or redrawn, is Generator.choice's from the replicate's own state
+    words = _seed_words(131, 0, 1, 0)
+    want = choice_rows(131, 0, replicates, length, n)
+    got = np.concatenate([rows for _, rows in _replicate_positions(words, replicates, length, n)])
+    assert got.tobytes() == want.tobytes()
+    # the emulated rows themselves, not the redraw the one-row check would fall back to
+    rows, exact = _lane_choice(words, np.arange(replicates), length, n)
+    assert {"all": exact.all(), "some": 0 < exact.sum() < exact.size, "none": not exact.any()}[lanes]
+    assert rows[exact].tobytes() == want[exact].tobytes()
+
+
+def test_block_draw_mismatch_falls_back_to_generator_choice(monkeypatch):
+    # a choice that no longer matches the emulation fails the one-row check, and
+    # every row of every block is then drawn by Generator.choice
+    def shifted(words, js, length, n):
+        rows, exact = _lane_choice(words, js, length, n)
+        return (rows + 1) % length, exact
+
+    monkeypatch.setattr("peca.sim._lane_choice", shifted)
+    words = _seed_words(131, 0, 1, 0)
+    got = np.concatenate([rows for _, rows in _replicate_positions(words, _SEED_BLOCK + 5, 4096, 32)])
+    assert got.tobytes() == choice_rows(131, 0, _SEED_BLOCK + 5, 4096, 32).tobytes()
+
+
+def test_comparison_memory_is_bounded_by_the_block():
+    # replicates are drawn _SEED_BLOCK at a time and only their counts kept: about
+    # 3 MiB at peak, where one draw of all 20000 replicates takes about 36 MiB
+    tracemalloc.start()
+    try:
+        null_distribution_comparison(SimConfig(replicates=20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_iid_series_bernoulli_null_is_accurate():
