@@ -166,9 +166,10 @@ _MUL_LO_HI, _MUL_LO_LO = _MUL_LO >> _U32, _MUL_LO & _LOW
 # replicates drawn per block: bounds the NumPy temporaries a block keeps alive (peak RSS)
 _SEED_BLOCK = 1024
 # the most events a block emulates: its cost grows with n faster than Generator.choice's,
-# whose per-call overhead it saves (per block, 10.0 against 19.4 ms at n = 64, 32.4
-# against 20.9 ms at n = 128; length 4096, 2 cores)
-_LANE_MAX_EVENTS = 64
+# whose per-call overhead it saves.  Per block of 1024 at length 4096 (2 cores, best of
+# 21 and of 7 runs), 12.0-14.6 against 21.5-22.2 ms at n = 128 and 22.1-24.3 against
+# 20.7-24.0 ms at n = 192: the crossover lies between them
+_LANE_MAX_EVENTS = 128
 
 
 def _hash32(hc: int, mult: int):
@@ -269,85 +270,51 @@ def _numpy_choice(words: list[int], js, length: int, n: int) -> np.ndarray:
     return rows
 
 
-def _floyd_picks(draws: np.ndarray, length: int) -> np.ndarray:
-    """Floyd's picks from its (n, columns) draws, the k-th drawn with inclusive bound length-n+k.
-
-    Draw k is in the set already, and so replaced by its bound, exactly when
-    it repeats an earlier draw or equals the bound of an earlier replaced
-    draw (bounds only grow, so no other value can be in the set).  The
-    second case chains back to earlier draws, so it is iterated to its fixed
-    point: a pass per link of the longest chain, not one per draw.
-    """
-    n, cols = draws.shape[0], np.arange(draws.shape[1])
-    order = np.argsort(draws, axis=0, kind="stable")
-    ordered = np.take_along_axis(draws, order, axis=0)
-    replaced = np.zeros(draws.shape, dtype=bool)
-    np.put_along_axis(replaced, order[1:], ordered[1:] == ordered[:-1], axis=0)
-    earlier = draws - (length - n)   # the draw whose bound this one equals
-    hits_bound = (earlier >= 0) & (earlier < np.arange(n)[:, None])
-    earlier[~hits_bound] = 0
-    while True:
-        more = replaced | (hits_bound & replaced[earlier, cols])
-        if np.array_equal(more, replaced):
-            return np.where(replaced, np.arange(length - n, length)[:, None], draws)
-        replaced = more
-
-
 def _lane_choice(words: list[int], js, length: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_numpy_choice``'s rows, drawn for all of ``js`` at once, and which rows are exact.
+    """The sets of ``_numpy_choice``'s rows, drawn for all of ``js`` at once, and which are exact.
 
-    Reproduces ``Generator.choice``'s Floyd branch from the raw words: a
-    fresh PCG64 yields each word's low half, then its high half, as uint32
-    draws.  Floyd draws with inclusive bounds length-n .. length-1, a value
-    already taken becoming the bound; a Fisher-Yates shuffle follows with
-    bounds n-1 .. 1.  Each draw is Lemire's ``(u * (b + 1)) >> 32``.  Rows
-    where a draw is rejected (Lemire's ``leftover < (2**32 - b - 1) % (b +
-    1)``), every row outside the branch (n == length, whose zero bound takes
-    no draw; NumPy's tail shuffle; length >= 2**32), and every row past
-    ``_LANE_MAX_EVENTS``, where emulating is slower, are not exact.
+    Reproduces the positions ``Generator.choice``'s Floyd branch picks from
+    the raw words: a fresh PCG64 yields each word's low half, then its high
+    half, as uint32 draws.  Floyd draws with inclusive bounds length-n ..
+    length-1, each by Lemire's ``(u * (b + 1)) >> 32``, and a value already
+    picked becomes the bound.  The Fisher-Yates shuffle NumPy then applies
+    only reorders the picks, so each row holds the right set in Floyd's
+    order.  Rows where a draw is rejected (Lemire's ``leftover < (2**32 - b
+    - 1) % (b + 1)``), every row outside the branch (n == length, whose zero
+    bound takes no draw; NumPy's tail shuffle; length >= 2**32), and every
+    row past ``_LANE_MAX_EVENTS``, where emulating is slower, are not exact.
     """
     if (n == length or n > _LANE_MAX_EVENTS or length >= 1 << 32
             or (length > 10000 and n > length // 50)):
         return np.empty((len(js), n), dtype=np.int64), np.zeros(len(js), dtype=bool)
     if n == 0:
         return np.empty((len(js), 0), dtype=np.int64), np.ones(len(js), dtype=bool)
-    raw = _pcg64_raw(words, js, n)
-    # the 2n-1 uint32 draws, low half then high half of each word, scaled in
-    # place: fresh (2n-1, block) temporaries cost more than the arithmetic
-    m = np.empty((2 * n, raw.shape[1]), dtype=np.uint64)
+    raw = _pcg64_raw(words, js, (n + 1) // 2)
+    # the n uint32 draws, low half then high half of each word, scaled in
+    # place: fresh (n, block) temporaries cost more than the arithmetic
+    m = np.empty((2 * raw.shape[0], raw.shape[1]), dtype=np.uint64)
     np.bitwise_and(raw, _LOW, out=m[0::2])
     np.right_shift(raw, _U32, out=m[1::2])
-    m = m[:2 * n - 1]
-    bounds = np.concatenate((np.arange(length - n, length), np.arange(n - 1, 0, -1)))
-    span = bounds.astype(np.uint64) + np.uint64(1)
+    m = m[:n]
+    span = np.arange(length - n + 1, length + 1, dtype=np.uint64)
     m *= span[:, None]
     exact = ~np.any((m & _LOW) < ((np.uint64(1 << 32) - span) % span)[:, None], axis=0)
     m >>= _U32
-    draws = m.view(np.int64)
-    pos = draws[:n]   # one column per replicate
-    # Floyd keeps a draw unless it is in the set already; then it takes its
-    # bound.  So only a column with a repeated draw can differ from its draws
-    ordered = np.sort(pos.T, axis=1)
-    repeats = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
-    if repeats.size:
-        pos[:, repeats] = _floyd_picks(pos[:, repeats], length)
-    flat, cols = pos.reshape(-1), np.arange(pos.shape[1])   # pos is C-contiguous: a view
-    for i, pick in zip(range(n - 1, 0, -1), draws[n:]):
-        at = pick * pos.shape[1] + cols
-        taken = flat[at]
-        flat[at] = pos[i]
-        pos[i] = taken
+    pos = m.view(np.int64)   # one column per replicate
+    for k in range(1, n):
+        pos[k, (pos[:k] == pos[k]).any(axis=0)] = length - n + k
     return pos.T, exact
 
 
 def _replicate_positions(words: list[int], replicates: int, length: int,
                          n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``_numpy_choice``'s rows for js 0 .. replicates-1: (first j, rows) per ``_SEED_BLOCK`` js.
+    """``_numpy_choice``'s row sets for js 0 .. replicates-1, as (first j, rows) per ``_SEED_BLOCK``.
 
     ``_lane_choice`` draws each block, and ``_numpy_choice`` redraws its
-    inexact rows.  NumPy's policy fixes PCG64 and SeedSequence but not
-    ``choice``: the first exact row is checked against ``_numpy_choice``,
-    and on a mismatch every row is redrawn by it.
+    inexact rows.  A row's order is not NumPy's, only its set of positions.
+    NumPy's policy fixes PCG64 and SeedSequence but not ``choice``: the set
+    of the first exact row is checked against ``_numpy_choice``'s, and on a
+    mismatch every row is redrawn by it.
     """
     trusted = None   # until the first exact row is checked
     for j0 in range(0, replicates, _SEED_BLOCK):
@@ -355,7 +322,8 @@ def _replicate_positions(words: list[int], replicates: int, length: int,
         rows, exact = _lane_choice(words, js, length, n)
         if trusted is None and exact.any():
             i = int(np.argmax(exact))
-            trusted = np.array_equal(rows[i], _numpy_choice(words, js[i:i + 1], length, n)[0])
+            trusted = np.array_equal(np.sort(rows[i]),
+                                     np.sort(_numpy_choice(words, js[i:i + 1], length, n)[0]))
         redo = np.flatnonzero(~exact | (trusted is False))
         if redo.size:
             rows[redo] = _numpy_choice(words, js[redo], length, n)
@@ -384,8 +352,8 @@ def null_distribution_comparison(config: SimConfig) -> np.ndarray:
         x = gen_ma_exponential(config.length, order, seed=(config.seed, order, 0))
         theta = fit_gev_mle(block_maxima(x, config.delta)).params
         rungs = rung_index(x, config.delta, taus)
-        # replicate j draws the positions gen_independent_events(seed=(seed, order, 1, j))
-        # draws, zero-based and unsorted
+        # replicate j draws the set of positions gen_independent_events(seed=(seed, order, 1, j))
+        # draws, zero-based and in no set order: the counts do not read it
         words = _seed_words(config.seed, order, 1, 0)
         for j0, rows in _replicate_positions(words, config.replicates, config.length, n):
             counts[j0:j0 + len(rows)] = count_at_rungs(rungs[rows], taus.size)

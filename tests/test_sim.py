@@ -18,6 +18,7 @@ from peca.sim import (
     _causal_mean_filter,
     _filtered_exponential,
     _lane_choice,
+    _numpy_choice,
     _pcg64_raw,
     _pcg64_states,
     _replicate_positions,
@@ -199,7 +200,9 @@ def choice_rows(seed, order, replicates, length, n):
 
 @pytest.mark.parametrize("length, n, replicates, lanes", [
     pytest.param(4096, 32, _SEED_BLOCK + 5, "all", id="floyd-across-blocks"),
+    pytest.param(4096, 33, 50, "all", id="floyd-odd-n"),   # the last word's high half is unused
     pytest.param(100, 60, 50, "all", id="floyd-chained-repeats"),
+    pytest.param(4096, _LANE_MAX_EVENTS, 20, "all", id="at-the-lane-limit"),
     pytest.param(4096, _LANE_MAX_EVENTS + 1, 20, "none", id="past-the-lane-limit"),
     pytest.param(3 * 10**9, 4, 200, "some", id="lemire-rejections"),
     pytest.param(20000, 500, 20, "none", id="tail-shuffle"),
@@ -208,20 +211,21 @@ def choice_rows(seed, order, replicates, length, n):
     pytest.param(160, 1, 50, "all", id="n-1"),
 ])
 def test_block_draw_is_generator_choice(length, n, replicates, lanes):
-    # every row, emulated or redrawn, is Generator.choice's from the replicate's own state
+    # every row, emulated or redrawn, holds the set Generator.choice draws from the
+    # replicate's own state; the counts read no order, so none is reproduced
     words = _seed_words(131, 0, 1, 0)
-    want = choice_rows(131, 0, replicates, length, n)
+    want = np.sort(choice_rows(131, 0, replicates, length, n), axis=1)
     got = np.concatenate([rows for _, rows in _replicate_positions(words, replicates, length, n)])
-    assert got.tobytes() == want.tobytes()
+    assert np.sort(got, axis=1).tobytes() == want.tobytes()
     # the emulated rows themselves, not the redraw the one-row check would fall back to
     rows, exact = _lane_choice(words, np.arange(replicates), length, n)
     assert {"all": exact.all(), "some": 0 < exact.sum() < exact.size, "none": not exact.any()}[lanes]
-    assert rows[exact].tobytes() == want[exact].tobytes()
+    assert np.sort(rows[exact], axis=1).tobytes() == want[exact].tobytes()
 
 
 def test_block_draw_mismatch_falls_back_to_generator_choice(monkeypatch):
-    # a choice that no longer matches the emulation fails the one-row check, and
-    # every row of every block is then drawn by Generator.choice
+    # a choice that no longer matches the emulation's sets fails the one-row check,
+    # and every row of every block is then drawn by Generator.choice
     def shifted(words, js, length, n):
         rows, exact = _lane_choice(words, js, length, n)
         return (rows + 1) % length, exact
@@ -229,7 +233,30 @@ def test_block_draw_mismatch_falls_back_to_generator_choice(monkeypatch):
     monkeypatch.setattr("peca.sim._lane_choice", shifted)
     words = _seed_words(131, 0, 1, 0)
     got = np.concatenate([rows for _, rows in _replicate_positions(words, _SEED_BLOCK + 5, 4096, 32)])
-    assert got.tobytes() == choice_rows(131, 0, _SEED_BLOCK + 5, 4096, 32).tobytes()
+    want = choice_rows(131, 0, _SEED_BLOCK + 5, 4096, 32)
+    assert np.sort(got, axis=1).tobytes() == np.sort(want, axis=1).tobytes()
+
+
+def test_block_draw_in_another_order_passes_the_check(monkeypatch):
+    # the one-row check compares sets: rows in another order than Generator.choice's
+    # are trusted, and Generator.choice draws only the checked row
+    calls = []
+
+    def reversed_rows(words, js, length, n):
+        rows, exact = _lane_choice(words, js, length, n)
+        return rows[:, ::-1], exact
+
+    def counted(words, js, length, n):
+        calls.append(len(js))
+        return _numpy_choice(words, js, length, n)
+
+    monkeypatch.setattr("peca.sim._lane_choice", reversed_rows)
+    monkeypatch.setattr("peca.sim._numpy_choice", counted)
+    words = _seed_words(131, 0, 1, 0)
+    got = np.concatenate([rows for _, rows in _replicate_positions(words, _SEED_BLOCK + 5, 4096, 32)])
+    assert calls == [1]
+    want = choice_rows(131, 0, _SEED_BLOCK + 5, 4096, 32)
+    assert np.sort(got, axis=1).tobytes() == np.sort(want, axis=1).tobytes()
 
 
 def test_comparison_memory_is_bounded_by_the_block():
