@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -53,15 +54,15 @@ def _parse_date(text: str, where: str) -> date:
         raise IngestError(f"{where}: unparseable date {text!r}") from exc
 
 
-def _text(path, raw: bytes) -> str:
-    """The UTF-8 text of a file's bytes, less one leading byte-order mark.
+def _text(path, raw) -> str:
+    """The UTF-8 text of a file's bytes (any bytes-like object), less one leading byte-order mark.
 
     A byte that is not UTF-8 raises ``IngestError`` naming its line.
     """
     try:
-        text = raw.decode("utf-8")
+        text = str(raw, "utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        line = bytes(raw[:exc.start]).count(b"\n") + 1
         raise IngestError(f"{path}:{line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})") from exc
     return text[1:] if text.startswith("\ufeff") else text
 
@@ -81,110 +82,111 @@ def _records(path, text: str):
 
 _BOM = b"\xef\xbb\xbf"
 _HEADER = b"date,value\n"
-_NL, _COMMA, _DASH, _DOT, _ZERO = (np.uint8(ord(c)) for c in "\n,-.0")
+_NL, _DOT, _ZERO = (np.uint8(ord(c)) for c in "\n.0")
+# zero bytes past a file's end, which the words of its last row may read
+_SPARE = 8
+# XOR with these ('DD,' shifted to the last 3 bytes) leaves 0..9 in a digit byte and 0 in a
+# separator; a digit plus 6 stays below 16, so the mask sees any other byte (a separator's in full)
+_DATE, _DAY = (np.uint64(int.from_bytes(t, "little")) for t in (b"0000-00-", b"\0" * 5 + b"00,"))
+_SIX, _MASK = np.uint64(0x0006060006060606), np.uint64(0xFFF0F0FFF0F0F0F0)
+# days from 1970-01-01 to 1 January of each year 0000..9999, and its row of _DAY_OF_YEAR:
+# 0 for a common year, 10000 for a leap year, 20000 for year 0, which has no days
+_YEAR_START = (np.arange(10001) - 1970).astype("M8[Y]").astype("M8[D]").astype(np.int32)
+_YEAR_ROW = np.where(np.diff(_YEAR_START) == 366, 10000, 0).astype(np.uint16)
+_YEAR_ROW[0] = 20000
+# at row + month * 100 + day, that day's place in its year from 0, or < 0 for no such day
+_DAY_OF_YEAR = np.full(30000, -1, dtype=np.int16)
+_DAY_OF_YEAR[[10000 + month * 100 + day for month, n in enumerate(
+    [31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], 1) for day in range(1, n + 1)]] = range(366)
+_DAY_OF_YEAR[:10000] = _DAY_OF_YEAR[10000:20000] - (np.arange(10000) > 229)
+_DAY_OF_YEAR[229] = -1
 # 10**k for k = 0..22, all exact in float64 (5**22 < 2**53)
-_POW10 = np.array([1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
-                   1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22])
-_MAX_SIGNIFICANT = 15
-# the digit loop runs once per byte of the widest value; wider values, which only
-# leading zeros could keep canonical, go to the row parser
+_POW10 = np.array([float(10**k) for k in range(23)])
+# the widest value the digit loop reads; only leading zeros keep a wider one canonical
 _MAX_VALUE_BYTES = 32
-# rows decoded at a time, which bounds the fast path's temporaries
-_ROWS_PER_CHUNK = 1 << 16
+# rows decoded at a time, bounding the temporaries; at 2**16 multi's peak RSS grew by 4 MB
+_ROWS_PER_CHUNK = 1 << 15
 
 
-def _days(buf: np.ndarray, start: np.ndarray) -> np.ndarray | None:
-    """Days since 1970-01-01 of the ``YYYY-MM-DD,`` at each row start, or None.
-
-    None unless every row has that shape and names a calendar day of year 1 or later.
-    """
-    if not ((buf[start + 4] == _DASH) & (buf[start + 7] == _DASH)
-            & (buf[start + 10] == _COMMA)).all():
-        return None
-    digits = [buf[start + j] - _ZERO for j in (0, 1, 2, 3, 5, 6, 8, 9)]
-    if any((d > 9).any() for d in digits):
-        return None
-    y0, y1, y2, y3, m0, m1, d0, d1 = (d.astype(np.int32) for d in digits)
-    year = ((y0 * 10 + y1) * 10 + y2) * 10 + y3
-    month = m0 * 10 + m1
-    day = d0 * 10 + d1
-    months = ((year - 1970) * 12 + month - 1).astype("M8[M]")
-    first = months.astype("M8[D]").astype(np.int64)
-    after = (months + 1).astype("M8[D]").astype(np.int64)
-    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-            & (first + day <= after)).all():
-        return None
-    return first + day - 1
+def _days(date: np.ndarray, day: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Days since 1970-01-01 of each row's words ``YYYY-MM-`` and ``DD,``, and whether
+    the row has that shape and names a calendar day of year 1 or later."""
+    date, day = date ^ _DATE, (day << 40) ^ _DAY
+    date *= ((((date + _SIX) | date) | ((day + _SIX) | day)) & _MASK) == 0  # else year 0: no day
+    date = date * 10 + (date >> 8)               # bytes 0, 2 and 5: 'YY', 'YY' and 'MM'
+    day = day * 10 + (day >> 8)                  # byte 5: 'DD'
+    year = (date & 0xFF) * 100 + (date >> 16 & 0xFF)
+    of_year = _DAY_OF_YEAR[_YEAR_ROW[year] + ((date >> 40 & 0xFF) * 100 + (day >> 40 & 0xFF))]
+    return _YEAR_START[year] + of_year, of_year >= 0
 
 
-def _decimals(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """``float`` of each ``<digits>[.<digits>]`` field ``buf[start:end]``, or None.
-
-    With at most 15 significant digits and k <= 22 decimals, a field is N / 10**k
-    with N < 2**53 and 10**k exact: one correctly rounded division, which is what
-    ``float(text)`` returns, bit for bit (Clinger 1990).
-    """
-    width = end - start
-    if width.max() > _MAX_VALUE_BYTES:
-        return None
-    mantissa = np.zeros(start.size, dtype=np.int64)
-    significant, decimals, dots = (np.zeros(start.size, dtype=np.int32) for _ in range(3))
-    for j in range(int(width.max())):
-        byte = buf[np.minimum(start + j, end)]      # the row's newline past its field
+def _decimals(column: list[np.ndarray], width: np.ndarray) -> np.ndarray | None:
+    """``float`` of each row's ``<digits>[.<digits>]``, byte j of which is ``column[j]`` for
+    j < ``width``, or None.  With at most 15 significant digits and k <= 22 decimals, a
+    field is N / 10**k with N < 2**53 and 10**k exact: one correctly rounded division,
+    which is what ``float(text)`` returns, bit for bit (Clinger 1990)."""
+    mantissa = (column[0] - _ZERO).astype(np.float64)    # N, exact while below 2**53
+    digits, dots, decimals = (np.zeros(width.size, dtype=np.int8) for _ in range(3))
+    for j in range(1, int(width.max())):
+        byte = column[j] * (width > j)                   # 0, no digit or dot, past the field
         digit = byte - _ZERO
         is_digit = digit <= 9
-        is_dot = byte == _DOT
-        if not (is_digit | is_dot | (byte == _NL)).all():
-            return None
-        mantissa = np.where(is_digit, mantissa * 10 + digit, mantissa)
-        significant += is_digit & (mantissa > 0)
+        mantissa += is_digit * (mantissa * 9 + digit)    # N * 10 + digit, at a digit
+        digits += is_digit
         decimals += is_digit & (dots > 0)
-        dots += is_dot
-    if ((dots > 1).any() or (buf[start] - _ZERO > 9).any() or (buf[end - 1] - _ZERO > 9).any()
-            or (significant > _MAX_SIGNIFICANT).any() or (decimals >= _POW10.size).any()):
+        dots += byte == _DOT
+    # a digit, then digits and at most one dot with a digit after it; N < 10**15: 15 significant
+    if ((column[0] - _ZERO > 9).any() or (digits + dots != width - 1).any() or (dots > 1).any()
+            or ((dots == 1) & (decimals == 0)).any() or (decimals >= _POW10.size).any()
+            or (mantissa >= 1e15).any()):
         return None
     return mantissa / _POW10[decimals]
 
 
-def _read_canonical(raw: bytes, fill_zero: bool) -> tuple[np.ndarray, date] | None:
-    """Values and first day of a canonical series file's bytes, or None for any other file.
+def _read_canonical(buf, fill_zero: bool) -> tuple[np.ndarray, date] | None:
+    """Values and first day of a canonical series file, or None for any other file.
 
-    Canonical is an optional UTF-8 BOM, the header ``date,value``, then rows
-    ``YYYY-MM-DD,<digits>[.<digits>]`` each ending in LF, on strictly increasing
-    calendar days (gaps only under ``fill_zero``), each value with at most 15
-    significant digits.  On such a file the result is the row parser's, bit for
-    bit; every other file, valid or not, is left to the row parser and its errors.
+    ``buf`` is the file's bytes, then ``_SPARE`` zero bytes.  Canonical is an optional
+    UTF-8 BOM, the header ``date,value``, then rows ``YYYY-MM-DD,<digits>[.<digits>]``
+    each ending in LF, on strictly increasing calendar days (gaps only under
+    ``fill_zero``), each value with at most 15 significant digits.  On such a file the
+    result is the row parser's, bit for bit; every other file, valid or not, is left to
+    the row parser and its errors.  A row is read as the 8-byte words from its start,
+    one gather per word: the first two, ``YYYY-MM-`` and ``DD,``, are checked a word at a
+    time and give the day through calendar tables, and their other bytes hold the value.
     """
-    head = len(_BOM) if raw.startswith(_BOM) else 0
-    if not raw.startswith(_HEADER, head) or not raw.endswith(b"\n"):
+    size = len(buf) - _SPARE
+    head = bytes(buf[:len(_BOM + _HEADER)])
+    if buf[size - 1] != _NL or not head.startswith((_HEADER, _BOM + _HEADER)):
         return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    # row i runs from newlines[i] + 1 up to its own newline, newlines[i + 1];
-    # int32 offsets, with headroom for the decoder's offsets past a row start
-    newlines = np.flatnonzero(buf == _NL).astype(np.int32 if buf.size < 2**30 else np.int64)
+    # row i runs from newlines[i] + 1 up to its own newline, newlines[i + 1]; int32 offsets,
+    # with headroom for the word offsets past a row start
+    newlines = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8, count=size) == _NL)
+    newlines = newlines.astype(np.int32 if size < 2**30 else np.int64)
     rows = newlines.size - 1
     if rows < 1:
         return None
-    days = np.empty(rows, dtype=np.int32)
-    values = np.empty(rows)
+    words = np.ndarray((size + 1,), dtype="<u8", buffer=buf, strides=(1,))  # one per offset
+    days, values = np.empty(rows, dtype=np.int32), np.empty(rows)
     for lo in range(0, rows, _ROWS_PER_CHUNK):
         hi = min(lo + _ROWS_PER_CHUNK, rows)
-        start, end = newlines[lo:hi] + 1, newlines[lo + 1:hi + 1]
-        if (end - start < 12).any():            # 'YYYY-MM-DD,' plus one value byte
+        start = newlines[lo:hi] + 1
+        length = newlines[lo + 1:hi + 1] - start
+        if length.min() < 12 or length.max() > 11 + _MAX_VALUE_BYTES:
             return None
-        day = _days(buf, start)
-        value = None if day is None else _decimals(buf, start + 11, end)
-        if value is None:
+        # a row's first two words lie in the buffer; later words past the file read the spare zeros
+        row = [words[start + k if k < 16 else np.minimum(start + k, size)]
+               for k in range(0, int(length.max()), 8)]
+        day, ok = _days(row[0], row[1])
+        value = _decimals([w.view(np.uint8)[b::8] for w in row for b in range(8)][11:], length - 11)
+        if value is None or not ok.all():
             return None
         days[lo:hi], values[lo:hi] = day, value
     step = np.diff(days)
     if (step < 1).any() or (not fill_zero and (step > 1).any()):
         return None
-    span = int(days[-1]) - int(days[0]) + 1
-    if span > rows:
-        filled = np.zeros(span)
-        filled[days - days[0]] = values
-        values = filled
+    if fill_zero:                                # each skipped day reads 0.0, and 0.0 + v is v
+        values = np.bincount(days - days[0], values)
     return values, np.datetime64(int(days[0]), "D").item()
 
 
@@ -230,16 +232,6 @@ def _read_rows(path, text: str, fill_zero: bool) -> tuple[np.ndarray, date]:
     return np.array(values), start
 
 
-def _read_series(path, fill_zero: bool) -> tuple[np.ndarray, date]:
-    """Values and first day of a series file, read once.
-
-    The file's bytes are freed on return, before ``TimeSeries`` copies the values.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return _read_canonical(raw, fill_zero) or _read_rows(path, _text(path, raw), fill_zero)
-
-
 def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGrid]:
     """Read a ``date,value`` CSV into a contiguous daily series.
 
@@ -250,7 +242,15 @@ def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGri
     file is read by a vectorized parser; any other goes row by row, and only
     the row parser reports errors.
     """
-    values, start = _read_series(path, fill_zero)
+    with open(path, "rb") as fh:                 # read once, into a buffer _SPARE bytes longer
+        buf = np.zeros(os.fstat(fh.fileno()).st_size + _SPARE, dtype=np.uint8)
+        got = fh.readinto(buf[:-_SPARE])
+        rest = fh.read()
+    if got < buf.size - _SPARE or rest:          # a pipe, or a file that changed as it was read
+        buf = np.frombuffer(buf[:got].tobytes() + rest + bytes(_SPARE), dtype=np.uint8)
+    values, start = _read_canonical(buf, fill_zero) or _read_rows(
+        path, _text(path, buf[:-_SPARE]), fill_zero)
+    del buf                                      # before TimeSeries copies the values
     return TimeSeries(values=values), DayGrid(start=start, length=values.size)
 
 

@@ -68,17 +68,22 @@ class ThresholdLadder:
         return int(self.thresholds.size)
 
 
-def empirical_quantile(sorted_values: np.ndarray, p: float) -> float:
-    """Inverse-CDF quantile on order statistics: level p maps to the ceil(p*T)-th smallest.
-
-    Level 0 maps to the minimum.  ``sorted_values`` must already be sorted
-    ascending.
-    """
+def _quantile_rank(t: int, p: float) -> int:
+    """Index, from 0, of the level-p order statistic of t values: the ceil(p*T)-th
+    smallest, and the smallest at level 0."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("quantile level must lie in [0, 1]")
-    t = sorted_values.size
-    idx = max(1, math.ceil(p * t - 1e-9))
-    return float(sorted_values[min(idx, t) - 1])
+    return min(max(1, math.ceil(p * t - 1e-9)), t) - 1
+
+
+def empirical_quantile(values: np.ndarray, p: float) -> float:
+    """Inverse-CDF quantile on order statistics: level p maps to the ceil(p*T)-th smallest.
+
+    Level 0 maps to the minimum.  ``values`` need not be sorted; one partition
+    finds the order statistic.
+    """
+    rank = _quantile_rank(values.size, p)
+    return float(np.partition(values, rank)[rank])
 
 
 def build_ladder_from_quantiles(x: TimeSeries, lo: float, hi: float, m: int) -> ThresholdLadder:
@@ -94,8 +99,7 @@ def build_ladder_from_quantiles(x: TimeSeries, lo: float, hi: float, m: int) -> 
     if np.ptp(x.values) == 0.0:
         raise ValueError("cannot build a threshold ladder from a constant series")
     levels = np.linspace(lo, hi, m)
-    sorted_vals = np.sort(x.values)
-    thresholds = np.array([empirical_quantile(sorted_vals, p) for p in levels])
+    thresholds = np.sort(x.values)[[_quantile_rank(x.length, p) for p in levels]]
     keep = np.concatenate(([True], np.diff(thresholds) > 0))
     return ThresholdLadder(thresholds=thresholds[keep], levels=levels[keep])
 

@@ -625,6 +625,20 @@ def test_cli_runs_leave_scipy_out(dataset, tmp_path):
     assert loaded_after_cli_runs(dataset, tmp_path, ("scipy",)) == []
 
 
+def test_cli_runs_leave_numpy_ma_out(dataset, tmp_path):
+    # np.median imports numpy.ma, some 14 ms of a cold multi process, for one report field
+    assert loaded_after_cli_runs(dataset, tmp_path, ("numpy.ma",)) == []
+
+
+def test_report_median_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for size in [1, 2, 3, 4, 5, 10, 11, 400, 401, 10000, 10001]:
+        for a in (rng.exponential(size=size), np.round(rng.exponential(size=size)),
+                  np.where(rng.random(size) < 0.3, np.inf, rng.exponential(size=size)),
+                  np.full(size, np.inf)):
+            assert np.float64(peca.cli._median(a)).tobytes() == np.median(a).tobytes(), (size, a)
+
+
 def test_cli_runs_leave_network_stack_out(dataset, tmp_path):
     # xml.sax alone pulls in urllib.request, http, email and ssl: tens of
     # milliseconds of every cold process, for one escaped SVG title

@@ -4,7 +4,10 @@ import contextlib
 import datetime
 import io
 import json
+import os
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +265,123 @@ def test_fast_path_reads_canonical_files(tmp_path, monkeypatch):
     assert grid == DayGrid(datetime.date(2000, 2, 28), 6)
 
 
+def both_readers(data, fill_zero=False):
+    """The fast path's and the row parser's readings of a file's bytes (the row parser's
+    None where it raises), once checked that wherever the fast path reads a file, it reads
+    it bit for bit as the row parser does."""
+    fast = ingest._read_canonical(data + bytes(ingest._SPARE), fill_zero)
+    try:
+        rows = ingest._read_rows("s.csv", ingest._text("s.csv", data), fill_zero)
+    except IngestError:
+        rows = None
+    if fast is not None:
+        assert rows is not None
+        assert fast[0].tobytes() == rows[0].tobytes() and fast[1] == rows[1]
+    return fast, rows
+
+
+@pytest.mark.parametrize("year", [0, 1, 4, 1900, 2000, 2100, 9999])
+def test_every_month_and_day_reads_as_the_row_parser_reads_it(year):
+    texts = [f"{year:04}-{month:02}-{day:02}" for month in range(100) for day in range(100)]
+    # each row's first 16 bytes, as the fast path gathers them: 'YYYY-MM-' and 'DD,7\n...'
+    words = np.frombuffer("".join(f"{t},7\n\0\0\0" for t in texts).encode(), dtype="<u8")
+    days, ok = ingest._days(words[0::2], words[1::2])
+    valid = []
+    for text, day, good in zip(texts, days.tolist(), ok.tolist()):
+        try:
+            _, start = ingest._read_rows("s.csv", f"{SERIES_HEAD}{text},7\n", False)
+        except IngestError:
+            assert not good, text
+            continue
+        assert good and day == (start - datetime.date(1970, 1, 1)).days, text
+        valid.append(text)
+    assert len(valid) == {0: 0, 4: 366, 2000: 366}.get(year, 365)
+    # the whole year as one file, which the fast path reads
+    data = "".join(f"{text},{i}\n" for i, text in enumerate(valid))
+    assert (both_readers((SERIES_HEAD + data).encode())[0] is not None) == (year != 0)
+
+
+CANONICAL_ROW = re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2},[0-9]+(\.[0-9]+)?\n")
+
+
+@pytest.mark.parametrize("column", range(15))
+def test_any_byte_at_any_column_is_read_as_the_row_parser_reads_it(column):
+    # every byte value at each column of a row, look-alikes of the separators
+    # and the digits among them: the fast path reads exactly the canonical rows
+    read = []
+    for byte in range(256):
+        row = bytearray(b"2000-12-31,4.5\n")
+        row[column] = byte
+        fast, rows = both_readers(SERIES_HEAD.encode() + row)
+        canonical = rows is not None and CANONICAL_ROW.fullmatch(row) is not None
+        assert (fast is not None) == canonical, (column, byte)
+        read += [chr(byte)] * canonical
+    digits = {0: "123456789", 1: "0123456789", 2: "0123456789", 3: "0123456789", 5: "1",
+              6: "02", 8: "0123", 9: "01", 11: "0123456789", 12: ".0123456789", 13: "0123456789"}
+    assert "".join(read) == digits.get(column, chr(b"2000-12-31,4.5\n"[column]))
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 15, 16, 17, 31, 32, 33])
+def test_values_up_to_and_past_the_widest_the_fast_path_reads(width):
+    values = {"0" * (width - 1) + "7": width <= 32,
+              "0" * (width - 4) + "1.25": width <= 32,
+              "9" * width: width <= 15,
+              "1." + "0" * (width - 3) + "1": width <= 16,
+              "." + "0" * (width - 2) + "5": False,
+              "0" * (width - 2) + "5.": False,
+              "0" * (width - 5) + "1.2.3": False}
+    for value, fast_reads in values.items():
+        assert len(value) == width
+        fast, rows = both_readers(f"{SERIES_HEAD}2000-01-01,{value}\n".encode())
+        assert (fast is not None) == fast_reads, value
+        assert (rows is None) == (value.count(".") > 1), value
+    # rows of every width in one file, a minimal row last: its later words read past the end
+    readable = [v for v, fast_reads in values.items() if fast_reads]
+    data = daily_csv("2000-01-01", [*readable, "3", *readable, "4"]).encode()
+    assert data.endswith(b",4\n")
+    assert both_readers(data)[0] is not None
+
+
+def test_bom_and_gaps_on_the_fast_path():
+    text = SERIES_HEAD + "2000-01-01,1\n2000-01-02,2.5\n2000-01-05,0\n2000-03-01,7\n"
+    for data in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+        fast, rows = both_readers(data, fill_zero=True)
+        assert fast is not None and fast[0].size == 61 and fast[1] == datetime.date(2000, 1, 1)
+        assert fast[0][[0, 1, 2, 3, 4, 60]].tolist() == [1.0, 2.5, 0.0, 0.0, 0.0, 7.0]
+        assert both_readers(data, fill_zero=False) == (None, None)
+
+
+def test_ingest_holds_one_copy_of_the_file(tmp_path):
+    # at peak a 2**16-row file takes its buffer, the row offsets and one chunk of word
+    # temporaries, about 5.3 times its size here; a second copy of its bytes adds one more
+    counts = np.random.default_rng(7).poisson(20, size=1 << 16)
+    p = write(tmp_path, "counts.csv", daily_csv("2000-01-01", counts.tolist()))
+    ingest_timeseries(p)
+    tracemalloc.start()
+    try:
+        x, _ = ingest_timeseries(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.values.tobytes() == counts.astype(np.float64).tobytes()
+    assert peak < 5.7 * p.stat().st_size
+
+
+def test_series_from_a_pipe(tmp_path):
+    # a FIFO reports size 0: the read continues past it
+    fifo = tmp_path / "series.fifo"
+    os.mkfifo(fifo)
+    text = daily_csv("2020-01-01", [0, 3, 12])
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:
+        x, grid = ingest_timeseries(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert x.values.tolist() == [0.0, 3.0, 12.0] and grid == DayGrid(datetime.date(2020, 1, 1), 3)
+
+
 ODD_DATES = ["2000-02-29", "1900-02-29", "2100-02-29", "0001-01-01", "9999-12-31",
              "0000-01-01", "2000-00-10", "2000-13-01", "2000-01-00", "2000-01-32",
              "2000-1-1", "2000-01-01T00", " 2000-01-01", '"2000-01-01"', "2000-01-0\u0663"]
@@ -319,7 +439,7 @@ def test_fast_path_agrees_with_row_parser(tmp_path, case):
     data, fill_zero = case
     p = tmp_path / "s.csv"
     p.write_bytes(data)
-    fast = ingest._read_canonical(data, fill_zero)
+    fast = ingest._read_canonical(data + bytes(ingest._SPARE), fill_zero)
     try:
         values, start = ingest._read_rows(p, ingest._text(p, data), fill_zero)
     except IngestError as exc:

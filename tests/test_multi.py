@@ -1,6 +1,7 @@
 """Threshold ladders, the coincidence process, and the Monte Carlo test."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +43,28 @@ def test_empirical_quantile_order_statistics():
     assert empirical_quantile(values, 0.005) == 1.0
     # ceil boundary: 0.30 of 100 points is exactly the 30th order statistic
     assert empirical_quantile(values, 0.30) == 30.0
+
+
+def sorted_order_statistic(values, p):
+    """The ceil(p*T)-th smallest of ``values`` (the smallest at p = 0), from a full sort."""
+    return float(np.sort(values)[min(max(1, math.ceil(p * values.size - 1e-9)), values.size) - 1])
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(5).permutation(np.arange(1.0, 101.0)),
+    np.random.default_rng(6).integers(0, 4, size=257).astype(float),
+    np.full(64, 2.5),
+], ids=["distinct", "tied", "constant"])
+def test_partitioned_quantile_is_the_sorted_order_statistic(values):
+    t = values.size
+    before = values.copy()
+    # the ends, levels where p*T is integral, and levels between them
+    for p in [0.0, 1.0, 0.5, 0.25, 0.75, 1 / t, 3 / t, (t - 1) / t, 0.3, 0.999, 0.123, 0.001]:
+        q = empirical_quantile(values, p)
+        assert q == sorted_order_statistic(values, p), p
+        if np.ptp(values) > 0:   # a ladder of one level picks the same order statistic
+            assert build_ladder_from_quantiles(TimeSeries(values), p, p, 1).thresholds[0] == q
+    assert values.tobytes() == before.tobytes()
 
 
 def test_single_level_ladder():
