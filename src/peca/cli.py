@@ -153,7 +153,7 @@ def _multi_null(config: AnalysisConfig, x: TimeSeries, n_events: int) -> _MultiN
     at_least = steps_at_least(rungs, ladder.m)
     pis = success_probabilities(ladder, fit.params)
     null_stats = null_nll_replicates(at_least, n_events, pis, config.r, config.seed)
-    lower, upper = expected_process_with_band(n_events, pis, level=0.95)
+    lower, upper = expected_process_with_band(n_events, pis)
     return _MultiNull(ladder=ladder, fit=fit, rungs=rungs, at_least=at_least, pis=pis,
                       null_stats=null_stats, band_lower_rates=lower / n_events,
                       band_upper_rates=upper / n_events)

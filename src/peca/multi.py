@@ -283,21 +283,20 @@ def mc_p_value(statistic: float, null_stats) -> float:
     return (1 + int(np.count_nonzero(null_stats >= statistic))) / (null_stats.size + 1)
 
 
-def expected_process_with_band(n_events: int, pis, level: float = 0.95):
-    """Central binomial band for the process counts.
+def expected_process_with_band(n_events: int, pis):
+    """Central 95% binomial band for the process counts, the band the QTR chart's legend names.
 
-    Returns (lower, upper): the (1-level)/2 and (1+level)/2 quantiles of
+    Returns (lower, upper): the 2.5% and 97.5% quantiles of
     Binomial(n_events, pi) at each threshold.  A quantile q is the smallest
     count whose distribution function reaches q.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("band level must lie in (0, 1)")
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
     pis = _as_pis(pis)
     lower = np.empty(pis.size, dtype=np.int64)
     upper = np.empty(pis.size, dtype=np.int64)
-    q_lo, q_hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
+    # (1 - 0.95) / 2 is 0.025000000000000022, not 0.025: keep the computed quantiles
+    q_lo, q_hi = (1.0 - 0.95) / 2.0, (1.0 + 0.95) / 2.0
     for i, pi in enumerate(pis):
         if pi >= 1.0:
             lower[i] = upper[i] = n_events

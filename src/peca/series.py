@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EventSeries", "TimeSeries", "rung_index", "preprocess", "late_events"]
+__all__ = ["EventSeries", "TimeSeries", "rung_index", "trailing_mean", "preprocess",
+           "late_events"]
 
 
 def frozen_copy(arr: np.ndarray) -> np.ndarray:
@@ -100,7 +101,25 @@ def rung_index(x: TimeSeries, delta: int, thresholds) -> np.ndarray:
     return rungs
 
 
-def preprocess(x: TimeSeries, window: int = 30) -> TimeSeries:
+def trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
+    """Mean of each entry and the ``window`` - 1 entries before it.
+
+    The first ``window`` - 1 entries average the available prefix instead of
+    a full window.  ``cumsum`` adds in sequence, so the result for a prefix
+    of ``values`` is the same prefix of the result, bit for bit.
+    """
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    cs = np.cumsum(values, dtype=np.float64)
+    head = min(window, cs.size)
+    out = np.empty_like(cs)
+    out[:head] = cs[:head] / np.arange(1, head + 1)
+    np.subtract(cs[window:], cs[:-window], out=out[window:])
+    out[head:] /= window
+    return out
+
+
+def preprocess(x: TimeSeries, window: int) -> TimeSeries:
     """log2(x+1) minus the running mean of the preceding ``window`` transformed values.
 
     Detrends heavy-tailed count data.  The mean window expands at the start:
@@ -113,12 +132,9 @@ def preprocess(x: TimeSeries, window: int = 30) -> TimeSeries:
     if np.any(x.values < 0):
         raise ValueError("preprocess requires non-negative values")
     logs = np.log2(x.values + 1.0)
-    cs = np.cumsum(logs)
-    head = min(window, x.length - 1)
     means = np.empty_like(logs)
     means[0] = logs[0]
-    means[1:head + 1] = cs[:head] / np.arange(1, head + 1)
-    means[window + 1:] = (cs[window:-1] - cs[:-window - 1]) / window
+    means[1:] = trailing_mean(logs[:-1], window)
     return TimeSeries(values=logs - means)
 
 

@@ -1,11 +1,12 @@
 """Synthetic data generators and the empirical-vs-analytical null comparison.
 
-The generators build standardized smoothed-noise series plus independent or
-planted event series; the comparison harness tabulates how well the
-Bernoulli-based and GEV-based binomial nulls match the simulated
-distribution of the trigger count as serial dependence grows.  Every
-generator takes a ``seed`` that ``numpy.random.default_rng`` accepts; the
-studies pass ``(root seed, *path)`` tuples, one named stream per draw.
+The generators build standardized smoothed-noise series (the
+``series.trailing_mean`` of exponential draws) plus independent or planted
+event series; the comparison harness tabulates how well the Bernoulli-based
+and GEV-based binomial nulls match the simulated distribution of the
+trigger count as serial dependence grows.  Every generator takes a
+``seed`` that ``numpy.random.default_rng`` accepts; the studies pass
+``(root seed, *path)`` tuples, one named stream per draw.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .multi import count_at_rungs
 from .nulls import bernoulli_success_prob, binom_cdf, block_maxima, fit_gev_mle, gev_sf
-from .series import EventSeries, TimeSeries, rung_index
+from .series import EventSeries, TimeSeries, rung_index, trailing_mean
 
 __all__ = [
     "SimConfig",
@@ -66,42 +67,22 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
 
 
-def _causal_mean_filter(draws: np.ndarray, order: int) -> np.ndarray:
-    """Unweighted mean over the current and previous order-1 entries.
-
-    The first order-1 outputs average the available prefix instead of a full
-    window.  Orders 0 and 1 return the input unchanged.
-    """
-    if order <= 1:
-        return draws.copy()
-    cs = np.cumsum(draws)
-    out = np.empty_like(draws)
-    head = min(order - 1, draws.size)
-    out[:head] = cs[:head] / np.arange(1, head + 1)
-    if draws.size >= order:
-        shifted = np.concatenate(([0.0], cs[:-order]))
-        out[order - 1:] = (cs[order - 1:] - shifted) / order
-    return out
-
-
-def _filtered_exponential(rng: np.random.Generator, t: int, order: int) -> np.ndarray:
-    """Smoothed unit-exponential noise, before standardization."""
-    return _causal_mean_filter(rng.exponential(1.0, size=t), order)
-
-
 def gen_ma_exponential(t: int, order: int, seed) -> TimeSeries:
     """Standardized smoothed exponential noise, shifted so the minimum is exactly 0.
 
-    ``order`` 0 (or 1) keeps the raw iid draws; larger orders apply the
-    causal mean filter of that window size, which dials in serial
-    dependence.  The filtered series is standardized to zero sample mean and
-    unit sample variance before the shift.
+    ``order`` 0 (or 1) keeps the raw iid unit-exponential draws; larger
+    orders take their ``series.trailing_mean`` over that window size, which
+    dials in serial dependence.  The filtered series is standardized to zero
+    sample mean and unit sample variance before the shift.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     if t <= order:
         raise ValueError("series length must exceed the filter order")
-    y = _filtered_exponential(np.random.default_rng(seed), t, order)
+    y = np.random.default_rng(seed).exponential(1.0, size=t)
+    if order > 1:
+        # at window 1 the kernel's cs[t] - cs[t-1] is not the draw bit for bit
+        y = trailing_mean(y, order)
     y = (y - y.mean()) / y.std(ddof=1)
     return TimeSeries(values=y - y.min())
 

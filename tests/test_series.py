@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from peca.cli import AnalysisConfig, run_pointwise
 from peca.multi import compute_tcp
-from peca.series import EventSeries, TimeSeries, late_events, preprocess, rung_index
+from peca.series import (
+    EventSeries,
+    TimeSeries,
+    late_events,
+    preprocess,
+    rung_index,
+    trailing_mean,
+)
 
 
 def brute_trigger(b_ind, a_ind, delta):
@@ -238,6 +245,33 @@ def test_preprocess_matches_index_arrays():
             values = rng.exponential(50.0, size=length).round(rng.integers(0, 3))
             np.testing.assert_array_equal(preprocess(TimeSeries(values), window).values,
                                           preprocess_index_arrays(values, window))
+
+
+def trailing_mean_index_arrays(values, window):
+    """Reference: each entry's trailing mean from index arrays into one padded cumsum."""
+    cs = np.concatenate(([0.0], np.cumsum(values)))
+    hi = np.arange(1, values.size + 1)
+    lo = np.maximum(hi - window, 0)
+    return (cs[hi] - cs[lo]) / (hi - lo)
+
+
+def test_trailing_mean_matches_index_arrays():
+    rng = np.random.default_rng(17)
+    for window in range(1, 71):
+        for length in (*range(window + 4), 4096):
+            values = rng.exponential(3.0, size=length)
+            np.testing.assert_array_equal(trailing_mean(values, window),
+                                          trailing_mean_index_arrays(values, window))
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            trailing_mean(np.ones(3), window)
+
+
+def test_preprocess_checks_window_before_values():
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        preprocess(TimeSeries((-1.0, 2.0)), 0)
+    with pytest.raises(ValueError, match="requires non-negative values"):
+        preprocess(TimeSeries((-1.0, 2.0)), 1)
 
 
 def test_preprocess_zero_counts_are_fine():

@@ -10,13 +10,11 @@ import pytest
 
 from peca.cli import main
 from peca.multi import compute_tcp
-from peca.series import rung_index
+from peca.series import rung_index, trailing_mean
 from peca.sim import (
     _LANE_MAX_EVENTS,
     _SEED_BLOCK,
     SimConfig,
-    _causal_mean_filter,
-    _filtered_exponential,
     _lane_choice,
     _numpy_choice,
     _pcg64_raw,
@@ -30,22 +28,49 @@ from peca.sim import (
 )
 
 
+def standardized(y):
+    """``gen_ma_exponential``'s last steps: zero mean, unit variance, minimum at 0."""
+    y = (y - y.mean()) / y.std(ddof=1)
+    return y - y.min()
+
+
+def old_ma_filter(draws, order):
+    """Reference: the order >= 2 filter of the simulated series before ``trailing_mean``."""
+    cs = np.cumsum(draws)
+    out = np.empty_like(draws)
+    head = min(order - 1, draws.size)
+    out[:head] = cs[:head] / np.arange(1, head + 1)
+    if draws.size >= order:
+        shifted = np.concatenate(([0.0], cs[:-order]))
+        out[order - 1:] = (cs[order - 1:] - shifted) / order
+    return out
+
+
 def test_causal_filter_hand_case():
     draws = np.array([2.0, 4.0, 6.0, 8.0])
-    out = _causal_mean_filter(draws, 2)
+    out = trailing_mean(draws, 2)
     # first value sees only itself, the rest average two draws
     np.testing.assert_allclose(out, [2.0, 3.0, 5.0, 7.0])
 
 
 def test_filter_orders_zero_and_one_are_identity():
+    # both orders keep the raw draws: only the standardization acts on them
     draws = np.random.default_rng(0).exponential(size=50)
-    np.testing.assert_array_equal(_causal_mean_filter(draws, 0), draws)
-    np.testing.assert_array_equal(_causal_mean_filter(draws, 1), draws)
+    np.testing.assert_array_equal(gen_ma_exponential(50, 0, seed=0).values, standardized(draws))
+    np.testing.assert_array_equal(gen_ma_exponential(50, 1, seed=0).values, standardized(draws))
 
 
-def test_raw_moments_before_standardization(rng):
-    # order 0 is the plain exponential sample; mean and variance sit near 1
-    raw = _filtered_exponential(rng, 4096, 0)
+def test_filter_orders_match_the_old_filter():
+    for order in (2, 8, 32, 64):
+        draws = np.random.default_rng((4, order)).exponential(1.0, size=4096)
+        np.testing.assert_array_equal(gen_ma_exponential(4096, order, seed=(4, order)).values,
+                                      standardized(old_ma_filter(draws, order)))
+
+
+def test_raw_moments_before_standardization():
+    # order 0 standardizes the plain exponential sample; its mean and variance sit near 1
+    raw = np.random.default_rng(0).exponential(1.0, size=4096)
+    np.testing.assert_array_equal(gen_ma_exponential(4096, 0, seed=0).values, standardized(raw))
     se_mean = 1.0 / np.sqrt(4096)
     assert abs(raw.mean() - 1.0) < 5 * se_mean
     # var of the variance estimator for Exp(1) is (kurtosis excess + 2)/n = 10/n
