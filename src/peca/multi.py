@@ -11,6 +11,8 @@ re-placing the events uniformly at random.  Only the rung of each step
 (see ``rung_index``) enters the counts, so the re-placed process is the
 hypergeometric analogue of the binomial chain: the events per rung are
 multivariate hypergeometric, and one NumPy call draws every replicate.
+One kernel, ``steps_at_least``, does every count: the steps per rung of a
+series, the observed process of an event set, and batches of event sets.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "build_ladder_from_quantiles",
     "success_probabilities",
     "steps_at_least",
-    "count_at_rungs",
     "compute_tcp",
     "tcp_nll",
     "null_nll_replicates",
@@ -129,30 +130,42 @@ def success_probabilities(ladder: ThresholdLadder, theta: GevParams) -> np.ndarr
     return np.minimum.accumulate(pis)
 
 
-def count_at_rungs(event_rungs, m: int) -> np.ndarray:
-    """Trigger counts at m ladder thresholds, over the last axis of ``event_rungs``.
+def steps_at_least(rungs, m: int) -> np.ndarray:
+    """Entries at rung >= i, for i = 0..m, along the last axis: the one counting kernel.
 
-    ``event_rungs`` holds the rung of each event (see ``rung_index``), one
-    event set per row of any leading shape; the count at threshold i
-    (0-based) is the number of events at a rung above i.  Shape (..., n)
-    gives shape (..., m): the rows of a non-increasing int count array.
+    Shape (..., k) gives shape (..., m + 1); each row is non-increasing and
+    starts with its total, k.  Of a series' rung index (see ``rung_index``)
+    it is A_0..A_m, the steps at rung >= i.  The permutation null reads the
+    series through A alone: A_i / T is the chance that one uniformly placed
+    event is counted at threshold i, the counterpart of
+    ``success_probabilities`` read off the series without the GEV fit.  Of
+    event sets' rungs, entries 1..m are their trigger counts (see
+    ``compute_tcp``).  One ``bincount`` counts every row, its rungs offset by
+    m + 1 per row, and one reversed running sum accumulates the counts.
     """
-    event_rungs = np.asarray(event_rungs)
-    if np.any((event_rungs < 0) | (event_rungs > m)):
+    rungs = np.asarray(rungs)
+    if np.any((rungs < 0) | (rungs > m)):
         raise ValueError(f"rungs must lie in [0, {m}]")
-    return np.count_nonzero(event_rungs[..., None] > np.arange(m), axis=-2)
+    rows = math.prod(rungs.shape[:-1])
+    # intp before any branch: NumPy before 2.3 refuses uint64 in bincount
+    flat = rungs.reshape(rows, rungs.shape[-1]).astype(np.intp, copy=False)
+    if rows > 1:   # one row, a series' rungs say, is counted without an offset copy
+        flat = flat + np.arange(0, rows * (m + 1), m + 1)[:, None]
+    bins = np.bincount(flat.ravel(), minlength=rows * (m + 1))
+    return bins.reshape(*rungs.shape[:-1], m + 1)[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
 
 def compute_tcp(e: EventSeries, rungs: np.ndarray, m: int) -> np.ndarray:
     """Trigger coincidence process of ``e``: its (m,) counts at the ladder thresholds.
 
     ``rungs`` is the rung of every step, ``rung_index(x, delta,
-    ladder.thresholds)``.
+    ladder.thresholds)``; an event's rung is the rung of its step, so the
+    count at threshold i is ``steps_at_least`` of the events' rungs, entry i.
     """
     rungs = np.asarray(rungs)
     if e.length != rungs.size:
         raise ValueError(f"series lengths differ: {e.length} vs {rungs.size}")
-    return count_at_rungs(rungs[e.occurrences - 1], m)
+    return steps_at_least(rungs[e.occurrences - 1], m)[1:]
 
 
 def _as_pis(pis, m: int | None = None) -> np.ndarray:
@@ -197,20 +210,6 @@ def tcp_nll(counts, n_events: int, pis) -> float:
         raise ValueError("counts must be non-increasing along the ladder")
     pis = _as_pis(pis, counts.size)
     return float(_nll_rows(counts[None, :], n_events, pis)[0])
-
-
-def steps_at_least(rungs: np.ndarray, m: int) -> np.ndarray:
-    """A_0..A_m: the number of steps at rung >= i, of a series with rung index ``rungs``.
-
-    A_0 is the series length and A is non-increasing.  The permutation null
-    reads the series through A alone: A_i / T is the chance that one
-    uniformly placed event is counted at threshold i, the counterpart of
-    ``success_probabilities`` read off the series without the GEV fit.
-    """
-    rungs = np.asarray(rungs)
-    if np.any((rungs < 0) | (rungs > m)):
-        raise ValueError(f"rungs must lie in [0, {m}]")
-    return np.bincount(rungs, minlength=m + 1)[::-1].cumsum()[::-1]
 
 
 # Position draws that cost about one hypergeometric draw.  On a 2-core Xeon

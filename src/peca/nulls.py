@@ -162,7 +162,7 @@ class _BudgetSpent(Exception):
     """Raised by the counted objective once ``maxfev`` evaluations are spent."""
 
 
-def _nelder_mead(func, x0, maxiter: int, maxfev: int, xatol: float,
+def _nelder_mead(func, x0, maxfev: int, xatol: float,
                  fatol: float) -> tuple[np.ndarray, float, int, bool]:
     """Nelder-Mead simplex minimization (Nelder & Mead 1965, Comput. J. 7: 308-313).
 
@@ -174,8 +174,9 @@ def _nelder_mead(func, x0, maxiter: int, maxfev: int, xatol: float,
     vertex ordering and termination test (every vertex within ``xatol`` of
     the best in every coordinate, and every value within ``fatol`` of the
     best).  Once ``maxfev`` evaluations are spent the search stops, even in
-    the middle of an iteration.  Returns (x, fun, nfev, success); success
-    means neither the evaluation nor the iteration limit was reached.
+    the middle of an iteration; SciPy's iteration limit, infinite when only
+    ``maxfev`` is given, is left out.  Returns (x, fun, nfev, success);
+    success means the evaluation limit was not reached.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
@@ -210,8 +211,7 @@ def _nelder_mead(func, x0, maxiter: int, maxfev: int, xatol: float,
     sim = np.take(sim, ind, 0)
     fsim = np.take(fsim, ind, 0)
 
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
+    while nfev < maxfev:
         try:
             if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
                     and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
@@ -249,15 +249,13 @@ def _nelder_mead(func, x0, maxiter: int, maxfev: int, xatol: float,
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + sigma * (sim[j] - sim[0])
                     fsim[j] = f(sim[j])
-            iterations += 1
         except _BudgetSpent:
             pass
         ind = np.argsort(fsim)
         sim = np.take(sim, ind, 0)
         fsim = np.take(fsim, ind, 0)
 
-    success = nfev < maxfev and iterations < maxiter
-    return sim[0], float(np.min(fsim)), nfev, success
+    return sim[0], float(np.min(fsim)), nfev, nfev < maxfev
 
 
 def fit_gev_mle(maxima, min_samples: int = 20) -> GevFit:
@@ -295,7 +293,7 @@ def fit_gev_mle(maxima, min_samples: int = 20) -> GevFit:
         return _gev_nll(p[0], p[1], math.exp(p[2]), z)
 
     x, fun, _, success = _nelder_mead(objective, np.array([xi0, mu0, math.log(sigma0)]),
-                                      maxiter=20000, maxfev=20000, xatol=1e-9, fatol=1e-10)
+                                      maxfev=20000, xatol=1e-9, fatol=1e-10)
     nll = float(fun)
     if not math.isfinite(nll):
         raise GevFitError("GEV optimization found no feasible likelihood")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multi import count_at_rungs
+from .multi import ThresholdLadder, steps_at_least
 from .nulls import bernoulli_success_prob, binom_cdf, block_maxima, fit_gev_mle, gev_sf
 from .series import EventSeries, TimeSeries, rung_index, trailing_mean
 
@@ -59,8 +59,7 @@ class SimConfig:
             raise ValueError("n_events must lie in [0, length]")
         if self.delta < 0 or self.delta >= self.length:
             raise ValueError("delta must lie in [0, length)")
-        if not self.thresholds or any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ValueError("thresholds must be non-empty and strictly increasing")
+        ThresholdLadder(self.thresholds)   # non-empty, finite, strictly increasing
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.seed < 0:
@@ -337,7 +336,7 @@ def null_distribution_comparison(config: SimConfig) -> np.ndarray:
         # draws, zero-based and in no set order: the counts do not read it
         words = _seed_words(config.seed, order, 1, 0)
         for j0, rows in _replicate_positions(words, config.replicates, config.length, n):
-            counts[j0:j0 + len(rows)] = count_at_rungs(rungs[rows], taus.size)
+            counts[j0:j0 + len(rows)] = steps_at_least(rungs[rows], taus.size)[:, 1:]
         for ti, tau in enumerate(taus):
             p_exc = np.count_nonzero(x.values > tau) / config.length
             cmfs[oi, ti] = (

@@ -15,7 +15,6 @@ from peca.multi import (
     _null_counts,
     build_ladder_from_quantiles,
     compute_tcp,
-    count_at_rungs,
     dp_extreme_nll,
     empirical_quantile,
     expected_process_with_band,
@@ -145,20 +144,30 @@ def test_compute_tcp_agrees_with_single_counts():
     assert np.all(np.diff(counts) <= 0)
 
 
-@given(st.integers(1, 40), st.integers(0, 12), st.integers(1, 6), st.integers(0, 2**31 - 1))
-def test_count_at_rungs_matches_compute_tcp_row_by_row(rows, n, m, seed):
-    # the batched kernel on an (R, n) rung matrix is compute_tcp on each row's events
-    rng = np.random.default_rng(seed)
-    t = n + int(rng.integers(1, 20))
-    rungs = rng.integers(0, m + 1, size=t)
-    occurrences = np.array([np.sort(rng.choice(t, size=n, replace=False)) + 1
-                            for _ in range(rows)]).reshape(rows, n)
-    batched = count_at_rungs(rungs[occurrences - 1], m)
-    assert batched.shape == (rows, m)
-    for row, occ in zip(batched, occurrences):
-        np.testing.assert_array_equal(row, compute_tcp(EventSeries(t, occ), rungs, m))
-    with pytest.raises(ValueError):
-        count_at_rungs(np.array([[0, m + 1]]), m)
+@given(st.lists(st.integers(0, 4), max_size=2), st.integers(0, 12), st.integers(0, 6),
+       st.integers(0, 2**31 - 1))
+def test_steps_at_least_matches_a_loop_along_the_last_axis(lead, k, m, seed):
+    # every row of any leading shape: entry i is the number of the row's rungs >= i
+    rungs = np.random.default_rng(seed).integers(0, m + 1, size=(*lead, k))
+    got = steps_at_least(rungs, m)
+    assert got.shape == (*lead, m + 1)
+    for index in np.ndindex(*lead):
+        row = rungs[index].tolist()
+        assert got[index].tolist() == [sum(r >= i for r in row) for i in range(m + 1)]
+
+
+# the shapes a per-row bincount offset gets wrong; unsigned rungs, since an
+# offset in uint8 would wrap at 1024 rows of 129 bins, and uint64 plus an
+# int64 offset is float64, which bincount refuses
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
+@pytest.mark.parametrize("shape, m", [((0,), 3), ((5, 0), 3), ((0, 7), 3), ((1024, 1000), 128)])
+def test_steps_at_least_edge_shapes(shape, m, dtype):
+    rungs = np.random.default_rng(7).integers(0, m + 1, size=shape, dtype=dtype)
+    got = steps_at_least(rungs, m)
+    assert got.shape == (*shape[:-1], m + 1)
+    rows = rungs.reshape(math.prod(shape[:-1]), shape[-1])
+    want = [np.count_nonzero(row[:, None] >= np.arange(m + 1), axis=0) for row in rows]
+    np.testing.assert_array_equal(got.reshape(-1, m + 1), np.reshape(want, (-1, m + 1)))
 
 
 def test_process_validation():
@@ -413,6 +422,9 @@ def test_steps_at_least_match_window_count(seed, delta, m):
 def test_steps_at_least_validation():
     with pytest.raises(ValueError):
         steps_at_least(np.array([0, 3, 1]), 2)
+    for rows in ([[0, 3]], [[0, 1], [-1, 2]]):   # a rung above m, or below 0, in a batch
+        with pytest.raises(ValueError, match=r"rungs must lie in \[0, 2\]"):
+            steps_at_least(np.array(rows), 2)
 
 
 def test_null_draw_refuses_steps_that_do_not_fit_the_ladder():

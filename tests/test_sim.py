@@ -145,6 +145,18 @@ def test_simconfig_validation():
         SimConfig(replicates=0)
     with pytest.raises(ValueError, match="repeated filter order"):
         SimConfig(ma_orders=(0, 32, 0))
+    with pytest.raises(ValueError, match="at least one threshold"):
+        SimConfig(thresholds=())
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SimConfig(thresholds=(4.0, 3.0))
+
+
+@pytest.mark.parametrize("thresholds", [(float("nan"), 4.0), (3.0, float("nan"), 5.0),
+                                        (3.0, float("inf"))])
+def test_simconfig_rejects_non_finite_thresholds(thresholds):
+    # NaN passes every "strictly increasing" comparison, and inf counts nothing
+    with pytest.raises(ValueError, match="thresholds must be finite"):
+        SimConfig(thresholds=thresholds)
 
 
 def small_config():
