@@ -80,46 +80,49 @@ def _gev_dict(fit: GevFit) -> dict:
     }
 
 
-def _late_event_warning(events: EventSeries, delta: int, warn: list[str]) -> None:
-    late = late_events(events, delta)
-    if late.size:
-        warn.append(f"{late.size} event(s) in the final {delta} steps can never be counted "
-                    f"but stay in the rate denominator: steps {late.tolist()}")
-
-
-def _trigger_count(events: EventSeries, x: TimeSeries, tau: float, delta: int) -> int:
-    """Events whose window [t, t+delta] holds a strict exceedance of ``tau``: a ladder of one."""
-    return int(compute_tcp(events, rung_index(x, delta, [tau]), 1)[0])
-
-
-def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
-                  tau: float | None = None, quantile: float | None = None,
-                  warnings: list[str] | None = None) -> dict:
-    """Single-threshold trigger test; returns the JSON-ready report dict."""
-    if (tau is None) == (quantile is None):
-        raise ValueError("exactly one of tau and quantile is required")
-    if tau is not None and not math.isfinite(tau):
-        raise ValueError("tau must be finite")
-    warn = list(warnings or [])
-    x = preprocess(series, config.window) if config.preprocess else series
-    if quantile is not None:
-        threshold = empirical_quantile(x.values, quantile)
-    else:
-        threshold = float(tau)
+def _fit(config: AnalysisConfig, x: TimeSeries, ladder: ThresholdLadder
+         ) -> tuple[GevFit, np.ndarray, np.ndarray]:
+    """GEV fit of the block maxima, rung of every step and success probability of every rung."""
     fit = fit_gev_mle(block_maxima(x, config.delta), min_samples=config.min_blocks)
+    rungs = rung_index(x, config.delta, ladder.thresholds)
+    return fit, rungs, success_probabilities(ladder, fit.params)
+
+
+def _head(command: str, config: AnalysisConfig, x: TimeSeries, events: EventSeries,
+          fit: GevFit, warn: list[str]) -> dict:
+    """Append the fit and late-event warnings; return the report's opening sections."""
     if not fit.converged:
         warn.append("GEV fit did not satisfy the optimizer's convergence test")
-    k = _trigger_count(events, x, threshold, config.delta)
-    pi = float(success_probabilities(ThresholdLadder(thresholds=[threshold]), fit.params)[0])
-    _late_event_warning(events, config.delta, warn)
+    late = late_events(events, config.delta)
+    if late.size:
+        warn.append(f"{late.size} event(s) in the final {config.delta} steps can never be "
+                    f"counted but stay in the rate denominator: steps {late.tolist()}")
     return {
-        "command": "pointwise",
+        "command": command,
         "config": asdict(config),
         "series": {
             "length": x.length,
             "n_events": events.n_events,
             "event_rate": events.n_events / events.length,
         },
+    }
+
+
+def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
+                  tau: float | None = None, quantile: float | None = None,
+                  warnings: list[str] | None = None) -> dict:
+    """Single-threshold test, multi's per-rung test at a ladder of one; returns the report dict."""
+    if (tau is None) == (quantile is None):
+        raise ValueError("exactly one of tau and quantile is required")
+    if tau is not None and not math.isfinite(tau):
+        raise ValueError("tau must be finite")
+    warn = list(warnings or [])
+    x = preprocess(series, config.window) if config.preprocess else series
+    threshold = float(tau) if quantile is None else empirical_quantile(x.values, quantile)
+    fit, rungs, pis = _fit(config, x, ThresholdLadder(thresholds=[threshold]))
+    k, pi = int(compute_tcp(events, rungs, 1)[0]), float(pis[0])
+    return {
+        **_head("pointwise", config, x, events, fit, warn),
         "threshold": threshold,
         "quantile_level": quantile,
         "k_observed": k,
@@ -148,10 +151,8 @@ class _MultiNull:
 def _multi_null(config: AnalysisConfig, x: TimeSeries, n_events: int) -> _MultiNull:
     """Ladder, GEV fit, steps per rung, success probabilities, replicate NLLs and the 95% band."""
     ladder = build_ladder_from_quantiles(x, config.qlo, config.qhi, config.m)
-    fit = fit_gev_mle(block_maxima(x, config.delta), min_samples=config.min_blocks)
-    rungs = rung_index(x, config.delta, ladder.thresholds)
+    fit, rungs, pis = _fit(config, x, ladder)
     at_least = steps_at_least(rungs, ladder.m)
-    pis = success_probabilities(ladder, fit.params)
     null_stats = null_nll_replicates(at_least, n_events, pis, config.r, config.seed)
     lower, upper = expected_process_with_band(n_events, pis)
     return _MultiNull(ladder=ladder, fit=fit, rungs=rungs, at_least=at_least, pis=pis,
@@ -194,9 +195,7 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
     if collapsed:
         warn.append(f"{collapsed} duplicate threshold(s) collapsed; "
                     f"effective ladder size {ladder.m}")
-    if not fit.converged:
-        warn.append("GEV fit did not satisfy the optimizer's convergence test")
-    _late_event_warning(events, config.delta, warn)
+    head = _head("multi", config, x, events, fit, warn)
 
     counts, statistic, p_hat, table = _score(null, events)
     raw_p_values = [binom_tail(int(k), events.n_events, float(pi)) for k, pi in zip(counts, pis)]
@@ -222,13 +221,7 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
                     "so a count below its predecessor there, as a late event makes, has zero "
                     "likelihood")
     report = {
-        "command": "multi",
-        "config": asdict(config),
-        "series": {
-            "length": x.length,
-            "n_events": events.n_events,
-            "event_rate": events.n_events / events.length,
-        },
+        **head,
         "ladder": {
             "size": ladder.m,
             "requested": config.m,
@@ -303,8 +296,8 @@ def _simulate_qtr_extremes(out_dir: Path, seed: int = AnalysisConfig.seed, lengt
         results[label] = {
             "statistic": statistic,
             "p_hat": p_hat,
-            "rate_at_trigger_tau":
-                _trigger_count(events, x, trigger_tau, config.delta) / events.n_events,
+            "rate_at_trigger_tau": int(compute_tcp(
+                events, rung_index(x, config.delta, [trigger_tau]), 1)[0]) / events.n_events,
         }
 
     nlls = null.null_stats

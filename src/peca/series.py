@@ -10,6 +10,7 @@ events over those rungs; a single threshold is a ladder of one.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,14 @@ class EventSeries:
     occurrences: np.ndarray
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("series length must be at least 1")
-        occ = np.asarray(self.occurrences, dtype=np.int64).ravel()
+        if not isinstance(self.length, numbers.Integral) or self.length < 1:
+            raise ValueError("series length must be an integer of at least 1")
+        occ = np.asarray(self.occurrences).ravel()
+        integral = occ.dtype.kind in "biu" or (
+            occ.dtype.kind == "f" and np.all(np.isfinite(occ) & (np.trunc(occ) == occ)))
+        if not integral:
+            raise ValueError("occurrences must be integer-valued")
+        occ = occ.astype(np.int64)
         if occ.size:
             if np.any(np.diff(occ) <= 0):
                 raise ValueError("occurrences must be strictly increasing")

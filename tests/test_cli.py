@@ -379,17 +379,56 @@ def test_missing_series_file(tmp_path):
     assert json.loads(err)["error"]["category"] in ("io", "ingest")
 
 
-def test_late_event_warning(dataset, tmp_path):
-    series, events = dataset
-    # append an event inside the final tolerance window
-    with open(events, "a") as fh:
-        fh.write("2020-02-04\n")  # day 400 of the grid
-    out = tmp_path / "r.json"
-    code, _, _ = run_cli(["pointwise", "--series", str(series), "--events", str(events),
-                          "--quantile", "0.9", "--delta", "5", "--out", str(out)])
+@pytest.fixture
+def paper_daily(tmp_path):
+    """The benchmark's paper-daily input at seed 53: 1096 weekly-cycled daily counts with
+    rare bursts from 2000-01-01, and 17 events."""
+    rng = np.random.default_rng(np.random.SeedSequence([53, sum(map(ord, "paper-daily"))]))
+    t = 1096
+    base = rng.poisson(40 + 12 * np.sin(np.arange(t) * 2 * np.pi / 7.0))
+    values = base + (rng.random(t) < 0.03) * rng.poisson(300, t)
+    steps = np.sort(rng.choice(t, size=17, replace=False))
+    start = datetime.date(2000, 1, 1)
+    series = tmp_path / "series.csv"
+    series.write_text("date,value\n" + "".join(
+        f"{start + datetime.timedelta(days=i)},{v}\n" for i, v in enumerate(values.tolist())))
+    events = tmp_path / "events.txt"
+    events.write_text("".join(f"{start + datetime.timedelta(days=int(i))}\n" for i in steps))
+    return ["--series", str(series), "--events", str(events)]
+
+
+LATE_WARNING = ("1 event(s) in the final 7 steps can never be counted but stay in the rate "
+                "denominator: steps [1095]")
+
+
+@pytest.mark.parametrize("command, expected", [
+    (["pointwise", "--tau", "300"], [LATE_WARNING]),
+    (["multi", "--qlo", "0", "--m", "200", "--r", "50"],
+     ["145 duplicate threshold(s) collapsed; effective ladder size 55", LATE_WARNING,
+      "multi_test statistic, null_max infinite, written as null: the fitted GEV null gives a "
+      "rung success probability 1 (or ties it with the rung below), so a count below its "
+      "predecessor there, as a late event makes, has zero likelihood"]),
+], ids=["pointwise", "multi"])
+def test_late_event_warning(paper_daily, command, expected):
+    # both commands warn in one order: ingest, ladder, fit, late events, then the statistic
+    with open(paper_daily[-1], "a") as fh:   # the events file
+        fh.write("2002-12-30\n2002-12-30\n")  # step 1095 of 1096, twice
+    code, out, _ = run_cli([*command, *paper_daily])
     assert code == 0
-    report = json.loads(out.read_text())
-    assert any("never be counted" in w for w in report["warnings"])
+    assert json.loads(out)["warnings"] == [
+        "collapsed duplicate event date(s): 2002-12-30", *expected]
+
+
+@pytest.mark.parametrize("options, category, message", [
+    (["--delta", "3", "--min-blocks", "400"], "fit", "need at least 400 block maxima, got 274"),
+    (["--delta", "1096"], "config", "series of length 1096 is shorter than one block of size 1097"),
+], ids=["too-few-blocks", "delta-past-the-series"])
+def test_pointwise_and_multi_fail_alike(paper_daily, options, category, message):
+    # the fit both tests share refuses the input once, with one error
+    for command in (["pointwise", "--tau", "300"], ["multi", "--r", "50"]):
+        code, out, err = run_cli([*command, *paper_daily, *options])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {"category": category, "message": message}}
 
 
 def _reject_constant(name):

@@ -294,6 +294,20 @@ def test_event_series_validation():
         EventSeries(5, (3, 3))
     with pytest.raises(ValueError):
         EventSeries(5, (4, 2))
+    # a fractional step or length is refused, not truncated
+    with pytest.raises(ValueError, match="occurrences must be integer-valued"):
+        EventSeries(10, [1.5, 2.7])
+    with pytest.raises(ValueError, match="occurrences must be integer-valued"):
+        EventSeries(10, [1.0, float("nan")])
+    with pytest.raises(ValueError, match="occurrences must be integer-valued"):
+        EventSeries(10, ["1", "2"])
+    with pytest.raises(ValueError, match="length must be an integer of at least 1"):
+        EventSeries(10.7, [1, 10])
+    with pytest.raises(ValueError, match="length must be an integer of at least 1"):
+        EventSeries(0, ())
+    assert EventSeries(10, [1.0, 10.0]).occurrences.tolist() == [1, 10]
+    assert EventSeries(400, ()).n_events == 0   # an empty float array
+    assert EventSeries(400, np.array([])).n_events == 0
 
 
 def test_time_series_validation():
