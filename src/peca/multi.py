@@ -10,7 +10,9 @@ process is the test statistic; its null distribution is estimated by
 re-placing the events uniformly at random.  Only the rung of each step
 (see ``rung_index``) enters the counts, so the re-placed process is the
 hypergeometric analogue of the binomial chain: the events per rung are
-multivariate hypergeometric, and one NumPy call draws every replicate.
+multivariate hypergeometric.  One Generator draws the replicates in blocks
+of ``_NULL_BLOCK``, and each block is scored before the next is drawn, so
+memory holds the r NLLs and one block of counts, whatever r is.
 One kernel, ``steps_at_least``, does every count: the steps per rung of a
 series, the observed process of an event set, and batches of event sets.
 """
@@ -220,19 +222,27 @@ def tcp_nll(counts, n_events: int, pis) -> float:
 _POSITION_DRAWS_PER_RUNG_DRAW = 4
 
 
-def _null_counts(at_least: np.ndarray, n_events: int, r: int, seed: int) -> np.ndarray:
-    """Counts of r uniform re-placements of n_events events, as an (r, m) matrix.
+# Replicates drawn and scored at a time: a block holds 0.5 MB of counts at
+# m = 32 and 2.1 MB at m = 128.  On a 2-core Xeon with NumPy 2.4 at r = 10^6
+# (medians of 4 runs, m 32 and 128), blocks of 2048, 4096 and 16384 came
+# within 12 % of each other, and 1024 took 10 to 30 % longer than 2048.
+_NULL_BLOCK = 2048
+
+
+def _null_counts(at_least: np.ndarray, n_events: int, rows: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Counts of ``rows`` uniform re-placements of n_events events, as a (rows, m) matrix.
 
     ``at_least`` is A_0..A_m (see ``steps_at_least``).  Only the rung of a
     step enters the counts, so the number of events on each rung is
     multivariate hypergeometric over the steps per rung.  One
-    ``default_rng(seed).multivariate_hypergeometric`` call draws every
-    replicate's events per rung, from rung m down to 0, and their running sum
-    is the count at rung >= i.  NumPy's ``count`` method, n_events position
-    draws per replicate from a temporary of one integer per step, runs when
-    n_events is at most ``_POSITION_DRAWS_PER_RUNG_DRAW`` times the number of
-    random rungs, 0 < A_i < A_{i-1}; its ``marginals`` method, a chain of
-    hypergeometric draws over the rungs, runs otherwise.
+    ``rng.multivariate_hypergeometric`` call draws the rows' events per
+    rung, from rung m down to 0, and their running sum is the count at rung
+    >= i.  NumPy's ``count`` method, n_events position draws per row from a
+    temporary of one integer per step, runs when n_events is at most
+    ``_POSITION_DRAWS_PER_RUNG_DRAW`` times the number of random rungs,
+    0 < A_i < A_{i-1}; its ``marginals`` method, a chain of hypergeometric
+    draws over the rungs, runs otherwise.
     """
     steps_per_rung = -np.diff(at_least, append=0)
     if np.any(steps_per_rung < 0):
@@ -242,8 +252,8 @@ def _null_counts(at_least: np.ndarray, n_events: int, r: int, seed: int) -> np.n
         raise ValueError(f"cannot place {n_events} events on {at_least[0]} steps")
     random_rungs = int(np.count_nonzero((at_least[1:] > 0) & (at_least[1:] < at_least[:-1])))
     method = "count" if n_events <= _POSITION_DRAWS_PER_RUNG_DRAW * random_rungs else "marginals"
-    placed = np.random.default_rng(seed).multivariate_hypergeometric(
-        steps_per_rung[::-1], n_events, size=r, method=method)
+    placed = rng.multivariate_hypergeometric(steps_per_rung[::-1], n_events, size=rows,
+                                             method=method)
     np.cumsum(placed, axis=1, out=placed)
     return placed[:, m - 1::-1]
 
@@ -256,7 +266,9 @@ def null_nll_replicates(at_least: np.ndarray, n_events: int, pis: np.ndarray, r:
     ``pis`` the ladder's m success probabilities (see
     ``success_probabilities``).  The replicates are exact draws of the
     process under uniform re-placement of ``n_events`` events, reproducible
-    from ``seed``.
+    from ``seed``: one ``default_rng(seed)`` draws them ``_NULL_BLOCK`` at a
+    time (see ``_null_counts``), and each block's NLLs fill their slice of
+    the result before the next block is drawn.
     """
     if r < 1:
         raise ValueError("need at least one replicate")
@@ -265,7 +277,13 @@ def null_nll_replicates(at_least: np.ndarray, n_events: int, pis: np.ndarray, r:
     if at_least.shape != (pis.size + 1,):
         raise ValueError(f"need the steps at rung >= i for i = 0..{pis.size}: "
                          "one entry more than pis")
-    return _nll_rows(_null_counts(at_least, n_events, r, seed), n_events, pis)
+    rng = np.random.default_rng(seed)
+    nlls = np.empty(r)
+    for start in range(0, r, _NULL_BLOCK):
+        rows = min(_NULL_BLOCK, r - start)
+        nlls[start:start + rows] = _nll_rows(_null_counts(at_least, n_events, rows, rng),
+                                             n_events, pis)
+    return nlls
 
 
 def mc_p_value(statistic: float, null_stats) -> float:

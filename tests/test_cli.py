@@ -346,6 +346,54 @@ def test_config_error_category(dataset):
     assert json.loads(err)["error"]["category"] == "config"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["multi", "--m", "0"], "m must be at least 1"),
+    (["multi", "--seed", "-1"], "seed must be non-negative"),
+    (["multi", "--window", "0"], "window must be at least 1"),
+    (["pointwise", "--quantile", "0.9", "--min-blocks", "1"], "min_blocks must be at least 2"),
+    (["pointwise", "--quantile", "1.5"], "quantile level must lie in [0, 1]"),
+], ids=["m", "seed", "window", "min-blocks", "quantile"])
+def test_config_errors_name_the_setting(dataset, argv, message):
+    series, events = dataset
+    code, out, err = run_cli([*argv, "--series", str(series), "--events", str(events)])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"category": "config", "message": message}}
+
+
+def test_constant_series_in_both_commands(tmp_path):
+    # a constant series has neither a threshold ladder nor a GEV fit
+    start = datetime.date(2020, 1, 1)
+    series = tmp_path / "s.csv"
+    series.write_text("date,value\n" + "".join(
+        f"{start + datetime.timedelta(days=i)},5\n" for i in range(200)))
+    events = tmp_path / "e.txt"
+    events.write_text("2020-03-01\n2020-04-01\n")
+    ingest = ["--series", str(series), "--events", str(events)]
+    for argv, category, message in (
+            (["multi", "--r", "50"], "config",
+             "cannot build a threshold ladder from a constant series"),
+            (["pointwise", "--tau", "6"], "fit", "degenerate sample: all block maxima are equal"),
+            (["pointwise", "--quantile", "0.9"], "fit",
+             "degenerate sample: all block maxima are equal")):
+        code, out, err = run_cli([*argv, *ingest])
+        assert (code, out) == (1, ""), argv
+        assert json.loads(err) == {"error": {"category": category, "message": message}}, argv
+
+
+def test_unconverged_fit_is_a_warning(dataset, monkeypatch):
+    fit_gev_mle = peca.cli.fit_gev_mle
+    monkeypatch.setattr(peca.cli, "fit_gev_mle",
+                        lambda *a, **k: dataclasses.replace(fit_gev_mle(*a, **k), converged=False))
+    series, events = dataset
+    ingest = ["--series", str(series), "--events", str(events), "--delta", "5"]
+    for argv in (["pointwise", "--quantile", "0.9"], ["multi", "--m", "8", "--r", "50"]):
+        code, out, _ = run_cli([*argv, *ingest])
+        assert code == 0
+        report = json.loads(out)
+        assert report["gev"]["converged"] is False
+        assert report["warnings"] == ["GEV fit did not satisfy the optimizer's convergence test"]
+
+
 def test_io_error_category(dataset, tmp_path):
     series, events = dataset
     code, _, err = run_cli(["pointwise", "--series", str(series), "--events", str(events),
@@ -355,8 +403,9 @@ def test_io_error_category(dataset, tmp_path):
 
 
 def test_memory_error_category(dataset, tmp_path, monkeypatch):
-    # a huge --r fails to allocate the replicate counts; raised here, never allocated
-    message = "Unable to allocate 492. GiB for an array with shape (2000000000, 33)"
+    # a huge --r fails to allocate the replicate NLLs; raised here, never allocated
+    message = ("Unable to allocate 14.9 GiB for an array with shape (2000000000,) "
+               "and data type float64")
 
     def cannot_allocate(*args):
         raise MemoryError(message)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, chi2_contingency, hypergeom
 
 from peca.multi import (
+    _NULL_BLOCK,
     _POSITION_DRAWS_PER_RUNG_DRAW,
     ThresholdLadder,
+    _nll_rows,
     _null_counts,
     build_ladder_from_quantiles,
     compute_tcp,
@@ -306,7 +309,7 @@ def test_chain_matches_permutation_oracle(counting_rngs, n, method):
         p = at_least / t
         mean = n * p
         var = n * p * (1 - p) * (t - n) / (t - 1)
-        drawn = _null_counts(steps_at_least(rungs, m), n, r, seed=1)
+        drawn = _null_counts(steps_at_least(rungs, m), n, r, np.random.default_rng(1))
         assert counting_rngs[-1].methods == [method]
         oracle = permutation_counts(rungs, n, m, r, np.random.default_rng(2))
         for counts in (drawn, oracle):
@@ -374,7 +377,7 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
     rungs = np.repeat(np.arange(m + 1), sizes)
     most = _POSITION_DRAWS_PER_RUNG_DRAW * 2
     for n, method in ((most, "count"), (most + 1, "marginals")):
-        counts = _null_counts(steps_at_least(rungs, m), n, 300, seed=3)
+        counts = _null_counts(steps_at_least(rungs, m), n, 300, np.random.default_rng(3))
         assert counting_rngs[-1].methods == [method]
         # a certain rung repeats the count below it, and an empty one is 0
         np.testing.assert_array_equal(counts[:, 1], counts[:, 0])
@@ -383,11 +386,12 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
         np.testing.assert_array_equal(counts[:, 5], 0)
         assert counts.shape == (300, m) and counts.max() <= n
     # no events on a ladder with random rungs: the position draws, all zero
-    np.testing.assert_array_equal(_null_counts(steps_at_least(rungs, m), 0, 30, seed=3), 0)
+    np.testing.assert_array_equal(
+        _null_counts(steps_at_least(rungs, m), 0, 30, np.random.default_rng(3)), 0)
     assert counting_rngs[-1].methods == ["count"]
     # every step on one rung: no count is random, under either method
     for n, method in ((0, "count"), (6, "marginals")):
-        counts = _null_counts(steps_at_least(np.full(10, 2), 4), n, 30, seed=3)
+        counts = _null_counts(steps_at_least(np.full(10, 2), 4), n, 30, np.random.default_rng(3))
         np.testing.assert_array_equal(counts, [[n, n, 0, 0]] * 30)
         assert counting_rngs[-1].methods == [method]
     assert all(rng.hypergeometric_calls == 0 for rng in counting_rngs)
@@ -399,8 +403,10 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
 def test_both_samplers_are_exact_at_no_events_and_every_step(counting_rngs, copies, method):
     rungs = np.tile([2, 0, 1, 4, 2, 0, 1, 0, 4], copies)
     at_least = steps_at_least(rungs, 4)
-    np.testing.assert_array_equal(_null_counts(at_least, 0, 20, seed=4), np.zeros((20, 4)))
-    np.testing.assert_array_equal(_null_counts(at_least, rungs.size, 20, seed=4),
+    np.testing.assert_array_equal(_null_counts(at_least, 0, 20, np.random.default_rng(4)),
+                                  np.zeros((20, 4)))
+    np.testing.assert_array_equal(_null_counts(at_least, rungs.size, 20,
+                                               np.random.default_rng(4)),
                                   [at_least[1:]] * 20)
     assert counting_rngs[-1].methods == [method]
 
@@ -460,20 +466,21 @@ def test_chain_edge_cases():
     rungs = np.array([2, 0, 1, 2, 2, 0, 1, 0])
     # no events: every count is zero, and so is every NLL
     at_least = steps_at_least(rungs, 3)
-    np.testing.assert_array_equal(_null_counts(at_least, 0, 5, seed=0), 0)
+    np.testing.assert_array_equal(_null_counts(at_least, 0, 5, np.random.default_rng(0)), 0)
     np.testing.assert_array_equal(null_nll_replicates(at_least, 0, [0.5, 0.3, 0.1], 5, seed=0),
                                   0.0)
     # rung 3 has no step, so its count is always zero
-    counts = _null_counts(at_least, 4, 200, seed=1)
+    counts = _null_counts(at_least, 4, 200, np.random.default_rng(1))
     np.testing.assert_array_equal(counts[:, 2], 0)
     assert counts[:, 0].max() <= 5 and counts[:, 1].max() <= 3
     # every step drawn: four sit at the top rung, the late one at rung 0
-    full = _null_counts(steps_at_least(np.array([3, 3, 3, 3, 0]), 3), 5, 20, seed=2)
+    full = _null_counts(steps_at_least(np.array([3, 3, 3, 3, 0]), 3), 5, 20,
+                        np.random.default_rng(2))
     np.testing.assert_array_equal(full, [[4, 4, 4]] * 20)
     with pytest.raises(ValueError):
-        _null_counts(at_least, 9, 5, seed=0)         # more events than steps
+        _null_counts(at_least, 9, 5, np.random.default_rng(0))   # more events than steps
     with pytest.raises(ValueError):
-        steps_at_least(rungs, 1)                     # rung above m
+        steps_at_least(rungs, 1)                                 # rung above m
     with pytest.raises(ValueError):
         null_nll_replicates(at_least, 2, [0.5, 0.3, 0.1], 0, seed=0)
 
@@ -515,6 +522,61 @@ def test_replicates_deterministic():
     c = null_nll_replicates(at_least, 25, pis, r=64, seed=6)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# 60 steps, three random rungs: 13 events take the chain ("marginals"), 6 the
+# position draws ("count")
+BLOCK_RUNGS = np.random.default_rng(17).permutation(
+    np.repeat(np.arange(5), (20, 15, 15, 10, 0)))
+BLOCK_PIS = np.array([0.6, 0.4, 0.2, 0.1])
+
+
+def chain_nlls(placed, n):
+    """NLLs of NumPy's events per rung, rung 4 down to 0, as ``_null_counts`` reads them."""
+    return _nll_rows(np.cumsum(placed, axis=1)[:, 3::-1], n, BLOCK_PIS)
+
+
+@pytest.mark.parametrize("r", [_NULL_BLOCK - 1, _NULL_BLOCK, _NULL_BLOCK + 1, 2 * _NULL_BLOCK + 1])
+def test_blocked_null_draws_one_stream(r):
+    at_least = steps_at_least(BLOCK_RUNGS, 4)
+    colors = -np.diff(at_least, append=0)[::-1]
+    # "marginals" reads the stream alike in blocks and in one call: every NLL
+    # is the one that a single draw of all r replicates gives
+    one_call = np.random.default_rng(7).multivariate_hypergeometric(colors, 13, size=r,
+                                                                    method="marginals")
+    np.testing.assert_array_equal(null_nll_replicates(at_least, 13, BLOCK_PIS, r, seed=7),
+                                  chain_nlls(one_call, 13))
+    # "count" restarts its state in every call: the NLLs are the per-block
+    # draws of one Generator, and the seed reproduces them
+    rng = np.random.default_rng(7)
+    blocks = [rng.multivariate_hypergeometric(colors, 6, size=min(_NULL_BLOCK, r - start),
+                                              method="count")
+              for start in range(0, r, _NULL_BLOCK)]
+    nlls = null_nll_replicates(at_least, 6, BLOCK_PIS, r, seed=7)
+    np.testing.assert_array_equal(nlls, chain_nlls(np.concatenate(blocks), 6))
+    np.testing.assert_array_equal(nlls, null_nll_replicates(at_least, 6, BLOCK_PIS, r, seed=7))
+
+
+@pytest.mark.parametrize("n", [20, 200], ids=["positions", "chain"])
+def test_null_memory_grows_by_one_float_per_replicate(n):
+    m = 32
+    at_least = steps_at_least(np.random.default_rng(5).integers(0, m + 1, size=4096), m)
+    pis = np.linspace(0.9, 0.05, m)
+
+    def peak(r):
+        tracemalloc.start()
+        try:
+            null_nll_replicates(at_least, n, pis, r, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)   # the log-factorial table is cached on first use
+    small, large = 4096, 40960
+    growth = (peak(large) - peak(small)) / (large - small)
+    # the NLL vector's 8 bytes, not an (r, m + 1) count matrix's 8 * (m + 1) = 264;
+    # below 16, what even a ladder of one rung would add per replicate
+    assert 8.0 <= growth < 16.0
 
 
 def test_mc_pvalue_counting_rule():

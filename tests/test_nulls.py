@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from scipy.stats import genextreme, gumbel_r
 
 from peca.nulls import (
+    _EULER_GAMMA,
     _gev_nll,
     _log_factorials,
     _nelder_mead,
+    _pwm_initializer,
     GUMBEL_SHAPE_TOL,
     GevFitError,
     GevParams,
@@ -119,6 +121,54 @@ def test_fit_nll_not_worse_than_true_parameters():
     fit = fit_gev_mle(z)
     nll_true = -genextreme.logpdf(z, -0.1, loc=0.0, scale=2.0).sum()
     assert fit.nll <= nll_true + 1e-6
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (3.0, 2.5)])
+def test_gev_nll_gumbel_limit(mu, sigma):
+    z = gumbel_r.rvs(loc=mu, scale=sigma, size=300, random_state=np.random.default_rng(79))
+    gumbel = _gev_nll(0.0, mu, sigma, z)
+    assert gumbel == pytest.approx(-gumbel_r.logpdf(z, mu, sigma).sum(), rel=1e-13)
+    assert _gev_nll(GUMBEL_SHAPE_TOL / 2, mu, sigma, z) == gumbel
+    # just outside the tolerance the GEV form takes over, and agrees
+    for xi in (1e-8, -1e-8):
+        assert _gev_nll(xi, mu, sigma, z) == pytest.approx(gumbel, rel=1e-8)
+
+
+def sample_l_moments(z):
+    """Hosking's (1990) direct unbiased estimators of the first three L-moments."""
+    x = np.sort(z)
+    n = x.size
+    below = np.arange(n, dtype=float)     # order statistics below each one
+    above = n - 1 - below
+    l2 = np.sum((below - above) * x) / (2 * math.comb(n, 2))
+    l3 = (np.sum((below * (below - 1) / 2 - 2 * below * above + above * (above - 1) / 2) * x)
+          / (3 * math.comb(n, 3)))
+    return float(x.mean()), float(l2), float(l3)
+
+
+def test_fit_from_the_gumbel_moment_start():
+    # GEV quantiles at 200 plotting positions, their shape bisected until the
+    # L-skewness is 2 log 3 / log 2 - 3, where the PWM shape estimate is 0
+    p = (np.arange(1, 201) - 0.35) / 200
+    target = 2 * math.log(3) / math.log(2) - 3
+    lo, hi = -0.2, 0.2
+    for _ in range(60):
+        xi = (lo + hi) / 2
+        z = genextreme.ppf(p, -xi)
+        l1, l2, l3 = sample_l_moments(z)
+        lo, hi = (xi, hi) if l3 / l2 < target else (lo, xi)
+    assert abs(l3 / l2 - target) < 1e-12
+    # the estimate is within 1e-6 of 0, so the start is the Gumbel moment fit
+    shape, location, scale = _pwm_initializer(z)
+    assert shape == 0.0
+    assert scale == pytest.approx(l2 / math.log(2), rel=1e-12)
+    assert location == pytest.approx(l1 - _EULER_GAMMA * scale, rel=1e-9, abs=1e-12)
+    fit = fit_gev_mle(z)
+    assert fit.converged
+    assert fit.nll < _gev_nll(shape, location, scale, z)
+    c, loc, scale = genextreme.fit(z)
+    assert fit.nll <= -genextreme.logpdf(z, c, loc, scale).sum() + 1e-6
+    assert abs(fit.params.shape) < 0.05
 
 
 def test_fit_refuses_tiny_or_degenerate_samples():
