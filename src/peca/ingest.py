@@ -1,11 +1,20 @@
-"""Ingestion of daily CSV series and event date lists onto a shared day grid."""
+"""Ingestion of daily CSV series and event date lists onto a shared day grid.
+
+A series file is parsed once: its values are kept in a sidecar file beside it,
+``<dir>/.<name>.peca-cache``, which later reads take in place of the parse for as
+long as the file's ``fstat`` (device, inode, size, mtime and ctime) is unchanged.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 import os
+import stat
+import struct
+import time
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -232,6 +241,76 @@ def _read_rows(path, text: str, fill_zero: bool) -> tuple[np.ndarray, date]:
     return np.array(values), start
 
 
+# the sidecar: this magic (its last byte the format version), the series file's key, its
+# first day as days since 1970-01-01 and its row count n, then n little-endian float64 values
+_CACHE_MAGIC = b"peca-series-v\0\0\1"
+_CACHE_HEAD = struct.Struct("<16s2Q6q")
+_EPOCH = date(1970, 1, 1)
+# a file changed this recently may change again within one timestamp tick (2 s on FAT) and
+# keep its key, so its sidecar is not written: git's "racy clean" rule
+_SETTLE_NS = 2_000_000_000
+
+
+def _cache_path(path) -> str:
+    head, name = os.path.split(os.fsdecode(path))
+    return os.path.join(head, f".{name}.peca-cache")
+
+
+def _cache_key(st: os.stat_result, fill_zero: bool) -> tuple[int, ...]:
+    """What a sidecar must match: the file's identity, size and change times, and ``fill_zero``."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns, int(fill_zero)
+
+
+def _own_file(st: os.stat_result) -> bool:
+    """Whether ``st`` is a regular file of this process's effective user (of anyone's where
+    the platform has no such user)."""
+    owner = getattr(os, "geteuid", None)
+    return stat.S_ISREG(st.st_mode) and (owner is None or st.st_uid == owner())
+
+
+def _read_cache(cache: str, key: tuple[int, ...]) -> tuple[np.ndarray, date] | None:
+    """Values and first day kept in the sidecar ``cache`` under ``key``, or None: no such
+    sidecar, another user's, another key, or a size that does not match its header."""
+    try:
+        if not _own_file(os.stat(cache)):        # before the open, which blocks on a FIFO
+            return None
+        with open(cache, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if not _own_file(st):                # the name may have been replaced since
+                return None
+            head = fh.read(_CACHE_HEAD.size)
+            if len(head) != _CACHE_HEAD.size:
+                return None
+            magic, *cached, day, n = _CACHE_HEAD.unpack(head)
+            if (magic != _CACHE_MAGIC or tuple(cached) != key or n < 1
+                    or st.st_size != _CACHE_HEAD.size + 8 * n):
+                return None
+            values = np.empty(n, dtype="<f8")
+            if fh.readinto(values.view(np.uint8)) != 8 * n:
+                return None
+            return values, date.fromordinal(_EPOCH.toordinal() + day)
+    except (OSError, ValueError, OverflowError):     # the last two: a first day past the calendar
+        return None
+
+
+def _write_cache(cache: str, key: tuple[int, ...], values: np.ndarray, start: date) -> None:
+    """Keep ``values`` and ``start`` in the sidecar ``cache`` under ``key``.  The sidecar
+    appears whole or not at all; on any ``OSError`` no file is left, and nothing is raised."""
+    tmp = f"{cache}.{os.getpid()}"
+    try:
+        fh = open(tmp, "xb")
+    except OSError:
+        return
+    try:
+        with fh:
+            fh.write(_CACHE_HEAD.pack(_CACHE_MAGIC, *key, (start - _EPOCH).days, values.size))
+            fh.write(values.astype("<f8", copy=False))
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
 def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGrid]:
     """Read a ``date,value`` CSV into a contiguous daily series.
 
@@ -241,17 +320,39 @@ def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGri
     finite reals.  A leading UTF-8 byte-order mark is skipped.  A canonical
     file is read by a vectorized parser; any other goes row by row, and only
     the row parser reports errors.
+
+    The values of a regular file are then kept in its sidecar, ``.<name>.peca-cache``
+    beside it, and a later call reads them from there, bit for bit as parsed, while
+    the file's ``fstat`` and ``fill_zero`` are unchanged.  No sidecar is written for
+    a file last changed under 2 s before it was opened, nor for one that changed as it
+    was read; one owned by another user is ignored.  A directory that cannot be written
+    simply gets none.
     """
+    cache = _cache_path(path)
     with open(path, "rb") as fh:                 # read once, into a buffer _SPARE bytes longer
-        buf = np.zeros(os.fstat(fh.fileno()).st_size + _SPARE, dtype=np.uint8)
-        got = fh.readinto(buf[:-_SPARE])
-        rest = fh.read()
-    if got < buf.size - _SPARE or rest:          # a pipe, or a file that changed as it was read
-        buf = np.frombuffer(buf[:got].tobytes() + rest + bytes(_SPARE), dtype=np.uint8)
-    values, start = _read_canonical(buf, fill_zero) or _read_rows(
-        path, _text(path, buf[:-_SPARE]), fill_zero)
-    del buf                                      # before TimeSeries copies the values
-    return TimeSeries(values=values), DayGrid(start=start, length=values.size)
+        st = os.fstat(fh.fileno())
+        settled = time.time_ns() - max(st.st_mtime_ns, st.st_ctime_ns) >= _SETTLE_NS
+        key = _cache_key(st, fill_zero) if stat.S_ISREG(st.st_mode) else None
+        parsed = _read_cache(cache, key) if key else None
+        if parsed:
+            key = None                           # nothing to write back
+        else:
+            buf = np.zeros(st.st_size + _SPARE, dtype=np.uint8)
+            got = fh.readinto(buf[:-_SPARE])
+            rest = fh.read()
+            whole = got == st.st_size and not rest
+            if not whole:                        # a pipe, or a file that changed as it was read
+                buf = np.frombuffer(buf[:got].tobytes() + rest + bytes(_SPARE), dtype=np.uint8)
+            parsed = _read_canonical(buf, fill_zero) or _read_rows(
+                path, _text(path, buf[:-_SPARE]), fill_zero)
+            del buf                              # before TimeSeries copies the values
+            if not (whole and settled and _cache_key(os.fstat(fh.fileno()), fill_zero) == key):
+                key = None
+    values, start = parsed
+    series, grid = TimeSeries(values=values), DayGrid(start=start, length=values.size)
+    if key is not None:
+        _write_cache(cache, key, values, start)
+    return series, grid
 
 
 def ingest_events(path, grid: DayGrid) -> tuple[EventSeries, list[str]]:

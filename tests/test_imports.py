@@ -136,8 +136,9 @@ def test_unbound_export_check_flags_a_leftover(tmp_path):
     assert list(unbound_exports(module)) == ["m.py: Gone", "m.py: compute_tcp", "m.py: g"]
 
 
-# the functions that may create or change a file: one writer per output format
-WRITERS = {"qtr.write_csv", "qtr.write_qtr_svg", "cli._emit_report"}
+# the functions that may create or change a file: one writer per output format, and the
+# writer of the series sidecar that spares a later run the parse
+WRITERS = {"qtr.write_csv", "qtr.write_qtr_svg", "cli._emit_report", "ingest._write_cache"}
 
 
 def opens_for_writing(call):

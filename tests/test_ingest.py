@@ -4,6 +4,7 @@ import contextlib
 import datetime
 import io
 import json
+import math
 import os
 import re
 import threading
@@ -33,6 +34,18 @@ def daily_csv(start, values):
         lines.append(f"{d.isoformat()},{v}\n")
         d += datetime.timedelta(days=1)
     return "".join(lines)
+
+
+@pytest.fixture
+def parse_only(monkeypatch):
+    """No file is ever old enough for a sidecar, so every read of a series file parses it."""
+    monkeypatch.setattr(ingest, "_SETTLE_NS", math.inf)
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """Every file is old enough for a sidecar, so the second read of a file can hit it."""
+    monkeypatch.setattr(ingest, "_SETTLE_NS", 0)
 
 
 def test_basic_series(tmp_path):
@@ -244,6 +257,7 @@ def test_oversized_field_is_an_ingest_error(tmp_path):
                      "message": f"{series}:3: field larger than field limit ({limit})"}
 
 
+@pytest.mark.usefixtures("parse_only")
 def test_fast_path_reads_canonical_files(tmp_path, monkeypatch):
     def refuse(path, text, fill_zero):
         raise AssertionError(f"the row parser ran on {path}")
@@ -351,6 +365,7 @@ def test_bom_and_gaps_on_the_fast_path():
         assert both_readers(data, fill_zero=False) == (None, None)
 
 
+@pytest.mark.usefixtures("parse_only")
 def test_ingest_holds_one_copy_of_the_file(tmp_path):
     # at peak a 2**16-row file takes its buffer, the row offsets and one chunk of word
     # temporaries, about 5.3 times its size here; a second copy of its bytes adds one more
@@ -367,8 +382,9 @@ def test_ingest_holds_one_copy_of_the_file(tmp_path):
     assert peak < 5.7 * p.stat().st_size
 
 
+@pytest.mark.usefixtures("settled")
 def test_series_from_a_pipe(tmp_path):
-    # a FIFO reports size 0: the read continues past it
+    # a FIFO reports size 0: the read continues past it, and its values get no sidecar
     fifo = tmp_path / "series.fifo"
     os.mkfifo(fifo)
     text = daily_csv("2020-01-01", [0, 3, 12])
@@ -380,6 +396,7 @@ def test_series_from_a_pipe(tmp_path):
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert x.values.tolist() == [0.0, 3.0, 12.0] and grid == DayGrid(datetime.date(2020, 1, 1), 3)
+    assert sorted(os.listdir(tmp_path)) == ["series.fifo"]
 
 
 ODD_DATES = ["2000-02-29", "1900-02-29", "2100-02-29", "0001-01-01", "9999-12-31",
@@ -432,6 +449,7 @@ def series_files(draw):
     return data, draw(st.booleans())
 
 
+@pytest.mark.usefixtures("parse_only")
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(series_files())
@@ -452,3 +470,155 @@ def test_fast_path_agrees_with_row_parser(tmp_path, case):
     assert x.values.tobytes() == values.tobytes()
     assert grid == DayGrid(start, values.size)
     assert fast is None or (fast[0].tobytes() == values.tobytes() and fast[1] == start)
+
+
+def sidecar(p):
+    return p.parent / f".{p.name}.peca-cache"
+
+
+def count_parses(monkeypatch):
+    """A list that gains one entry per parse of a series file: every parse tries the fast path first."""
+    parses, read = [], ingest._read_canonical
+
+    def counted(buf, fill_zero):
+        parses.append(fill_zero)
+        return read(buf, fill_zero)
+
+    monkeypatch.setattr(ingest, "_read_canonical", counted)
+    return parses
+
+
+def hit(monkeypatch, p, fill_zero=False):
+    """``ingest_timeseries(p, fill_zero)`` with both parsers refusing to run."""
+    def refuse(*args):
+        raise AssertionError(f"{p} was parsed")
+
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "_read_canonical", refuse)
+        m.setattr(ingest, "_read_rows", refuse)
+        return ingest_timeseries(p, fill_zero)
+
+
+SIDECAR_FILES = {
+    "canonical": (daily_csv("2000-02-27", ["0.1", 12, "007.50", 3]).encode(), False),
+    "bom": (b"\xef\xbb\xbf" + daily_csv("1999-12-31", [1, 2, "2.5"]).encode(), False),
+    "gaps": (f"{SERIES_HEAD}2000-02-28,4\n2000-03-01,1.5\n2000-03-04,7\n".encode(), True),
+    "crlf": (daily_csv("2020-01-01", [5, "0.25", 9]).replace("\n", "\r\n").encode(), False),
+}
+
+
+@pytest.mark.usefixtures("settled")
+@pytest.mark.parametrize("name", SIDECAR_FILES)
+def test_a_sidecar_hit_is_the_parse_bit_for_bit(tmp_path, monkeypatch, name):
+    data, fill_zero = SIDECAR_FILES[name]
+    p = tmp_path / "s.csv"
+    p.write_bytes(data)
+    parsed, parsed_grid = ingest_timeseries(p, fill_zero)
+    assert sidecar(p).exists()
+    x, grid = hit(monkeypatch, p, fill_zero)
+    assert x.values.tobytes() == parsed.values.tobytes() and grid == parsed_grid
+    assert sorted(os.listdir(tmp_path)) == [sidecar(p).name, "s.csv"]
+
+
+@pytest.mark.usefixtures("settled")
+@pytest.mark.parametrize("change", ["rewrite", "fill_zero", "truncated", "extended", "magic"])
+def test_a_stale_or_damaged_sidecar_is_a_miss_that_rewrites_it(tmp_path, monkeypatch, change):
+    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [10, 20, 30]))
+    ingest_timeseries(p)
+    fill_zero, expected = False, [10.0, 20.0, 30.0]
+    if change == "rewrite":
+        # the same size, one digit changed, and a distinct mtime: no race with the timestamp tick
+        before = p.stat()
+        p.write_text(daily_csv("2020-01-01", [10, 25, 30]), encoding="utf-8")
+        os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns - 10**9))
+        assert p.stat().st_size == before.st_size
+        expected = [10.0, 25.0, 30.0]
+    elif change == "fill_zero":
+        fill_zero = True
+    else:
+        data = sidecar(p).read_bytes()
+        sidecar(p).write_bytes({"truncated": data[:-1], "extended": data + bytes(8),
+                                "magic": b"X" + data[1:]}[change])
+    parses = count_parses(monkeypatch)
+    x, _ = ingest_timeseries(p, fill_zero)
+    assert parses == [fill_zero] and x.values.tolist() == expected
+    x, _ = hit(monkeypatch, p, fill_zero)
+    assert x.values.tolist() == expected
+
+
+@pytest.mark.usefixtures("settled")
+def test_another_users_sidecar_is_ignored(tmp_path, monkeypatch):
+    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    ingest_timeseries(p)
+    assert sidecar(p).stat().st_uid == os.geteuid()
+    monkeypatch.setattr(os, "geteuid", lambda: sidecar(p).stat().st_uid + 1)
+    parses = count_parses(monkeypatch)
+    x, _ = ingest_timeseries(p)
+    assert parses == [False] and x.values.tolist() == [1.0, 2.0]
+
+
+def test_no_sidecar_for_a_file_younger_than_the_settle_time(tmp_path, monkeypatch):
+    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    ingest_timeseries(p)
+    assert not sidecar(p).exists()
+    changed = max(p.stat().st_mtime_ns, p.stat().st_ctime_ns)
+    monkeypatch.setattr(ingest.time, "time_ns", lambda: changed + ingest._SETTLE_NS)
+    ingest_timeseries(p)
+    assert sidecar(p).exists()
+
+
+@pytest.mark.usefixtures("settled")
+def test_no_sidecar_for_a_file_that_changes_as_it_is_parsed(tmp_path, monkeypatch):
+    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    read = ingest._read_canonical
+
+    def touching(buf, fill_zero):
+        os.utime(p, ns=(0, 10**9))
+        return read(buf, fill_zero)
+
+    monkeypatch.setattr(ingest, "_read_canonical", touching)
+    x, _ = ingest_timeseries(p)
+    assert x.values.tolist() == [1.0, 2.0]
+    assert sorted(os.listdir(tmp_path)) == ["s.csv"]
+
+
+@pytest.mark.usefixtures("settled")
+def test_no_sidecar_for_an_error(tmp_path):
+    p = write(tmp_path, "s.csv", SERIES_HEAD + "2020-01-01,5\n2020-01-04,7\n")
+    with pytest.raises(IngestError, match="missing day 2020-01-02"):
+        ingest_timeseries(p)
+    assert sorted(os.listdir(tmp_path)) == ["s.csv"]
+
+
+@pytest.mark.usefixtures("settled")
+def test_a_sidecar_that_cannot_be_written_is_left_out_silently(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    x, grid = ingest_timeseries(p)
+    assert x.values.tolist() == [1.0, 2.0] and grid == DayGrid(datetime.date(2020, 1, 1), 2)
+    assert sorted(os.listdir(tmp_path)) == ["s.csv"]
+
+
+@pytest.mark.usefixtures("settled")
+@pytest.mark.parametrize("command", [["pointwise", "--quantile", "0.95"],
+                                     ["multi", "--m", "8", "--r", "200", "--qtr", "{}.csv",
+                                      "--svg", "{}.svg"]])
+def test_cli_writes_the_same_bytes_on_a_miss_and_a_hit(tmp_path, monkeypatch, command):
+    rng = np.random.default_rng(3)
+    series = write(tmp_path, "s.csv", daily_csv("2020-01-01", rng.poisson(30, size=400).tolist()))
+    days = np.sort(rng.choice(390, size=12, replace=False))
+    events = write(tmp_path, "e.txt", "".join(
+        f"{datetime.date(2020, 1, 1) + datetime.timedelta(days=int(d))}\n" for d in days))
+    parses = count_parses(monkeypatch)
+    outputs = []
+    for run in ("miss", "hit"):
+        argv = [a.format(tmp_path / run) for a in command]
+        assert cli.main([*argv, "--series", str(series), "--events", str(events), "--delta", "3",
+                         "--preprocess", "--out", str(tmp_path / f"{run}.json")]) == 0
+        outputs.append([(tmp_path / f"{run}{ext}").read_bytes()
+                        for ext in (".json", ".csv", ".svg") if (tmp_path / f"{run}{ext}").exists()])
+    assert parses == [False] and sidecar(series).exists()
+    assert outputs[0] == outputs[1] and len(outputs[0]) == (1 if command[0] == "pointwise" else 3)
