@@ -2,7 +2,8 @@
 
 A series file is parsed once: its values are kept in a sidecar file beside it,
 ``<dir>/.<name>.peca-cache``, which later reads take in place of the parse for as
-long as the file's ``fstat`` (device, inode, size, mtime and ctime) is unchanged.
+long as the file's ``fstat`` (device, inode, size, mtime and ctime) and the code of
+this module are unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import math
 import os
 import stat
 import struct
+import sys
 import time
+import zlib
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -241,14 +244,25 @@ def _read_rows(path, text: str, fill_zero: bool) -> tuple[np.ndarray, date]:
     return np.array(values), start
 
 
-# the sidecar: this magic (its last byte the format version), the series file's key, its
-# first day as days since 1970-01-01 and its row count n, then n little-endian float64 values
-_CACHE_MAGIC = b"peca-series-v\0\0\1"
-_CACHE_HEAD = struct.Struct("<16s2Q6q")
+# the sidecar: a magic (a format version and the parser's fingerprint), the series file's
+# key, its first day as days since 1970-01-01, its row count n and the crc32 of the values,
+# then n little-endian float64 values
+_CACHE_HEAD = struct.Struct("<16s2Q6qQ")
 _EPOCH = date(1970, 1, 1)
 # a file changed this recently may change again within one timestamp tick (2 s on FAT) and
 # keep its key, so its sidecar is not written: git's "racy clean" rule
 _SETTLE_NS = 2_000_000_000
+
+
+def _cache_magic(source: bytes) -> bytes:
+    """The sidecar magic for a parser whose code is ``source``: any change to this module's
+    code, or another NumPy or Python, gives another magic, and its sidecars are misses."""
+    return struct.pack("<12sI", b"peca-series2",
+                       zlib.crc32(f"{np.__version__} {sys.version}".encode() + source))
+
+
+with open(__file__, "rb") as _source:
+    _CACHE_MAGIC = _cache_magic(_source.read())
 
 
 def _cache_path(path) -> str:
@@ -261,6 +275,16 @@ def _cache_key(st: os.stat_result, fill_zero: bool) -> tuple[int, ...]:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns, int(fill_zero)
 
 
+def _names_file(path, st: os.stat_result) -> bool:
+    """Whether ``path`` is itself the regular file ``st``, and so its sidecar lies beside
+    that file: not a link to it, such as a symlink, ``/dev/stdin`` or ``/proc/self/fd/0``."""
+    try:
+        entry = os.lstat(path)
+    except OSError:
+        return False
+    return stat.S_ISREG(st.st_mode) and (entry.st_dev, entry.st_ino) == (st.st_dev, st.st_ino)
+
+
 def _own_file(st: os.stat_result) -> bool:
     """Whether ``st`` is a regular file of this process's effective user (of anyone's where
     the platform has no such user)."""
@@ -270,7 +294,8 @@ def _own_file(st: os.stat_result) -> bool:
 
 def _read_cache(cache: str, key: tuple[int, ...]) -> tuple[np.ndarray, date] | None:
     """Values and first day kept in the sidecar ``cache`` under ``key``, or None: no such
-    sidecar, another user's, another key, or a size that does not match its header."""
+    sidecar, another user's, another parser's or key, or a size or crc32 that does not
+    match its header."""
     try:
         if not _own_file(os.stat(cache)):        # before the open, which blocks on a FIFO
             return None
@@ -281,12 +306,12 @@ def _read_cache(cache: str, key: tuple[int, ...]) -> tuple[np.ndarray, date] | N
             head = fh.read(_CACHE_HEAD.size)
             if len(head) != _CACHE_HEAD.size:
                 return None
-            magic, *cached, day, n = _CACHE_HEAD.unpack(head)
+            magic, *cached, day, n, crc = _CACHE_HEAD.unpack(head)
             if (magic != _CACHE_MAGIC or tuple(cached) != key or n < 1
                     or st.st_size != _CACHE_HEAD.size + 8 * n):
                 return None
             values = np.empty(n, dtype="<f8")
-            if fh.readinto(values.view(np.uint8)) != 8 * n:
+            if fh.readinto(values.view(np.uint8)) != 8 * n or zlib.crc32(values) != crc:
                 return None
             return values, date.fromordinal(_EPOCH.toordinal() + day)
     except (OSError, ValueError, OverflowError):     # the last two: a first day past the calendar
@@ -294,17 +319,21 @@ def _read_cache(cache: str, key: tuple[int, ...]) -> tuple[np.ndarray, date] | N
 
 
 def _write_cache(cache: str, key: tuple[int, ...], values: np.ndarray, start: date) -> None:
-    """Keep ``values`` and ``start`` in the sidecar ``cache`` under ``key``.  The sidecar
-    appears whole or not at all; on any ``OSError`` no file is left, and nothing is raised."""
-    tmp = f"{cache}.{os.getpid()}"
+    """Keep ``values`` and ``start`` in the sidecar ``cache`` under ``key``.  Readers see the
+    sidecar whole or not at all, and a read checks the values' crc32, so a sidecar that a
+    crash left partly written is a miss.  On any ``OSError`` no file is left, and nothing
+    is raised."""
+    tmp = f"{cache}.{os.getpid()}-{os.urandom(4).hex()}"
+    values = values.astype("<f8", copy=False)
     try:
         fh = open(tmp, "xb")
     except OSError:
         return
     try:
         with fh:
-            fh.write(_CACHE_HEAD.pack(_CACHE_MAGIC, *key, (start - _EPOCH).days, values.size))
-            fh.write(values.astype("<f8", copy=False))
+            fh.write(_CACHE_HEAD.pack(_CACHE_MAGIC, *key, (start - _EPOCH).days, values.size,
+                                      zlib.crc32(values)))
+            fh.write(values)
         os.replace(tmp, cache)
     except OSError:
         with contextlib.suppress(OSError):
@@ -323,16 +352,17 @@ def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGri
 
     The values of a regular file are then kept in its sidecar, ``.<name>.peca-cache``
     beside it, and a later call reads them from there, bit for bit as parsed, while
-    the file's ``fstat`` and ``fill_zero`` are unchanged.  No sidecar is written for
-    a file last changed under 2 s before it was opened, nor for one that changed as it
-    was read; one owned by another user is ignored.  A directory that cannot be written
-    simply gets none.
+    the file's ``fstat``, ``fill_zero`` and this module's code are unchanged and the
+    values' crc32 matches.  No sidecar is written for a file last changed under 2 s
+    before it was opened, nor for one that changed as it was read, nor for a path that
+    only links to the file; one owned by another user is ignored.  A directory that
+    cannot be written simply gets none.
     """
     cache = _cache_path(path)
     with open(path, "rb") as fh:                 # read once, into a buffer _SPARE bytes longer
         st = os.fstat(fh.fileno())
         settled = time.time_ns() - max(st.st_mtime_ns, st.st_ctime_ns) >= _SETTLE_NS
-        key = _cache_key(st, fill_zero) if stat.S_ISREG(st.st_mode) else None
+        key = _cache_key(st, fill_zero) if _names_file(path, st) else None
         parsed = _read_cache(cache, key) if key else None
         if parsed:
             key = None                           # nothing to write back

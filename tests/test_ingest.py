@@ -9,6 +9,7 @@ import os
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -521,7 +522,8 @@ def test_a_sidecar_hit_is_the_parse_bit_for_bit(tmp_path, monkeypatch, name):
 
 
 @pytest.mark.usefixtures("settled")
-@pytest.mark.parametrize("change", ["rewrite", "fill_zero", "truncated", "extended", "magic"])
+@pytest.mark.parametrize("change", ["rewrite", "fill_zero", "truncated", "extended", "magic",
+                                    "parser", "zeroed"])
 def test_a_stale_or_damaged_sidecar_is_a_miss_that_rewrites_it(tmp_path, monkeypatch, change):
     p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [10, 20, 30]))
     ingest_timeseries(p)
@@ -536,14 +538,24 @@ def test_a_stale_or_damaged_sidecar_is_a_miss_that_rewrites_it(tmp_path, monkeyp
     elif change == "fill_zero":
         fill_zero = True
     else:
-        data = sidecar(p).read_bytes()
+        # "parser": written by other parsing code; "zeroed": values lost in a crash
+        data, head = sidecar(p).read_bytes(), ingest._CACHE_HEAD.size
+        other = ingest._cache_magic(Path(ingest.__file__).read_bytes() + b"\n# edited\n")
         sidecar(p).write_bytes({"truncated": data[:-1], "extended": data + bytes(8),
-                                "magic": b"X" + data[1:]}[change])
+                                "magic": b"X" + data[1:], "parser": other + data[16:],
+                                "zeroed": data[:head] + bytes(len(data) - head)}[change])
     parses = count_parses(monkeypatch)
     x, _ = ingest_timeseries(p, fill_zero)
     assert parses == [fill_zero] and x.values.tolist() == expected
     x, _ = hit(monkeypatch, p, fill_zero)
     assert x.values.tolist() == expected
+
+
+def test_the_sidecar_magic_follows_the_parser_code():
+    source = Path(ingest.__file__).read_bytes()
+    assert ingest._CACHE_MAGIC == ingest._cache_magic(source)
+    assert len(ingest._CACHE_MAGIC) == 16
+    assert ingest._cache_magic(source.replace(b"_SPARE = 8", b"_SPARE = 9")) != ingest._CACHE_MAGIC
 
 
 @pytest.mark.usefixtures("settled")
@@ -580,6 +592,36 @@ def test_no_sidecar_for_a_file_that_changes_as_it_is_parsed(tmp_path, monkeypatc
     x, _ = ingest_timeseries(p)
     assert x.values.tolist() == [1.0, 2.0]
     assert sorted(os.listdir(tmp_path)) == ["s.csv"]
+
+
+@pytest.mark.usefixtures("settled")
+def test_no_sidecar_through_a_link(tmp_path, monkeypatch):
+    # the sidecar would lie beside the link, not the file: /dev/stdin would put it in /dev
+    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    (tmp_path / "link.csv").symlink_to(p)
+    parses = count_parses(monkeypatch)
+    for _ in range(2):
+        x, _ = ingest_timeseries(tmp_path / "link.csv")
+        assert x.values.tolist() == [1.0, 2.0]
+    assert parses == [False, False] and sorted(os.listdir(tmp_path)) == ["link.csv", "s.csv"]
+
+
+@pytest.mark.usefixtures("settled")
+def test_each_write_takes_a_temporary_of_its_own(tmp_path, monkeypatch):
+    # a temporary left by a killed process, whose pid a later process may get, blocks no write
+    temporaries, replace = [], os.replace
+
+    def recorded(src, dst):
+        temporaries.append(os.path.basename(src))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recorded)
+    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    for fill_zero in (False, True):
+        ingest_timeseries(p, fill_zero)
+    prefix = f"{sidecar(p).name}.{os.getpid()}-"
+    assert len(set(temporaries)) == 2 and all(t.startswith(prefix) for t in temporaries)
+    assert sorted(os.listdir(tmp_path)) == [sidecar(p).name, "s.csv"]
 
 
 @pytest.mark.usefixtures("settled")
