@@ -23,7 +23,7 @@ from .ingest import IngestError, ingest_events, ingest_timeseries
 from .multi import (ThresholdLadder, build_ladder_from_quantiles, compute_tcp, dp_extreme_nll,
                     empirical_quantile, expected_process_with_band, mc_p_value, null_nll_replicates,
                     steps_at_least, success_probabilities, tcp_nll)
-from .nulls import GevFit, GevFitError, binom_tail, block_maxima, fit_gev_mle
+from .nulls import MIN_BLOCKS, GevFit, GevFitError, binom_tail, block_maxima, fit_gev_mle
 from .qtr import QtrTable, write_csv, write_qtr_svg
 from .series import EventSeries, TimeSeries, late_events, preprocess, rung_index
 from .sim import (SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential,
@@ -46,7 +46,7 @@ class AnalysisConfig:
     seed: int = 0
     preprocess: bool = False
     window: int = 30
-    min_blocks: int = 20
+    min_blocks: int = MIN_BLOCKS
 
     def __post_init__(self):
         if self.delta < 0:
@@ -70,14 +70,8 @@ class AnalysisConfig:
 
 
 def _gev_dict(fit: GevFit) -> dict:
-    return {
-        "shape": fit.params.shape,
-        "location": fit.params.location,
-        "scale": fit.params.scale,
-        "converged": fit.converged,
-        "nll": fit.nll,
-        "n_blocks": fit.n_samples,
-    }
+    return {**asdict(fit.params), "converged": fit.converged, "nll": fit.nll,
+            "n_blocks": fit.n_samples}
 
 
 def _fit(config: AnalysisConfig, x: TimeSeries, ladder: ThresholdLadder
@@ -149,7 +143,7 @@ class _MultiNull:
 
 
 def _multi_null(config: AnalysisConfig, x: TimeSeries, n_events: int) -> _MultiNull:
-    """Ladder, GEV fit, steps per rung, success probabilities, replicate NLLs and the 95% band."""
+    """Ladder, GEV fit, steps per rung, success probabilities, replicate NLLs and the null band."""
     ladder = build_ladder_from_quantiles(x, config.qlo, config.qhi, config.m)
     fit, rungs, pis = _fit(config, x, ladder)
     at_least = steps_at_least(rungs, ladder.m)

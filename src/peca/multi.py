@@ -27,7 +27,11 @@ import numpy as np
 from .nulls import GUMBEL_SHAPE_TOL, GevFitError, GevParams, binom_cdf, binom_logpmf, gev_sf
 from .series import EventSeries, TimeSeries, frozen_copy
 
+# Coverage of the central null band around the expected process, the band the QTR chart draws.
+BAND_LEVEL = 0.95
+
 __all__ = [
+    "BAND_LEVEL",
     "ThresholdLadder",
     "empirical_quantile",
     "build_ladder_from_quantiles",
@@ -301,11 +305,11 @@ def mc_p_value(statistic: float, null_stats) -> float:
 
 
 def expected_process_with_band(n_events: int, pis):
-    """Central 95% binomial band for the process counts, the band the QTR chart's legend names.
+    """Central ``BAND_LEVEL`` binomial band for the process counts, the band the QTR chart draws.
 
-    Returns (lower, upper): the 2.5% and 97.5% quantiles of
-    Binomial(n_events, pi) at each threshold.  A quantile q is the smallest
-    count whose distribution function reaches q.
+    Returns (lower, upper): the (1 - BAND_LEVEL) / 2 and (1 + BAND_LEVEL) / 2
+    quantiles of Binomial(n_events, pi) at each threshold.  A quantile q is
+    the smallest count whose distribution function reaches q.
     """
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
@@ -313,9 +317,9 @@ def expected_process_with_band(n_events: int, pis):
     lower = np.empty(pis.size, dtype=np.int64)
     upper = np.empty(pis.size, dtype=np.int64)
     # (1 - 0.95) / 2 is 0.025000000000000022, not 0.025: keep the computed quantiles
-    q_lo, q_hi = (1.0 - 0.95) / 2.0, (1.0 + 0.95) / 2.0
+    q_lo, q_hi = (1.0 - BAND_LEVEL) / 2.0, (1.0 + BAND_LEVEL) / 2.0
     for i, pi in enumerate(pis):
-        if pi >= 1.0:
+        if pi >= 1.0:   # speed only: saturated rungs, most of a long series' ladder, skip the cdf
             lower[i] = upper[i] = n_events
         else:
             cmf = binom_cdf(n_events, float(pi))

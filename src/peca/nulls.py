@@ -14,7 +14,7 @@ serially dependent data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .series import TimeSeries
 
 __all__ = [
     "GUMBEL_SHAPE_TOL",
+    "MIN_BLOCKS",
     "GevParams",
     "GevFit",
     "GevFitError",
@@ -36,6 +37,9 @@ __all__ = [
 
 # Shape magnitudes below this are evaluated with the Gumbel limit form.
 GUMBEL_SHAPE_TOL = 1e-9
+
+# Fewest block maxima a GEV fit accepts, unless its caller asks for another floor.
+MIN_BLOCKS = 20
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -53,9 +57,9 @@ class GevParams:
     scale: float
 
     def __post_init__(self):
-        for name in ("shape", "location", "scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"GEV {name} must be finite")
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"GEV {field.name} must be finite")
         if self.scale <= 0:
             raise ValueError("GEV scale must be positive")
 
@@ -258,7 +262,7 @@ def _nelder_mead(func, x0, maxfev: int, xatol: float,
     return sim[0], float(np.min(fsim)), nfev, nfev < maxfev
 
 
-def fit_gev_mle(maxima, min_samples: int = 20) -> GevFit:
+def fit_gev_mle(maxima, min_samples: int = MIN_BLOCKS) -> GevFit:
     """Maximum-likelihood GEV fit to a sample of block maxima.
 
     Starts from a probability-weighted-moments estimate and refines with a
@@ -407,9 +411,7 @@ def binom_tail(k: int, n: int, p: float) -> float:
         return 1.0
     if k > n:
         return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
+    if p == 1.0:   # speed only: saturated rungs, most of a long series' ladder, skip the sum
         return 1.0
     tails = np.logaddexp.accumulate(binom_logpmf(np.arange(n, -1, -1), n, p))
     return min(1.0, math.exp(tails[n - k]))

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .multi import BAND_LEVEL
+
 __all__ = ["QtrTable", "write_csv", "write_qtr_svg"]
 
 
@@ -96,8 +98,7 @@ def write_qtr_svg(table: QtrTable, path, title: str = "") -> None:
     ml, mr, mt, mb = 72.0, 24.0, 46.0, 64.0
     pw, ph = width - ml - mr, height - mt - mb
 
-    levels = np.asarray(table.levels, dtype=float)
-    lo, hi = float(levels.min()), float(levels.max())
+    lo, hi = float(table.levels.min()), float(table.levels.max())
     if hi <= lo:
         lo, hi = lo - 0.01, hi + 0.01
 
@@ -107,7 +108,7 @@ def write_qtr_svg(table: QtrTable, path, title: str = "") -> None:
     def y_px(r):
         return mt + (1.0 - min(max(r, 0.0), 1.0)) * ph
 
-    xs = [x_px(p) for p in levels]
+    xs = [x_px(p) for p in table.levels]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
@@ -117,8 +118,7 @@ def write_qtr_svg(table: QtrTable, path, title: str = "") -> None:
         parts.append(f'<text x="{width / 2:.2f}" y="26" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="16">{_escape(title)}</text>')
 
-    band = ([x_px(p) for p in levels] + [x_px(p) for p in levels[::-1]],
-            [y_px(r) for r in table.band_upper_rates]
+    band = (xs + xs[::-1], [y_px(r) for r in table.band_upper_rates]
             + [y_px(r) for r in table.band_lower_rates[::-1]])
     parts.append(f'<polygon points="{_polyline(band[0], band[1])}" fill="#d8d8d8" stroke="none"/>')
     parts.append(f'<polyline points="{_polyline(xs, [y_px(r) for r in table.expected_rates])}" '
@@ -161,7 +161,7 @@ def write_qtr_svg(table: QtrTable, path, title: str = "") -> None:
                  f'font-size="12">null expectation</text>')
     parts.append(f'<rect x="{lx:.2f}" y="{ly + 30:.2f}" width="28" height="10" fill="#d8d8d8"/>')
     parts.append(f'<text x="{lx + 34:.2f}" y="{ly + 39:.2f}" font-family="sans-serif" '
-                 f'font-size="12">95% null band</text>')
+                 f'font-size="12">{BAND_LEVEL:.0%} null band</text>')
     parts.append("</svg>")
 
     with open(path, "w", encoding="utf-8") as fh:

@@ -267,8 +267,6 @@ def _lane_choice(words: list[int], js, length: int, n: int) -> tuple[np.ndarray,
     if (n == length or n > _LANE_MAX_EVENTS or length >= 1 << 32
             or (length > 10000 and n > length // 50)):
         return np.empty((len(js), n), dtype=np.int64), np.zeros(len(js), dtype=bool)
-    if n == 0:
-        return np.empty((len(js), 0), dtype=np.int64), np.ones(len(js), dtype=bool)
     raw = _pcg64_raw(words, js, (n + 1) // 2)
     # the n uint32 draws, low half then high half of each word, scaled in
     # place: fresh (n, block) temporaries cost more than the arithmetic

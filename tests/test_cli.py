@@ -20,6 +20,7 @@ import pytest
 import peca.cli
 from peca.cli import AnalysisConfig, main, run_multi
 from peca.multi import null_nll_replicates
+from peca.nulls import MIN_BLOCKS, GevParams
 from peca.qtr import write_csv
 from peca.sim import SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential
 
@@ -64,7 +65,8 @@ def test_pointwise_report(dataset, tmp_path):
     assert report["quantile_level"] == 0.9
     assert 0.0 <= report["p_value"] <= 1.0
     assert report["k_observed"] <= 12
-    assert set(report["gev"]) == {"shape", "location", "scale", "converged", "nll", "n_blocks"}
+    assert list(report["gev"]) == [f.name for f in dataclasses.fields(GevParams)] + [
+        "converged", "nll", "n_blocks"]
 
 
 def test_reports_carry_the_event_rate(dataset, tmp_path):
@@ -789,5 +791,6 @@ def test_cli_defaults_come_from_analysis_config():
     from peca.cli import build_parser
     args = build_parser().parse_args(["multi", "--series", "s.csv", "--events", "e.txt"])
     defaults = AnalysisConfig()
+    assert defaults.min_blocks == MIN_BLOCKS   # the GEV fit's own floor
     for field in dataclasses.fields(AnalysisConfig):
         assert getattr(args, field.name) == getattr(defaults, field.name), field.name

@@ -13,6 +13,7 @@ from scipy.stats import chi2, chi2_contingency, hypergeom
 from peca.multi import (
     _NULL_BLOCK,
     _POSITION_DRAWS_PER_RUNG_DRAW,
+    BAND_LEVEL,
     ThresholdLadder,
     _nll_rows,
     _null_counts,
@@ -604,8 +605,8 @@ def test_expected_band_exact_quantiles():
                     1e-3, 1e-6, 1e-12])
     for n in (0, 1, 17, 32, 1000):
         lower, upper = expected_process_with_band(n, pis)
-        np.testing.assert_array_equal(lower, binom.ppf((1 - 0.95) / 2, n, pis))
-        np.testing.assert_array_equal(upper, binom.ppf((1 + 0.95) / 2, n, pis))
+        np.testing.assert_array_equal(lower, binom.ppf((1 - BAND_LEVEL) / 2, n, pis))
+        np.testing.assert_array_equal(upper, binom.ppf((1 + BAND_LEVEL) / 2, n, pis))
 
 
 def test_expected_band_degenerate_pi():

@@ -21,6 +21,7 @@ from peca.nulls import (
     _nelder_mead,
     _pwm_initializer,
     GUMBEL_SHAPE_TOL,
+    MIN_BLOCKS,
     GevFitError,
     GevParams,
     bernoulli_success_prob,
@@ -174,6 +175,9 @@ def test_fit_from_the_gumbel_moment_start():
 def test_fit_refuses_tiny_or_degenerate_samples():
     with pytest.raises(GevFitError):
         fit_gev_mle(np.arange(10.0))          # below the sample floor
+    with pytest.raises(GevFitError, match=f"need at least {MIN_BLOCKS} block maxima, "
+                                          f"got {MIN_BLOCKS - 1}$"):
+        fit_gev_mle(np.arange(MIN_BLOCKS - 1.0))   # the floor is MIN_BLOCKS by default
     with pytest.raises(GevFitError):
         fit_gev_mle(np.full(50, 3.25))        # constant data has no scale
 
@@ -200,6 +204,8 @@ def test_binom_tail_edges():
     assert binom_tail(0, 10, 0.3) == 1.0
     assert binom_tail(-2, 10, 0.3) == 1.0
     assert binom_tail(3, 10, 0.0) == 0.0
+    for n in (1, 2, 5, 17, 1000):   # p = 0 takes the general path: exactly 0 for every k >= 1
+        assert [binom_tail(k, n, 0.0) for k in range(n + 2)] == [1.0] + [0.0] * (n + 1)
     assert binom_tail(11, 10, 0.9) == 0.0
     assert binom_tail(10, 10, 1.0) == 1.0
 

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from peca.multi import BAND_LEVEL
 from peca.qtr import QtrTable, write_csv, write_qtr_svg
 
 
@@ -106,6 +107,8 @@ def test_svg_is_wellformed_and_deterministic(tmp_path):
     # observed curve, expected curve, and the band polygon are all present
     assert body.count("polyline") >= 2
     assert "polygon" in body
+    # the legend names the level of the band multi computes
+    assert f'font-size="12">{BAND_LEVEL:.0%} null band</text>' in body
 
 
 def test_svg_title_escaped(tmp_path):

@@ -256,6 +256,7 @@ def test_block_draw_is_generator_choice(length, n, replicates, lanes):
     assert np.sort(got, axis=1).tobytes() == want.tobytes()
     # the emulated rows themselves, not the redraw the one-row check would fall back to
     rows, exact = _lane_choice(words, np.arange(replicates), length, n)
+    assert rows.shape == (replicates, n) and rows.dtype == np.int64   # n = 0 too
     assert {"all": exact.all(), "some": 0 < exact.sum() < exact.size, "none": not exact.any()}[lanes]
     assert np.sort(rows[exact], axis=1).tobytes() == want[exact].tobytes()
 
