@@ -4,8 +4,6 @@ Simulation-based criteria fix their seeds; the tolerances are part of the
 claims and are asserted exactly as stated.
 """
 
-import datetime
-import itertools
 import json
 import time
 import xml.etree.ElementTree as ET
@@ -35,6 +33,7 @@ from peca.sim import (
     gen_ma_exponential,
     null_distribution_comparison,
 )
+from shared import monotone_processes, sup_distances, write_inputs
 
 
 def report_line(number, ok, detail):
@@ -46,21 +45,11 @@ def synthetic_dataset(tmp_path_factory):
     """A 1096-day daily-count CSV with 17 event dates, one per reported case."""
     root = tmp_path_factory.mktemp("acceptance")
     rng = np.random.default_rng(20150101)
-    start = datetime.date(2015, 1, 1)
     n = 1096
     base = rng.poisson(40 + 12 * np.sin(np.arange(n) * 2 * np.pi / 7.0))
     bursts = (rng.random(n) < 0.03) * rng.poisson(300, n)
-    series = root / "series.csv"
-    with open(series, "w") as fh:
-        fh.write("date,value\n")
-        for i, v in enumerate(base + bursts):
-            fh.write(f"{(start + datetime.timedelta(days=i)).isoformat()},{int(v)}\n")
-    events = root / "events.txt"
     days = sorted(rng.choice(n, size=17, replace=False))
-    with open(events, "w") as fh:
-        for i in days:
-            fh.write(f"{(start + datetime.timedelta(days=int(i))).isoformat()}\n")
-    return root, series, events
+    return root, *write_inputs(root, base + bursts, days, "2015-01-01")
 
 
 def test_criterion_1_null_distribution_accuracy():
@@ -72,8 +61,7 @@ def test_criterion_1_null_distribution_accuracy():
     t0 = time.perf_counter()
     cmfs = null_distribution_comparison(config)
     elapsed = time.perf_counter() - t0
-    # (order, tau, [Bernoulli, GEV]) sup-distances from the empirical CMF
-    sups = np.abs(cmfs[:, :, 1:] - cmfs[:, :, :1]).max(axis=-1)
+    sups = sup_distances(cmfs)
     worst = float(sups[..., 1].max())
     gev_ok = worst <= 0.06
     dependent = np.isin(config.ma_orders, (32, 64))
@@ -153,12 +141,6 @@ def test_criterion_4_test_calibration():
     assert ok
 
 
-def iter_monotone(m, n):
-    for ks in itertools.product(range(n + 1), repeat=m):
-        if all(ks[i] >= ks[i + 1] for i in range(m - 1)):
-            yield ks
-
-
 def test_criterion_5_dp_envelope():
     # simulated replicates stay inside the exact envelope
     x = gen_ma_exponential(4096, 8, seed=(5000, 0))
@@ -178,8 +160,7 @@ def test_criterion_5_dp_envelope():
     for m in (1, 2, 3):
         for n in (1, 4, 6):
             p = np.sort(rng.uniform(0.05, 0.95, size=m))[::-1].copy()
-            finite = [tcp_nll(np.array(ks), n, p)
-                      for ks in iter_monotone(m, n)]
+            finite = [tcp_nll(np.array(ks), n, p) for ks in monotone_processes(m, n)]
             finite = [v for v in finite if np.isfinite(v)]
             exact &= dp_extreme_nll(n, p, "min")[0] == min(finite)
             exact &= dp_extreme_nll(n, p, "max")[0] == max(finite)
@@ -197,7 +178,7 @@ def test_criterion_6_markov_normalization():
         for n in (1, 2, 4, 6):
             pis = np.sort(rng.uniform(0.05, 0.95, size=m))[::-1].copy()
             total = 0.0
-            for ks in iter_monotone(m, n):
+            for ks in monotone_processes(m, n):
                 v = tcp_nll(np.array(ks), n, pis)
                 if np.isfinite(v):
                     total += np.exp(-v)

@@ -1,6 +1,5 @@
 """End-to-end runs of the command line interface, in process and through ``python -m peca``."""
 
-import contextlib
 import csv
 import dataclasses
 import datetime
@@ -18,38 +17,21 @@ import numpy as np
 import pytest
 
 import peca.cli
-from peca.cli import AnalysisConfig, main, run_multi
+from peca.cli import AnalysisConfig, run_multi
 from peca.multi import null_nll_replicates
 from peca.nulls import MIN_BLOCKS, GevParams
 from peca.qtr import write_csv
 from peca.sim import SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential
-
-
-def run_cli(args):
-    err = io.StringIO()
-    out = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-        code = main(args)
-    return code, out.getvalue(), err.getvalue()
+from shared import SERIES_HEAD, run_cli, write_inputs
 
 
 @pytest.fixture
 def dataset(tmp_path):
     rng = np.random.default_rng(42)
-    start = datetime.date(2019, 1, 1)
     n = 400
     values = rng.poisson(30, size=n) + (rng.random(n) < 0.05) * rng.poisson(200, size=n)
-    series = tmp_path / "series.csv"
-    with open(series, "w") as fh:
-        fh.write("date,value\n")
-        for i, v in enumerate(values):
-            fh.write(f"{(start + datetime.timedelta(days=i)).isoformat()},{int(v)}\n")
-    events = tmp_path / "events.txt"
     days = sorted(rng.choice(n, size=12, replace=False))
-    with open(events, "w") as fh:
-        for i in days:
-            fh.write(f"{(start + datetime.timedelta(days=int(i))).isoformat()}\n")
-    return series, events
+    return write_inputs(tmp_path, values, days, "2019-01-01")
 
 
 def test_pointwise_report(dataset, tmp_path):
@@ -194,6 +176,7 @@ def test_multi_report_and_files(dataset, tmp_path, monkeypatch):
     ET.parse(svg)
 
 
+
 def test_pointwise_at_each_rung_matches_multi(dataset, tmp_path):
     # multi's per-rung test is the single-threshold test at that rung's threshold
     series, events = dataset
@@ -246,7 +229,7 @@ def test_preprocess_flag_changes_threshold_scale(dataset, tmp_path):
 
 def test_ingest_error_category(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("date,value\n2020-01-01,1\n2020-01-05,2\n")
+    bad.write_text(SERIES_HEAD + "2020-01-01,1\n2020-01-05,2\n")
     ev = tmp_path / "e.txt"
     ev.write_text("2020-01-01\n")
     code, _, err = run_cli(["pointwise", "--series", str(bad), "--events", str(ev),
@@ -259,14 +242,7 @@ def test_ingest_error_category(tmp_path):
 
 def test_fit_error_category(tmp_path):
     # constant series: block maxima are degenerate, the gev fit must refuse
-    series = tmp_path / "s.csv"
-    with open(series, "w") as fh:
-        fh.write("date,value\n")
-        d = datetime.date(2020, 1, 1)
-        for i in range(200):
-            fh.write(f"{(d + datetime.timedelta(days=i)).isoformat()},5\n")
-    ev = tmp_path / "e.txt"
-    ev.write_text("2020-03-01\n")
+    series, ev = write_inputs(tmp_path, [5] * 200, [60], "2020-01-01", ("s.csv", "e.txt"))
     code, _, err = run_cli(["pointwise", "--series", str(series), "--events", str(ev),
                             "--tau", "6"])
     assert code == 1
@@ -286,14 +262,9 @@ def beyond_support_series(tmp_path, extra_steps=()):
     rng = np.random.default_rng(0)
     values = rng.uniform(10, 20, size=t)
     values[t - 2] = 500.0  # step T - 1
-    start = datetime.date(2020, 1, 1)
-    series = tmp_path / "s.csv"
-    series.write_text("date,value\n" + "".join(
-        f"{start + datetime.timedelta(days=i)},{v!r}\n" for i, v in enumerate(values.tolist())))
     days = np.sort(np.concatenate([rng.choice(t - 10, size=20, replace=False),
                                    np.asarray(extra_steps, dtype=int) - 1]))
-    events = tmp_path / "e.txt"
-    events.write_text("".join(f"{start + datetime.timedelta(days=int(i))}\n" for i in days))
+    series, events = write_inputs(tmp_path, values, days, "2020-01-01", ("s.csv", "e.txt"))
     return ["--series", str(series), "--events", str(events)]
 
 
@@ -364,12 +335,7 @@ def test_config_errors_name_the_setting(dataset, argv, message):
 
 def test_constant_series_in_both_commands(tmp_path):
     # a constant series has neither a threshold ladder nor a GEV fit
-    start = datetime.date(2020, 1, 1)
-    series = tmp_path / "s.csv"
-    series.write_text("date,value\n" + "".join(
-        f"{start + datetime.timedelta(days=i)},5\n" for i in range(200)))
-    events = tmp_path / "e.txt"
-    events.write_text("2020-03-01\n2020-04-01\n")
+    series, events = write_inputs(tmp_path, [5] * 200, [60, 91], "2020-01-01", ("s.csv", "e.txt"))
     ingest = ["--series", str(series), "--events", str(events)]
     for argv, category, message in (
             (["multi", "--r", "50"], "config",
@@ -438,13 +404,8 @@ def paper_daily(tmp_path):
     t = 1096
     base = rng.poisson(40 + 12 * np.sin(np.arange(t) * 2 * np.pi / 7.0))
     values = base + (rng.random(t) < 0.03) * rng.poisson(300, t)
-    steps = np.sort(rng.choice(t, size=17, replace=False))
-    start = datetime.date(2000, 1, 1)
-    series = tmp_path / "series.csv"
-    series.write_text("date,value\n" + "".join(
-        f"{start + datetime.timedelta(days=i)},{v}\n" for i, v in enumerate(values.tolist())))
-    events = tmp_path / "events.txt"
-    events.write_text("".join(f"{start + datetime.timedelta(days=int(i))}\n" for i in steps))
+    days = np.sort(rng.choice(t, size=17, replace=False))
+    series, events = write_inputs(tmp_path, values, days, "2000-01-01")
     return ["--series", str(series), "--events", str(events)]
 
 

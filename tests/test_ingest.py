@@ -1,8 +1,6 @@
 """CSV ingestion against small handwritten files, and the fast path against the row parser."""
 
-import contextlib
 import datetime
-import io
 import json
 import math
 import os
@@ -18,23 +16,13 @@ from hypothesis import strategies as st
 
 from peca import cli, ingest
 from peca.ingest import DayGrid, IngestError, ingest_events, ingest_timeseries
-
-SERIES_HEAD = "date,value\n"
+from shared import SERIES_HEAD, run_cli, series_text, write_inputs
 
 
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
-
-
-def daily_csv(start, values):
-    d = datetime.date.fromisoformat(start)
-    lines = [SERIES_HEAD]
-    for v in values:
-        lines.append(f"{d.isoformat()},{v}\n")
-        d += datetime.timedelta(days=1)
-    return "".join(lines)
 
 
 @pytest.fixture
@@ -50,7 +38,7 @@ def settled(monkeypatch):
 
 
 def test_basic_series(tmp_path):
-    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [0, 3, 12]))
+    p = write(tmp_path, "s.csv", series_text("2020-01-01", [0, 3, 12]))
     x, grid = ingest_timeseries(p)
     assert x.values.tolist() == [0.0, 3.0, 12.0]
     assert grid.start == datetime.date(2020, 1, 1)
@@ -62,7 +50,7 @@ def test_three_year_grid_length(tmp_path):
     # 2016 is a leap year, so three calendar years span 1096 days
     n = (datetime.date(2017, 12, 31) - datetime.date(2015, 1, 1)).days + 1
     assert n == 1096
-    p = write(tmp_path, "s.csv", daily_csv("2015-01-01", [1] * n))
+    p = write(tmp_path, "s.csv", series_text("2015-01-01", [1] * n))
     x, grid = ingest_timeseries(p)
     assert x.length == 1096
     assert grid.end == datetime.date(2017, 12, 31)
@@ -194,10 +182,8 @@ def test_day_grid_indexing():
 
 
 def cli_error(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli.main([str(a) for a in argv])
-    return code, json.loads(err.getvalue())["error"]
+    code, _, err = run_cli(argv)
+    return code, json.loads(err)["error"]
 
 
 def test_non_utf8_files_are_ingest_errors(tmp_path):
@@ -209,7 +195,7 @@ def test_non_utf8_files_are_ingest_errors(tmp_path):
     events.write_bytes(b"\xef\xbb\xbf2020-01-01\n\n2020-01-\xff2\n")
     with pytest.raises(IngestError, match=re.escape(f"{events}:3: not UTF-8 text (byte 0xff)")):
         ingest_events(events, DayGrid(datetime.date(2020, 1, 1), 31))
-    good_series = write(tmp_path, "g.csv", daily_csv("2020-01-01", [1, 2, 3]))
+    good_series = write(tmp_path, "g.csv", series_text("2020-01-01", [1, 2, 3]))
     args = ("--delta", 1, "--quantile", 0.5)
     for s, e in ((series, events), (good_series, events)):
         code, error = cli_error(["pointwise", "--series", s, "--events", e, *args])
@@ -266,9 +252,7 @@ def test_fast_path_reads_canonical_files(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_read_rows", refuse)
     # the benchmark's shape: integer counts on consecutive days, LF rows
     counts = np.random.default_rng(7).poisson(20, size=1 << 16)
-    dates = (np.datetime64("2000-01-01") + np.arange(counts.size)).astype(str)
-    p = write(tmp_path, "counts.csv",
-              SERIES_HEAD + "".join(f"{d},{c}\n" for d, c in zip(dates.tolist(), counts.tolist())))
+    p = write(tmp_path, "counts.csv", series_text("2000-01-01", counts))
     x, grid = ingest_timeseries(p)
     assert x.values.tobytes() == counts.astype(np.float64).tobytes()
     assert grid == DayGrid(datetime.date(2000, 1, 1), 1 << 16)
@@ -352,7 +336,7 @@ def test_values_up_to_and_past_the_widest_the_fast_path_reads(width):
         assert (rows is None) == (value.count(".") > 1), value
     # rows of every width in one file, a minimal row last: its later words read past the end
     readable = [v for v, fast_reads in values.items() if fast_reads]
-    data = daily_csv("2000-01-01", [*readable, "3", *readable, "4"]).encode()
+    data = series_text("2000-01-01", [*readable, "3", *readable, "4"]).encode()
     assert data.endswith(b",4\n")
     assert both_readers(data)[0] is not None
 
@@ -371,7 +355,7 @@ def test_ingest_holds_one_copy_of_the_file(tmp_path):
     # at peak a 2**16-row file takes its buffer, the row offsets and one chunk of word
     # temporaries, about 5.3 times its size here; a second copy of its bytes adds one more
     counts = np.random.default_rng(7).poisson(20, size=1 << 16)
-    p = write(tmp_path, "counts.csv", daily_csv("2000-01-01", counts.tolist()))
+    p = write(tmp_path, "counts.csv", series_text("2000-01-01", counts))
     ingest_timeseries(p)
     tracemalloc.start()
     try:
@@ -388,7 +372,7 @@ def test_series_from_a_pipe(tmp_path):
     # a FIFO reports size 0: the read continues past it, and its values get no sidecar
     fifo = tmp_path / "series.fifo"
     os.mkfifo(fifo)
-    text = daily_csv("2020-01-01", [0, 3, 12])
+    text = series_text("2020-01-01", [0, 3, 12])
     writer = threading.Thread(target=fifo.write_text, args=(text,))
     writer.start()
     try:
@@ -501,10 +485,10 @@ def hit(monkeypatch, p, fill_zero=False):
 
 
 SIDECAR_FILES = {
-    "canonical": (daily_csv("2000-02-27", ["0.1", 12, "007.50", 3]).encode(), False),
-    "bom": (b"\xef\xbb\xbf" + daily_csv("1999-12-31", [1, 2, "2.5"]).encode(), False),
+    "canonical": (series_text("2000-02-27", ["0.1", 12, "007.50", 3]).encode(), False),
+    "bom": (b"\xef\xbb\xbf" + series_text("1999-12-31", [1, 2, "2.5"]).encode(), False),
     "gaps": (f"{SERIES_HEAD}2000-02-28,4\n2000-03-01,1.5\n2000-03-04,7\n".encode(), True),
-    "crlf": (daily_csv("2020-01-01", [5, "0.25", 9]).replace("\n", "\r\n").encode(), False),
+    "crlf": (series_text("2020-01-01", [5, "0.25", 9]).replace("\n", "\r\n").encode(), False),
 }
 
 
@@ -525,13 +509,13 @@ def test_a_sidecar_hit_is_the_parse_bit_for_bit(tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("change", ["rewrite", "fill_zero", "truncated", "extended", "magic",
                                     "parser", "zeroed"])
 def test_a_stale_or_damaged_sidecar_is_a_miss_that_rewrites_it(tmp_path, monkeypatch, change):
-    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [10, 20, 30]))
+    p = write(tmp_path, "s.csv", series_text("2020-01-01", [10, 20, 30]))
     ingest_timeseries(p)
     fill_zero, expected = False, [10.0, 20.0, 30.0]
     if change == "rewrite":
         # the same size, one digit changed, and a distinct mtime: no race with the timestamp tick
         before = p.stat()
-        p.write_text(daily_csv("2020-01-01", [10, 25, 30]), encoding="utf-8")
+        p.write_text(series_text("2020-01-01", [10, 25, 30]), encoding="utf-8")
         os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns - 10**9))
         assert p.stat().st_size == before.st_size
         expected = [10.0, 25.0, 30.0]
@@ -560,7 +544,7 @@ def test_the_sidecar_magic_follows_the_parser_code():
 
 @pytest.mark.usefixtures("settled")
 def test_another_users_sidecar_is_ignored(tmp_path, monkeypatch):
-    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    p = write(tmp_path, "s.csv", series_text("2020-01-01", [1, 2]))
     ingest_timeseries(p)
     assert sidecar(p).stat().st_uid == os.geteuid()
     monkeypatch.setattr(os, "geteuid", lambda: sidecar(p).stat().st_uid + 1)
@@ -570,7 +554,7 @@ def test_another_users_sidecar_is_ignored(tmp_path, monkeypatch):
 
 
 def test_no_sidecar_for_a_file_younger_than_the_settle_time(tmp_path, monkeypatch):
-    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    p = write(tmp_path, "s.csv", series_text("2020-01-01", [1, 2]))
     ingest_timeseries(p)
     assert not sidecar(p).exists()
     changed = max(p.stat().st_mtime_ns, p.stat().st_ctime_ns)
@@ -581,7 +565,7 @@ def test_no_sidecar_for_a_file_younger_than_the_settle_time(tmp_path, monkeypatc
 
 @pytest.mark.usefixtures("settled")
 def test_no_sidecar_for_a_file_that_changes_as_it_is_parsed(tmp_path, monkeypatch):
-    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    p = write(tmp_path, "s.csv", series_text("2020-01-01", [1, 2]))
     read = ingest._read_canonical
 
     def touching(buf, fill_zero):
@@ -597,7 +581,7 @@ def test_no_sidecar_for_a_file_that_changes_as_it_is_parsed(tmp_path, monkeypatc
 @pytest.mark.usefixtures("settled")
 def test_no_sidecar_through_a_link(tmp_path, monkeypatch):
     # the sidecar would lie beside the link, not the file: /dev/stdin would put it in /dev
-    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    p = write(tmp_path, "s.csv", series_text("2020-01-01", [1, 2]))
     (tmp_path / "link.csv").symlink_to(p)
     parses = count_parses(monkeypatch)
     for _ in range(2):
@@ -616,7 +600,7 @@ def test_each_write_takes_a_temporary_of_its_own(tmp_path, monkeypatch):
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", recorded)
-    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    p = write(tmp_path, "s.csv", series_text("2020-01-01", [1, 2]))
     for fill_zero in (False, True):
         ingest_timeseries(p, fill_zero)
     prefix = f"{sidecar(p).name}.{os.getpid()}-"
@@ -638,7 +622,7 @@ def test_a_sidecar_that_cannot_be_written_is_left_out_silently(tmp_path, monkeyp
         raise PermissionError(13, "Permission denied", dst)
 
     monkeypatch.setattr(os, "replace", refuse)
-    p = write(tmp_path, "s.csv", daily_csv("2020-01-01", [1, 2]))
+    p = write(tmp_path, "s.csv", series_text("2020-01-01", [1, 2]))
     x, grid = ingest_timeseries(p)
     assert x.values.tolist() == [1.0, 2.0] and grid == DayGrid(datetime.date(2020, 1, 1), 2)
     assert sorted(os.listdir(tmp_path)) == ["s.csv"]
@@ -650,10 +634,9 @@ def test_a_sidecar_that_cannot_be_written_is_left_out_silently(tmp_path, monkeyp
                                       "--svg", "{}.svg"]])
 def test_cli_writes_the_same_bytes_on_a_miss_and_a_hit(tmp_path, monkeypatch, command):
     rng = np.random.default_rng(3)
-    series = write(tmp_path, "s.csv", daily_csv("2020-01-01", rng.poisson(30, size=400).tolist()))
+    values = rng.poisson(30, size=400)
     days = np.sort(rng.choice(390, size=12, replace=False))
-    events = write(tmp_path, "e.txt", "".join(
-        f"{datetime.date(2020, 1, 1) + datetime.timedelta(days=int(d))}\n" for d in days))
+    series, events = write_inputs(tmp_path, values, days, "2020-01-01", ("s.csv", "e.txt"))
     parses = count_parses(monkeypatch)
     outputs = []
     for run in ("miss", "hit"):

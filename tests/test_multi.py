@@ -1,6 +1,5 @@
 """Threshold ladders, the coincidence process, and the Monte Carlo test."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -30,6 +29,7 @@ from peca.multi import (
 )
 from peca.nulls import GevFitError, GevParams, binom_logpmf, binom_tail, gev_sf
 from peca.series import EventSeries, TimeSeries, rung_index
+from shared import monotone_processes
 
 
 def tcp(e, x, delta, ladder):
@@ -189,19 +189,13 @@ def test_process_validation():
 
 # --- the chained-binomial likelihood -------------------------------------------
 
-def iter_monotone_processes(m, n):
-    for ks in itertools.product(range(n + 1), repeat=m):
-        if all(ks[i] >= ks[i + 1] for i in range(m - 1)):
-            yield ks
-
-
 def test_nll_normalizes_exhaustively():
     rng = np.random.default_rng(4)
     for m in (1, 2, 3):
         for n in (1, 3, 6):
             pis = np.sort(rng.uniform(0.05, 0.95, size=m))[::-1].copy()
             total = 0.0
-            for ks in iter_monotone_processes(m, n):
+            for ks in monotone_processes(m, n):
                 nll = tcp_nll(np.array(ks), n, pis)
                 if np.isfinite(nll):
                     total += np.exp(-nll)
@@ -627,7 +621,7 @@ def test_dp_extremes_equal_brute_force():
         n = int(rng.integers(1, 7))
         pis = np.sort(rng.uniform(0.05, 0.95, size=m))[::-1].copy()
         nlls = []
-        for ks in iter_monotone_processes(m, n):
+        for ks in monotone_processes(m, n):
             v = tcp_nll(np.array(ks), n, pis)
             if np.isfinite(v):
                 nlls.append((v, ks))

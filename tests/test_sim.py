@@ -26,6 +26,7 @@ from peca.sim import (
     gen_ma_exponential,
     null_distribution_comparison,
 )
+from shared import sup_distances
 
 
 def standardized(y):
@@ -162,11 +163,6 @@ def test_simconfig_rejects_non_finite_thresholds(thresholds):
 def small_config():
     return SimConfig(length=1024, ma_orders=(0, 8), n_events=16, delta=3,
                      thresholds=(2.5, 3.5), replicates=100, seed=54)
-
-
-def sup_distances(cmfs):
-    """(order, tau, [Bernoulli, GEV]) sup-distances of the analytical CMFs from the empirical one."""
-    return np.abs(cmfs[:, :, 1:] - cmfs[:, :, :1]).max(axis=-1)
 
 
 def test_comparison_shape_and_cmf_properties():
