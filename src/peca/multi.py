@@ -153,10 +153,9 @@ def steps_at_least(rungs, m: int) -> np.ndarray:
     if np.any((rungs < 0) | (rungs > m)):
         raise ValueError(f"rungs must lie in [0, {m}]")
     rows = math.prod(rungs.shape[:-1])
-    # intp before any branch: NumPy before 2.3 refuses uint64 in bincount
+    # intp first: uint64 rungs plus the int64 offsets would be float64, which bincount refuses
     flat = rungs.reshape(rows, rungs.shape[-1]).astype(np.intp, copy=False)
-    if rows > 1:   # one row, a series' rungs say, is counted without an offset copy
-        flat = flat + np.arange(0, rows * (m + 1), m + 1)[:, None]
+    flat = flat + np.arange(0, rows * (m + 1), m + 1)[:, None]
     bins = np.bincount(flat.ravel(), minlength=rows * (m + 1))
     return bins.reshape(*rungs.shape[:-1], m + 1)[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
