@@ -292,8 +292,8 @@ def test_permute_occupancy_uniform():
 # three random rungs in each ladder: NumPy's "count" method places up to 12
 # events, "marginals" draws more; above half the steps it draws the complement
 @pytest.mark.parametrize("n, method", [(9, "count"), (13, "marginals"), (40, "marginals")],
-                         ids=["positions", "chain", "chain-complement"])
-def test_chain_matches_permutation_oracle(counting_rngs, n, method):
+                         ids=["count", "marginals", "marginals-complement"])
+def test_null_counts_match_permutation_oracle(counting_rngs, n, method):
     # 60 steps over the rungs, the top rung empty; the second ladder also has
     # no step at rung 2, so its counts at rungs 2 and 3 coincide
     for sizes in ((20, 15, 15, 10, 0), (20, 15, 0, 15, 10, 0)):
@@ -380,7 +380,7 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
         np.testing.assert_array_equal(counts[:, 4], counts[:, 2])
         np.testing.assert_array_equal(counts[:, 5], 0)
         assert counts.shape == (300, m) and counts.max() <= n
-    # no events on a ladder with random rungs: the position draws, all zero
+    # no events on a ladder with random rungs: the "count" method, all zero
     np.testing.assert_array_equal(
         _null_counts(steps_at_least(rungs, m), 0, 30, np.random.default_rng(3)), 0)
     assert counting_rngs[-1].methods == ["count"]
@@ -392,9 +392,9 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
     assert all(rng.hypergeometric_calls == 0 for rng in counting_rngs)
 
 
-# the 9 steps have three random rungs: all 9 take the position draws, 27 the chain
+# the 9 steps have three random rungs: all 9 take NumPy's "count" method, 27 "marginals"
 @pytest.mark.parametrize("copies, method", [(1, "count"), (3, "marginals")],
-                         ids=["positions", "chain"])
+                         ids=["count", "marginals"])
 def test_both_samplers_are_exact_at_no_events_and_every_step(counting_rngs, copies, method):
     rungs = np.tile([2, 0, 1, 4, 2, 0, 1, 0, 4], copies)
     at_least = steps_at_least(rungs, 4)
@@ -457,7 +457,7 @@ def test_one_null_draw_scores_several_event_sets():
         mc_p_value(statistic, np.array([]))
 
 
-def test_chain_edge_cases():
+def test_null_counts_edge_cases():
     rungs = np.array([2, 0, 1, 2, 2, 0, 1, 0])
     # no events: every count is zero, and so is every NLL
     at_least = steps_at_least(rungs, 3)
@@ -519,14 +519,14 @@ def test_replicates_deterministic():
     assert not np.array_equal(a, c)
 
 
-# 60 steps, three random rungs: 13 events take the chain ("marginals"), 6 the
-# position draws ("count")
+# 60 steps, three random rungs: 13 events take NumPy's "marginals" method, 6 its
+# "count" method
 BLOCK_RUNGS = np.random.default_rng(17).permutation(
     np.repeat(np.arange(5), (20, 15, 15, 10, 0)))
 BLOCK_PIS = np.array([0.6, 0.4, 0.2, 0.1])
 
 
-def chain_nlls(placed, n):
+def drawn_nlls(placed, n):
     """NLLs of NumPy's events per rung, rung 4 down to 0, as ``_null_counts`` reads them."""
     return _nll_rows(np.cumsum(placed, axis=1)[:, 3::-1], n, BLOCK_PIS)
 
@@ -540,7 +540,7 @@ def test_blocked_null_draws_one_stream(r):
     one_call = np.random.default_rng(7).multivariate_hypergeometric(colors, 13, size=r,
                                                                     method="marginals")
     np.testing.assert_array_equal(null_nll_replicates(at_least, 13, BLOCK_PIS, r, seed=7),
-                                  chain_nlls(one_call, 13))
+                                  drawn_nlls(one_call, 13))
     # "count" restarts its state in every call: the NLLs are the per-block
     # draws of one Generator, and the seed reproduces them
     rng = np.random.default_rng(7)
@@ -548,11 +548,11 @@ def test_blocked_null_draws_one_stream(r):
                                               method="count")
               for start in range(0, r, _NULL_BLOCK)]
     nlls = null_nll_replicates(at_least, 6, BLOCK_PIS, r, seed=7)
-    np.testing.assert_array_equal(nlls, chain_nlls(np.concatenate(blocks), 6))
+    np.testing.assert_array_equal(nlls, drawn_nlls(np.concatenate(blocks), 6))
     np.testing.assert_array_equal(nlls, null_nll_replicates(at_least, 6, BLOCK_PIS, r, seed=7))
 
 
-@pytest.mark.parametrize("n", [20, 200], ids=["positions", "chain"])
+@pytest.mark.parametrize("n", [20, 200], ids=["count", "marginals"])
 def test_null_memory_grows_by_one_float_per_replicate(n):
     m = 32
     at_least = steps_at_least(np.random.default_rng(5).integers(0, m + 1, size=4096), m)
