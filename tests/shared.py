@@ -4,6 +4,9 @@ import contextlib
 import datetime
 import io
 import itertools
+import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -49,6 +52,20 @@ def monotone_processes(m, n):
     for ks in itertools.product(range(n + 1), repeat=m):
         if all(a >= b for a, b in zip(ks, ks[1:])):
             yield ks
+
+
+def placement_law(rungs, n, m):
+    """Exact law of the process of n events placed uniformly on distinct steps of ``rungs``.
+
+    Enumerates all C(T, n) placements on the T <= 12 steps and counts each
+    one's process with a plain loop: entry i - 1 is its events at rung >= i,
+    for i = 1..m.  Returns {process: probability} with Fraction values.
+    """
+    rungs = [int(r) for r in rungs]
+    law = Counter(tuple(sum(r >= i for r in placed) for i in range(1, m + 1))
+                  for placed in itertools.combinations(rungs, n))
+    total = math.comb(len(rungs), n)
+    return {process: Fraction(count, total) for process, count in law.items()}
 
 
 def sup_distances(cmfs):

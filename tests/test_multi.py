@@ -29,7 +29,7 @@ from peca.multi import (
 )
 from peca.nulls import GevFitError, GevParams, binom_logpmf, binom_tail, gev_sf
 from peca.series import EventSeries, TimeSeries, rung_index
-from shared import monotone_processes
+from shared import monotone_processes, placement_law
 
 
 def tcp(e, x, delta, ladder):
@@ -390,6 +390,26 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
         np.testing.assert_array_equal(counts, [[n, n, 0, 0]] * 30)
         assert counting_rngs[-1].methods == [method]
     assert all(rng.hypergeometric_calls == 0 for rng in counting_rngs)
+
+
+# 3, 0, 5, 4 and 0 steps on rungs 0-4: rungs 1 and 3 are random, rung 2 repeats rung 1's
+# count and rung 4 is empty.  NumPy's "count" method places up to 8 events, "marginals"
+# more, and both draw the complement above 6 of the 12 steps
+@pytest.mark.parametrize("n, method", [(4, "count"), (8, "count"), (10, "marginals")],
+                         ids=["count", "count-complement", "marginals-complement"])
+def test_null_counts_follow_the_exact_placement_law(counting_rngs, n, method):
+    rungs = np.repeat(np.arange(5), (3, 0, 5, 4, 0))
+    law = placement_law(rungs, n, 4)
+    r = 20000
+    drawn = _null_counts(steps_at_least(rungs, 4), n, r, np.random.default_rng(8))
+    assert counting_rngs[-1].methods == [method]
+    processes, counts = np.unique(drawn, axis=0, return_counts=True)
+    observed = dict(zip(map(tuple, processes.tolist()), counts.tolist()))
+    assert set(observed) <= set(law)
+    expected = {process: r * float(p) for process, p in law.items()}
+    cells = [process for process in law if expected[process] >= 5]
+    stat = sum((observed.get(c, 0) - expected[c]) ** 2 / expected[c] for c in cells)
+    assert chi2.sf(stat, len(cells) - 1) > 1e-3
 
 
 # the 9 steps have three random rungs: all 9 take NumPy's "count" method, 27 "marginals"
