@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import peca.cli
-from peca.cli import AnalysisConfig, run_multi
+from peca.cli import AnalysisConfig, run_multi, run_simulate
 from peca.multi import null_nll_replicates
 from peca.nulls import MIN_BLOCKS, GevParams
 from peca.qtr import write_csv
@@ -175,6 +175,18 @@ def test_multi_report_and_files(dataset, tmp_path, monkeypatch):
     assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
     ET.parse(svg)
 
+    # a ladder of one level: the chart's axis spans 0.01 either side of it
+    code, _, err = run_cli(["multi", "--series", str(series), "--events", str(events),
+                            "--delta", "5", "--r", "50", "--qlo", "0.9", "--qhi", "0.9",
+                            "--svg", str(tmp_path / "one.svg")])
+    assert code == 0, err
+    chart = list(ET.parse(tmp_path / "one.svg").getroot().iter())
+    ticks = [el.text for el in chart if el.tag.endswith("text")
+             and re.fullmatch(r"0\.[0-9]{3}", el.text)]
+    assert ticks == ["0.890", "0.894", "0.898", "0.902", "0.906", "0.910"]
+    points = [point for el in chart if el.tag.endswith("polyline")
+              for point in el.get("points").split()]
+    assert len(points) == 2 and all(point.startswith("384.00,") for point in points)
 
 
 def test_pointwise_at_each_rung_matches_multi(dataset, tmp_path):
@@ -601,6 +613,10 @@ def test_simulate_refuses_a_repeated_order(tmp_path):
     assert stdout == ""
     assert json.loads(err)["error"] == {"category": "config",
                                         "message": "repeated filter order in [0, 0]"}
+    assert not out.exists()
+    # the command line offers the presets alone; the library call names a wrong one
+    with pytest.raises(ValueError, match="^unknown preset: 'nope'$"):
+        run_simulate("nope", None, out)
     assert not out.exists()
 
 

@@ -210,6 +210,9 @@ def test_rate_examples():
     assert empty["k_observed"] == 0
     assert empty["rate"] is None
     assert json.loads(json.dumps(empty, allow_nan=False))["rate"] is None
+    for both_or_neither in ({"tau": tau, "quantile": 0.5}, {}):
+        with pytest.raises(ValueError, match="^exactly one of tau and quantile is required$"):
+            run_pointwise(config, x, events, **both_or_neither)
 
 
 def test_preprocess_hand_series():
