@@ -213,14 +213,6 @@ def _pcg64_seeded(words: list[int], js) -> tuple[np.ndarray, ...]:
     return (*_pcg64_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def _pcg64_states(words: list[int], js) -> Iterator[dict]:
-    """``PCG64(SeedSequence(words[:-1] + [j])).state`` for each uint32 j of ``js``."""
-    s_hi, s_lo, i_hi, i_lo = (a.tolist() for a in _pcg64_seeded(words, js))
-    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
-        yield {"bit_generator": "PCG64", "state": {"state": a << 64 | b, "inc": c << 64 | d},
-               "has_uint32": 0, "uinteger": 0}
-
-
 def _pcg64_raw(words: list[int], js, k: int) -> np.ndarray:
     """``PCG64(SeedSequence(words[:-1] + [j])).random_raw(k)``, one column per j of ``js``.
 
@@ -244,8 +236,10 @@ def _numpy_choice(words: list[int], js, length: int, n: int) -> np.ndarray:
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
     rows = np.empty((len(js), n), dtype=np.int64)
-    for row, state in zip(rows, _pcg64_states(words, js)):
-        bits.state = state
+    s_hi, s_lo, i_hi, i_lo = (a.tolist() for a in _pcg64_seeded(words, js))
+    for row, a, b, c, d in zip(rows, s_hi, s_lo, i_hi, i_lo):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": a << 64 | b, "inc": c << 64 | d},
+                      "has_uint32": 0, "uinteger": 0}
         row[:] = rng.choice(length, size=n, replace=False)
     return rows
 

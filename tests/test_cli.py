@@ -25,13 +25,18 @@ from peca.sim import SimConfig, gen_dependent_events, gen_independent_events, ge
 from shared import SERIES_HEAD, run_cli, write_inputs
 
 
-@pytest.fixture
-def dataset(tmp_path):
+def write_dataset(directory):
+    """400 days of Poisson counts with rare bursts, and 12 event dates, written into ``directory``."""
     rng = np.random.default_rng(42)
     n = 400
     values = rng.poisson(30, size=n) + (rng.random(n) < 0.05) * rng.poisson(200, size=n)
     days = sorted(rng.choice(n, size=12, replace=False))
-    return write_inputs(tmp_path, values, days, "2019-01-01")
+    return write_inputs(directory, values, days, "2019-01-01")
+
+
+@pytest.fixture
+def dataset(tmp_path):
+    return write_dataset(tmp_path)
 
 
 def test_pointwise_report(dataset, tmp_path):
@@ -666,9 +671,15 @@ def source_env(blas_threads=None):
     return env
 
 
-def loaded_after_cli_runs(dataset, tmp_path, packages):
-    """The modules of ``packages`` a fresh process holds after a pointwise and a multi run."""
-    series, events = dataset
+# what a cold pointwise or multi process must not load, each named by one test below
+ABSENT_PACKAGES = ("scipy", "numpy.ma", "xml", "urllib.request", "http", "email", "ssl")
+
+
+@pytest.fixture(scope="module")
+def cli_run_modules(tmp_path_factory):
+    """The modules of ``ABSENT_PACKAGES`` a fresh process holds after a pointwise and a multi run."""
+    tmp_path = tmp_path_factory.mktemp("probe")
+    series, events = write_dataset(tmp_path)
     env = source_env()
     common = ["--series", str(series), "--events", str(events), "--delta", "5"]
     runs = [["pointwise", *common, "--quantile", "0.9", "--out", str(tmp_path / "pw.json")],
@@ -677,8 +688,8 @@ def loaded_after_cli_runs(dataset, tmp_path, packages):
     probe = ("import json, sys, peca.cli\n"
              f"for argv in {runs!r}:\n"
              "    assert peca.cli.main(argv) == 0, argv\n"
-             f"print(json.dumps(sorted(m for m in sys.modules if m in {packages!r} "
-             f"or m.split('.')[0] in {packages!r})))")
+             f"print(json.dumps(sorted(m for m in sys.modules if m in {ABSENT_PACKAGES!r} "
+             f"or m.split('.')[0] in {ABSENT_PACKAGES!r})))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert json.loads((tmp_path / "mu.json").read_text())["command"] == "multi"
@@ -686,15 +697,20 @@ def loaded_after_cli_runs(dataset, tmp_path, packages):
     return json.loads(out.stdout)
 
 
-def test_cli_runs_leave_scipy_out(dataset, tmp_path):
+def loaded_after_cli_runs(modules, packages):
+    """The entries of ``modules`` that are one of ``packages`` or inside a top-level one."""
+    return [m for m in modules if m in packages or m.split(".")[0] in packages]
+
+
+def test_cli_runs_leave_scipy_out(cli_run_modules):
     # importing SciPy costs more than half a second of every cold process;
     # the package needs NumPy alone, for import and for both analyses
-    assert loaded_after_cli_runs(dataset, tmp_path, ("scipy",)) == []
+    assert loaded_after_cli_runs(cli_run_modules, ("scipy",)) == []
 
 
-def test_cli_runs_leave_numpy_ma_out(dataset, tmp_path):
+def test_cli_runs_leave_numpy_ma_out(cli_run_modules):
     # np.median imports numpy.ma, some 14 ms of a cold multi process, for one report field
-    assert loaded_after_cli_runs(dataset, tmp_path, ("numpy.ma",)) == []
+    assert loaded_after_cli_runs(cli_run_modules, ("numpy.ma",)) == []
 
 
 def test_report_median_is_numpys_bit_for_bit():
@@ -706,11 +722,11 @@ def test_report_median_is_numpys_bit_for_bit():
             assert np.float64(peca.cli._median(a)).tobytes() == np.median(a).tobytes(), (size, a)
 
 
-def test_cli_runs_leave_network_stack_out(dataset, tmp_path):
+def test_cli_runs_leave_network_stack_out(cli_run_modules):
     # xml.sax alone pulls in urllib.request, http, email and ssl: tens of
     # milliseconds of every cold process, for one escaped SVG title
     packages = ("xml", "urllib.request", "http", "email", "ssl")
-    assert loaded_after_cli_runs(dataset, tmp_path, packages) == []
+    assert loaded_after_cli_runs(cli_run_modules, packages) == []
 
 
 @pytest.mark.parametrize("module, blas_threads, seen", [

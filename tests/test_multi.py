@@ -29,6 +29,7 @@ from peca.multi import (
 )
 from peca.nulls import GevFitError, GevParams, binom_logpmf, binom_tail, gev_sf
 from peca.series import EventSeries, TimeSeries, rung_index
+from peca.sim import gen_independent_events
 from shared import monotone_processes, placement_law
 
 
@@ -256,37 +257,10 @@ def test_compute_tcp_validates_rungs():
 
 # --- the permutation null -------------------------------------------------------
 
-def permute_occurrences(length, n, rng):
-    """Reference placement: n distinct steps drawn uniformly from 1..length."""
-    occ = rng.choice(length, size=n, replace=False)
-    occ.sort()
-    return occ + 1
-
-
 def permutation_counts(rungs, n, m, r, rng):
     """Reference sampler: place the events one replicate at a time, count over the rungs."""
-    return np.array([compute_tcp(EventSeries(rungs.size, permute_occurrences(rungs.size, n, rng)),
-                                 rungs, m) for _ in range(r)])
-
-
-def test_permute_preserves_count_and_bounds():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        occ = permute_occurrences(50, 3, rng)
-        assert occ.size == 3
-        assert np.all(np.diff(occ) > 0)
-        assert 1 <= occ[0] and occ[-1] <= 50
-
-
-def test_permute_occupancy_uniform():
-    freq = np.zeros(12)
-    rng = np.random.default_rng(123)
-    draws = 10000
-    for _ in range(draws):
-        freq[permute_occurrences(12, 4, rng) - 1] += 1
-    expect = draws * 4 / 12
-    sd = np.sqrt(draws * (4 / 12) * (8 / 12))
-    assert np.all(np.abs(freq - expect) < 4.5 * sd)
+    return np.array([compute_tcp(gen_independent_events(rungs.size, n, seed=rng), rungs, m)
+                     for _ in range(r)])
 
 
 # three random rungs in each ladder: NumPy's "count" method places up to 12
@@ -358,6 +332,8 @@ def counting_rngs(monkeypatch):
     default_rng = np.random.default_rng
 
     def counting_rng(seed=None):
+        if isinstance(seed, CountingRng):   # as default_rng hands a Generator back unaltered
+            return seed
         made.append(CountingRng(default_rng(seed)))
         return made[-1]
 

@@ -18,7 +18,7 @@ from peca.sim import (
     _lane_choice,
     _numpy_choice,
     _pcg64_raw,
-    _pcg64_states,
+    _pcg64_seeded,
     _replicate_positions,
     _seed_words,
     gen_dependent_events,
@@ -121,6 +121,17 @@ def test_independent_events_bounds_and_edges():
         gen_independent_events(5, 6, seed=1)
 
 
+def test_permute_occupancy_uniform():
+    freq = np.zeros(12)
+    rng = np.random.default_rng(123)
+    draws = 10000
+    for _ in range(draws):
+        freq[gen_independent_events(12, 4, seed=rng).occurrences - 1] += 1
+    expect = draws * 4 / 12
+    sd = np.sqrt(draws * (4 / 12) * (8 / 12))
+    assert np.all(np.abs(freq - expect) < 4.5 * sd)
+
+
 def test_dependent_events_postcondition():
     x = gen_ma_exponential(4096, 8, seed=(0, 100))
     e = gen_dependent_events(x, 32, 4.0, 4, seed=(0, 101))
@@ -210,16 +221,18 @@ def test_replicates_draw_the_stream_of_gen_independent_events(seed, replicates, 
 
 @pytest.mark.parametrize("seed", [0, 131, 2**32 - 1, 2**32, 2**64 + 5])   # 4, 5 and 6 words
 @pytest.mark.parametrize("order", [0, 64])
-def test_pcg64_states_match_seed_sequence(seed, order):
+def test_pcg64_seeding_and_choice_match_numpy(seed, order):
     # the port of SeedSequence and PCG64's seeding gives NumPy's own state, for
     # entropy past the pool of 4 words and j across a block boundary up to 2**32 - 1
     words = _seed_words(seed, order, 1, 0)
     js = [0, 1, 1023, 1024, 2**31, 2**32 - 1]
-    for j, state in zip(js, _pcg64_states(words, js), strict=True):
-        want = np.random.PCG64(np.random.SeedSequence(words[:-1] + [j])).state
-        assert state["state"] == want["state"], j
-        assert state["has_uint32"] == state["uinteger"] == 0
-        assert state == want
+    s_hi, s_lo, i_hi, i_lo = (a.tolist() for a in _pcg64_seeded(words, js))
+    for j, a, b, c, d in zip(js, s_hi, s_lo, i_hi, i_lo, strict=True):
+        state = np.random.PCG64(np.random.SeedSequence(words[:-1] + [j])).state["state"]
+        assert {"state": a << 64 | b, "inc": c << 64 | d} == state, j
+        # and the Generator set to that state draws default_rng's row, in its order
+        row = np.random.default_rng(words[:-1] + [j]).choice(4096, 8, replace=False)
+        assert _numpy_choice(words, [j], 4096, 8)[0].tolist() == row.tolist(), j
     # and the lane PCG64 steps each of those states to NumPy's raw words
     assert _pcg64_raw(words, js, 5).T.tolist() == [
         np.random.PCG64(np.random.SeedSequence(words[:-1] + [j])).random_raw(5).tolist() for j in js]
