@@ -394,7 +394,7 @@ def ingest_events(path, grid: DayGrid) -> tuple[EventSeries, list[str]]:
     Lines end in LF, CRLF or CR.
     """
     warnings: list[str] = []
-    seen: dict[int, date] = {}
+    seen: set[int] = set()
     duplicates: list[str] = []
     with open(path, "rb") as fh:
         text = _text(path, fh.read())
@@ -411,7 +411,7 @@ def ingest_events(path, grid: DayGrid) -> tuple[EventSeries, list[str]]:
         if idx in seen:
             duplicates.append(d.isoformat())
         else:
-            seen[idx] = d
+            seen.add(idx)
     if duplicates:
         warnings.append(f"collapsed duplicate event date(s): {', '.join(sorted(set(duplicates)))}")
     if not seen:

@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+from scipy.stats import chi2
 
 from peca.cli import main
 
@@ -66,6 +67,22 @@ def placement_law(rungs, n, m):
                   for placed in itertools.combinations(rungs, n))
     total = math.comb(len(rungs), n)
     return {process: Fraction(count, total) for process, count in law.items()}
+
+
+def placement_p_value(processes, law):
+    """Chi-square p-value of drawn processes, one per row, against a ``placement_law``.
+
+    Asserts that every row lies in the law's support; the test runs over the
+    processes expected at least 5 times, and a law of one point gives 1.0.
+    """
+    observed = Counter(map(tuple, np.asarray(processes).tolist()))
+    assert set(observed) <= set(law)
+    if len(law) == 1:
+        return 1.0
+    rows = observed.total()
+    expected = {process: rows * p for process, p in law.items() if rows * p >= 5}
+    stat = sum((observed[process] - e) ** 2 / e for process, e in expected.items())
+    return float(chi2.sf(float(stat), len(expected) - 1))
 
 
 def sup_distances(cmfs):

@@ -64,6 +64,8 @@ def test_reject_set_strict():
     adjusted = np.array([0.05])
     assert reject_set(adjusted, 0.05).tolist() == [False]
     assert reject_set(adjusted, 0.051).tolist() == [True]
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+        reject_set(adjusted, 1.0)
 
 
 pvec = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=12).map(np.array)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import chi2, chi2_contingency, hypergeom
 
 from peca.multi import (
     _NULL_BLOCK,
@@ -29,8 +28,7 @@ from peca.multi import (
 )
 from peca.nulls import GevFitError, GevParams, binom_logpmf, binom_tail, gev_sf
 from peca.series import EventSeries, TimeSeries, rung_index
-from peca.sim import gen_independent_events
-from shared import monotone_processes, placement_law
+from shared import monotone_processes, placement_law, placement_p_value
 
 
 def tcp(e, x, delta, ladder):
@@ -102,6 +100,21 @@ def test_ladder_validation():
         build_ladder_from_quantiles(x, 0.9, 0.1, 4)
     with pytest.raises(ValueError):
         build_ladder_from_quantiles(x, 0.0, 1.5, 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ThresholdLadder([1.0, 2.0], levels=[0.5]), "levels must match thresholds in length"),
+    (lambda: ThresholdLadder([1.0, 2.0], levels=[0.5, 1.5]), "quantile levels must lie in [0, 1]"),
+    (lambda: build_ladder_from_quantiles(TimeSeries(np.arange(10.0)), 0.1, 0.9, 0),
+     "m must be at least 1"),
+    (lambda: tcp_nll([2, 1], 4, [0.5]), "pis must have one entry per ladder threshold"),
+    (lambda: expected_process_with_band(3, []), "need at least one success probability"),
+    (lambda: dp_extreme_nll(-1, [0.5], "min"), "n_events must be non-negative"),
+], ids=["levels-length", "levels-range", "ladder-m", "pis-length", "pis-empty", "dp-n"])
+def test_invalid_arguments_raise_their_message(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_success_probabilities_non_increasing_and_positive():
@@ -257,54 +270,6 @@ def test_compute_tcp_validates_rungs():
 
 # --- the permutation null -------------------------------------------------------
 
-def permutation_counts(rungs, n, m, r, rng):
-    """Reference sampler: place the events one replicate at a time, count over the rungs."""
-    return np.array([compute_tcp(gen_independent_events(rungs.size, n, seed=rng), rungs, m)
-                     for _ in range(r)])
-
-
-# three random rungs in each ladder: NumPy's "count" method places up to 12
-# events, "marginals" draws more; above half the steps it draws the complement
-@pytest.mark.parametrize("n, method", [(9, "count"), (13, "marginals"), (40, "marginals")],
-                         ids=["count", "marginals", "marginals-complement"])
-def test_null_counts_match_permutation_oracle(counting_rngs, n, method):
-    # 60 steps over the rungs, the top rung empty; the second ladder also has
-    # no step at rung 2, so its counts at rungs 2 and 3 coincide
-    for sizes in ((20, 15, 15, 10, 0), (20, 15, 0, 15, 10, 0)):
-        m = len(sizes) - 1
-        rungs = np.random.default_rng(17).permutation(np.repeat(np.arange(m + 1), sizes))
-        t, r = rungs.size, 4000
-        at_least = np.array([np.count_nonzero(rungs >= i) for i in range(1, m + 1)])
-        p = at_least / t
-        mean = n * p
-        var = n * p * (1 - p) * (t - n) / (t - 1)
-        drawn = _null_counts(steps_at_least(rungs, m), n, r, np.random.default_rng(1))
-        assert counting_rngs[-1].methods == [method]
-        oracle = permutation_counts(rungs, n, m, r, np.random.default_rng(2))
-        for counts in (drawn, oracle):
-            assert np.all(np.diff(counts, axis=1) <= 0)
-            np.testing.assert_array_equal(counts[:, m - 1], 0)
-            for i in np.flatnonzero(np.asarray(sizes[1:m]) == 0):
-                np.testing.assert_array_equal(counts[:, i + 1], counts[:, i])
-            se = np.sqrt(var[:m - 1] / r)
-            assert np.all(np.abs(counts[:, :m - 1].mean(axis=0) - mean[:m - 1]) < 4.5 * se)
-            # the sample variance has a relative standard error near sqrt(2/r), 2.2 %
-            np.testing.assert_allclose(counts[:, :m - 1].var(axis=0, ddof=1), var[:m - 1],
-                                       rtol=0.12)
-        # the count at the first rung: the sampler and the oracle against each
-        # other, and the sampler against the exact hypergeometric law
-        ks = np.arange(n + 1)
-        table = np.array([np.bincount(drawn[:, 0], minlength=n + 1),
-                          np.bincount(oracle[:, 0], minlength=n + 1)])
-        table = table[:, table.sum(axis=0) >= 10]
-        assert chi2_contingency(table)[1] > 1e-3
-        observed = np.bincount(drawn[:, 0], minlength=n + 1)
-        expected = r * hypergeom.pmf(ks, t, at_least[0], n)
-        keep = expected >= 5
-        stat = np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep])
-        assert chi2.sf(stat, keep.sum() - 1) > 1e-3
-
-
 class CountingRng:
     """A Generator that counts its hypergeometric calls and records each multivariate method."""
 
@@ -356,10 +321,6 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
         np.testing.assert_array_equal(counts[:, 4], counts[:, 2])
         np.testing.assert_array_equal(counts[:, 5], 0)
         assert counts.shape == (300, m) and counts.max() <= n
-    # no events on a ladder with random rungs: the "count" method, all zero
-    np.testing.assert_array_equal(
-        _null_counts(steps_at_least(rungs, m), 0, 30, np.random.default_rng(3)), 0)
-    assert counting_rngs[-1].methods == ["count"]
     # every step on one rung: no count is random, under either method
     for n, method in ((0, "count"), (6, "marginals")):
         counts = _null_counts(steps_at_least(np.full(10, 2), 4), n, 30, np.random.default_rng(3))
@@ -368,38 +329,22 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
     assert all(rng.hypergeometric_calls == 0 for rng in counting_rngs)
 
 
-# 3, 0, 5, 4 and 0 steps on rungs 0-4: rungs 1 and 3 are random, rung 2 repeats rung 1's
-# count and rung 4 is empty.  NumPy's "count" method places up to 8 events, "marginals"
-# more, and both draw the complement above 6 of the 12 steps
-@pytest.mark.parametrize("n, method", [(4, "count"), (8, "count"), (10, "marginals")],
-                         ids=["count", "count-complement", "marginals-complement"])
-def test_null_counts_follow_the_exact_placement_law(counting_rngs, n, method):
-    rungs = np.repeat(np.arange(5), (3, 0, 5, 4, 0))
-    law = placement_law(rungs, n, 4)
-    r = 20000
-    drawn = _null_counts(steps_at_least(rungs, 4), n, r, np.random.default_rng(8))
+# Steps per rung from rung 0 up, with an empty middle and top rung.  On (3, 0, 5, 4, 0) rungs
+# 1 and 3 are random: NumPy's "count" method places up to 8 events, "marginals" more, and both
+# draw the complement above 6 of the 12 steps.  On (4, 0, 8, 0) rung 1 alone is random, so
+# "marginals" draws 5 events.  No events, or one on every step, leave a law of one point
+@pytest.mark.parametrize("sizes, n, method", [
+    ((3, 0, 5, 4, 0), 4, "count"), ((3, 0, 5, 4, 0), 8, "count"),
+    ((3, 0, 5, 4, 0), 10, "marginals"), ((4, 0, 8, 0), 5, "marginals"),
+    ((3, 0, 5, 4, 0), 0, "count"), ((2, 2), 4, "count"), ((3, 0, 5, 4, 0), 12, "marginals"),
+], ids=["count", "count-complement", "marginals-complement", "marginals",
+        "no-events", "every-step-count", "every-step-marginals"])
+def test_null_counts_follow_the_exact_placement_law(counting_rngs, sizes, n, method):
+    m = len(sizes) - 1
+    rungs = np.repeat(np.arange(m + 1), sizes)
+    drawn = _null_counts(steps_at_least(rungs, m), n, 20000, np.random.default_rng(8))
     assert counting_rngs[-1].methods == [method]
-    processes, counts = np.unique(drawn, axis=0, return_counts=True)
-    observed = dict(zip(map(tuple, processes.tolist()), counts.tolist()))
-    assert set(observed) <= set(law)
-    expected = {process: r * float(p) for process, p in law.items()}
-    cells = [process for process in law if expected[process] >= 5]
-    stat = sum((observed.get(c, 0) - expected[c]) ** 2 / expected[c] for c in cells)
-    assert chi2.sf(stat, len(cells) - 1) > 1e-3
-
-
-# the 9 steps have three random rungs: all 9 take NumPy's "count" method, 27 "marginals"
-@pytest.mark.parametrize("copies, method", [(1, "count"), (3, "marginals")],
-                         ids=["count", "marginals"])
-def test_both_samplers_are_exact_at_no_events_and_every_step(counting_rngs, copies, method):
-    rungs = np.tile([2, 0, 1, 4, 2, 0, 1, 0, 4], copies)
-    at_least = steps_at_least(rungs, 4)
-    np.testing.assert_array_equal(_null_counts(at_least, 0, 20, np.random.default_rng(4)),
-                                  np.zeros((20, 4)))
-    np.testing.assert_array_equal(_null_counts(at_least, rungs.size, 20,
-                                               np.random.default_rng(4)),
-                                  [at_least[1:]] * 20)
-    assert counting_rngs[-1].methods == [method]
+    assert placement_p_value(drawn, placement_law(rungs, n, m)) > 1e-3
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 6))

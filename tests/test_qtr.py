@@ -30,6 +30,13 @@ def test_zero_events_rejected():
         small_table(n_events=0)
 
 
+def test_empty_table_rejected():
+    empty = np.array([])
+    with pytest.raises(ValueError, match="^QTR table needs at least one row$"):
+        QtrTable(levels=empty, thresholds=empty, observed_counts=empty, n_events=5,
+                 expected_rates=empty, band_lower_rates=empty, band_upper_rates=empty)
+
+
 def test_monotonicity_enforced():
     with pytest.raises(ValueError):
         QtrTable(

@@ -26,7 +26,7 @@ from peca.sim import (
     gen_ma_exponential,
     null_distribution_comparison,
 )
-from shared import sup_distances
+from shared import placement_law, placement_p_value, sup_distances
 
 
 def standardized(y):
@@ -121,15 +121,12 @@ def test_independent_events_bounds_and_edges():
         gen_independent_events(5, 6, seed=1)
 
 
-def test_permute_occupancy_uniform():
-    freq = np.zeros(12)
+def test_independent_events_follow_the_exact_placement_law():
+    # one step per rung: each of the 495 sets of 4 steps is a process, expected 20.2 times
     rng = np.random.default_rng(123)
-    draws = 10000
-    for _ in range(draws):
-        freq[gen_independent_events(12, 4, seed=rng).occurrences - 1] += 1
-    expect = draws * 4 / 12
-    sd = np.sqrt(draws * (4 / 12) * (8 / 12))
-    assert np.all(np.abs(freq - expect) < 4.5 * sd)
+    steps = np.arange(12)
+    drawn = [compute_tcp(gen_independent_events(12, 4, rng), steps, 11) for _ in range(10000)]
+    assert placement_p_value(drawn, placement_law(steps, 4, 11)) > 1e-3
 
 
 def test_dependent_events_postcondition():
@@ -149,11 +146,11 @@ def test_dependent_events_insufficient_exceedances():
 
 
 def test_simconfig_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^series length must exceed the largest filter order$"):
         SimConfig(length=16, ma_orders=(32,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n_events must lie in \[0, length\]$"):
         SimConfig(n_events=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one replicate$"):
         SimConfig(replicates=0)
     with pytest.raises(ValueError, match="repeated filter order"):
         SimConfig(ma_orders=(0, 32, 0))
@@ -169,6 +166,22 @@ def test_simconfig_rejects_non_finite_thresholds(thresholds):
     # NaN passes every "strictly increasing" comparison, and inf counts nothing
     with pytest.raises(ValueError, match="thresholds must be finite"):
         SimConfig(thresholds=thresholds)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SimConfig(ma_orders=()), "need at least one filter order"),
+    (lambda: SimConfig(ma_orders=(0, -1)), "filter orders must be non-negative"),
+    (lambda: SimConfig(delta=-1), "delta must lie in [0, length)"),
+    (lambda: SimConfig(seed=-1), "seed must be non-negative"),
+    (lambda: gen_dependent_events(gen_ma_exponential(64, 0, seed=0), 1, 0.0, -1, seed=0),
+     "lag must be non-negative"),
+    (lambda: gen_dependent_events(gen_ma_exponential(64, 0, seed=0), -1, 0.0, 1, seed=0),
+     "n must be non-negative"),
+], ids=["no-orders", "negative-order", "delta", "seed", "lag", "n"])
+def test_invalid_arguments_raise_their_message(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def small_config():
