@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nulls import GUMBEL_SHAPE_TOL, GevFitError, GevParams, binom_cdf, binom_logpmf, gev_sf
-from .series import EventSeries, TimeSeries, frozen_copy
+from .series import EventSeries, TimeSeries, frozen_copy, integer_array
 
 # Coverage of the central null band around the expected process, the band the QTR chart draws.
 BAND_LEVEL = 0.95
@@ -146,16 +146,14 @@ def steps_at_least(rungs, m: int) -> np.ndarray:
     event is counted at threshold i, the counterpart of
     ``success_probabilities`` read off the series without the GEV fit.  Of
     event sets' rungs, entries 1..m are their trigger counts (see
-    ``compute_tcp``).  One ``bincount`` counts every row, its rungs offset by
-    m + 1 per row, and one reversed running sum accumulates the counts.
+    ``compute_tcp``).  Rungs are read by ``series.integer_array``; one ``bincount``
+    counts every row, offset by m + 1 per row, and a reversed running sum accumulates.
     """
-    rungs = np.asarray(rungs)
+    rungs = integer_array(rungs, "rungs")
     if np.any((rungs < 0) | (rungs > m)):
         raise ValueError(f"rungs must lie in [0, {m}]")
     rows = math.prod(rungs.shape[:-1])
-    # intp first: uint64 rungs plus the int64 offsets would be float64, which bincount refuses
-    flat = rungs.reshape(rows, rungs.shape[-1]).astype(np.intp, copy=False)
-    flat = flat + np.arange(0, rows * (m + 1), m + 1)[:, None]
+    flat = rungs.reshape(rows, rungs.shape[-1]) + np.arange(0, rows * (m + 1), m + 1)[:, None]
     bins = np.bincount(flat.ravel(), minlength=rows * (m + 1))
     return bins.reshape(*rungs.shape[:-1], m + 1)[..., ::-1].cumsum(axis=-1)[..., ::-1]
 
@@ -167,7 +165,7 @@ def compute_tcp(e: EventSeries, rungs: np.ndarray, m: int) -> np.ndarray:
     ladder.thresholds)``; an event's rung is the rung of its step, so the
     count at threshold i is ``steps_at_least`` of the events' rungs, entry i.
     """
-    rungs = np.asarray(rungs)
+    rungs = integer_array(rungs, "rungs")
     if e.length != rungs.size:
         raise ValueError(f"series lengths differ: {e.length} vs {rungs.size}")
     return steps_at_least(rungs[e.occurrences - 1], m)[1:]
@@ -187,11 +185,16 @@ def _as_pis(pis, m: int | None = None) -> np.ndarray:
     return pis
 
 
+def _chain(pis: np.ndarray) -> tuple[float, list[float]]:
+    """The chain's success probabilities: pis[0], then each pis[i] / pis[i-1] clamped to 1."""
+    return float(pis[0]), np.minimum(pis[1:] / pis[:-1], 1.0).tolist()
+
+
 def _nll_rows(counts: np.ndarray, n_events: int, pis: np.ndarray) -> np.ndarray:
     """Process NLL for each row of a (rows, M) count matrix (no validation)."""
-    total = -binom_logpmf(counts[:, 0], n_events, float(pis[0]))
-    for i in range(1, pis.size):
-        rho = min(1.0, float(pis[i] / pis[i - 1]))
+    first, ratios = _chain(pis)
+    total = -binom_logpmf(counts[:, 0], n_events, first)
+    for i, rho in enumerate(ratios, 1):
         total = total - binom_logpmf(counts[:, i], counts[:, i - 1], rho)
     return total
 
@@ -200,13 +203,13 @@ def tcp_nll(counts, n_events: int, pis) -> float:
     """Negative log-likelihood of a trigger coincidence process under the chained null.
 
     ``counts`` are the process's counts of ``n_events`` events along the
-    ladder (see ``compute_tcp``): each in [0, n_events], non-increasing.
-    The first term scores the lowest-threshold count against
-    Binomial(n_events, pis[0]); each later term scores the count against
-    Binomial(previous count, pis[i] / pis[i-1]).  The conditional success
-    ratio is clamped to [0, 1] against floating-point overshoot.
+    ladder (see ``compute_tcp``): each in [0, n_events], non-increasing;
+    both are read by ``series.integer_array``.  The first term scores the
+    lowest-threshold count against Binomial(n_events, pis[0]), each later
+    one against Binomial(previous count, pis[i] / pis[i-1] clamped to 1).
     """
-    counts = np.asarray(counts, dtype=np.int64).ravel()
+    counts = integer_array(counts, "counts").ravel()
+    n_events = int(integer_array(n_events, "n_events"))
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
     if np.any((counts < 0) | (counts > n_events)):
@@ -270,13 +273,14 @@ def null_nll_replicates(at_least: np.ndarray, n_events: int, pis: np.ndarray, r:
     ``success_probabilities``).  The replicates are exact draws of the
     process under uniform re-placement of ``n_events`` events, reproducible
     from ``seed``: one ``default_rng(seed)`` draws them ``_NULL_BLOCK`` at a
-    time (see ``_null_counts``), and each block's NLLs fill their slice of
-    the result before the next block is drawn.
+    time (see ``_null_counts``), each block scored before the next is drawn.
+    ``at_least`` and ``n_events`` are read by ``series.integer_array``.
     """
     if r < 1:
         raise ValueError("need at least one replicate")
     pis = _as_pis(pis)
-    at_least = np.asarray(at_least)
+    at_least = integer_array(at_least, "steps at rung >= i")
+    n_events = int(integer_array(n_events, "n_events"))
     if at_least.shape != (pis.size + 1,):
         raise ValueError(f"need the steps at rung >= i for i = 0..{pis.size}: "
                          "one entry more than pis")
@@ -310,11 +314,11 @@ def expected_process_with_band(n_events: int, pis):
     quantiles of Binomial(n_events, pi) at each threshold.  A quantile q is
     the smallest count whose distribution function reaches q.
     """
+    n_events = int(integer_array(n_events, "n_events"))
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
     pis = _as_pis(pis)
-    lower = np.empty(pis.size, dtype=np.int64)
-    upper = np.empty(pis.size, dtype=np.int64)
+    lower, upper = np.empty((2, pis.size), dtype=np.int64)
     # (1 - 0.95) / 2 is 0.025000000000000022, not 0.025: keep the computed quantiles
     q_lo, q_hi = (1.0 - BAND_LEVEL) / 2.0, (1.0 + BAND_LEVEL) / 2.0
     for i, pi in enumerate(pis):
@@ -336,21 +340,19 @@ def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, np.ndarra
     """
     if direction not in ("min", "max"):
         raise ValueError('direction must be "min" or "max"')
-    if n_events < 0:
+    n = int(integer_array(n_events, "n_events"))
+    if n < 0:
         raise ValueError("n_events must be non-negative")
-    pis = _as_pis(pis)
     minimize = direction == "min"
     bad = math.inf if minimize else -math.inf
 
-    n = n_events
-    ks = np.arange(n + 1, dtype=float)
-    best = -binom_logpmf(ks, float(n), float(pis[0]))
+    first, ratios = _chain(_as_pis(pis))
+    ks = np.arange(n + 1)
+    best = -binom_logpmf(ks, n, first)
     back: list[np.ndarray] = []
-    k_grid = ks[None, :]
-    prev_grid = ks[:, None]
+    k_grid, prev_grid = ks[None, :], ks[:, None]
     infeasible = k_grid > prev_grid
-    for i in range(1, pis.size):
-        rho = min(1.0, float(pis[i] / pis[i - 1]))
+    for rho in ratios:
         trans = -binom_logpmf(k_grid, prev_grid, rho)
         cost = np.where(infeasible, bad, best[:, None] + trans)
         arg = np.argmin(cost, axis=0) if minimize else np.argmax(cost, axis=0)
@@ -358,9 +360,8 @@ def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, np.ndarra
         back.append(arg)
 
     last = int(np.argmin(best) if minimize else np.argmax(best))
-    statistic = float(best[last])
     path = [last]
     for arg in reversed(back):
         path.append(int(arg[path[-1]]))
     path.reverse()
-    return statistic, np.array(path, dtype=np.int64)
+    return float(best[last]), np.array(path, dtype=np.int64)

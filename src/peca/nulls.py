@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, integer_array
 
 __all__ = [
     "GUMBEL_SHAPE_TOL",
@@ -350,27 +350,15 @@ def _log_factorials(n_max: int) -> np.ndarray:
     return table
 
 
-def _as_counts(v, name: str) -> np.ndarray:
-    """Integer-valued input as an int64 array; raises ValueError otherwise."""
-    v = np.asarray(v)
-    if v.dtype.kind in "iu":
-        return v.astype(np.int64)
-    f = v.astype(float)
-    if not np.all(np.isfinite(f)) or np.any(f != np.floor(f)):
-        raise ValueError(f"binomial {name} must be integer-valued")
-    return f.astype(np.int64)
-
-
 def binom_logpmf(k, n, p: float):
     """Log of the binomial pmf, vectorized over k and n; p is a scalar in [0, 1].
 
-    ``k`` and ``n`` are counts: integer arrays, or float arrays holding
-    integer values; anything else (a fraction, nan, inf) raises ValueError.
-    Entries with k outside [0, n] get -inf.  The log-factorials are read by
-    index from a cached table (see ``_log_factorial``).
+    ``k`` and ``n`` are read by ``series.integer_array``: a fraction, nan,
+    inf or text raises ValueError.  Entries with k outside [0, n] get -inf.
+    The log-factorials come from a cached table (see ``_log_factorial``).
     """
-    k = _as_counts(k, "k")
-    n = _as_counts(n, "n")
+    k = integer_array(k, "binomial k")
+    n = integer_array(n, "binomial n")
     if not 0.0 <= p <= 1.0:
         raise ValueError("binomial success probability must lie in [0, 1]")
     valid = (k >= 0) & (k <= n)
@@ -393,6 +381,7 @@ def binom_cdf(n: int, p: float) -> np.ndarray:
     The pmf terms for 0..n are accumulated in log space and clamped at 1.0,
     so the result is non-decreasing in k.
     """
+    n = int(integer_array(n, "binomial n"))
     if n < 0:
         raise ValueError("n must be non-negative")
     return np.minimum(np.exp(np.logaddexp.accumulate(binom_logpmf(np.arange(n + 1), n, p))), 1.0)
@@ -405,6 +394,8 @@ def binom_tail(k: int, n: int, p: float) -> float:
     ``binom_cdf``, so small tails keep their relative accuracy and the result
     is non-increasing in k.  Exactly 1.0 for k <= 0.
     """
+    k = int(integer_array(k, "binomial k"))
+    n = int(integer_array(n, "binomial n"))
     if n < 0:
         raise ValueError("n must be non-negative")
     if k <= 0:

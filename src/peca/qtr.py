@@ -13,13 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multi import BAND_LEVEL
+from .series import integer_array
 
 __all__ = ["QtrTable", "write_csv", "write_qtr_svg"]
 
 
 @dataclass(frozen=True)
 class QtrTable:
-    """Observed and null-expected trigger rates along a quantile ladder."""
+    """Observed and null-expected trigger rates along a quantile ladder; the observed counts
+    are read by ``series.integer_array``, so a fraction raises ValueError instead of truncating."""
 
     levels: np.ndarray
     thresholds: np.ndarray
@@ -33,7 +35,7 @@ class QtrTable:
         arrays = {
             "levels": np.asarray(self.levels, dtype=float),
             "thresholds": np.asarray(self.thresholds, dtype=float),
-            "observed_counts": np.asarray(self.observed_counts, dtype=np.int64),
+            "observed_counts": integer_array(self.observed_counts, "observed counts"),
             "expected_rates": np.asarray(self.expected_rates, dtype=float),
             "band_lower_rates": np.asarray(self.band_lower_rates, dtype=float),
             "band_upper_rates": np.asarray(self.band_upper_rates, dtype=float),

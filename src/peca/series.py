@@ -26,9 +26,20 @@ def frozen_copy(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def integer_array(values, what: str) -> np.ndarray:
+    """Counts as int64: integer and bool arrays pass, int64 ones without a copy, and so do floats
+    that are all whole and below 2**63 in size; a fraction, nan, inf or text raises ValueError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu" and not (
+            arr.dtype.kind == "f" and np.all((np.trunc(arr) == arr) & (np.abs(arr) < 2.0**63))):
+        raise ValueError(f"{what} must be integer-valued")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class EventSeries:
-    """Sparse binary series: sorted 1-based occurrence indices on a grid of ``length`` steps."""
+    """Sparse binary series: sorted 1-based occurrence indices on a grid of ``length`` steps,
+    read by ``integer_array``, so a fractional index raises ValueError instead of truncating."""
 
     length: int
     occurrences: np.ndarray
@@ -36,17 +47,11 @@ class EventSeries:
     def __post_init__(self):
         if not isinstance(self.length, numbers.Integral) or self.length < 1:
             raise ValueError("series length must be an integer of at least 1")
-        occ = np.asarray(self.occurrences).ravel()
-        integral = occ.dtype.kind in "biu" or (
-            occ.dtype.kind == "f" and np.all(np.isfinite(occ) & (np.trunc(occ) == occ)))
-        if not integral:
-            raise ValueError("occurrences must be integer-valued")
-        occ = occ.astype(np.int64)
-        if occ.size:
-            if np.any(np.diff(occ) <= 0):
-                raise ValueError("occurrences must be strictly increasing")
-            if occ[0] < 1 or occ[-1] > self.length:
-                raise ValueError(f"occurrences must lie in [1, {self.length}]")
+        occ = integer_array(self.occurrences, "occurrences").ravel()
+        if np.any(np.diff(occ) <= 0):
+            raise ValueError("occurrences must be strictly increasing")
+        if occ.size and (occ[0] < 1 or occ[-1] > self.length):
+            raise ValueError(f"occurrences must lie in [1, {self.length}]")
         object.__setattr__(self, "occurrences", frozen_copy(occ))
 
     @property
