@@ -1,13 +1,18 @@
 """``python -m peca`` and the ``peca`` script.
 
 peca calls no BLAS routine, so OpenBLAS gets one thread unless the user set
-a count; ``import peca`` and ``import peca.cli`` leave the environment alone.
+a count.  peca hashes nothing either, yet ``numpy.random`` imports ``secrets``,
+whose ``hmac`` and ``hashlib`` would load ``_hashlib`` and map OpenSSL's
+libcrypto (3.4 MB of peak RSS); blocking ``_hashlib`` makes them fall back
+to CPython's built-in hash modules, with the same digests.  ``import peca``
+and ``import peca.cli`` leave the environment and ``sys.modules`` alone.
 """
 
 import os
 import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+sys.modules.setdefault("_hashlib", None)   # an import of it now raises ImportError
 
 from .cli import main  # noqa: E402  (this import loads NumPy)
 

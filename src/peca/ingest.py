@@ -79,10 +79,12 @@ def _text(path, raw) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
-def _records(path, text: str):
-    """``(line, record)`` for the CSV records of ``text``, numbered by the
-    physical line each starts on; a malformed one raises ``IngestError``."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _records(path, raw):
+    """``(line, record)`` for the CSV records of a file's UTF-8 bytes, less one leading
+    byte-order mark, numbered by the physical line each starts on; a malformed one raises
+    ``IngestError``.  The text is decoded a chunk at a time: a ``StringIO`` of it would hold
+    every character in 4 bytes."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
     start = 1
     try:
         for row in reader:
@@ -202,12 +204,13 @@ def _read_canonical(buf, fill_zero: bool) -> tuple[np.ndarray, date] | None:
     return values, np.datetime64(int(days[0]), "D").item()
 
 
-def _read_rows(path, text: str, fill_zero: bool) -> tuple[np.ndarray, date]:
-    """Values and first day of any series file's text, parsed row by row, or ``IngestError``."""
+def _read_rows(path, raw, fill_zero: bool) -> tuple[np.ndarray, date]:
+    """Values and first day of any series file's bytes, parsed row by row, or ``IngestError``."""
+    _text(path, raw)                             # a byte that is not UTF-8 names its line
     values: list[float] = []
     start: date | None = None
     prev: date | None = None
-    rows = _records(path, text)
+    rows = _records(path, raw)
     _, header = next(rows, (None, None))
     if header is None or [c.strip().lower() for c in header] != ["date", "value"]:
         raise IngestError(f"{path}: expected header 'date,value', got {header!r}")
@@ -373,8 +376,7 @@ def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGri
             whole = got == st.st_size and not rest
             if not whole:                        # a pipe, or a file that changed as it was read
                 buf = np.frombuffer(buf[:got].tobytes() + rest + bytes(_SPARE), dtype=np.uint8)
-            parsed = _read_canonical(buf, fill_zero) or _read_rows(
-                path, _text(path, buf[:-_SPARE]), fill_zero)
+            parsed = _read_canonical(buf, fill_zero) or _read_rows(path, buf[:-_SPARE], fill_zero)
             del buf                              # before TimeSeries copies the values
             if not (whole and settled and _cache_key(os.fstat(fh.fileno()), fill_zero) == key):
                 key = None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nulls import GUMBEL_SHAPE_TOL, GevFitError, GevParams, binom_cdf, binom_logpmf, gev_sf
-from .series import EventSeries, TimeSeries, frozen_copy, integer_array
+from .series import EventSeries, TimeSeries, frozen_copy, integer_array, integer_scalar
 
 # Coverage of the central null band around the expected process, the band the QTR chart draws.
 BAND_LEVEL = 0.95
@@ -204,12 +204,13 @@ def tcp_nll(counts, n_events: int, pis) -> float:
 
     ``counts`` are the process's counts of ``n_events`` events along the
     ladder (see ``compute_tcp``): each in [0, n_events], non-increasing;
-    both are read by ``series.integer_array``.  The first term scores the
+    they are read by ``series.integer_array``, and ``n_events`` by
+    ``series.integer_scalar``.  The first term scores the
     lowest-threshold count against Binomial(n_events, pis[0]), each later
     one against Binomial(previous count, pis[i] / pis[i-1] clamped to 1).
     """
     counts = integer_array(counts, "counts").ravel()
-    n_events = int(integer_array(n_events, "n_events"))
+    n_events = integer_scalar(n_events, "n_events")
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
     if np.any((counts < 0) | (counts > n_events)):
@@ -274,13 +275,15 @@ def null_nll_replicates(at_least: np.ndarray, n_events: int, pis: np.ndarray, r:
     process under uniform re-placement of ``n_events`` events, reproducible
     from ``seed``: one ``default_rng(seed)`` draws them ``_NULL_BLOCK`` at a
     time (see ``_null_counts``), each block scored before the next is drawn.
-    ``at_least`` and ``n_events`` are read by ``series.integer_array``.
+    ``at_least`` is read by ``series.integer_array``, and ``n_events`` and
+    ``r`` by ``series.integer_scalar``.
     """
+    r = integer_scalar(r, "replicate count")
     if r < 1:
         raise ValueError("need at least one replicate")
     pis = _as_pis(pis)
     at_least = integer_array(at_least, "steps at rung >= i")
-    n_events = int(integer_array(n_events, "n_events"))
+    n_events = integer_scalar(n_events, "n_events")
     if at_least.shape != (pis.size + 1,):
         raise ValueError(f"need the steps at rung >= i for i = 0..{pis.size}: "
                          "one entry more than pis")
@@ -314,7 +317,7 @@ def expected_process_with_band(n_events: int, pis):
     quantiles of Binomial(n_events, pi) at each threshold.  A quantile q is
     the smallest count whose distribution function reaches q.
     """
-    n_events = int(integer_array(n_events, "n_events"))
+    n_events = integer_scalar(n_events, "n_events")
     if n_events < 0:
         raise ValueError("n_events must be non-negative")
     pis = _as_pis(pis)
@@ -340,7 +343,7 @@ def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, np.ndarra
     """
     if direction not in ("min", "max"):
         raise ValueError('direction must be "min" or "max"')
-    n = int(integer_array(n_events, "n_events"))
+    n = integer_scalar(n_events, "n_events")
     if n < 0:
         raise ValueError("n_events must be non-negative")
     minimize = direction == "min"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .series import TimeSeries, integer_array
+from .series import TimeSeries, integer_array, integer_scalar
 
 __all__ = [
     "GUMBEL_SHAPE_TOL",
@@ -381,7 +381,7 @@ def binom_cdf(n: int, p: float) -> np.ndarray:
     The pmf terms for 0..n are accumulated in log space and clamped at 1.0,
     so the result is non-decreasing in k.
     """
-    n = int(integer_array(n, "binomial n"))
+    n = integer_scalar(n, "binomial n")
     if n < 0:
         raise ValueError("n must be non-negative")
     return np.minimum(np.exp(np.logaddexp.accumulate(binom_logpmf(np.arange(n + 1), n, p))), 1.0)
@@ -394,8 +394,8 @@ def binom_tail(k: int, n: int, p: float) -> float:
     ``binom_cdf``, so small tails keep their relative accuracy and the result
     is non-increasing in k.  Exactly 1.0 for k <= 0.
     """
-    k = int(integer_array(k, "binomial k"))
-    n = int(integer_array(n, "binomial n"))
+    k = integer_scalar(k, "binomial k")
+    n = integer_scalar(n, "binomial n")
     if n < 0:
         raise ValueError("n must be non-negative")
     if k <= 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multi import BAND_LEVEL
-from .series import integer_array
+from .series import integer_array, integer_scalar
 
 __all__ = ["QtrTable", "write_csv", "write_qtr_svg"]
 
@@ -21,7 +21,8 @@ __all__ = ["QtrTable", "write_csv", "write_qtr_svg"]
 @dataclass(frozen=True)
 class QtrTable:
     """Observed and null-expected trigger rates along a quantile ladder; the observed counts
-    are read by ``series.integer_array``, so a fraction raises ValueError instead of truncating."""
+    are read by ``series.integer_array`` and ``n_events`` by ``series.integer_scalar``, so a
+    fraction raises ValueError instead of truncating or dividing."""
 
     levels: np.ndarray
     thresholds: np.ndarray
@@ -45,12 +46,14 @@ class QtrTable:
             raise ValueError("QTR table needs at least one row")
         if any(a.size != size for a in arrays.values()):
             raise ValueError("QTR table columns must have equal length")
-        if self.n_events < 1:
+        n_events = integer_scalar(self.n_events, "n_events")
+        if n_events < 1:
             raise ValueError("QTR table needs at least one event")
         if np.any(np.diff(arrays["observed_counts"]) > 0):
             raise ValueError("observed count must be non-increasing in the quantile level")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n_events", n_events)
 
     @property
     def observed_rates(self) -> np.ndarray:

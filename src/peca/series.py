@@ -36,6 +36,15 @@ def integer_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def integer_scalar(value, what: str) -> int:
+    """One count as an int, read by ``integer_array``; an array of any shape, even of one
+    entry or none, raises ValueError too."""
+    arr = integer_array(value, what)
+    if arr.ndim:
+        raise ValueError(f"{what} must be a single integer-valued number")
+    return int(arr)
+
+
 @dataclass(frozen=True)
 class EventSeries:
     """Sparse binary series: sorted 1-based occurrence indices on a grid of ``length`` steps,

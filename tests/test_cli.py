@@ -753,6 +753,60 @@ def test_entry_sets_the_thread_count_before_numpy_loads():
     assert out.stdout == "1\n"
 
 
+@pytest.mark.parametrize("command", ["multi", "simulate"])
+def test_entry_keeps_openssl_out(dataset, tmp_path, command):
+    # peca hashes nothing, yet numpy.random imports secrets, whose hmac and hashlib would
+    # load _hashlib and map libcrypto, 3.4 MB of every run's peak; python -m peca blocks it
+    series, events = dataset
+    argv = {"multi": ["multi", "--series", str(series), "--events", str(events), "--delta", "5",
+                      "--m", "8", "--r", "200", "--out", str(tmp_path / "mu.json")],
+            "simulate": ["simulate", "--preset", "fig4", "--replicates", "200",
+                         "--out", str(tmp_path / "fig4")]}[command]
+    probe = ("import os, runpy, sys\n"
+             f"sys.argv = {['peca', *argv]!r}\n"
+             "try:\n"
+             "    runpy.run_module('peca', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    assert exc.code == 0, exc.code\n"
+             "mapped = None   # unknown where /proc/self/maps does not exist\n"
+             "if os.path.exists('/proc/self/maps'):\n"
+             "    with open('/proc/self/maps') as fh:\n"
+             "        mapped = 'libcrypto' in fh.read()\n"
+             "print('_hashlib' in sys.modules and sys.modules['_hashlib'] is None, mapped)\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=source_env(),
+                         capture_output=True, text=True, check=True, timeout=120)
+    blocked, mapped = out.stdout.splitlines()[-1].split()   # simulate prints its summary first
+    assert blocked == "True" and mapped in ("False", "None")
+
+
+def test_library_keeps_hashlib():
+    # importing the library leaves sys.modules alone: a user's hashlib keeps OpenSSL
+    pytest.importorskip("_hashlib")
+    probe = "import peca.cli, numpy.random, sys, types\n" \
+            "print(isinstance(sys.modules.get('_hashlib'), types.ModuleType))"
+    out = subprocess.run([sys.executable, "-c", probe], env=source_env(),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "True\n"
+
+
+def test_entry_hashes_as_a_plain_interpreter_does():
+    # with _hashlib blocked, hashlib and hmac fall back to CPython's built-in hash modules;
+    # a CPython whose hmac needed OpenSSL would fail here before any run did
+    calls = ("import hashlib, hmac, json, secrets, sys\n"
+             "print(json.dumps([sys.modules.get('_hashlib') is None,\n"
+             "    hashlib.sha256(b'peca').hexdigest(), hashlib.md5(b'peca').hexdigest(),\n"
+             "    hashlib.new('sha1', b'peca').hexdigest(),\n"
+             "    hmac.new(b'key', b'peca', 'sha256').hexdigest(),\n"
+             "    hmac.compare_digest(b'peca', b'peca'), 0 <= secrets.randbits(64) < 2**64]))\n")
+    plain, entry = (subprocess.run([sys.executable, "-W", "error", "-c", head + calls],
+                                   env=source_env(), capture_output=True, text=True, check=True,
+                                   timeout=60)
+                    for head in ("", "import peca.__main__\n"))
+    assert (entry.stderr, plain.stderr) == ("", "")
+    blocked, *results = json.loads(entry.stdout)
+    assert blocked and results == json.loads(plain.stdout)[1:]
+
+
 @pytest.mark.parametrize("blas_threads", [None, "2"], ids=["unset", "two"])
 def test_python_m_peca_writes_what_main_writes(dataset, tmp_path, blas_threads):
     series, events = dataset

@@ -4,7 +4,8 @@ Each public entry that takes a count is called with one count argument set
 to each input of a fixed set.  Integer lists, bool arrays and whole-number
 floats give one result; a fraction, nan, inf or text raises
 ``ValueError("<what> must be integer-valued")``, never a truncated count, a
-parsed string, an ``IndexError`` or NumPy's own message.
+parsed string, an ``IndexError`` or NumPy's own message.  A count that is one
+number raises ValueError for an array too, even one of one entry or none.
 """
 
 import math
@@ -31,6 +32,16 @@ def _qtr_counts(counts):
     return QtrTable(levels=[0.5, 0.9], thresholds=[1.0, 2.0], observed_counts=counts, n_events=1,
                     expected_rates=[0.5, 0.25], band_lower_rates=[0.0, 0.0],
                     band_upper_rates=[1.0, 1.0]).observed_counts.tolist()
+
+
+def _qtr_rates(n_events):
+    return QtrTable(levels=[0.5, 0.9], thresholds=[1.0, 2.0], observed_counts=[1, 0],
+                    n_events=n_events, expected_rates=[0.5, 0.25], band_lower_rates=[0.0, 0.0],
+                    band_upper_rates=[1.0, 1.0]).observed_rates.tolist()
+
+
+def _replicates(r):
+    return null_nll_replicates([1, 0], 1, [0.5], r, seed=0).tolist()
 
 
 def _dp_min(n_events):
@@ -63,7 +74,7 @@ ARRAY_ENTRIES = {
 }
 
 # entry: (call with the count, the result of the count 1, the subject of the message);
-# a count that is one number has no empty form
+# a count that is one number takes no array, not even one of one entry or none
 SCALAR_ENTRIES = {
     "binom_tail-k": (lambda v: binom_tail(v, 2, 0.5), 0.75, "binomial k"),
     "binom_tail-n": (lambda v: binom_tail(1, v, 0.5), 0.5, "binomial n"),
@@ -75,9 +86,14 @@ SCALAR_ENTRIES = {
     "expected_process_with_band": (lambda v: [b[0] for b in expected_process_with_band(v, [0.5])],
                                    [0, 1], "n_events"),
     "dp_extreme_nll": (_dp_min, [LOG2, 0, 0], "n_events"),
+    # no result: every other test of these entries gives them integers, so only the
+    # inputs that no other test reads are rows
+    "null_nll_replicates-r": (_replicates, None, "replicate count"),
+    "QtrTable-n_events": (_qtr_rates, None, "n_events"),
 }
 
 INVALID = {"fraction": 1.7, "nan": math.nan, "inf": math.inf, "text": "2"}
+NOT_SCALAR = {"one-element-list": [1], "empty-tuple": ()}
 
 
 def _rows():
@@ -89,11 +105,15 @@ def _rows():
         for kind, value in INVALID.items():
             yield f"{name}-{kind}", call, [value, *base[1:]], f"{what} must be integer-valued"
     for name, (call, result, what) in SCALAR_ENTRIES.items():
-        yield f"{name}-int", call, 1, result
-        yield f"{name}-bool", call, np.True_, result
-        yield f"{name}-whole-float", call, 1.0, result
+        if result is not None:
+            yield f"{name}-int", call, 1, result
+            yield f"{name}-bool", call, np.True_, result
+            yield f"{name}-whole-float", call, 1.0, result
         for kind, value in INVALID.items():
             yield f"{name}-{kind}", call, value, f"{what} must be integer-valued"
+        for kind, value in NOT_SCALAR.items():
+            yield f"{name}-{kind}", call, value, f"{what} must be a single integer-valued number"
+    yield "null_nll_replicates-r-whole-float", _replicates, 2.0, [LOG2, LOG2]
 
 
 ROWS = list(_rows())

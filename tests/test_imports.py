@@ -1,5 +1,6 @@
 """No module of the package imports another module's private names, keeps a name it never
-uses, or exports a name it does not bind, and only the output writers open files for writing."""
+uses, exports a name it does not bind or imports a module that loads OpenSSL, and only the
+output writers open files for writing."""
 
 import ast
 import importlib
@@ -106,9 +107,30 @@ def test_unread_private_name_check_flags_a_leftover(tmp_path):
                                                   "m.py:10: _Unused"]
 
 
+# modules that load OpenSSL's libcrypto or need _hashlib, which the entry blocks; peca
+# hashes nothing
+OPENSSL_MODULES = ("hashlib", "hmac", "secrets", "ssl", "_hashlib")
+
+
+def test_no_module_imports_what_loads_openssl():
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno}: {name}" for name in names
+                     if name.split(".")[0] in OPENSSL_MODULES]
+    assert hits == []
+
+
 def test_every_export_is_bound():
     # ``from module import *`` raises AttributeError for an __all__ entry the module does not
-    # bind; __main__ has no __all__, and importing it would set OPENBLAS_NUM_THREADS
+    # bind; __main__ has no __all__, and importing it would set OPENBLAS_NUM_THREADS and
+    # block _hashlib
     names = ["peca"] + [f"peca.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
                         if not path.stem.startswith("__")]
     checked = [name for name in names if hasattr(importlib.import_module(name), "__all__")]

@@ -270,7 +270,7 @@ def both_readers(data, fill_zero=False):
     it bit for bit as the row parser does."""
     fast = ingest._read_canonical(data + bytes(ingest._SPARE), fill_zero)
     try:
-        rows = ingest._read_rows("s.csv", ingest._text("s.csv", data), fill_zero)
+        rows = ingest._read_rows("s.csv", data, fill_zero)
     except IngestError:
         rows = None
     if fast is not None:
@@ -288,7 +288,7 @@ def test_every_month_and_day_reads_as_the_row_parser_reads_it(year):
     valid = []
     for text, day, good in zip(texts, days.tolist(), ok.tolist()):
         try:
-            _, start = ingest._read_rows("s.csv", f"{SERIES_HEAD}{text},7\n", False)
+            _, start = ingest._read_rows("s.csv", f"{SERIES_HEAD}{text},7\n".encode(), False)
         except IngestError:
             assert not good, text
             continue
@@ -365,6 +365,25 @@ def test_ingest_holds_one_copy_of_the_file(tmp_path):
         tracemalloc.stop()
     assert x.values.tobytes() == counts.astype(np.float64).tobytes()
     assert peak < 5.7 * p.stat().st_size
+
+
+@pytest.mark.usefixtures("parse_only")
+def test_row_parser_holds_the_text_a_chunk_at_a_time(tmp_path):
+    # CRLF endings send a 2**16-row file to the row parser: at peak it holds the buffer, a
+    # copy of its bytes and the parsed floats, about 4.2 times its size here; the text of the
+    # whole file as 4-byte characters, as a StringIO holds it, adds four more
+    counts = np.random.default_rng(7).poisson(20, size=1 << 16)
+    p = tmp_path / "counts.csv"
+    p.write_bytes(series_text("2000-01-01", counts).replace("\n", "\r\n").encode())
+    ingest_timeseries(p)
+    tracemalloc.start()
+    try:
+        x, _ = ingest_timeseries(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.values.tobytes() == counts.astype(np.float64).tobytes()
+    assert peak < 6 * p.stat().st_size
 
 
 @pytest.mark.usefixtures("settled")
@@ -444,7 +463,7 @@ def test_fast_path_agrees_with_row_parser(tmp_path, case):
     p.write_bytes(data)
     fast = ingest._read_canonical(data + bytes(ingest._SPARE), fill_zero)
     try:
-        values, start = ingest._read_rows(p, ingest._text(p, data), fill_zero)
+        values, start = ingest._read_rows(p, data, fill_zero)
     except IngestError as exc:
         assert fast is None
         with pytest.raises(IngestError) as got:
