@@ -86,10 +86,8 @@ SCALAR_ENTRIES = {
     "expected_process_with_band": (lambda v: [b[0] for b in expected_process_with_band(v, [0.5])],
                                    [0, 1], "n_events"),
     "dp_extreme_nll": (_dp_min, [LOG2, 0, 0], "n_events"),
-    # no result: every other test of these entries gives them integers, so only the
-    # inputs that no other test reads are rows
-    "null_nll_replicates-r": (_replicates, None, "replicate count"),
-    "QtrTable-n_events": (_qtr_rates, None, "n_events"),
+    "null_nll_replicates-r": (_replicates, [LOG2], "replicate count"),
+    "QtrTable-n_events": (_qtr_rates, [1.0, 0.0], "n_events"),
 }
 
 INVALID = {"fraction": 1.7, "nan": math.nan, "inf": math.inf, "text": "2"}
@@ -105,15 +103,13 @@ def _rows():
         for kind, value in INVALID.items():
             yield f"{name}-{kind}", call, [value, *base[1:]], f"{what} must be integer-valued"
     for name, (call, result, what) in SCALAR_ENTRIES.items():
-        if result is not None:
-            yield f"{name}-int", call, 1, result
-            yield f"{name}-bool", call, np.True_, result
-            yield f"{name}-whole-float", call, 1.0, result
+        yield f"{name}-int", call, 1, result
+        yield f"{name}-bool", call, np.True_, result
+        yield f"{name}-whole-float", call, 1.0, result
         for kind, value in INVALID.items():
             yield f"{name}-{kind}", call, value, f"{what} must be integer-valued"
         for kind, value in NOT_SCALAR.items():
             yield f"{name}-{kind}", call, value, f"{what} must be a single integer-valued number"
-    yield "null_nll_replicates-r-whole-float", _replicates, 2.0, [LOG2, LOG2]
 
 
 ROWS = list(_rows())
