@@ -3,8 +3,9 @@
 Three subcommands: ``pointwise`` (single-threshold test), ``multi``
 (multi-threshold Monte Carlo test with a QTR table), and ``simulate``
 (bundled simulation studies).  Reports are JSON with a stable key order;
-errors go to stderr as one JSON object with a machine-readable category,
-and the exit code is 0 only when every requested output was written.
+errors after argument parsing go to stderr as one JSON object with a
+machine-readable category, and the exit code is 0 only when every requested
+output was written; argparse's usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .multi import (ThresholdLadder, build_ladder_from_quantiles, compute_tcp, d
                     steps_at_least, success_probabilities, tcp_nll)
 from .nulls import MIN_BLOCKS, GevFit, GevFitError, binom_tail, block_maxima, fit_gev_mle
 from .qtr import QtrTable, write_csv, write_qtr_svg
-from .series import EventSeries, TimeSeries, late_events, preprocess, rung_index
+from .series import EventSeries, TimeSeries, integer_scalar, late_events, preprocess, rung_index
 from .sim import (SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential,
                   null_distribution_comparison)
 
@@ -34,7 +35,9 @@ __all__ = ["AnalysisConfig", "run_pointwise", "run_multi", "run_simulate", "main
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Analysis settings; defaults suit daily data with a week of tolerance."""
+    """Analysis settings; defaults suit daily data with a week of tolerance.  The integer
+    settings are read by ``series.integer_scalar`` and stored as ints, so a fraction raises
+    ValueError."""
 
     delta: int = 7
     qlo: float = 0.75
@@ -49,24 +52,15 @@ class AnalysisConfig:
     min_blocks: int = MIN_BLOCKS
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        for name, minimum in (("delta", 0), ("m", 1), ("r", 1), ("seed", 0), ("window", 1),
+                              ("min_blocks", 2)):
+            object.__setattr__(self, name, integer_scalar(getattr(self, name), name, minimum))
         if not 0.0 <= self.qlo <= self.qhi <= 1.0:
             raise ValueError("need 0 <= qlo <= qhi <= 1")
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
-        if self.r < 1:
-            raise ValueError("r must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.adjust_method not in METHODS:
             raise ValueError(f"adjust method must be one of {METHODS}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
-        if self.min_blocks < 2:
-            raise ValueError("min_blocks must be at least 2")
 
 
 def _gev_dict(fit: GevFit) -> dict:

@@ -101,8 +101,7 @@ def build_ladder_from_quantiles(x: TimeSeries, lo: float, hi: float, m: int) -> 
     """
     if not 0.0 <= lo <= hi <= 1.0:
         raise ValueError("need 0 <= lo <= hi <= 1")
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = integer_scalar(m, "m", 1)
     if np.ptp(x.values) == 0.0:
         raise ValueError("cannot build a threshold ladder from a constant series")
     levels = np.linspace(lo, hi, m)
@@ -210,9 +209,7 @@ def tcp_nll(counts, n_events: int, pis) -> float:
     one against Binomial(previous count, pis[i] / pis[i-1] clamped to 1).
     """
     counts = integer_array(counts, "counts").ravel()
-    n_events = integer_scalar(n_events, "n_events")
-    if n_events < 0:
-        raise ValueError("n_events must be non-negative")
+    n_events = integer_scalar(n_events, "n_events", 0)
     if np.any((counts < 0) | (counts > n_events)):
         raise ValueError("counts must lie in [0, n_events]")
     if np.any(np.diff(counts) > 0):
@@ -317,9 +314,7 @@ def expected_process_with_band(n_events: int, pis):
     quantiles of Binomial(n_events, pi) at each threshold.  A quantile q is
     the smallest count whose distribution function reaches q.
     """
-    n_events = integer_scalar(n_events, "n_events")
-    if n_events < 0:
-        raise ValueError("n_events must be non-negative")
+    n_events = integer_scalar(n_events, "n_events", 0)
     pis = _as_pis(pis)
     lower, upper = np.empty((2, pis.size), dtype=np.int64)
     # (1 - 0.95) / 2 is 0.025000000000000022, not 0.025: keep the computed quantiles
@@ -343,9 +338,7 @@ def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, np.ndarra
     """
     if direction not in ("min", "max"):
         raise ValueError('direction must be "min" or "max"')
-    n = integer_scalar(n_events, "n_events")
-    if n < 0:
-        raise ValueError("n_events must be non-negative")
+    n = integer_scalar(n_events, "n_events", 0)
     minimize = direction == "min"
     bad = math.inf if minimize else -math.inf
 

@@ -100,9 +100,7 @@ def block_maxima(x: TimeSeries, delta: int) -> np.ndarray:
     A trailing partial block is dropped.  Raises when the series is shorter
     than a single block.
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    size = delta + 1
+    size = integer_scalar(delta, "delta", 0) + 1
     n_blocks = x.length // size
     if n_blocks == 0:
         raise ValueError(f"series of length {x.length} is shorter than one block of size {size}")
@@ -274,6 +272,7 @@ def fit_gev_mle(maxima, min_samples: int = MIN_BLOCKS) -> GevFit:
     below 1e-10).
     """
     z = np.asarray(maxima, dtype=float).ravel()
+    min_samples = integer_scalar(min_samples, "min_samples")
     if z.size < min_samples:
         raise GevFitError(f"need at least {min_samples} block maxima, got {z.size}")
     if not np.all(np.isfinite(z)):
@@ -381,9 +380,7 @@ def binom_cdf(n: int, p: float) -> np.ndarray:
     The pmf terms for 0..n are accumulated in log space and clamped at 1.0,
     so the result is non-decreasing in k.
     """
-    n = integer_scalar(n, "binomial n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = integer_scalar(n, "binomial n", 0)
     return np.minimum(np.exp(np.logaddexp.accumulate(binom_logpmf(np.arange(n + 1), n, p))), 1.0)
 
 
@@ -395,9 +392,7 @@ def binom_tail(k: int, n: int, p: float) -> float:
     is non-increasing in k.  Exactly 1.0 for k <= 0.
     """
     k = integer_scalar(k, "binomial k")
-    n = integer_scalar(n, "binomial n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = integer_scalar(n, "binomial n", 0)
     if k <= 0:
         return 1.0
     if k > n:
@@ -416,8 +411,7 @@ def bernoulli_success_prob(p_a: float, delta: int) -> float:
     """
     if not 0.0 <= p_a <= 1.0:
         raise ValueError("p_a must lie in [0, 1]")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    delta = integer_scalar(delta, "delta", 0)
     if p_a == 1.0:
         return 1.0
     return -math.expm1((delta + 1) * math.log1p(-p_a))

@@ -10,7 +10,6 @@ events over those rungs; a single threshold is a ladder of one.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,31 +35,41 @@ def integer_array(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def integer_scalar(value, what: str) -> int:
-    """One count as an int, read by ``integer_array``; an array of any shape, even of one
-    entry or none, raises ValueError too."""
-    arr = integer_array(value, what)
-    if arr.ndim:
-        raise ValueError(f"{what} must be a single integer-valued number")
-    return int(arr)
+def integer_scalar(value, what: str, minimum: int | None = None) -> int:
+    """One count, size or setting as an int.  Python and NumPy ints pass exactly, whatever their
+    size; anything else is read by ``integer_array``, and an array of any shape, even of one
+    entry or none, raises ValueError.  So does a value below ``minimum``: "<what> must be
+    non-negative" for 0 and "<what> must be at least <minimum>" otherwise."""
+    if isinstance(value, (int, np.integer)):
+        number = int(value)
+    else:
+        arr = integer_array(value, what)
+        if arr.ndim:
+            raise ValueError(f"{what} must be a single integer-valued number")
+        number = int(arr)
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{what} must be non-negative" if minimum == 0
+                         else f"{what} must be at least {minimum}")
+    return number
 
 
 @dataclass(frozen=True)
 class EventSeries:
-    """Sparse binary series: sorted 1-based occurrence indices on a grid of ``length`` steps,
-    read by ``integer_array``, so a fractional index raises ValueError instead of truncating."""
+    """Sparse binary series: sorted 1-based occurrence indices, read by ``integer_array``, on a
+    grid of ``length`` steps, read by ``integer_scalar``, so a fraction raises ValueError
+    instead of truncating."""
 
     length: int
     occurrences: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.length, numbers.Integral) or self.length < 1:
-            raise ValueError("series length must be an integer of at least 1")
+        length = integer_scalar(self.length, "series length", 1)
+        object.__setattr__(self, "length", length)
         occ = integer_array(self.occurrences, "occurrences").ravel()
         if np.any(np.diff(occ) <= 0):
             raise ValueError("occurrences must be strictly increasing")
-        if occ.size and (occ[0] < 1 or occ[-1] > self.length):
-            raise ValueError(f"occurrences must lie in [1, {self.length}]")
+        if occ.size and (occ[0] < 1 or occ[-1] > length):
+            raise ValueError(f"occurrences must lie in [1, {length}]")
         object.__setattr__(self, "occurrences", frozen_copy(occ))
 
     @property
@@ -87,11 +96,11 @@ class TimeSeries:
         return int(self.values.size)
 
 
-def _check_delta(delta: int, length: int) -> None:
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+def _check_delta(delta: int, length: int) -> int:
+    delta = integer_scalar(delta, "delta", 0)
     if delta >= length:
         raise ValueError(f"delta must be smaller than the series length ({length})")
+    return delta
 
 
 def rung_index(x: TimeSeries, delta: int, thresholds) -> np.ndarray:
@@ -103,7 +112,7 @@ def rung_index(x: TimeSeries, delta: int, thresholds) -> np.ndarray:
     t counts at the i-th threshold (1-based) exactly when its rung is >= i,
     so every trigger count along a ladder is a count over this array.
     """
-    _check_delta(delta, x.length)
+    delta = _check_delta(delta, x.length)
     thr = np.asarray(thresholds, dtype=float).ravel()
     if np.any(np.diff(thr) < 0):
         raise ValueError("thresholds must be ascending")
@@ -128,8 +137,7 @@ def trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
     a full window.  ``cumsum`` adds in sequence, so the result for a prefix
     of ``values`` is the same prefix of the result, bit for bit.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
+    window = integer_scalar(window, "window", 1)
     cs = np.cumsum(values, dtype=np.float64)
     head = min(window, cs.size)
     out = np.empty_like(cs)
@@ -147,8 +155,7 @@ def preprocess(x: TimeSeries, window: int) -> TimeSeries:
     and step 1 subtracts its own value, so the first output is always 0.
     Requires non-negative input; output length equals input length.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
+    window = integer_scalar(window, "window", 1)
     if np.any(x.values < 0):
         raise ValueError("preprocess requires non-negative values")
     logs = np.log2(x.values + 1.0)
@@ -160,5 +167,5 @@ def preprocess(x: TimeSeries, window: int) -> TimeSeries:
 
 def late_events(e: EventSeries, delta: int) -> np.ndarray:
     """Occurrences in the final ``delta`` steps, which no trigger window can count."""
-    _check_delta(delta, e.length)
+    delta = _check_delta(delta, e.length)
     return np.array(e.occurrences[e.occurrences > e.length - delta])

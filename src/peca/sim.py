@@ -18,7 +18,7 @@ import numpy as np
 
 from .multi import ThresholdLadder, steps_at_least
 from .nulls import bernoulli_success_prob, binom_cdf, block_maxima, fit_gev_mle, gev_sf
-from .series import EventSeries, TimeSeries, rung_index, trailing_mean
+from .series import EventSeries, TimeSeries, integer_scalar, rung_index, trailing_mean
 
 __all__ = [
     "SimConfig",
@@ -35,7 +35,8 @@ class SimConfig:
 
     One series is simulated per entry of ``ma_orders``; each series is paired
     with ``replicates`` freshly drawn independent event series and evaluated
-    at every threshold in ``thresholds``.
+    at every threshold in ``thresholds``.  The integer settings are read by
+    ``series.integer_scalar`` and stored as ints, so a fraction raises ValueError.
     """
 
     length: int = 4096
@@ -49,8 +50,11 @@ class SimConfig:
     def __post_init__(self):
         if not self.ma_orders:
             raise ValueError("need at least one filter order")
-        if any(q < 0 for q in self.ma_orders):
-            raise ValueError("filter orders must be non-negative")
+        object.__setattr__(self, "ma_orders",
+                           tuple(integer_scalar(q, "filter orders", 0) for q in self.ma_orders))
+        for name in ("length", "n_events", "delta", "replicates"):
+            object.__setattr__(self, name, integer_scalar(getattr(self, name), name))
+        object.__setattr__(self, "seed", integer_scalar(self.seed, "seed", 0))
         if len(set(self.ma_orders)) < len(self.ma_orders):
             raise ValueError(f"repeated filter order in {list(self.ma_orders)}")
         if self.length <= max(self.ma_orders):
@@ -62,8 +66,6 @@ class SimConfig:
         ThresholdLadder(self.thresholds)   # non-empty, finite, strictly increasing
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def gen_ma_exponential(t: int, order: int, seed) -> TimeSeries:
@@ -74,8 +76,7 @@ def gen_ma_exponential(t: int, order: int, seed) -> TimeSeries:
     dials in serial dependence.  The filtered series is standardized to zero
     sample mean and unit sample variance before the shift.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    t, order = integer_scalar(t, "t"), integer_scalar(order, "order", 0)
     if t <= order:
         raise ValueError("series length must exceed the filter order")
     y = np.random.default_rng(seed).exponential(1.0, size=t)
@@ -88,6 +89,7 @@ def gen_ma_exponential(t: int, order: int, seed) -> TimeSeries:
 
 def gen_independent_events(t: int, n: int, seed) -> EventSeries:
     """n event positions drawn uniformly without replacement from 1..t."""
+    t, n = integer_scalar(t, "t"), integer_scalar(n, "n")
     if not 0 <= n <= t:
         raise ValueError(f"cannot place {n} events on {t} steps")
     occ = np.random.default_rng(seed).choice(t, size=n, replace=False)
@@ -102,10 +104,7 @@ def gen_dependent_events(x: TimeSeries, n: int, trigger_tau: float, lag: int, se
     later, so with any tolerance >= lag the trigger construction holds by
     design.  Raises when fewer than n usable exceedances exist.
     """
-    if lag < 0:
-        raise ValueError("lag must be non-negative")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    lag, n = integer_scalar(lag, "lag", 0), integer_scalar(n, "n", 0)
     candidates = np.flatnonzero(x.values > trigger_tau) + 1
     candidates = candidates[candidates - lag >= 1]
     if candidates.size < n:

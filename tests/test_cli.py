@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import peca.cli
-from peca.cli import AnalysisConfig, run_multi, run_simulate
+from peca.cli import AnalysisConfig, run_multi, run_pointwise, run_simulate
+from peca.ingest import ingest_events, ingest_timeseries
 from peca.multi import null_nll_replicates
 from peca.nulls import MIN_BLOCKS, GevParams
 from peca.qtr import write_csv
@@ -646,6 +647,30 @@ def test_fig4_runs_the_multi_pipeline(tmp_path, monkeypatch):
                 == (out / f"qtr_{label}.csv").read_bytes()), label
         assert report["multi_test"]["statistic"] == results[label]["statistic"], label
         assert report["multi_test"]["p_hat"] == results[label]["p_hat"], label
+
+
+def test_a_numpy_int_setting_reports_as_the_int(dataset):
+    # the config stores the int it reads, so the report dumps as strict JSON, as the CLI's does
+    series, events = dataset
+    x, grid = ingest_timeseries(series)
+    e, warn = ingest_events(events, grid)
+    report = run_pointwise(AnalysisConfig(delta=np.int64(7)), x, e, quantile=0.9, warnings=warn)
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    assert '"delta": 7,' in text
+    code, out, _ = run_cli(["pointwise", "--series", series, "--events", events,
+                            "--quantile", "0.9", "--delta", "7"])
+    assert (code, out) == (0, text)
+
+
+def test_usage_errors_exit_2_with_argparse_text(dataset, capsys):
+    # argparse refuses a fractional integer option before any JSON error handling runs
+    series, events = dataset
+    with pytest.raises(SystemExit) as raised:
+        peca.cli.main(["multi", "--series", str(series), "--events", str(events),
+                       "--delta", "7.5"])
+    out, err = capsys.readouterr()
+    assert (raised.value.code, out) == (2, "")
+    assert err.endswith("argument --delta: invalid int value: '7.5'\n")
 
 
 def test_analysis_config_validation():

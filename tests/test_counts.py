@@ -1,4 +1,4 @@
-"""One integer rule for every count the library takes.
+"""One integer rule for every count, size and setting the library takes.
 
 Each public entry that takes a count is called with one count argument set
 to each input of a fixed set.  Integer lists, bool arrays and whole-number
@@ -6,6 +6,9 @@ floats give one result; a fraction, nan, inf or text raises
 ``ValueError("<what> must be integer-valued")``, never a truncated count, a
 parsed string, an ``IndexError`` or NumPy's own message.  A count that is one
 number raises ValueError for an array too, even one of one entry or none.
+Sizes and settings (a window, a tolerance, a ladder's length, a seed) follow
+the same rule, and one below its floor raises "<what> must be non-negative"
+or "<what> must be at least <floor>".
 """
 
 import math
@@ -13,7 +16,9 @@ import math
 import numpy as np
 import pytest
 
+from peca.cli import AnalysisConfig
 from peca.multi import (
+    build_ladder_from_quantiles,
     compute_tcp,
     dp_extreme_nll,
     expected_process_with_band,
@@ -21,9 +26,25 @@ from peca.multi import (
     steps_at_least,
     tcp_nll,
 )
-from peca.nulls import binom_cdf, binom_logpmf, binom_tail
+from peca.nulls import (
+    bernoulli_success_prob,
+    binom_cdf,
+    binom_logpmf,
+    binom_tail,
+    block_maxima,
+    fit_gev_mle,
+)
 from peca.qtr import QtrTable
-from peca.series import EventSeries, integer_array
+from peca.series import (
+    EventSeries,
+    TimeSeries,
+    integer_array,
+    late_events,
+    preprocess,
+    rung_index,
+    trailing_mean,
+)
+from peca.sim import SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential
 
 LOG2 = math.log(2.0)
 
@@ -124,6 +145,117 @@ def test_every_count_follows_one_integer_rule(call, value, expected):
         assert str(raised.value) == expected
     else:
         np.testing.assert_allclose(call(value), expected, rtol=1e-15, atol=0)
+
+
+# the count entries above whose count has a floor, and the message below it
+COUNT_FLOORS = {
+    "binom_tail-n": "binomial n must be non-negative",
+    "binom_cdf-n": "binomial n must be non-negative",
+    "tcp_nll-n_events": "n_events must be non-negative",
+    "expected_process_with_band": "n_events must be non-negative",
+    "dp_extreme_nll": "n_events must be non-negative",
+}
+
+STEPS = TimeSeries([1.0, 3.0, 2.0, 0.0])
+PEAK = TimeSeries([0.0, 2.0])   # one exceedance of 1.0, at step 2
+GEV_SAMPLE = np.random.default_rng(0).gumbel(size=40)
+
+def _occurrences(events):
+    return events.occurrences.tolist()
+
+
+# entry: (call with the size or setting, the subject of the message,
+#         integer values and their results: one valid, one out of range)
+SETTING_ENTRIES = {
+    "AnalysisConfig-delta": (lambda v: AnalysisConfig(delta=v).delta, "delta",
+                             {7: 7, -1: "delta must be non-negative"}),
+    "AnalysisConfig-m": (lambda v: AnalysisConfig(m=v).m, "m", {1: 1, 0: "m must be at least 1"}),
+    "AnalysisConfig-r": (lambda v: AnalysisConfig(r=v).r, "r", {1: 1, 0: "r must be at least 1"}),
+    "AnalysisConfig-seed": (lambda v: AnalysisConfig(seed=v).seed, "seed",
+                            {0: 0, -1: "seed must be non-negative"}),
+    "AnalysisConfig-window": (lambda v: AnalysisConfig(window=v).window, "window",
+                              {1: 1, 0: "window must be at least 1"}),
+    "AnalysisConfig-min_blocks": (lambda v: AnalysisConfig(min_blocks=v).min_blocks, "min_blocks",
+                                  {2: 2, 1: "min_blocks must be at least 2"}),
+    "SimConfig-length": (lambda v: SimConfig(length=v, ma_orders=(0,), n_events=0,
+                                             delta=0).length, "length",
+                         {1: 1, 0: "series length must exceed the largest filter order"}),
+    "SimConfig-ma_orders": (lambda v: SimConfig(ma_orders=(v,)).ma_orders, "filter orders",
+                            {0: (0,), -1: "filter orders must be non-negative"}),
+    "SimConfig-n_events": (lambda v: SimConfig(n_events=v).n_events, "n_events",
+                           {0: 0, -1: "n_events must lie in [0, length]"}),
+    "SimConfig-delta": (lambda v: SimConfig(delta=v).delta, "delta",
+                        {0: 0, -1: "delta must lie in [0, length)"}),
+    "SimConfig-replicates": (lambda v: SimConfig(replicates=v).replicates, "replicates",
+                             {1: 1, 0: "need at least one replicate"}),
+    "SimConfig-seed": (lambda v: SimConfig(seed=v).seed, "seed",
+                       {0: 0, -1: "seed must be non-negative"}),
+    "EventSeries-length": (lambda v: EventSeries(v, ()).length, "series length",
+                           {1: 1, 0: "series length must be at least 1"}),
+    "rung_index-delta": (lambda v: rung_index(STEPS, v, [1.5]).tolist(), "delta",
+                         {1: [1, 1, 1, 0], -1: "delta must be non-negative"}),
+    "late_events-delta": (lambda v: late_events(EventSeries(4, [1, 4]), v).tolist(), "delta",
+                          {1: [4], -1: "delta must be non-negative"}),
+    "trailing_mean-window": (lambda v: trailing_mean(np.array([1.0, 3.0, 5.0]), v).tolist(),
+                             "window", {2: [1.0, 2.0, 4.0], 0: "window must be at least 1"}),
+    "preprocess-window": (lambda v: preprocess(TimeSeries([0.0, 1.0, 3.0]), v).values.tolist(),
+                          "window", {2: [0.0, 1.0, 1.5], 0: "window must be at least 1"}),
+    "block_maxima-delta": (lambda v: block_maxima(STEPS, v).tolist(), "delta",
+                           {1: [3.0, 2.0], -1: "delta must be non-negative"}),
+    "bernoulli_success_prob-delta": (lambda v: bernoulli_success_prob(0.5, v), "delta",
+                                     {1: 0.75, -1: "delta must be non-negative"}),
+    "fit_gev_mle-min_samples": (lambda v: fit_gev_mle(GEV_SAMPLE, min_samples=v).n_samples,
+                                "min_samples", {1: 40, 40: 40}),
+    "build_ladder_from_quantiles-m": (
+        lambda v: build_ladder_from_quantiles(TimeSeries([0.0, 1.0, 2.0, 3.0, 4.0]), 0.0, 1.0,
+                                              v).thresholds.tolist(),
+        "m", {3: [0.0, 2.0, 4.0], 0: "m must be at least 1"}),
+    "gen_ma_exponential-t": (lambda v: gen_ma_exponential(v, 0, seed=0).length, "t",
+                             {2: 2, 0: "series length must exceed the filter order"}),
+    "gen_ma_exponential-order": (lambda v: gen_ma_exponential(4, v, seed=0).length, "order",
+                                 {1: 4, -1: "order must be non-negative"}),
+    "gen_independent_events-t": (lambda v: _occurrences(gen_independent_events(v, 1, seed=0)),
+                                 "t", {1: [1], 0: "cannot place 1 events on 0 steps"}),
+    "gen_independent_events-n": (lambda v: _occurrences(gen_independent_events(1, v, seed=0)),
+                                 "n", {1: [1], -1: "cannot place -1 events on 1 steps"}),
+    "gen_dependent_events-n": (lambda v: _occurrences(gen_dependent_events(PEAK, v, 1.0, 1, 0)),
+                               "n", {1: [1], -1: "n must be non-negative"}),
+    "gen_dependent_events-lag": (lambda v: _occurrences(gen_dependent_events(PEAK, 1, 1.0, v, 0)),
+                                 "lag", {1: [1], -1: "lag must be non-negative"}),
+}
+
+
+def _setting_rows():
+    for name, text in COUNT_FLOORS.items():
+        yield f"{name}-negative", SCALAR_ENTRIES[name][0], -1, text
+    for name, (call, what, cases) in SETTING_ENTRIES.items():
+        # an integer reads the same as a whole float, a NumPy int or, for 0 and 1, a bool
+        for value, result in cases.items():
+            yield f"{name}-{value}", call, value, result
+            yield f"{name}-{value}-whole-float", call, float(value), result
+            yield f"{name}-{value}-int64", call, np.int64(value), result
+            if value in (0, 1):
+                yield f"{name}-{value}-bool", call, np.bool_(value), result
+        for kind, value in INVALID.items():
+            yield f"{name}-{kind}", call, value, f"{what} must be integer-valued"
+        for kind, value in NOT_SCALAR.items():
+            yield f"{name}-{kind}", call, value, f"{what} must be a single integer-valued number"
+
+
+SETTING_ROWS = list(_setting_rows())
+
+
+@pytest.mark.parametrize("call, value, expected", [row[1:] for row in SETTING_ROWS],
+                         ids=[row[0] for row in SETTING_ROWS])
+def test_every_size_and_setting_follows_the_integer_rule(call, value, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as raised:
+            call(value)
+        assert str(raised.value) == expected
+    else:
+        # the int, not a float or NumPy int, so a config field dumps as JSON
+        result = call(value)
+        assert result == expected and type(result) is type(expected)
 
 
 def test_integer_array_keeps_int64_and_refuses_what_int64_cannot_hold():

@@ -1,9 +1,11 @@
 """No module of the package imports another module's private names, keeps a name it never
-uses, exports a name it does not bind or imports a module that loads OpenSSL, and only the
-output writers open files for writing."""
+uses, exports a name it does not bind or imports a module that loads OpenSSL, only the
+output writers open files for writing, and only ``series.integer_scalar`` raises the floor
+messages of integers."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import peca
@@ -203,3 +205,61 @@ def test_file_write_check_flags_a_writer(tmp_path):
                       encoding="utf-8")
     assert list(file_writes(module)) == ["m.save:6", "m.save:7", "m.save:8", "m.save:9",
                                          "m.Report.dump:12", "m:14"]
+
+
+# "<what> must be non-negative" and "<what> must be at least <floor>", an f-string's fields
+# read as {}: the messages of ``series.integer_scalar``'s floor, which reads every integer
+FLOOR_MESSAGE = re.compile(r"[\w {}]+ must be (non-negative|at least [\w{}]+)")
+
+
+def message_texts(node):
+    """The string literals in ``node``, each f-string whole, with its fields as ``{}``."""
+    if isinstance(node, ast.JoinedStr):
+        yield "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from message_texts(child)
+
+
+def floor_checks(path):
+    """``module.function:line`` for every ``raise ValueError`` with a floor message."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}")
+                continue
+            exc = child.exc if isinstance(child, ast.Raise) else None
+            if (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                    and exc.func.id == "ValueError"
+                    and any(FLOOR_MESSAGE.fullmatch(text)
+                            for arg in exc.args for text in message_texts(arg))):
+                yield f"{scope}:{child.lineno}"
+            yield from visit(child, scope)
+
+    yield from visit(tree, path.stem)
+
+
+def test_only_integer_scalar_checks_a_floor():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    hits = [hit for path in modules for hit in floor_checks(path)]
+    assert [hit for hit in hits if hit.split(":")[0] != "series.integer_scalar"] == []
+    assert hits   # the check still finds the rule's own messages
+
+
+def test_floor_check_flags_a_leftover(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(n, what):\n"
+                      "    if n < 0:\n        raise ValueError('n must be non-negative')\n"
+                      "    if n < 2:\n        raise ValueError(f'{what} must be at least 2')\n"
+                      "    if n > 9:\n        raise ValueError('n must be at most 9')\n"
+                      "    raise ValueError('values must be non-negative and finite')\n"
+                      "class Config:\n    def check(self, k, floor):\n"
+                      "        raise ValueError(f'k must be at least {floor}' if k else 'k')\n"
+                      "    def other(self):\n        raise TypeError('k must be non-negative')\n",
+                      encoding="utf-8")
+    assert list(floor_checks(module)) == ["m.f:3", "m.f:5", "m.Config.check:11"]

@@ -85,7 +85,7 @@ def test_gev_params_validation():
     (lambda: fit_gev_mle(np.full(40, np.nan)), GevFitError, "block maxima must be finite"),
     (lambda: binom_logpmf(1, 4, 1.5), ValueError,
      "binomial success probability must lie in [0, 1]"),
-    (lambda: binom_tail(1, -1, 0.5), ValueError, "n must be non-negative"),
+    (lambda: binom_tail(1, -1, 0.5), ValueError, "binomial n must be non-negative"),
 ], ids=["gev-params", "block-maxima", "fit-gev-mle", "binom-logpmf", "binom-tail"])
 def test_invalid_arguments_raise_their_message(call, error, message):
     with pytest.raises(error) as raised:

@@ -304,9 +304,9 @@ def test_event_series_validation():
         EventSeries(10, [1.0, float("nan")])
     with pytest.raises(ValueError, match="occurrences must be integer-valued"):
         EventSeries(10, ["1", "2"])
-    with pytest.raises(ValueError, match="length must be an integer of at least 1"):
+    with pytest.raises(ValueError, match="^series length must be integer-valued$"):
         EventSeries(10.7, [1, 10])
-    with pytest.raises(ValueError, match="length must be an integer of at least 1"):
+    with pytest.raises(ValueError, match="^series length must be at least 1$"):
         EventSeries(0, ())
     assert EventSeries(10, [1.0, 10.0]).occurrences.tolist() == [1, 10]
     assert EventSeries(400, ()).n_events == 0   # an empty float array
