@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .series import real_array, real_scalar
+
 __all__ = ["METHODS", "adjust", "reject_set"]
 
 METHODS = ("bonferroni", "sidak", "holm", "holm-sidak")
@@ -15,11 +17,9 @@ METHODS = ("bonferroni", "sidak", "holm", "holm-sidak")
 
 def adjust(pvals, method: str) -> np.ndarray:
     """Adjust p-values for multiplicity; ties are broken stably by position."""
-    p = np.asarray(pvals, dtype=float).ravel()
+    p = real_array(pvals, "p-values", 0, 1).ravel()
     if p.size < 1:
         raise ValueError("need at least one p-value")
-    if not np.all(np.isfinite(p)) or np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("p-values must lie in [0, 1]")
     m = p.size
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf is the right limit for p = 1
         if method == "bonferroni":
@@ -43,6 +43,7 @@ def adjust(pvals, method: str) -> np.ndarray:
 
 def reject_set(adjusted, alpha: float) -> np.ndarray:
     """Boolean mask of hypotheses rejected at family-wise level alpha, from ``adjust``'s array."""
+    alpha = real_scalar(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     return np.asarray(adjusted) < alpha

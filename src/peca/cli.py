@@ -26,7 +26,8 @@ from .multi import (ThresholdLadder, build_ladder_from_quantiles, compute_tcp, d
                     steps_at_least, success_probabilities, tcp_nll)
 from .nulls import MIN_BLOCKS, GevFit, GevFitError, binom_tail, block_maxima, fit_gev_mle
 from .qtr import QtrTable, write_csv, write_qtr_svg
-from .series import EventSeries, TimeSeries, integer_scalar, late_events, preprocess, rung_index
+from .series import (EventSeries, TimeSeries, bool_scalar, integer_scalar, late_events, preprocess,
+                     real_scalar, rung_index)
 from .sim import (SimConfig, gen_dependent_events, gen_independent_events, gen_ma_exponential,
                   null_distribution_comparison)
 
@@ -35,9 +36,9 @@ __all__ = ["AnalysisConfig", "run_pointwise", "run_multi", "run_simulate", "main
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Analysis settings; defaults suit daily data with a week of tolerance.  The integer
-    settings are read by ``series.integer_scalar`` and stored as ints, so a fraction raises
-    ValueError."""
+    """Analysis settings; defaults suit daily data with a week of tolerance.  Each is read by
+    ``series.integer_scalar``, ``real_scalar`` or ``bool_scalar`` and stored as the Python int,
+    float or bool read, so a fraction, text or nan raises ValueError and reports dump as JSON."""
 
     delta: int = 7
     qlo: float = 0.75
@@ -55,6 +56,9 @@ class AnalysisConfig:
         for name, minimum in (("delta", 0), ("m", 1), ("r", 1), ("seed", 0), ("window", 1),
                               ("min_blocks", 2)):
             object.__setattr__(self, name, integer_scalar(getattr(self, name), name, minimum))
+        for name in ("qlo", "qhi", "alpha"):
+            object.__setattr__(self, name, real_scalar(getattr(self, name), name))
+        object.__setattr__(self, "preprocess", bool_scalar(self.preprocess, "preprocess"))
         if not 0.0 <= self.qlo <= self.qhi <= 1.0:
             raise ValueError("need 0 <= qlo <= qhi <= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -102,11 +106,11 @@ def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSerie
     """Single-threshold test, multi's per-rung test at a ladder of one; returns the report dict."""
     if (tau is None) == (quantile is None):
         raise ValueError("exactly one of tau and quantile is required")
-    if tau is not None and not math.isfinite(tau):
-        raise ValueError("tau must be finite")
+    tau = None if tau is None else real_scalar(tau, "tau")
+    quantile = None if quantile is None else real_scalar(quantile, "quantile level", 0, 1)
     warn = list(warnings or [])
     x = preprocess(series, config.window) if config.preprocess else series
-    threshold = float(tau) if quantile is None else empirical_quantile(x.values, quantile)
+    threshold = tau if quantile is None else empirical_quantile(x.values, quantile)
     fit, rungs, pis = _fit(config, x, ThresholdLadder(thresholds=[threshold]))
     k, pi = int(compute_tcp(events, rungs, 1)[0]), float(pis[0])
     return {
@@ -186,7 +190,7 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
     head = _head("multi", config, x, events, fit, warn)
 
     counts, statistic, p_hat, table = _score(null, events)
-    raw_p_values = [binom_tail(int(k), events.n_events, float(pi)) for k, pi in zip(counts, pis)]
+    raw_p_values = [binom_tail(k, events.n_events, pi) for k, pi in zip(counts, pis)]
     adjusted = adjust(raw_p_values, config.adjust_method)
     rejected = reject_set(adjusted, config.alpha)
 
@@ -239,10 +243,9 @@ def _simulate_comparison(out_dir: Path, config: SimConfig) -> dict:
     cmfs = null_distribution_comparison(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "null_comparison.csv"
-    # long format, one row per (order, tau, k); a library caller may pass int thresholds
+    # long format, one row per (order, tau, k)
     order, tau, k = (a.ravel() for a in np.meshgrid(
-        np.asarray(config.ma_orders, dtype=int), np.asarray(config.thresholds, dtype=float),
-        np.arange(cmfs.shape[-1]), indexing="ij"))
+        config.ma_orders, config.thresholds, np.arange(cmfs.shape[-1]), indexing="ij"))
     empirical, bernoulli, gev = cmfs.transpose(2, 0, 1, 3).reshape(3, -1)
     write_csv(csv_path, {"k": k, "order": order, "tau": tau, "empirical_cmf": empirical,
                          "bernoulli_cmf": bernoulli, "gev_cmf": gev})

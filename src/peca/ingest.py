@@ -23,7 +23,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .series import EventSeries, TimeSeries
+from .series import EventSeries, TimeSeries, bool_scalar
 
 __all__ = ["IngestError", "DayGrid", "ingest_timeseries", "ingest_events"]
 
@@ -361,7 +361,7 @@ def ingest_timeseries(path, fill_zero: bool = False) -> tuple[TimeSeries, DayGri
     only links to the file; one owned by another user is ignored.  A directory that
     cannot be written simply gets none.
     """
-    cache = _cache_path(path)
+    fill_zero, cache = bool_scalar(fill_zero, "fill_zero"), _cache_path(path)
     with open(path, "rb") as fh:                 # read once, into a buffer _SPARE bytes longer
         st = os.fstat(fh.fileno())
         settled = time.time_ns() - max(st.st_mtime_ns, st.st_ctime_ns) >= _SETTLE_NS

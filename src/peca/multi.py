@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nulls import GUMBEL_SHAPE_TOL, GevFitError, GevParams, binom_cdf, binom_logpmf, gev_sf
-from .series import EventSeries, TimeSeries, frozen_copy, integer_array, integer_scalar
+from .series import (EventSeries, TimeSeries, frozen_copy, integer_array, integer_scalar,
+                     real_array, real_scalar)
 
 # Coverage of the central null band around the expected process, the band the QTR chart draws.
 BAND_LEVEL = 0.95
@@ -48,26 +49,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThresholdLadder:
-    """Strictly increasing thresholds, optionally tagged with quantile levels."""
+    """Strictly increasing thresholds and optional quantile levels, read by ``real_array``."""
 
     thresholds: np.ndarray
     levels: np.ndarray | None = None
 
     def __post_init__(self):
-        thr = np.asarray(self.thresholds, dtype=float).ravel()
+        thr = real_array(self.thresholds, "thresholds").ravel()
         if thr.size < 1:
             raise ValueError("ladder needs at least one threshold")
-        if not np.all(np.isfinite(thr)):
-            raise ValueError("thresholds must be finite")
         if np.any(np.diff(thr) <= 0):
             raise ValueError("thresholds must be strictly increasing")
         object.__setattr__(self, "thresholds", frozen_copy(thr))
         if self.levels is not None:
-            lv = np.asarray(self.levels, dtype=float).ravel()
+            lv = real_array(self.levels, "quantile levels", 0, 1).ravel()
             if lv.size != thr.size:
                 raise ValueError("levels must match thresholds in length")
-            if np.any((lv < 0) | (lv > 1)):
-                raise ValueError("quantile levels must lie in [0, 1]")
             object.__setattr__(self, "levels", frozen_copy(lv))
 
     @property
@@ -78,8 +75,7 @@ class ThresholdLadder:
 def _quantile_rank(t: int, p: float) -> int:
     """Index, from 0, of the level-p order statistic of t values: the ceil(p*T)-th
     smallest, and the smallest at level 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("quantile level must lie in [0, 1]")
+    p = real_scalar(p, "quantile level", 0, 1)
     return min(max(1, math.ceil(p * t - 1e-9)), t) - 1
 
 
@@ -99,6 +95,7 @@ def build_ladder_from_quantiles(x: TimeSeries, lo: float, hi: float, m: int) -> 
     Tied quantiles collapse to one threshold (keeping the lowest level), so
     the ladder can come out with fewer than m thresholds.
     """
+    lo, hi = real_scalar(lo, "lo"), real_scalar(hi, "hi")
     if not 0.0 <= lo <= hi <= 1.0:
         raise ValueError("need 0 <= lo <= hi <= 1")
     m = integer_scalar(m, "m", 1)
@@ -172,12 +169,12 @@ def compute_tcp(e: EventSeries, rungs: np.ndarray, m: int) -> np.ndarray:
 
 def _as_pis(pis, m: int | None = None) -> np.ndarray:
     """Success probabilities as a validated flat float array, of length m when given."""
-    pis = np.asarray(pis, dtype=float).ravel()
+    pis = real_array(pis, "success probabilities").ravel()
     if m is not None and pis.size != m:
         raise ValueError("pis must have one entry per ladder threshold")
     if pis.size < 1:
         raise ValueError("need at least one success probability")
-    if np.any((pis <= 0.0) | (pis > 1.0)) or not np.all(np.isfinite(pis)):
+    if np.any((pis <= 0.0) | (pis > 1.0)):
         raise ValueError("success probabilities must lie in (0, 1]")
     if np.any(pis[1:] > pis[:-1] * (1.0 + 1e-9)):
         raise ValueError("success probabilities must be non-increasing along the ladder")
@@ -323,7 +320,7 @@ def expected_process_with_band(n_events: int, pis):
         if pi >= 1.0:   # speed only: saturated rungs, most of a long series' ladder, skip the cdf
             lower[i] = upper[i] = n_events
         else:
-            cmf = binom_cdf(n_events, float(pi))
+            cmf = binom_cdf(n_events, pi)
             lower[i], upper[i] = np.minimum(np.searchsorted(cmf, (q_lo, q_hi)), n_events)
     return lower, upper
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .series import TimeSeries, integer_array, integer_scalar
+from .series import TimeSeries, integer_array, integer_scalar, real_scalar
 
 __all__ = [
     "GUMBEL_SHAPE_TOL",
@@ -50,7 +50,7 @@ class GevFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class GevParams:
-    """GEV parameters: shape (tail index), location, scale."""
+    """GEV parameters: shape (tail index), location, scale, each read by ``real_scalar``."""
 
     shape: float
     location: float
@@ -58,8 +58,8 @@ class GevParams:
 
     def __post_init__(self):
         for field in fields(self):
-            if not math.isfinite(getattr(self, field.name)):
-                raise ValueError(f"GEV {field.name} must be finite")
+            object.__setattr__(self, field.name,
+                               real_scalar(getattr(self, field.name), f"GEV {field.name}"))
         if self.scale <= 0:
             raise ValueError("GEV scale must be positive")
 
@@ -300,8 +300,7 @@ def fit_gev_mle(maxima, min_samples: int = MIN_BLOCKS) -> GevFit:
     nll = float(fun)
     if not math.isfinite(nll):
         raise GevFitError("GEV optimization found no feasible likelihood")
-    xi, mu, log_sigma = (float(v) for v in x)
-    params = GevParams(shape=xi, location=mu, scale=math.exp(log_sigma))
+    params = GevParams(shape=x[0], location=x[1], scale=math.exp(x[2]))
     return GevFit(params=params, converged=success, nll=nll, n_samples=int(z.size))
 
 
@@ -352,14 +351,13 @@ def _log_factorials(n_max: int) -> np.ndarray:
 def binom_logpmf(k, n, p: float):
     """Log of the binomial pmf, vectorized over k and n; p is a scalar in [0, 1].
 
-    ``k`` and ``n`` are read by ``series.integer_array``: a fraction, nan,
-    inf or text raises ValueError.  Entries with k outside [0, n] get -inf.
+    ``k`` and ``n`` are read by ``series.integer_array`` and ``p`` by ``series.real_scalar``:
+    a fraction, nan, inf or text raises ValueError.  Entries with k outside [0, n] get -inf.
     The log-factorials come from a cached table (see ``_log_factorial``).
     """
     k = integer_array(k, "binomial k")
     n = integer_array(n, "binomial n")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("binomial success probability must lie in [0, 1]")
+    p = real_scalar(p, "binomial success probability", 0, 1)
     valid = (k >= 0) & (k <= n)
     if p == 0.0:
         out = np.where(k == 0, 0.0, -np.inf)
@@ -393,6 +391,7 @@ def binom_tail(k: int, n: int, p: float) -> float:
     """
     k = integer_scalar(k, "binomial k")
     n = integer_scalar(n, "binomial n", 0)
+    p = real_scalar(p, "binomial success probability", 0, 1)
     if k <= 0:
         return 1.0
     if k > n:
@@ -409,8 +408,7 @@ def bernoulli_success_prob(p_a: float, delta: int) -> float:
     A tolerance window of delta+1 steps contains at least one exceedance of
     marginal rate p_a with probability 1 - (1 - p_a)^(delta + 1).
     """
-    if not 0.0 <= p_a <= 1.0:
-        raise ValueError("p_a must lie in [0, 1]")
+    p_a = real_scalar(p_a, "p_a", 0, 1)
     delta = integer_scalar(delta, "delta", 0)
     if p_a == 1.0:
         return 1.0

@@ -13,16 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multi import BAND_LEVEL
-from .series import integer_array, integer_scalar
+from .series import integer_array, integer_scalar, real_array
 
 __all__ = ["QtrTable", "write_csv", "write_qtr_svg"]
 
 
 @dataclass(frozen=True)
 class QtrTable:
-    """Observed and null-expected trigger rates along a quantile ladder; the observed counts
-    are read by ``series.integer_array`` and ``n_events`` by ``series.integer_scalar``, so a
-    fraction raises ValueError instead of truncating or dividing."""
+    """Observed and null-expected trigger rates along a quantile ladder; the counts are read by
+    ``series.integer_array``, ``n_events`` by ``integer_scalar`` and the rest by ``real_array``,
+    so a fraction, nan or inf raises ValueError instead of reaching a CSV or SVG."""
 
     levels: np.ndarray
     thresholds: np.ndarray
@@ -33,14 +33,9 @@ class QtrTable:
     band_upper_rates: np.ndarray
 
     def __post_init__(self):
-        arrays = {
-            "levels": np.asarray(self.levels, dtype=float),
-            "thresholds": np.asarray(self.thresholds, dtype=float),
-            "observed_counts": integer_array(self.observed_counts, "observed counts"),
-            "expected_rates": np.asarray(self.expected_rates, dtype=float),
-            "band_lower_rates": np.asarray(self.band_lower_rates, dtype=float),
-            "band_upper_rates": np.asarray(self.band_upper_rates, dtype=float),
-        }
+        arrays = {name: real_array(getattr(self, name), name.replace("_", " ")) for name in (
+            "levels", "thresholds", "expected_rates", "band_lower_rates", "band_upper_rates")}
+        arrays["observed_counts"] = integer_array(self.observed_counts, "observed counts")
         size = arrays["levels"].size
         if size < 1:
             raise ValueError("QTR table needs at least one row")

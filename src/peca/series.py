@@ -10,6 +10,8 @@ events over those rungs; a single threshold is a ladder of one.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +29,12 @@ def frozen_copy(arr: np.ndarray) -> np.ndarray:
 
 def integer_array(values, what: str) -> np.ndarray:
     """Counts as int64: integer and bool arrays pass, int64 ones without a copy, and so do floats
-    that are all whole and below 2**63 in size; a fraction, nan, inf or text raises ValueError."""
+    that are all whole and below 2**63 in size; a fraction, nan, inf, text or a larger uint64
+    raises ValueError."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "biu" and not (
-            arr.dtype.kind == "f" and np.all((np.trunc(arr) == arr) & (np.abs(arr) < 2.0**63))):
+    kind = arr.dtype.kind   # float magnitudes are compared in float64: 2.0**63 overflows float16
+    if not (kind in "bi" or (kind == "u" and np.all(arr < 2**63)) or (kind == "f" and np.all(
+            (np.trunc(arr) == arr) & (np.abs(arr, dtype=np.float64) < 2.0**63)))):
         raise ValueError(f"{what} must be integer-valued")
     return arr.astype(np.int64, copy=False)
 
@@ -51,6 +55,42 @@ def integer_scalar(value, what: str, minimum: int | None = None) -> int:
         raise ValueError(f"{what} must be non-negative" if minimum == 0
                          else f"{what} must be at least {minimum}")
     return number
+
+
+def real_array(values, what: str, low=None, high=None) -> np.ndarray:
+    """Reals as float64: bool, integer and float arrays pass, float64 ones without a copy, and
+    text, None, complex or objects raise "<what> must be real numbers"; nan and inf raise "<what>
+    must be finite", or with bounds, as any value outside them, "<what> must lie in [low, high]"."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real numbers")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(arr) if low is None else (arr >= low) & (arr <= high)):
+        raise ValueError(f"{what} must be finite" if low is None
+                         else f"{what} must lie in [{low}, {high}]")
+    return arr
+
+
+def real_scalar(value, what: str, low=None, high=None) -> float:
+    """One real as a Python float, by ``real_array``'s rule; Python floats, ints and bools are
+    read without NumPy, and text or an array of any shape raises "<what> must be a real number"."""
+    if not isinstance(value, (int, float)):   # NumPy's float64 is a float
+        if (arr := np.asarray(value)).dtype.kind not in "biuf" or arr.ndim:
+            raise ValueError(f"{what} must be a real number")
+        value = float(arr)
+    # an int too large for a float is read as inf, which the check below refuses
+    number = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if not (math.isfinite(number) if low is None else low <= number <= high):
+        raise ValueError(f"{what} must be finite" if low is None
+                         else f"{what} must lie in [{low}, {high}]")
+    return number
+
+
+def bool_scalar(value, what: str) -> bool:
+    """True or False as a Python bool; NumPy's bools pass, anything else raises ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be True or False")
+    return bool(value)
 
 
 @dataclass(frozen=True)
@@ -79,16 +119,14 @@ class EventSeries:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Real-valued series; values must be finite."""
+    """Real-valued series, read by ``real_array``: values must be finite."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64).ravel()
+        vals = real_array(self.values, "time series values").ravel()
         if vals.size < 1:
             raise ValueError("time series must contain at least one value")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("time series values must be finite")
         object.__setattr__(self, "values", frozen_copy(vals))
 
     @property
@@ -113,7 +151,7 @@ def rung_index(x: TimeSeries, delta: int, thresholds) -> np.ndarray:
     so every trigger count along a ladder is a count over this array.
     """
     delta = _check_delta(delta, x.length)
-    thr = np.asarray(thresholds, dtype=float).ravel()
+    thr = real_array(thresholds, "thresholds").ravel()
     if np.any(np.diff(thr) < 0):
         raise ValueError("thresholds must be ascending")
     # window maxima by doubling: after each pass span_max[s] is the maximum over

@@ -18,7 +18,8 @@ import numpy as np
 
 from .multi import ThresholdLadder, steps_at_least
 from .nulls import bernoulli_success_prob, binom_cdf, block_maxima, fit_gev_mle, gev_sf
-from .series import EventSeries, TimeSeries, integer_scalar, rung_index, trailing_mean
+from .series import (EventSeries, TimeSeries, integer_scalar, real_array, real_scalar, rung_index,
+                     trailing_mean)
 
 __all__ = [
     "SimConfig",
@@ -36,7 +37,8 @@ class SimConfig:
     One series is simulated per entry of ``ma_orders``; each series is paired
     with ``replicates`` freshly drawn independent event series and evaluated
     at every threshold in ``thresholds``.  The integer settings are read by
-    ``series.integer_scalar`` and stored as ints, so a fraction raises ValueError.
+    ``series.integer_scalar`` and the thresholds by ``real_array``, and stored as ints and
+    a tuple of floats, so a fraction, text or nan raises ValueError.
     """
 
     length: int = 4096
@@ -55,6 +57,8 @@ class SimConfig:
         for name in ("length", "n_events", "delta", "replicates"):
             object.__setattr__(self, name, integer_scalar(getattr(self, name), name))
         object.__setattr__(self, "seed", integer_scalar(self.seed, "seed", 0))
+        object.__setattr__(self, "thresholds",
+                           tuple(real_array(self.thresholds, "thresholds").ravel().tolist()))
         if len(set(self.ma_orders)) < len(self.ma_orders):
             raise ValueError(f"repeated filter order in {list(self.ma_orders)}")
         if self.length <= max(self.ma_orders):
@@ -63,7 +67,7 @@ class SimConfig:
             raise ValueError("n_events must lie in [0, length]")
         if self.delta < 0 or self.delta >= self.length:
             raise ValueError("delta must lie in [0, length)")
-        ThresholdLadder(self.thresholds)   # non-empty, finite, strictly increasing
+        ThresholdLadder(self.thresholds)   # non-empty and strictly increasing
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
 
@@ -105,6 +109,7 @@ def gen_dependent_events(x: TimeSeries, n: int, trigger_tau: float, lag: int, se
     design.  Raises when fewer than n usable exceedances exist.
     """
     lag, n = integer_scalar(lag, "lag", 0), integer_scalar(n, "n", 0)
+    trigger_tau = real_scalar(trigger_tau, "trigger_tau")
     candidates = np.flatnonzero(x.values > trigger_tau) + 1
     candidates = candidates[candidates - lag >= 1]
     if candidates.size < n:

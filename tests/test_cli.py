@@ -662,6 +662,31 @@ def test_a_numpy_int_setting_reports_as_the_int(dataset):
     assert (code, out) == (0, text)
 
 
+@pytest.mark.parametrize("real", [np.float64, np.float32])
+def test_numpy_real_and_bool_settings_report_as_python_numbers(dataset, real):
+    # the config and run_pointwise store the Python float and bool they read, so every
+    # report dumps as strict JSON; a float64 setting reads as the same Python float
+    series, events = dataset
+    x, grid = ingest_timeseries(series)
+    e, warn = ingest_events(events, grid)
+    settings = {"qlo": 0.5, "qhi": 0.9, "alpha": 0.05}
+    config = AnalysisConfig(r=50, preprocess=np.True_, **{k: real(v) for k, v in settings.items()})
+    python = AnalysisConfig(r=50, preprocess=True,
+                            **{k: float(real(v)) for k, v in settings.items()})
+    assert config == python
+    reports = [
+        (run_pointwise(config, x, e, quantile=real(0.9), warnings=warn),
+         run_pointwise(python, x, e, quantile=float(real(0.9)), warnings=warn)),
+        (run_pointwise(config, x, e, tau=real(0.5), warnings=warn),
+         run_pointwise(python, x, e, tau=float(real(0.5)), warnings=warn)),
+        (run_multi(config, x, e, warnings=warn)[0], run_multi(python, x, e, warnings=warn)[0]),
+    ]
+    for numpy_typed, python_typed in reports:
+        assert json.dumps(numpy_typed, allow_nan=False) == json.dumps(python_typed, allow_nan=False)
+    assert reports[0][0]["quantile_level"] == (0.9 if real is np.float64 else 0.8999999761581421)
+    assert reports[2][0]["config"]["preprocess"] is True
+
+
 def test_usage_errors_exit_2_with_argparse_text(dataset, capsys):
     # argparse refuses a fractional integer option before any JSON error handling runs
     series, events = dataset

@@ -1,7 +1,8 @@
 """No module of the package imports another module's private names, keeps a name it never
 uses, exports a name it does not bind or imports a module that loads OpenSSL, only the
-output writers open files for writing, and only ``series.integer_scalar`` raises the floor
-messages of integers."""
+output writers open files for writing, only ``series.integer_scalar`` raises the floor
+messages of integers, and only ``series.real_array`` and ``series.real_scalar`` raise the
+finite and range messages of real numbers."""
 
 import ast
 import importlib
@@ -210,6 +211,9 @@ def test_file_write_check_flags_a_writer(tmp_path):
 # "<what> must be non-negative" and "<what> must be at least <floor>", an f-string's fields
 # read as {}: the messages of ``series.integer_scalar``'s floor, which reads every integer
 FLOOR_MESSAGE = re.compile(r"[\w {}]+ must be (non-negative|at least [\w{}]+)")
+# "<what> must be finite" and "<what> must lie in [<number>, <number>]": the messages of
+# ``series.real_array`` and ``series.real_scalar``, which read every real number
+REAL_MESSAGE = re.compile(r"[\w {}-]+ must (be finite|lie in \[-?[\d.]+, -?[\d.]+\])")
 
 
 def message_texts(node):
@@ -223,8 +227,8 @@ def message_texts(node):
             yield from message_texts(child)
 
 
-def floor_checks(path):
-    """``module.function:line`` for every ``raise ValueError`` with a floor message."""
+def message_checks(path, message):
+    """``module.function:line`` for every ``raise ValueError`` whose message ``message`` matches."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
     def visit(node, scope):
@@ -235,7 +239,7 @@ def floor_checks(path):
             exc = child.exc if isinstance(child, ast.Raise) else None
             if (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
                     and exc.func.id == "ValueError"
-                    and any(FLOOR_MESSAGE.fullmatch(text)
+                    and any(message.fullmatch(text)
                             for arg in exc.args for text in message_texts(arg))):
                 yield f"{scope}:{child.lineno}"
             yield from visit(child, scope)
@@ -246,9 +250,18 @@ def floor_checks(path):
 def test_only_integer_scalar_checks_a_floor():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 10
-    hits = [hit for path in modules for hit in floor_checks(path)]
+    hits = [hit for path in modules for hit in message_checks(path, FLOOR_MESSAGE)]
     assert [hit for hit in hits if hit.split(":")[0] != "series.integer_scalar"] == []
     assert hits   # the check still finds the rule's own messages
+
+
+def test_only_the_real_readers_check_finite_or_range():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    readers = {"series.real_array", "series.real_scalar"}
+    hits = [hit for path in modules for hit in message_checks(path, REAL_MESSAGE)]
+    assert [hit for hit in hits if hit.split(":")[0] not in readers] == []
+    assert {hit.split(":")[0] for hit in hits} == readers   # it finds the readers' own messages
 
 
 def test_floor_check_flags_a_leftover(tmp_path):
@@ -262,4 +275,26 @@ def test_floor_check_flags_a_leftover(tmp_path):
                       "        raise ValueError(f'k must be at least {floor}' if k else 'k')\n"
                       "    def other(self):\n        raise TypeError('k must be non-negative')\n",
                       encoding="utf-8")
-    assert list(floor_checks(module)) == ["m.f:3", "m.f:5", "m.Config.check:11"]
+    assert list(message_checks(module, FLOOR_MESSAGE)) == ["m.f:3", "m.f:5", "m.Config.check:11"]
+
+
+def test_real_check_flags_a_leftover(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import math\n"
+                      "def f(p, tau, field):\n"
+                      "    if not math.isfinite(tau):\n"
+                      "        raise ValueError('tau must be finite')\n"
+                      "    if not 0.0 <= p <= 1.0:\n"
+                      "        raise ValueError('p-values must lie in [0, 1]')\n"
+                      "    if not 0.0 < p < 1.0:\n"
+                      "        raise ValueError('alpha must lie in (0, 1)')\n"
+                      "    if p > 2:\n"
+                      "        raise ValueError(f'rungs must lie in [0, {p}]')\n"
+                      "    raise ValueError(f'GEV {field} must be finite')\n"
+                      "class Ladder:\n    def check(self, lv):\n"
+                      "        raise ValueError('levels must lie in [0.5, 1]' if lv else 'x')\n"
+                      "    def fit(self):\n"
+                      "        raise RuntimeError('block maxima must be finite')\n",
+                      encoding="utf-8")
+    assert list(message_checks(module, REAL_MESSAGE)) == ["m.f:4", "m.f:6", "m.f:11",
+                                                          "m.Ladder.check:14"]

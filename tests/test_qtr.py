@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -29,6 +30,18 @@ def test_observed_rates():
 def test_zero_events_rejected():
     with pytest.raises(ValueError, match="at least one event"):
         small_table(n_events=0)
+
+
+@pytest.mark.parametrize("column", ["levels", "thresholds", "expected_rates",
+                                    "band_lower_rates", "band_upper_rates"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_rate_or_level_rejected(column, bad):
+    # no CSV cell or SVG point can then read nan or inf
+    table = small_table()
+    values = getattr(table, column).copy()
+    values[1] = bad
+    with pytest.raises(ValueError, match=f"^{column.replace('_', ' ')} must be finite$"):
+        dataclasses.replace(table, **{column: values})
 
 
 def test_empty_table_rejected():
