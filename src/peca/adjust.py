@@ -46,4 +46,4 @@ def reject_set(adjusted, alpha: float) -> np.ndarray:
     alpha = real_scalar(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return np.asarray(adjusted) < alpha
+    return real_array(adjusted, "adjusted p-values", 0, 1) < alpha

@@ -82,9 +82,10 @@ def _quantile_rank(t: int, p: float) -> int:
 def empirical_quantile(values: np.ndarray, p: float) -> float:
     """Inverse-CDF quantile on order statistics: level p maps to the ceil(p*T)-th smallest.
 
-    Level 0 maps to the minimum.  ``values`` need not be sorted; one partition
-    finds the order statistic.
+    Level 0 maps to the minimum.  ``values``, read by ``series.real_array``, need not be
+    sorted; one partition finds the order statistic.
     """
+    values = real_array(values, "values").ravel()
     rank = _quantile_rank(values.size, p)
     return float(np.partition(values, rank)[rank])
 
@@ -142,10 +143,11 @@ def steps_at_least(rungs, m: int) -> np.ndarray:
     event is counted at threshold i, the counterpart of
     ``success_probabilities`` read off the series without the GEV fit.  Of
     event sets' rungs, entries 1..m are their trigger counts (see
-    ``compute_tcp``).  Rungs are read by ``series.integer_array``; one ``bincount``
-    counts every row, offset by m + 1 per row, and a reversed running sum accumulates.
+    ``compute_tcp``).  Rungs are read by ``series.integer_array`` and m by ``integer_scalar``;
+    one ``bincount`` counts every row, offset by m + 1 per row, and a reversed running sum
+    accumulates.
     """
-    rungs = integer_array(rungs, "rungs")
+    rungs, m = integer_array(rungs, "rungs"), integer_scalar(m, "m", 0)
     if np.any((rungs < 0) | (rungs > m)):
         raise ValueError(f"rungs must lie in [0, {m}]")
     rows = math.prod(rungs.shape[:-1])
@@ -249,7 +251,7 @@ def _null_counts(at_least: np.ndarray, n_events: int, rows: int,
     if np.any(steps_per_rung < 0):
         raise ValueError("steps at rung >= i must be non-negative and non-increasing in i")
     m = at_least.size - 1
-    if not 0 <= n_events <= at_least[0]:
+    if n_events > at_least[0]:
         raise ValueError(f"cannot place {n_events} events on {at_least[0]} steps")
     random_rungs = int(np.count_nonzero((at_least[1:] > 0) & (at_least[1:] < at_least[:-1])))
     method = "count" if n_events <= _POSITION_DRAWS_PER_RUNG_DRAW * random_rungs else "marginals"
@@ -272,12 +274,10 @@ def null_nll_replicates(at_least: np.ndarray, n_events: int, pis: np.ndarray, r:
     ``at_least`` is read by ``series.integer_array``, and ``n_events`` and
     ``r`` by ``series.integer_scalar``.
     """
-    r = integer_scalar(r, "replicate count")
-    if r < 1:
-        raise ValueError("need at least one replicate")
+    r = integer_scalar(r, "replicate count", 1)
     pis = _as_pis(pis)
     at_least = integer_array(at_least, "steps at rung >= i")
-    n_events = integer_scalar(n_events, "n_events")
+    n_events = integer_scalar(n_events, "n_events", 0)
     if at_least.shape != (pis.size + 1,):
         raise ValueError(f"need the steps at rung >= i for i = 0..{pis.size}: "
                          "one entry more than pis")
@@ -296,9 +296,11 @@ def mc_p_value(statistic: float, null_stats) -> float:
     The add-one rule (1 + #{null >= statistic}) / (r + 1) is never zero and
     counts ties against the alternative.  One draw of the null
     (``null_nll_replicates``) can score several event sets with the same
-    number of events.
+    number of events.  Both are read by ``series.real_scalar`` and ``real_array`` on
+    [-inf, inf], so an infinite NLL is a statistic and nan or text raises ValueError.
     """
-    null_stats = np.asarray(null_stats, dtype=float).ravel()
+    statistic = real_scalar(statistic, "statistic", -math.inf, math.inf)
+    null_stats = real_array(null_stats, "null statistics", -math.inf, math.inf).ravel()
     if null_stats.size < 1:
         raise ValueError("need at least one replicate")
     return (1 + int(np.count_nonzero(null_stats >= statistic))) / (null_stats.size + 1)

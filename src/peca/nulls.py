@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .series import TimeSeries, integer_array, integer_scalar, real_scalar
+from .series import TimeSeries, integer_array, integer_scalar, real_array, real_scalar
 
 __all__ = [
     "GUMBEL_SHAPE_TOL",
@@ -183,7 +183,7 @@ def _nelder_mead(func, x0, maxfev: int, xatol: float,
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
 
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = real_array(x0, "simplex start").ravel()
     n = len(x0)
     sim = np.empty((n + 1, n), dtype=float)
     sim[0] = x0
@@ -269,14 +269,13 @@ def fit_gev_mle(maxima, min_samples: int = MIN_BLOCKS) -> GevFit:
     accepted, so the fitted support always contains the whole sample, and the
     fitted likelihood is never worse than the initializer's.  The converged
     flag reflects the optimizer's own termination test (simplex NLL spread
-    below 1e-10).
+    below 1e-10).  The maxima are read by ``series.real_array``, so text, nan or
+    inf raises ValueError.
     """
-    z = np.asarray(maxima, dtype=float).ravel()
+    z = real_array(maxima, "block maxima").ravel()
     min_samples = integer_scalar(min_samples, "min_samples")
     if z.size < min_samples:
         raise GevFitError(f"need at least {min_samples} block maxima, got {z.size}")
-    if not np.all(np.isfinite(z)):
-        raise GevFitError("block maxima must be finite")
     if np.ptp(z) == 0.0:
         raise GevFitError("degenerate sample: all block maxima are equal")
 

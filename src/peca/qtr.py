@@ -41,9 +41,7 @@ class QtrTable:
             raise ValueError("QTR table needs at least one row")
         if any(a.size != size for a in arrays.values()):
             raise ValueError("QTR table columns must have equal length")
-        n_events = integer_scalar(self.n_events, "n_events")
-        if n_events < 1:
-            raise ValueError("QTR table needs at least one event")
+        n_events = integer_scalar(self.n_events, "n_events", 1)
         if np.any(np.diff(arrays["observed_counts"]) > 0):
             raise ValueError("observed count must be non-increasing in the quantile level")
         for name, arr in arrays.items():

@@ -72,18 +72,14 @@ def real_array(values, what: str, low=None, high=None) -> np.ndarray:
 
 
 def real_scalar(value, what: str, low=None, high=None) -> float:
-    """One real as a Python float, by ``real_array``'s rule; Python floats, ints and bools are
-    read without NumPy, and text or an array of any shape raises "<what> must be a real number"."""
-    if not isinstance(value, (int, float)):   # NumPy's float64 is a float
-        if (arr := np.asarray(value)).dtype.kind not in "biuf" or arr.ndim:
-            raise ValueError(f"{what} must be a real number")
-        value = float(arr)
-    # an int too large for a float is read as inf, which the check below refuses
-    number = float(value) if abs(value) <= sys.float_info.max else math.inf
-    if not (math.isfinite(number) if low is None else low <= number <= high):
-        raise ValueError(f"{what} must be finite" if low is None
-                         else f"{what} must lie in [{low}, {high}]")
-    return number
+    """One real as a Python float, read by ``real_array`` as a 0-d array; text or an array of any
+    shape raises "<what> must be a real number".  A Python int (bools too) is made a float
+    first, or inf past the float range, which the read refuses: NumPy holds no wider int."""
+    if isinstance(value, int):
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if (arr := np.asarray(value)).dtype.kind not in "biuf" or arr.ndim:
+        raise ValueError(f"{what} must be a real number")
+    return float(real_array(arr, what, low, high))
 
 
 def bool_scalar(value, what: str) -> bool:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .multi import ThresholdLadder, steps_at_least
 from .nulls import bernoulli_success_prob, binom_cdf, block_maxima, fit_gev_mle, gev_sf
-from .series import (EventSeries, TimeSeries, integer_scalar, real_array, real_scalar, rung_index,
-                     trailing_mean)
+from .series import (EventSeries, TimeSeries, integer_array, integer_scalar, real_array,
+                     real_scalar, rung_index, trailing_mean)
 
 __all__ = [
     "SimConfig",
@@ -37,8 +37,9 @@ class SimConfig:
     One series is simulated per entry of ``ma_orders``; each series is paired
     with ``replicates`` freshly drawn independent event series and evaluated
     at every threshold in ``thresholds``.  The integer settings are read by
-    ``series.integer_scalar`` and the thresholds by ``real_array``, and stored as ints and
-    a tuple of floats, so a fraction, text or nan raises ValueError.
+    ``series.integer_scalar``, the filter orders as one array (so one order may stand alone),
+    and the thresholds by ``real_array``, and stored as ints and tuples, so a fraction, text
+    or nan raises ValueError.
     """
 
     length: int = 4096
@@ -50,26 +51,25 @@ class SimConfig:
     seed: int = 131
 
     def __post_init__(self):
+        orders = integer_array(self.ma_orders, "filter orders").ravel()
+        object.__setattr__(self, "ma_orders",
+                           tuple(integer_scalar(q, "filter orders", 0) for q in orders))
         if not self.ma_orders:
             raise ValueError("need at least one filter order")
-        object.__setattr__(self, "ma_orders",
-                           tuple(integer_scalar(q, "filter orders", 0) for q in self.ma_orders))
-        for name in ("length", "n_events", "delta", "replicates"):
-            object.__setattr__(self, name, integer_scalar(getattr(self, name), name))
-        object.__setattr__(self, "seed", integer_scalar(self.seed, "seed", 0))
+        for name, minimum in (("length", None), ("n_events", 0), ("delta", 0),
+                              ("replicates", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer_scalar(getattr(self, name), name, minimum))
         object.__setattr__(self, "thresholds",
                            tuple(real_array(self.thresholds, "thresholds").ravel().tolist()))
         if len(set(self.ma_orders)) < len(self.ma_orders):
             raise ValueError(f"repeated filter order in {list(self.ma_orders)}")
         if self.length <= max(self.ma_orders):
             raise ValueError("series length must exceed the largest filter order")
-        if not 0 <= self.n_events <= self.length:
+        if self.n_events > self.length:
             raise ValueError("n_events must lie in [0, length]")
-        if self.delta < 0 or self.delta >= self.length:
+        if self.delta >= self.length:
             raise ValueError("delta must lie in [0, length)")
         ThresholdLadder(self.thresholds)   # non-empty and strictly increasing
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
 
 
 def gen_ma_exponential(t: int, order: int, seed) -> TimeSeries:
@@ -93,8 +93,8 @@ def gen_ma_exponential(t: int, order: int, seed) -> TimeSeries:
 
 def gen_independent_events(t: int, n: int, seed) -> EventSeries:
     """n event positions drawn uniformly without replacement from 1..t."""
-    t, n = integer_scalar(t, "t"), integer_scalar(n, "n")
-    if not 0 <= n <= t:
+    t, n = integer_scalar(t, "t"), integer_scalar(n, "n", 0)
+    if n > t:
         raise ValueError(f"cannot place {n} events on {t} steps")
     occ = np.random.default_rng(seed).choice(t, size=n, replace=False)
     occ.sort()
@@ -321,7 +321,7 @@ def null_distribution_comparison(config: SimConfig) -> np.ndarray:
     """
     n = config.n_events
     ks = np.arange(n + 1)
-    taus = np.asarray(config.thresholds, dtype=float)
+    taus = np.array(config.thresholds)
     cmfs = np.empty((len(config.ma_orders), taus.size, 3, n + 1))
     counts = np.empty((config.replicates, taus.size), dtype=np.int64)
     for oi, order in enumerate(config.ma_orders):

@@ -15,8 +15,8 @@ Every real input is read the same way: Python and NumPy floats, ints and
 bools give one result, stored as a Python float; text, None or an array where
 one number belongs raises "<what> must be a real number" ("<what> must be real
 numbers" for an array input), and nan or inf raises "<what> must be finite",
-or "<what> must lie in [<low>, <high>]" where the input is bounded.  Flags
-take True or False only.
+or "<what> must lie in [<low>, <high>]" where the input is bounded; an NLL is
+read on [-inf, inf], so only nan raises.  Flags take True or False only.
 """
 
 import math
@@ -33,6 +33,7 @@ from peca.multi import (
     dp_extreme_nll,
     empirical_quantile,
     expected_process_with_band,
+    mc_p_value,
     null_nll_replicates,
     steps_at_least,
     tcp_nll,
@@ -162,13 +163,17 @@ def test_every_count_follows_one_integer_rule(call, value, expected):
         np.testing.assert_allclose(call(value), expected, rtol=1e-15, atol=0)
 
 
-# the count entries above whose count has a floor, and the message below it
+# the count entries above whose count has a floor: counts below it and their message
 COUNT_FLOORS = {
-    "binom_tail-n": "binomial n must be non-negative",
-    "binom_cdf-n": "binomial n must be non-negative",
-    "tcp_nll-n_events": "n_events must be non-negative",
-    "expected_process_with_band": "n_events must be non-negative",
-    "dp_extreme_nll": "n_events must be non-negative",
+    "binom_tail-n": {-1: "binomial n must be non-negative"},
+    "binom_cdf-n": {-1: "binomial n must be non-negative"},
+    "tcp_nll-n_events": {-1: "n_events must be non-negative"},
+    "null_nll_replicates-n_events": {-1: "n_events must be non-negative"},
+    "expected_process_with_band": {-1: "n_events must be non-negative"},
+    "dp_extreme_nll": {-1: "n_events must be non-negative"},
+    "null_nll_replicates-r": {0: "replicate count must be at least 1",
+                              -1: "replicate count must be at least 1"},
+    "QtrTable-n_events": {0: "n_events must be at least 1"},
 }
 
 STEPS = TimeSeries([1.0, 3.0, 2.0, 0.0])
@@ -197,12 +202,14 @@ SETTING_ENTRIES = {
                          {1: 1, 0: "series length must exceed the largest filter order"}),
     "SimConfig-ma_orders": (lambda v: SimConfig(ma_orders=(v,)).ma_orders, "filter orders",
                             {0: (0,), -1: "filter orders must be non-negative"}),
+    "SimConfig-ma_orders-scalar": (lambda v: SimConfig(ma_orders=v).ma_orders, "filter orders",
+                                   {3: (3,), -1: "filter orders must be non-negative"}),
     "SimConfig-n_events": (lambda v: SimConfig(n_events=v).n_events, "n_events",
-                           {0: 0, -1: "n_events must lie in [0, length]"}),
+                           {0: 0, -1: "n_events must be non-negative"}),
     "SimConfig-delta": (lambda v: SimConfig(delta=v).delta, "delta",
-                        {0: 0, -1: "delta must lie in [0, length)"}),
+                        {0: 0, -1: "delta must be non-negative"}),
     "SimConfig-replicates": (lambda v: SimConfig(replicates=v).replicates, "replicates",
-                             {1: 1, 0: "need at least one replicate"}),
+                             {1: 1, 0: "replicates must be at least 1"}),
     "SimConfig-seed": (lambda v: SimConfig(seed=v).seed, "seed",
                        {0: 0, -1: "seed must be non-negative"}),
     "EventSeries-length": (lambda v: EventSeries(v, ()).length, "series length",
@@ -221,6 +228,10 @@ SETTING_ENTRIES = {
                                      {1: 0.75, -1: "delta must be non-negative"}),
     "fit_gev_mle-min_samples": (lambda v: fit_gev_mle(GEV_SAMPLE, min_samples=v).n_samples,
                                 "min_samples", {1: 40, 40: 40}),
+    "steps_at_least-m": (lambda v: steps_at_least([1, 0], v).tolist(), "m",
+                         {2: [2, 1, 0], -1: "m must be non-negative"}),
+    "compute_tcp-m": (lambda v: compute_tcp(EventSeries(2, [1]), [1, 0], v).tolist(), "m",
+                      {2: [1, 0], -1: "m must be non-negative"}),
     "build_ladder_from_quantiles-m": (
         lambda v: build_ladder_from_quantiles(TimeSeries([0.0, 1.0, 2.0, 3.0, 4.0]), 0.0, 1.0,
                                               v).thresholds.tolist(),
@@ -232,7 +243,7 @@ SETTING_ENTRIES = {
     "gen_independent_events-t": (lambda v: _occurrences(gen_independent_events(v, 1, seed=0)),
                                  "t", {1: [1], 0: "cannot place 1 events on 0 steps"}),
     "gen_independent_events-n": (lambda v: _occurrences(gen_independent_events(1, v, seed=0)),
-                                 "n", {1: [1], -1: "cannot place -1 events on 1 steps"}),
+                                 "n", {1: [1], -1: "n must be non-negative"}),
     "gen_dependent_events-n": (lambda v: _occurrences(gen_dependent_events(PEAK, v, 1.0, 1, 0)),
                                "n", {1: [1], -1: "n must be non-negative"}),
     "gen_dependent_events-lag": (lambda v: _occurrences(gen_dependent_events(PEAK, 1, 1.0, v, 0)),
@@ -240,9 +251,16 @@ SETTING_ENTRIES = {
 }
 
 
+# the filter orders are read as one array: a list is a set of orders, an empty one none
+ORDERS_GIVEN = {"one-element-list": (1,), "empty-tuple": "need at least one filter order"}
+ARRAY_SETTINGS = {"SimConfig-ma_orders": ORDERS_GIVEN, "SimConfig-ma_orders-scalar": ORDERS_GIVEN}
+
+
 def _setting_rows():
-    for name, text in COUNT_FLOORS.items():
-        yield f"{name}-negative", SCALAR_ENTRIES[name][0], -1, text
+    for name, cases in COUNT_FLOORS.items():
+        for value, text in cases.items():
+            below = "negative" if value < 0 else value
+            yield f"{name}-{below}", SCALAR_ENTRIES[name][0], value, text
     for name, (call, what, cases) in SETTING_ENTRIES.items():
         # an integer reads the same as a whole float, a NumPy int or, for 0 and 1, a bool
         for value, result in cases.items():
@@ -254,7 +272,8 @@ def _setting_rows():
         for kind, value in INVALID.items():
             yield f"{name}-{kind}", call, value, f"{what} must be integer-valued"
         for kind, value in NOT_SCALAR.items():
-            yield f"{name}-{kind}", call, value, f"{what} must be a single integer-valued number"
+            yield f"{name}-{kind}", call, value, ARRAY_SETTINGS.get(name, {}).get(
+                kind, f"{what} must be a single integer-valued number")
 
 
 SETTING_ROWS = list(_setting_rows())
@@ -374,11 +393,15 @@ REAL_SCALAR_ENTRIES = {
     "gen_dependent_events": (lambda v: _occurrences(gen_dependent_events(PEAK, 1, v, 1, 0)),
                              "trigger_tau", None, (0.5, [1]), (1, [1]),
                              (2.0, "only 0 usable exceedance(s) of 2.0, need 1")),
+    "mc_p_value-statistic": (lambda v: mc_p_value(v, [1.0, 2.0, 3.0]), "statistic",
+                             "[-inf, inf]", (2.5, 0.5), (1, 1.0), None),
 }
 
 # None is "not given" where the call has another threshold to take instead
 NONE_GIVEN = {"run_pointwise-tau": "exactly one of tau and quantile is required",
               "run_pointwise-quantile": "exactly one of tau and quantile is required"}
+# an infinite NLL is a statistic: the result where inf is read as a value
+INFINITE_GIVEN = {"mc_p_value-statistic": 0.25, "mc_p_value-null_stats": 2 / 3}
 
 # entry: (call with the real numbers, the subject of the message, their bounds as the message
 #         writes them or None, floats and their result, ints and their result, and an
@@ -402,6 +425,15 @@ REAL_ARRAY_ENTRIES = {
     "adjust": (lambda v: adjust(v, "bonferroni").tolist(), "p-values", "[0, 1]",
                ([0.25, 0.5], [0.5, 1.0]), ([0, 1], [0.0, 1.0]),
                ([0.5, 1.5], "p-values must lie in [0, 1]")),
+    "reject_set-adjusted": (lambda v: reject_set(v, 0.5).tolist(), "adjusted p-values", "[0, 1]",
+                            ([0.25, 0.75], [True, False]), ([0, 1], [True, False]),
+                            ([0.25, 1.5], "adjusted p-values must lie in [0, 1]")),
+    "mc_p_value-null_stats": (lambda v: mc_p_value(2.0, v), "null statistics", "[-inf, inf]",
+                              ([0.5, 2.5], 2 / 3), ([0, 1], 1 / 3), None),
+    "fit_gev_mle": (lambda v: fit_gev_mle(v, min_samples=3).n_samples, "block maxima", None,
+                    ([0.5, 1.0, 2.0], 3), ([0, 1, 2], 3), None),
+    "empirical_quantile-values": (lambda v: empirical_quantile(v, 0.5), "values", None,
+                                  ([0.5, 2.0], 0.5), ([1, 0], 0.0), None),
     **{f"QtrTable-{name}": ((lambda v, name=name: _qtr_column(name, v)), name.replace("_", " "),
                             None, ([0.25, 0.5], [0.25, 0.5]), ([1, 0], [1.0, 0.0]), None)
        for name in ("levels", "thresholds", "expected_rates", "band_lower_rates",
@@ -423,7 +455,7 @@ def _real_rows():
         yield f"{name}-text", call, str(real), unreadable
         yield f"{name}-None", call, None, NONE_GIVEN.get(name, unreadable)
         yield f"{name}-nan", call, math.nan, non_finite
-        yield f"{name}-inf", call, math.inf, non_finite
+        yield f"{name}-inf", call, math.inf, INFINITE_GIVEN.get(name, non_finite)
         yield f"{name}-one-element-list", call, [real], unreadable
         if outside:
             yield f"{name}-out-of-range", call, *outside
@@ -439,7 +471,7 @@ def _real_rows():
         yield f"{name}-text", call, [str(v) for v in reals], unreadable
         yield f"{name}-None", call, [None, *reals[1:]], unreadable
         yield f"{name}-nan", call, [math.nan, *reals[1:]], non_finite
-        yield f"{name}-inf", call, [*reals[:-1], math.inf], non_finite
+        yield f"{name}-inf", call, [*reals[:-1], math.inf], INFINITE_GIVEN.get(name, non_finite)
         if outside:
             yield f"{name}-out-of-range", call, *outside
 

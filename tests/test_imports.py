@@ -1,8 +1,8 @@
 """No module of the package imports another module's private names, keeps a name it never
 uses, exports a name it does not bind or imports a module that loads OpenSSL, only the
 output writers open files for writing, only ``series.integer_scalar`` raises the floor
-messages of integers, and only ``series.real_array`` and ``series.real_scalar`` raise the
-finite and range messages of real numbers."""
+messages of integers, only ``series.real_array`` raises the finite and range messages of real
+numbers, and only ``series`` converts an input to float64."""
 
 import ast
 import importlib
@@ -169,8 +169,8 @@ def opens_for_writing(call):
     return bool(set(mode.value) & set("wax"))
 
 
-def file_writes(path):
-    """``module.function:line`` for every call that opens a file for writing."""
+def scoped_nodes(path):
+    """(``module.function``, node) for every node of a module, in the function or class around it."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
     def visit(node, scope):
@@ -178,11 +178,17 @@ def file_writes(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and opens_for_writing(child):
-                yield f"{scope}:{child.lineno}"
+            yield scope, child
             yield from visit(child, scope)
 
     yield from visit(tree, path.stem)
+
+
+def file_writes(path):
+    """``module.function:line`` for every call that opens a file for writing."""
+    for scope, node in scoped_nodes(path):
+        if isinstance(node, ast.Call) and opens_for_writing(node):
+            yield f"{scope}:{node.lineno}"
 
 
 def test_only_the_writers_open_files_for_writing():
@@ -212,7 +218,7 @@ def test_file_write_check_flags_a_writer(tmp_path):
 # read as {}: the messages of ``series.integer_scalar``'s floor, which reads every integer
 FLOOR_MESSAGE = re.compile(r"[\w {}]+ must be (non-negative|at least [\w{}]+)")
 # "<what> must be finite" and "<what> must lie in [<number>, <number>]": the messages of
-# ``series.real_array`` and ``series.real_scalar``, which read every real number
+# ``series.real_array``, which reads every real number, ``series.real_scalar``'s one too
 REAL_MESSAGE = re.compile(r"[\w {}-]+ must (be finite|lie in \[-?[\d.]+, -?[\d.]+\])")
 
 
@@ -229,22 +235,30 @@ def message_texts(node):
 
 def message_checks(path, message):
     """``module.function:line`` for every ``raise ValueError`` whose message ``message`` matches."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for scope, node in scoped_nodes(path):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        if (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                and exc.func.id == "ValueError"
+                and any(message.fullmatch(text)
+                        for arg in exc.args for text in message_texts(arg))):
+            yield f"{scope}:{node.lineno}"
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield from visit(child, f"{scope}.{child.name}")
-                continue
-            exc = child.exc if isinstance(child, ast.Raise) else None
-            if (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
-                    and exc.func.id == "ValueError"
-                    and any(message.fullmatch(text)
-                            for arg in exc.args for text in message_texts(arg))):
-                yield f"{scope}:{child.lineno}"
-            yield from visit(child, scope)
 
-    yield from visit(tree, path.stem)
+# float64 as a dtype argument: outside ``series``, ``np.asarray``/``np.array`` with one is a
+# real number read by hand, which ``series.real_array`` should read
+FLOAT_DTYPES = {"float", "np.float64", "numpy.float64", "'float'", "'float64'", "'f8'"}
+
+
+def float_conversions(path):
+    """``module.function:line`` for every ``asarray`` or ``array`` call with a float64 dtype,
+    given by keyword or as the second argument."""
+    for scope, node in scoped_nodes(path):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("asarray", "array")):
+            continue
+        dtypes = [*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "dtype")]
+        if any(ast.unparse(dtype) in FLOAT_DTYPES for dtype in dtypes):
+            yield f"{scope}:{node.lineno}"
 
 
 def test_only_integer_scalar_checks_a_floor():
@@ -258,10 +272,16 @@ def test_only_integer_scalar_checks_a_floor():
 def test_only_the_real_readers_check_finite_or_range():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 10
-    readers = {"series.real_array", "series.real_scalar"}
     hits = [hit for path in modules for hit in message_checks(path, REAL_MESSAGE)]
-    assert [hit for hit in hits if hit.split(":")[0] not in readers] == []
-    assert {hit.split(":")[0] for hit in hits} == readers   # it finds the readers' own messages
+    # real_scalar reads through real_array, so one function holds both messages
+    assert {hit.split(":")[0] for hit in hits} == {"series.real_array"}
+
+
+def test_only_series_converts_to_float():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    hits = [hit for path in modules for hit in float_conversions(path)]
+    assert [hit for hit in hits if not hit.startswith("series")] == []
 
 
 def test_floor_check_flags_a_leftover(tmp_path):
@@ -298,3 +318,20 @@ def test_real_check_flags_a_leftover(tmp_path):
                       encoding="utf-8")
     assert list(message_checks(module, REAL_MESSAGE)) == ["m.f:4", "m.f:6", "m.f:11",
                                                           "m.Ladder.check:14"]
+
+
+def test_float_conversion_check_flags_a_leftover(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\n"
+                      "def f(x, y, z):\n"
+                      "    a = np.asarray(x, dtype=float).ravel()\n"
+                      "    b = np.array(y, dtype=np.float64, copy=True)\n"
+                      "    c = np.asarray(z, float)\n"
+                      "    d = np.asarray(z, dtype=np.int64) + np.empty(3, dtype=float)\n"
+                      "    return np.arange(3, dtype=float), a, b, c, d\n"
+                      "class Fit:\n    def start(self, x0):\n"
+                      "        return np.array(x0, dtype='float64')\n"
+                      "scale = np.asarray([1, 2], dtype='f8')\n",
+                      encoding="utf-8")
+    assert list(float_conversions(module)) == ["m.f:3", "m.f:4", "m.f:5", "m.Fit.start:10",
+                                               "m:11"]

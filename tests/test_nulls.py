@@ -82,7 +82,7 @@ def test_gev_params_validation():
 @pytest.mark.parametrize("call, error, message", [
     (lambda: GevParams(math.nan, 0.0, 1.0), ValueError, "GEV shape must be finite"),
     (lambda: block_maxima(TimeSeries(np.ones(4)), -1), ValueError, "delta must be non-negative"),
-    (lambda: fit_gev_mle(np.full(40, np.nan)), GevFitError, "block maxima must be finite"),
+    (lambda: fit_gev_mle(np.full(40, np.nan)), ValueError, "block maxima must be finite"),
     (lambda: binom_logpmf(1, 4, 1.5), ValueError,
      "binomial success probability must lie in [0, 1]"),
     (lambda: binom_tail(1, -1, 0.5), ValueError, "binomial n must be non-negative"),

@@ -28,7 +28,7 @@ def test_observed_rates():
 
 
 def test_zero_events_rejected():
-    with pytest.raises(ValueError, match="at least one event"):
+    with pytest.raises(ValueError, match="^n_events must be at least 1$"):
         small_table(n_events=0)
 
 

@@ -148,10 +148,14 @@ def test_dependent_events_insufficient_exceedances():
 def test_simconfig_validation():
     with pytest.raises(ValueError, match="^series length must exceed the largest filter order$"):
         SimConfig(length=16, ma_orders=(32,))
-    with pytest.raises(ValueError, match=r"^n_events must lie in \[0, length\]$"):
+    with pytest.raises(ValueError, match="^n_events must be non-negative$"):
         SimConfig(n_events=-1)
-    with pytest.raises(ValueError, match="^need at least one replicate$"):
+    with pytest.raises(ValueError, match="^replicates must be at least 1$"):
         SimConfig(replicates=0)
+    with pytest.raises(ValueError, match=r"^n_events must lie in \[0, length\]$"):
+        SimConfig(length=64, ma_orders=(0,), n_events=65)
+    with pytest.raises(ValueError, match=r"^delta must lie in \[0, length\)$"):
+        SimConfig(length=64, ma_orders=(0,), delta=64)
     with pytest.raises(ValueError, match="repeated filter order"):
         SimConfig(ma_orders=(0, 32, 0))
     with pytest.raises(ValueError, match="at least one threshold"):
@@ -171,7 +175,7 @@ def test_simconfig_rejects_non_finite_thresholds(thresholds):
 @pytest.mark.parametrize("call, message", [
     (lambda: SimConfig(ma_orders=()), "need at least one filter order"),
     (lambda: SimConfig(ma_orders=(0, -1)), "filter orders must be non-negative"),
-    (lambda: SimConfig(delta=-1), "delta must lie in [0, length)"),
+    (lambda: SimConfig(delta=-1), "delta must be non-negative"),
     (lambda: SimConfig(seed=-1), "seed must be non-negative"),
     (lambda: gen_dependent_events(gen_ma_exponential(64, 0, seed=0), 1, 0.0, -1, seed=0),
      "lag must be non-negative"),
