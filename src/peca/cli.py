@@ -274,6 +274,7 @@ def _simulate_qtr_extremes(out_dir: Path, seed: int = AnalysisConfig.seed, lengt
     }
     # one null draw scores both event sets: both have n events on the same rungs
     null = _multi_null(config, x, n)
+    trigger_rungs = rung_index(x, config.delta, [trigger_tau])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs = []
@@ -287,8 +288,7 @@ def _simulate_qtr_extremes(out_dir: Path, seed: int = AnalysisConfig.seed, lengt
         results[label] = {
             "statistic": statistic,
             "p_hat": p_hat,
-            "rate_at_trigger_tau": int(compute_tcp(
-                events, rung_index(x, config.delta, [trigger_tau]), 1)[0]) / events.n_events,
+            "rate_at_trigger_tau": int(compute_tcp(events, trigger_rungs, 1)[0]) / events.n_events,
         }
 
     nlls = null.null_stats

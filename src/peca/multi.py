@@ -10,9 +10,9 @@ process is the test statistic; its null distribution is estimated by
 re-placing the events uniformly at random.  Only the rung of each step
 (see ``rung_index``) enters the counts, so the re-placed process is the
 hypergeometric analogue of the binomial chain: the events per rung are
-multivariate hypergeometric.  One Generator draws the replicates in blocks
-of ``_NULL_BLOCK``, and each block is scored before the next is drawn, so
-memory holds the r NLLs and one block of counts, whatever r is.
+multivariate hypergeometric.  ``null_blocks`` draws them from one Generator in
+blocks of ``_NULL_BLOCK``; ``null_nll_replicates`` scores each before the next
+is drawn, so memory holds the r NLLs and one block of counts, whatever r is.
 One kernel, ``steps_at_least``, does every count: the steps per rung of a
 series, the observed process of an event set, and batches of event sets.
 """
@@ -20,6 +20,7 @@ series, the observed process of an event set, and batches of event sets.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "steps_at_least",
     "compute_tcp",
     "tcp_nll",
+    "null_blocks",
     "null_nll_replicates",
     "mc_p_value",
     "expected_process_with_band",
@@ -188,9 +190,9 @@ def _chain(pis: np.ndarray) -> tuple[float, list[float]]:
     return float(pis[0]), np.minimum(pis[1:] / pis[:-1], 1.0).tolist()
 
 
-def _nll_rows(counts: np.ndarray, n_events: int, pis: np.ndarray) -> np.ndarray:
-    """Process NLL for each row of a (rows, M) count matrix (no validation)."""
-    first, ratios = _chain(pis)
+def _nll_rows(counts: np.ndarray, n_events: int, chain: tuple[float, list[float]]) -> np.ndarray:
+    """Process NLL for each row of a (rows, M) count matrix, chain from ``_chain`` (unchecked)."""
+    first, ratios = chain
     total = -binom_logpmf(counts[:, 0], n_events, first)
     for i, rho in enumerate(ratios, 1):
         total = total - binom_logpmf(counts[:, i], counts[:, i - 1], rho)
@@ -214,7 +216,7 @@ def tcp_nll(counts, n_events: int, pis) -> float:
     if np.any(np.diff(counts) > 0):
         raise ValueError("counts must be non-increasing along the ladder")
     pis = _as_pis(pis, counts.size)
-    return float(_nll_rows(counts[None, :], n_events, pis)[0])
+    return float(_nll_rows(counts[None, :], n_events, _chain(pis))[0])
 
 
 # Position draws that cost about one hypergeometric draw.  On a 2-core Xeon
@@ -232,61 +234,59 @@ _POSITION_DRAWS_PER_RUNG_DRAW = 4
 _NULL_BLOCK = 2048
 
 
-def _null_counts(at_least: np.ndarray, n_events: int, rows: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Counts of ``rows`` uniform re-placements of n_events events, as a (rows, m) matrix.
+def null_blocks(at_least, n_events: int, r: int, seed) -> Iterator[np.ndarray]:
+    """Counts of r uniform re-placements of n_events events, in (rows, m) blocks.
 
-    ``at_least`` is A_0..A_m (see ``steps_at_least``).  Only the rung of a
-    step enters the counts, so the number of events on each rung is
-    multivariate hypergeometric over the steps per rung.  One
-    ``rng.multivariate_hypergeometric`` call draws the rows' events per
-    rung, from rung m down to 0, and their running sum is the count at rung
-    >= i.  NumPy's ``count`` method, n_events position draws per row from a
-    temporary of one integer per step, runs when n_events is at most
-    ``_POSITION_DRAWS_PER_RUNG_DRAW`` times the number of random rungs,
-    0 < A_i < A_{i-1}; its ``marginals`` method, a chain of hypergeometric
-    draws over the rungs, runs otherwise.
+    ``at_least`` is A_0..A_m (see ``steps_at_least``), read by ``series.integer_array``, and
+    ``n_events`` and ``r`` by ``integer_scalar``, all on the call, which also sets the draw
+    up.  The iterator then yields blocks of ``_NULL_BLOCK`` rows, the last one partial, from
+    one ``np.random.default_rng(seed)`` (a Generator is used as it is).  Each is one
+    ``multivariate_hypergeometric`` draw of the events per rung, rung m down to 0, summed up
+    to the count at rung >= i.  NumPy's ``count`` method, n_events position draws per row
+    from a temporary of one integer per step, runs when n_events is at most
+    ``_POSITION_DRAWS_PER_RUNG_DRAW`` times the number of random rungs, 0 < A_i < A_{i-1};
+    its ``marginals`` method, a chain of hypergeometric draws over the rungs, otherwise.  A
+    consumer holds one block at a time only if it drops each before asking for the next.
     """
-    steps_per_rung = -np.diff(at_least, append=0)
-    if np.any(steps_per_rung < 0):
-        raise ValueError("steps at rung >= i must be non-negative and non-increasing in i")
-    m = at_least.size - 1
+    r = integer_scalar(r, "replicate count", 1)
+    at_least = integer_array(at_least, "steps at rung >= i").ravel()
+    n_events = integer_scalar(n_events, "n_events", 0)
+    colors = -np.diff(at_least, append=0)[::-1]   # steps per rung, rung m down to 0
+    if at_least.size < 1 or np.any(colors < 0):
+        raise ValueError("steps at rung >= i, i = 0..m, must be non-negative and non-increasing")
     if n_events > at_least[0]:
         raise ValueError(f"cannot place {n_events} events on {at_least[0]} steps")
     random_rungs = int(np.count_nonzero((at_least[1:] > 0) & (at_least[1:] < at_least[:-1])))
     method = "count" if n_events <= _POSITION_DRAWS_PER_RUNG_DRAW * random_rungs else "marginals"
-    placed = rng.multivariate_hypergeometric(steps_per_rung[::-1], n_events, size=rows,
-                                             method=method)
-    np.cumsum(placed, axis=1, out=placed)
-    return placed[:, m - 1::-1]
+    rng = np.random.default_rng(seed)
+
+    def block(rows):
+        placed = rng.multivariate_hypergeometric(colors, n_events, size=rows, method=method)
+        return np.cumsum(placed, axis=1, out=placed)[:, -2::-1]
+
+    return (block(min(_NULL_BLOCK, r - start)) for start in range(0, r, _NULL_BLOCK))
 
 
 def null_nll_replicates(at_least: np.ndarray, n_events: int, pis: np.ndarray, r: int,
                         seed: int) -> np.ndarray:
-    """Process NLL statistics for r permutation replicates.
+    """Process NLL statistics for r permutation replicates, reproducible from ``seed``.
 
-    ``at_least`` is the series' A_0..A_m (see ``steps_at_least``) and
-    ``pis`` the ladder's m success probabilities (see
-    ``success_probabilities``).  The replicates are exact draws of the
-    process under uniform re-placement of ``n_events`` events, reproducible
-    from ``seed``: one ``default_rng(seed)`` draws them ``_NULL_BLOCK`` at a
-    time (see ``_null_counts``), each block scored before the next is drawn.
-    ``at_least`` is read by ``series.integer_array``, and ``n_events`` and
-    ``r`` by ``series.integer_scalar``.
+    ``pis`` are the ladder's m success probabilities (see ``success_probabilities``).
+    ``null_blocks`` reads the other arguments and draws the replicates, exact draws of the
+    process under uniform re-placement of ``n_events`` events on the series' A_0..A_m; each
+    block is scored into the r NLLs before the next is drawn.
     """
     r = integer_scalar(r, "replicate count", 1)
     pis = _as_pis(pis)
     at_least = integer_array(at_least, "steps at rung >= i")
-    n_events = integer_scalar(n_events, "n_events", 0)
     if at_least.shape != (pis.size + 1,):
         raise ValueError(f"need the steps at rung >= i for i = 0..{pis.size}: "
                          "one entry more than pis")
-    rng = np.random.default_rng(seed)
+    blocks = null_blocks(at_least, n_events, r, seed)   # checks the rest before any draw
+    chain = _chain(pis)
     nlls = np.empty(r)
-    for start in range(0, r, _NULL_BLOCK):
-        rows = min(_NULL_BLOCK, r - start)
-        nlls[start:start + rows] = _nll_rows(_null_counts(at_least, n_events, rows, rng),
-                                             n_events, pis)
+    for start in range(0, r, _NULL_BLOCK):   # each block a temporary, freed before the next
+        nlls[start:start + _NULL_BLOCK] = _nll_rows(next(blocks), n_events, chain)
     return nlls
 
 

@@ -131,23 +131,23 @@ def _pwm_initializer(z: np.ndarray) -> tuple[float, float, float]:
     """Probability-weighted-moments starting point (shape, location, scale).
 
     Uses the usual rational approximation of the shape from the L-skewness;
-    falls back to a Gumbel moment fit when the approximation degenerates.
+    falls back to a Gumbel moment fit for two maxima or when it degenerates.
     """
     zs = np.sort(z)
     n = zs.size
     j = np.arange(1, n + 1, dtype=float)
     b0 = float(zs.mean())
     b1 = float(np.sum((j - 1) / (n - 1) * zs) / n)
-    b2 = float(np.sum((j - 1) * (j - 2) / ((n - 1) * (n - 2)) * zs) / n)
-    l1, l2, l3 = b0, 2 * b1 - b0, 6 * b2 - 6 * b1 + b0
+    l1, l2 = b0, 2 * b1 - b0
 
     def gumbel_init():
         sigma = l2 / math.log(2) if l2 > 0 else float(zs.std() or 1.0)
         return 0.0, l1 - _EULER_GAMMA * sigma, sigma
 
-    if l2 <= 0:
+    if l2 <= 0 or n < 3:
         return gumbel_init()
-    t3 = l3 / l2
+    b2 = float(np.sum((j - 1) * (j - 2) / ((n - 1) * (n - 2)) * zs) / n)
+    t3 = (6 * b2 - 6 * b1 + b0) / l2
     c = 2.0 / (3.0 + t3) - math.log(2) / math.log(3)
     k = 7.8590 * c + 2.9554 * c * c
     if abs(k) < 1e-6 or k <= -0.99:

@@ -380,6 +380,17 @@ def test_unconverged_fit_is_a_warning(dataset, monkeypatch):
         assert report["warnings"] == ["GEV fit did not satisfy the optimizer's convergence test"]
 
 
+def test_two_block_maxima_fit_without_a_warning(tmp_path):
+    # 16 days at delta 7 give two block maxima, the fewest --min-blocks takes; the suite
+    # turns a RuntimeWarning into an error, so a stray one fails the run
+    values = np.random.default_rng(4).poisson(3, size=16)
+    series, events = write_inputs(tmp_path, values, [2, 9], "2020-01-01")
+    code, out, err = run_cli(["pointwise", "--series", series, "--events", events,
+                              "--delta", 7, "--tau", 4, "--min-blocks", 2])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["gev"]["n_blocks"] == 2
+
+
 def test_io_error_category(dataset, tmp_path):
     series, events = dataset
     code, _, err = run_cli(["pointwise", "--series", str(series), "--events", str(events),

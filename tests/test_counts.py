@@ -34,6 +34,7 @@ from peca.multi import (
     empirical_quantile,
     expected_process_with_band,
     mc_p_value,
+    null_blocks,
     null_nll_replicates,
     steps_at_least,
     tcp_nll,
@@ -106,6 +107,10 @@ ARRAY_ENTRIES = {
                                   "need the steps at rung >= i for i = 0..1: "
                                   "one entry more than pis",
                                   "steps at rung >= i"),
+    "null_blocks-steps": (lambda v: next(null_blocks(v, 1, 2, seed=0)).tolist(), [1, 1],
+                          [[1], [1]],
+                          "steps at rung >= i, i = 0..m, must be non-negative and non-increasing",
+                          "steps at rung >= i"),
     "QtrTable": (_qtr_counts, [1, 0], [1, 0], "QTR table columns must have equal length",
                  "observed counts"),
 }
@@ -124,6 +129,10 @@ SCALAR_ENTRIES = {
                                    [0, 1], "n_events"),
     "dp_extreme_nll": (_dp_min, [LOG2, 0, 0], "n_events"),
     "null_nll_replicates-r": (_replicates, [LOG2], "replicate count"),
+    "null_blocks-n_events": (lambda v: next(null_blocks([1, 1], v, 2, seed=0)).tolist(),
+                             [[1], [1]], "n_events"),
+    "null_blocks-r": (lambda v: [len(b) for b in null_blocks([1, 1], 1, v, seed=0)], [1],
+                      "replicate count"),
     "QtrTable-n_events": (_qtr_rates, [1.0, 0.0], "n_events"),
 }
 
@@ -173,6 +182,9 @@ COUNT_FLOORS = {
     "dp_extreme_nll": {-1: "n_events must be non-negative"},
     "null_nll_replicates-r": {0: "replicate count must be at least 1",
                               -1: "replicate count must be at least 1"},
+    "null_blocks-n_events": {-1: "n_events must be non-negative"},
+    "null_blocks-r": {0: "replicate count must be at least 1",
+                      -1: "replicate count must be at least 1"},
     "QtrTable-n_events": {0: "n_events must be at least 1"},
 }
 

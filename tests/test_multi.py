@@ -13,14 +13,15 @@ from peca.multi import (
     _POSITION_DRAWS_PER_RUNG_DRAW,
     BAND_LEVEL,
     ThresholdLadder,
+    _chain,
     _nll_rows,
-    _null_counts,
     build_ladder_from_quantiles,
     compute_tcp,
     dp_extreme_nll,
     empirical_quantile,
     expected_process_with_band,
     mc_p_value,
+    null_blocks,
     null_nll_replicates,
     steps_at_least,
     success_probabilities,
@@ -306,14 +307,19 @@ def counting_rngs(monkeypatch):
     return made
 
 
-def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
+def null_counts(at_least, n, r, rng):
+    """Every block of ``null_blocks``, drawn from ``rng`` and stacked: r rows of counts."""
+    return np.concatenate(list(null_blocks(at_least, n, r, rng)))
+
+
+def test_null_blocks_take_positions_while_they_are_fewer_draws(counting_rngs):
     # two random rungs (0 < A_i < A_{i-1} at rungs 1 and 3)
     sizes = (20, 0, 15, 0, 0, 10, 0)
     m = len(sizes) - 1
     rungs = np.repeat(np.arange(m + 1), sizes)
     most = _POSITION_DRAWS_PER_RUNG_DRAW * 2
     for n, method in ((most, "count"), (most + 1, "marginals")):
-        counts = _null_counts(steps_at_least(rungs, m), n, 300, np.random.default_rng(3))
+        counts = null_counts(steps_at_least(rungs, m), n, 300, np.random.default_rng(3))
         assert counting_rngs[-1].methods == [method]
         # a certain rung repeats the count below it, and an empty one is 0
         np.testing.assert_array_equal(counts[:, 1], counts[:, 0])
@@ -323,7 +329,7 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
         assert counts.shape == (300, m) and counts.max() <= n
     # every step on one rung: no count is random, under either method
     for n, method in ((0, "count"), (6, "marginals")):
-        counts = _null_counts(steps_at_least(np.full(10, 2), 4), n, 30, np.random.default_rng(3))
+        counts = null_counts(steps_at_least(np.full(10, 2), 4), n, 30, np.random.default_rng(3))
         np.testing.assert_array_equal(counts, [[n, n, 0, 0]] * 30)
         assert counting_rngs[-1].methods == [method]
     assert all(rng.hypergeometric_calls == 0 for rng in counting_rngs)
@@ -339,11 +345,11 @@ def test_null_counts_take_positions_while_they_are_fewer_draws(counting_rngs):
     ((3, 0, 5, 4, 0), 0, "count"), ((2, 2), 4, "count"), ((3, 0, 5, 4, 0), 12, "marginals"),
 ], ids=["count", "count-complement", "marginals-complement", "marginals",
         "no-events", "every-step-count", "every-step-marginals"])
-def test_null_counts_follow_the_exact_placement_law(counting_rngs, sizes, n, method):
+def test_null_blocks_follow_the_exact_placement_law(counting_rngs, sizes, n, method):
     m = len(sizes) - 1
     rungs = np.repeat(np.arange(m + 1), sizes)
-    drawn = _null_counts(steps_at_least(rungs, m), n, 20000, np.random.default_rng(8))
-    assert counting_rngs[-1].methods == [method]
+    drawn = null_counts(steps_at_least(rungs, m), n, 20000, np.random.default_rng(8))
+    assert counting_rngs[-1].methods == [method] * math.ceil(20000 / _NULL_BLOCK)
     assert placement_p_value(drawn, placement_law(rungs, n, m)) > 1e-3
 
 
@@ -398,23 +404,32 @@ def test_one_null_draw_scores_several_event_sets():
         mc_p_value(statistic, np.array([]))
 
 
-def test_null_counts_edge_cases():
+def test_null_blocks_edge_cases():
     rungs = np.array([2, 0, 1, 2, 2, 0, 1, 0])
     # no events: every count is zero, and so is every NLL
     at_least = steps_at_least(rungs, 3)
-    np.testing.assert_array_equal(_null_counts(at_least, 0, 5, np.random.default_rng(0)), 0)
+    np.testing.assert_array_equal(null_counts(at_least, 0, 5, np.random.default_rng(0)), 0)
     np.testing.assert_array_equal(null_nll_replicates(at_least, 0, [0.5, 0.3, 0.1], 5, seed=0),
                                   0.0)
     # rung 3 has no step, so its count is always zero
-    counts = _null_counts(at_least, 4, 200, np.random.default_rng(1))
+    counts = null_counts(at_least, 4, 200, np.random.default_rng(1))
     np.testing.assert_array_equal(counts[:, 2], 0)
     assert counts[:, 0].max() <= 5 and counts[:, 1].max() <= 3
     # every step drawn: four sit at the top rung, the late one at rung 0
-    full = _null_counts(steps_at_least(np.array([3, 3, 3, 3, 0]), 3), 5, 20,
-                        np.random.default_rng(2))
+    full = null_counts(steps_at_least(np.array([3, 3, 3, 3, 0]), 3), 5, 20,
+                       np.random.default_rng(2))
     np.testing.assert_array_equal(full, [[4, 4, 4]] * 20)
-    with pytest.raises(ValueError):
-        _null_counts(at_least, 9, 5, np.random.default_rng(0))   # more events than steps
+    # a ladder of no rungs: every block is r rows of no count
+    assert [b.shape for b in null_blocks([8], 3, 5, seed=0)] == [(5, 0)]
+    # bad input raises on the call, before any block is asked for
+    for args, message in (((at_least, 9, 5), "cannot place 9 events on 8 steps"),
+                          (([8, 3, 5], 3, 5), "non-increasing"),
+                          (((), 0, 5), "non-increasing"),
+                          ((at_least, -1, 5), "n_events must be non-negative"),
+                          ((at_least, 2, 0), "replicate count must be at least 1"),
+                          ((at_least, 2, 2.5), "replicate count must be integer-valued")):
+        with pytest.raises(ValueError, match=message):
+            null_blocks(*args, seed=0)
     with pytest.raises(ValueError):
         steps_at_least(rungs, 1)                                 # rung above m
     with pytest.raises(ValueError):
@@ -467,9 +482,41 @@ BLOCK_RUNGS = np.random.default_rng(17).permutation(
 BLOCK_PIS = np.array([0.6, 0.4, 0.2, 0.1])
 
 
+def running_counts(placed):
+    """Counts at rung >= 1..4 of NumPy's events per rung, rung 4 down to 0."""
+    return np.cumsum(placed, axis=1)[:, 3::-1]
+
+
 def drawn_nlls(placed, n):
-    """NLLs of NumPy's events per rung, rung 4 down to 0, as ``_null_counts`` reads them."""
-    return _nll_rows(np.cumsum(placed, axis=1)[:, 3::-1], n, BLOCK_PIS)
+    """NLLs of NumPy's events per rung, rung 4 down to 0, as ``null_blocks`` reads them."""
+    return _nll_rows(running_counts(placed), n, _chain(BLOCK_PIS))
+
+
+@pytest.mark.parametrize("r", [1, _NULL_BLOCK - 1, _NULL_BLOCK, _NULL_BLOCK + 1,
+                               2 * _NULL_BLOCK + 1])
+@pytest.mark.parametrize("n, method", [(6, "count"), (13, "marginals")],
+                         ids=["count", "marginals"])
+def test_null_blocks_split_one_stream(counting_rngs, r, n, method):
+    at_least = steps_at_least(BLOCK_RUNGS, 4)
+    colors = -np.diff(at_least, append=0)[::-1]
+    blocks = null_blocks(at_least, n, r, seed=7)
+    assert counting_rngs[0].methods == []          # the call sets up; drawing waits for next()
+    blocks = list(blocks)
+    # ceil(r / _NULL_BLOCK) blocks of four counts, each full but the last
+    assert len(blocks) == math.ceil(r / _NULL_BLOCK)
+    assert [b.shape for b in blocks[:-1]] == [(_NULL_BLOCK, 4)] * (len(blocks) - 1)
+    assert blocks[-1].shape == (r - _NULL_BLOCK * (len(blocks) - 1), 4)
+    assert counting_rngs[0].methods == [method] * len(blocks)
+    # the running sums of one Generator's per-block draws
+    rng = np.random.default_rng(7)
+    for block in blocks:
+        np.testing.assert_array_equal(block, running_counts(rng.multivariate_hypergeometric(
+            colors, n, size=len(block), method=method)))
+    # "marginals" reads the stream alike in blocks and in one call of all r rows
+    if method == "marginals":
+        one_call = np.random.default_rng(7).multivariate_hypergeometric(colors, n, size=r,
+                                                                        method=method)
+        np.testing.assert_array_equal(np.concatenate(blocks), running_counts(one_call))
 
 
 @pytest.mark.parametrize("r", [_NULL_BLOCK - 1, _NULL_BLOCK, _NULL_BLOCK + 1, 2 * _NULL_BLOCK + 1])
@@ -513,6 +560,9 @@ def test_null_memory_grows_by_one_float_per_replicate(n):
     # the NLL vector's 8 bytes, not an (r, m + 1) count matrix's 8 * (m + 1) = 264;
     # below 16, what even a ladder of one rung would add per replicate
     assert 8.0 <= growth < 16.0
+    # one block of counts at a time: a second block adds its NLLs, 8 bytes a replicate,
+    # and is drawn after the first is dropped, not beside it
+    assert peak(2 * _NULL_BLOCK) - peak(_NULL_BLOCK) < 16 * _NULL_BLOCK
 
 
 def test_mc_pvalue_counting_rule():

@@ -5,6 +5,7 @@ fitter against samples with known parameters, and the GEV survival function
 at hand-computable points.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -184,6 +185,19 @@ def test_fit_from_the_gumbel_moment_start():
     c, loc, scale = genextreme.fit(z)
     assert fit.nll <= -genextreme.logpdf(z, c, loc, scale).sum() + 1e-6
     assert abs(fit.params.shape) < 0.05
+
+
+def test_two_maxima_take_the_gumbel_start():
+    # two maxima have no third L-moment: the start is the Gumbel moment fit, without a
+    # warning, and the fit from it is the one that the nan shape estimate used to reach
+    b0, b1 = 1.25, 1.0                # of the sorted sample (0.5, 2.0)
+    sigma = (2 * b1 - b0) / math.log(2)
+    assert _pwm_initializer(np.array([2.0, 0.5])) == (0.0, b0 - _EULER_GAMMA * sigma, sigma)
+    fit = fit_gev_mle([0.5, 2.0], min_samples=2)
+    assert (fit.converged, fit.n_samples) == (False, 2)
+    assert [*dataclasses.astuple(fit.params), fit.nll] == pytest.approx(
+        [7.0983082730865785, 0.5041972372937367, 0.029793295127512477, -8.723614145042596],
+        rel=1e-9)
 
 
 def test_fit_refuses_tiny_or_degenerate_samples():
