@@ -193,7 +193,7 @@ def _chain(pis: np.ndarray) -> tuple[float, list[float]]:
 def _nll_rows(counts: np.ndarray, n_events: int, chain: tuple[float, list[float]]) -> np.ndarray:
     """Process NLL for each row of a (rows, M) count matrix, chain from ``_chain`` (unchecked)."""
     first, ratios = chain
-    total = -binom_logpmf(counts[:, 0], n_events, first)
+    total = 0.0 - binom_logpmf(counts[:, 0], n_events, first)
     for i, rho in enumerate(ratios, 1):
         total = total - binom_logpmf(counts[:, i], counts[:, i - 1], rho)
     return total
@@ -207,7 +207,8 @@ def tcp_nll(counts, n_events: int, pis) -> float:
     they are read by ``series.integer_array``, and ``n_events`` by
     ``series.integer_scalar``.  The first term scores the
     lowest-threshold count against Binomial(n_events, pis[0]), each later
-    one against Binomial(previous count, pis[i] / pis[i-1] clamped to 1).
+    one against Binomial(previous count, pis[i] / pis[i-1] clamped to 1).  A process
+    whose every rung is certain (pi 1, count n_events) scores +0.0, never -0.0.
     """
     counts = integer_array(counts, "counts").ravel()
     n_events = integer_scalar(n_events, "n_events", 0)
@@ -310,8 +311,9 @@ def expected_process_with_band(n_events: int, pis):
     """Central ``BAND_LEVEL`` binomial band for the process counts, the band the QTR chart draws.
 
     Returns (lower, upper): the (1 - BAND_LEVEL) / 2 and (1 + BAND_LEVEL) / 2
-    quantiles of Binomial(n_events, pi) at each threshold.  A quantile q is
-    the smallest count whose distribution function reaches q.
+    quantiles of Binomial(n_events, pi) at each threshold.  A quantile q is the smallest
+    count whose distribution function reaches q; at pi = 1 that function is [0, ..., 0, 1],
+    so both bounds are n_events.
     """
     n_events = integer_scalar(n_events, "n_events", 0)
     pis = _as_pis(pis)
@@ -319,11 +321,8 @@ def expected_process_with_band(n_events: int, pis):
     # (1 - 0.95) / 2 is 0.025000000000000022, not 0.025: keep the computed quantiles
     q_lo, q_hi = (1.0 - BAND_LEVEL) / 2.0, (1.0 + BAND_LEVEL) / 2.0
     for i, pi in enumerate(pis):
-        if pi >= 1.0:   # speed only: saturated rungs, most of a long series' ladder, skip the cdf
-            lower[i] = upper[i] = n_events
-        else:
-            cmf = binom_cdf(n_events, pi)
-            lower[i], upper[i] = np.minimum(np.searchsorted(cmf, (q_lo, q_hi)), n_events)
+        cmf = binom_cdf(n_events, pi)
+        lower[i], upper[i] = np.minimum(np.searchsorted(cmf, (q_lo, q_hi)), n_events)
     return lower, upper
 
 
@@ -333,7 +332,7 @@ def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, np.ndarra
     Dynamic program over the count value at each threshold (a count is
     feasible when it does not exceed its predecessor), O(M * n_events^2).
     ``direction`` is "min" or "max".  Returns the optimal statistic together
-    with the counts of a process attaining it.
+    with the counts of a process attaining it.  With every rung certain the minimum is +0.0.
     """
     if direction not in ("min", "max"):
         raise ValueError('direction must be "min" or "max"')
@@ -343,7 +342,7 @@ def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, np.ndarra
 
     first, ratios = _chain(_as_pis(pis))
     ks = np.arange(n + 1)
-    best = -binom_logpmf(ks, n, first)
+    best = 0.0 - binom_logpmf(ks, n, first)
     back: list[np.ndarray] = []
     k_grid, prev_grid = ks[None, :], ks[:, None]
     infeasible = k_grid > prev_grid

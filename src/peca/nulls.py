@@ -386,7 +386,7 @@ def binom_tail(k: int, n: int, p: float) -> float:
 
     The pmf terms for n down to 0 are accumulated in log space, as in
     ``binom_cdf``, so small tails keep their relative accuracy and the result
-    is non-increasing in k.  Exactly 1.0 for k <= 0.
+    is non-increasing in k.  Exactly 1.0 for k <= 0, and at p = 1 for every k <= n.
     """
     k = integer_scalar(k, "binomial k")
     n = integer_scalar(n, "binomial n", 0)
@@ -395,8 +395,6 @@ def binom_tail(k: int, n: int, p: float) -> float:
         return 1.0
     if k > n:
         return 0.0
-    if p == 1.0:   # speed only: saturated rungs, most of a long series' ladder, skip the sum
-        return 1.0
     tails = np.logaddexp.accumulate(binom_logpmf(np.arange(n, -1, -1), n, p))
     return min(1.0, math.exp(tails[n - k]))
 

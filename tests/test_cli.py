@@ -496,6 +496,21 @@ def test_multi_infinite_statistic_written_as_null(dataset, tmp_path):
                for w in report["warnings"])
 
 
+def test_multi_certain_process_writes_positive_zero(dataset, tmp_path):
+    # at --qlo 0 --qhi 0 the one rung is the series' minimum, certain under the fitted GEV,
+    # and the observed and the typical replicate process count every event there: NLL +0.0
+    series, events = dataset
+    out = tmp_path / "r.json"
+    code, _, _ = run_cli(["multi", "--series", series, "--events", events, "--qlo", "0",
+                          "--qhi", "0", "--r", "200", "--out", out])
+    assert code == 0
+    text = out.read_text()
+    test = json.loads(text)["multi_test"]
+    for field in ("statistic", "null_min", "null_median"):
+        assert (test[field], math.copysign(1.0, test[field])) == (0.0, 1.0), field
+    assert re.findall(r"-0\.0(?![0-9])", text) == []
+
+
 def test_multi_rejects_zero_events(dataset, tmp_path):
     series, _ = dataset
     events = tmp_path / "none.txt"

@@ -240,8 +240,21 @@ def test_nll_infinite_only_off_support():
     assert np.isfinite(ok)
 
 
+def positive_zero(v):
+    """True for +0.0 only: ``v == 0.0`` alone cannot tell it from -0.0, which a report writes."""
+    return v == 0.0 and math.copysign(1.0, v) == 1.0
+
+
 def test_nll_certain_outcome_scores_zero():
-    assert tcp_nll(np.array([4]), 4, np.array([1.0])) == 0.0
+    assert positive_zero(tcp_nll(np.array([4]), 4, np.array([1.0])))
+    for n, m in ((0, 1), (1, 1), (4, 3), (1000, 8)):
+        assert positive_zero(tcp_nll([n] * m, n, [1.0] * m))
+
+
+def test_null_replicates_of_a_certain_process_score_positive_zero():
+    # every step sits on the top rung, so every replicate counts all 3 events at both rungs
+    nlls = null_nll_replicates([10, 10, 10], 3, [1.0, 1.0], 5, 0)
+    assert [positive_zero(v) for v in nlls.tolist()] == [True] * 5
 
 
 def test_nll_tied_probabilities_force_equal_counts():
@@ -595,9 +608,10 @@ def test_expected_band_exact_quantiles():
 
 
 def test_expected_band_degenerate_pi():
-    lower, upper = expected_process_with_band(10, np.array([1.0, 1.0]))
-    assert lower.tolist() == [10, 10]
-    assert upper.tolist() == [10, 10]
+    # a certain rung's distribution function is [0, ..., 0, 1]: both quantiles are n
+    for n in (0, 1, 2, 10, 17, 1000, 2048):
+        lower, upper = expected_process_with_band(n, np.array([1.0, 1.0, 0.5]))
+        assert (lower[:2].tolist(), upper[:2].tolist()) == ([n, n], [n, n])
 
 
 def test_expected_band_validation():
@@ -623,6 +637,17 @@ def test_dp_extremes_equal_brute_force():
         # the returned witnesses must attain their own statistic
         assert tcp_nll(proc_lo, n, pis) == lo
         assert tcp_nll(proc_hi, n, pis) == hi
+
+
+def test_dp_extremes_of_certain_processes_are_positive_zero():
+    for pis in ([0.5], [1.0, 1.0], [0.9, 0.3, 0.1]):   # no events: one process, in both directions
+        for direction in ("min", "max"):
+            statistic, counts = dp_extreme_nll(0, pis, direction)
+            assert positive_zero(statistic)
+            assert counts.tolist() == [0] * len(pis)
+    statistic, counts = dp_extreme_nll(5, [1.0, 1.0, 1.0], "min")   # every rung certain
+    assert positive_zero(statistic)
+    assert counts.tolist() == [5, 5, 5]
 
 
 def test_dp_direction_validation():

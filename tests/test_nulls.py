@@ -235,7 +235,10 @@ def test_binom_tail_edges():
     for n in (1, 2, 5, 17, 1000):   # p = 0 takes the general path: exactly 0 for every k >= 1
         assert [binom_tail(k, n, 0.0) for k in range(n + 2)] == [1.0] + [0.0] * (n + 1)
     assert binom_tail(11, 10, 0.9) == 0.0
-    assert binom_tail(10, 10, 1.0) == 1.0
+    # p = 1 too: its one term exp(0) gives exactly 1.0 up to k = n, and the -inf terms leave
+    # np.logaddexp.accumulate silent (the suite turns a RuntimeWarning into an error)
+    for n in (0, 1, 2, 17, 1000, 2048):
+        assert [binom_tail(k, n, 1.0) for k in range(-1, n + 2)] == [1.0] * (n + 2) + [0.0]
 
 
 def test_binom_tail_deep_tail_stays_positive():
