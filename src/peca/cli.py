@@ -345,6 +345,11 @@ def run_simulate(preset: str, seed: int | None, out_dir, length: int | None = No
     return summary
 
 
+def int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, argparse's type for ``--orders``: a bad one is a usage error."""
+    return tuple(int(tok) for tok in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     defaults = AnalysisConfig()
     parser = argparse.ArgumentParser(
@@ -394,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--out", required=True, help="output directory")
     si.add_argument("--length", type=int, help="override the series length")
     si.add_argument("--replicates", type=int, help="override the replicate count")
-    si.add_argument("--orders", help="comma-separated filter orders (appendix-b1 only)")
+    si.add_argument("--orders", type=int_list, help="filter orders, as 0,32,64 (appendix-b1 only)")
     return parser
 
 
@@ -433,11 +438,8 @@ def main(argv=None) -> int:
                 if args.svg:
                     write_qtr_svg(table, args.svg, title="quantile-trigger-rate")
         else:
-            orders = None
-            if args.orders is not None:
-                orders = tuple(int(tok) for tok in args.orders.split(","))
             summary = run_simulate(args.preset, args.seed, args.out, length=args.length,
-                                   replicates=args.replicates, orders=orders)
+                                   replicates=args.replicates, orders=args.orders)
             _emit_report(summary, None)
     except IngestError as exc:
         return _fail("ingest", exc)

@@ -2,11 +2,11 @@
 
 Counting trigger coincidences at a rising ladder of thresholds yields a
 non-increasing count vector, the trigger coincidence process.  Under the
-null the process has a Markov chain structure: the count at the lowest
-threshold is binomial over the events, and each higher count is a binomial
-thinning of the previous one, because a window exceeding the higher
-threshold also exceeds the lower.  The negative log-likelihood of the whole
-process is the test statistic; its null distribution is estimated by
+null the process is a Markov chain from k_0 = n, the number of events: each
+count is a binomial thinning of the one below it (success probability pi_1, then
+pi_i / pi_{i-1}), because a window exceeding the higher threshold also exceeds
+the lower.  The negative log-likelihood of the whole process is the test
+statistic; its null distribution is estimated by
 re-placing the events uniformly at random.  Only the rung of each step
 (see ``rung_index``) enters the counts, so the re-placed process is the
 hypergeometric analogue of the binomial chain: the events per rung are
@@ -185,17 +185,17 @@ def _as_pis(pis, m: int | None = None) -> np.ndarray:
     return pis
 
 
-def _chain(pis: np.ndarray) -> tuple[float, list[float]]:
-    """The chain's success probabilities: pis[0], then each pis[i] / pis[i-1] clamped to 1."""
-    return float(pis[0]), np.minimum(pis[1:] / pis[:-1], 1.0).tolist()
+def _chain(pis: np.ndarray) -> list[float]:
+    """The chain's m step probabilities: pis[0], then each pis[i] / pis[i-1] clamped to 1."""
+    return [float(pis[0]), *np.minimum(pis[1:] / pis[:-1], 1.0).tolist()]
 
 
-def _nll_rows(counts: np.ndarray, n_events: int, chain: tuple[float, list[float]]) -> np.ndarray:
+def _nll_rows(counts: np.ndarray, n_events: int, chain: list[float]) -> np.ndarray:
     """Process NLL for each row of a (rows, M) count matrix, chain from ``_chain`` (unchecked)."""
-    first, ratios = chain
-    total = 0.0 - binom_logpmf(counts[:, 0], n_events, first)
-    for i, rho in enumerate(ratios, 1):
-        total = total - binom_logpmf(counts[:, i], counts[:, i - 1], rho)
+    total, prev = 0.0, n_events
+    for i, rho in enumerate(chain):
+        total = total - binom_logpmf(counts[:, i], prev, rho)
+        prev = counts[:, i]
     return total
 
 
@@ -205,10 +205,10 @@ def tcp_nll(counts, n_events: int, pis) -> float:
     ``counts`` are the process's counts of ``n_events`` events along the
     ladder (see ``compute_tcp``): each in [0, n_events], non-increasing;
     they are read by ``series.integer_array``, and ``n_events`` by
-    ``series.integer_scalar``.  The first term scores the
-    lowest-threshold count against Binomial(n_events, pis[0]), each later
-    one against Binomial(previous count, pis[i] / pis[i-1] clamped to 1).  A process
-    whose every rung is certain (pi 1, count n_events) scores +0.0, never -0.0.
+    ``series.integer_scalar``.  The chain starts from k_0 = n_events and scores each count
+    against Binomial(previous count, pis[0], then pis[i] / pis[i-1] clamped to 1); the NLL
+    is finite exactly on processes of positive likelihood.  A process whose every rung is
+    certain (pi 1, count n_events) scores +0.0, never -0.0.
     """
     counts = integer_array(counts, "counts").ravel()
     n_events = integer_scalar(n_events, "n_events", 0)
@@ -327,35 +327,26 @@ def expected_process_with_band(n_events: int, pis):
 
 
 def dp_extreme_nll(n_events: int, pis, direction: str) -> tuple[float, np.ndarray]:
-    """Exact extreme of the process NLL over every feasible count vector.
+    """Exact extreme of the process NLL over every process of positive likelihood.
 
-    Dynamic program over the count value at each threshold (a count is
-    feasible when it does not exceed its predecessor), O(M * n_events^2).
-    ``direction`` is "min" or "max".  Returns the optimal statistic together
-    with the counts of a process attaining it.  With every rung certain the minimum is +0.0.
+    Dynamic program over the count at each threshold from k_0 = n_events, a step allowed
+    when its ``binom_logpmf`` term is finite, O(M * n_events^2).  ``direction`` is "min" or
+    "max", found as the minimum of -NLL.  Returns the optimal statistic together with the
+    counts of a process attaining it; with every rung certain, or no events, it is +0.0.
     """
     if direction not in ("min", "max"):
         raise ValueError('direction must be "min" or "max"')
     n = integer_scalar(n_events, "n_events", 0)
-    minimize = direction == "min"
-    bad = math.inf if minimize else -math.inf
-
-    first, ratios = _chain(_as_pis(pis))
+    sign = 1.0 if direction == "min" else -1.0
     ks = np.arange(n + 1)
-    best = 0.0 - binom_logpmf(ks, n, first)
-    back: list[np.ndarray] = []
-    k_grid, prev_grid = ks[None, :], ks[:, None]
-    infeasible = k_grid > prev_grid
-    for rho in ratios:
-        trans = -binom_logpmf(k_grid, prev_grid, rho)
-        cost = np.where(infeasible, bad, best[:, None] + trans)
-        arg = np.argmin(cost, axis=0) if minimize else np.argmax(cost, axis=0)
-        best = cost[arg, np.arange(n + 1)]
-        back.append(arg)
+    prev, best, back = np.array([n]), np.zeros(1), []
+    for rho in _chain(_as_pis(pis)):
+        step = binom_logpmf(ks, prev[:, None], rho)
+        cost = best[:, None] + np.where(step > -np.inf, -sign * step, np.inf)
+        back.append(np.argmin(cost, axis=0))
+        prev, best = ks, cost[back[-1], ks]
 
-    last = int(np.argmin(best) if minimize else np.argmax(best))
-    path = [last]
-    for arg in reversed(back):
+    path = [int(np.argmin(best))]
+    for arg in reversed(back[1:]):
         path.append(int(arg[path[-1]]))
-    path.reverse()
-    return float(best[last]), np.array(path, dtype=np.int64)
+    return 0.0 + sign * float(best[path[0]]), np.array(path[::-1], dtype=np.int64)

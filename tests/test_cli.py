@@ -713,15 +713,22 @@ def test_numpy_real_and_bool_settings_report_as_python_numbers(dataset, real):
     assert reports[2][0]["config"]["preprocess"] is True
 
 
-def test_usage_errors_exit_2_with_argparse_text(dataset, capsys):
-    # argparse refuses a fractional integer option before any JSON error handling runs
+@pytest.mark.parametrize("argv, error", [
+    (["multi", "--series", "{series}", "--events", "{events}", "--delta", "7.5"],
+     "argument --delta: invalid int value: '7.5'"),
+    (["simulate", "--preset", "appendix-b1", "--orders", "0,x", "--out", "{out}"],
+     "argument --orders: invalid int_list value: '0,x'"),
+], ids=["delta", "orders"])
+def test_usage_errors_exit_2_with_argparse_text(dataset, tmp_path, capsys, argv, error):
+    # argparse refuses a value of the wrong type before any JSON error handling or output
     series, events = dataset
+    out = tmp_path / "study"
     with pytest.raises(SystemExit) as raised:
-        peca.cli.main(["multi", "--series", str(series), "--events", str(events),
-                       "--delta", "7.5"])
-    out, err = capsys.readouterr()
-    assert (raised.value.code, out) == (2, "")
-    assert err.endswith("argument --delta: invalid int value: '7.5'\n")
+        peca.cli.main([a.format(series=series, events=events, out=out) for a in argv])
+    stdout, err = capsys.readouterr()
+    assert (raised.value.code, stdout) == (2, "")
+    assert err.endswith(error + "\n")
+    assert not out.exists()
 
 
 def test_analysis_config_validation():

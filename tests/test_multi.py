@@ -621,10 +621,16 @@ def test_expected_band_validation():
 
 def test_dp_extremes_equal_brute_force():
     rng = np.random.default_rng(5)
+    drawn = []
     for _ in range(40):
         m = int(rng.integers(1, 4))
         n = int(rng.integers(1, 7))
-        pis = np.sort(rng.uniform(0.05, 0.95, size=m))[::-1].copy()
+        drawn.append((n, np.sort(rng.uniform(0.05, 0.95, size=m))[::-1].copy()))
+    # a certain rung and tied rungs (chain ratio 1) allow only some processes
+    fixed = [(n, pis) for pis in ([1.0, 0.5], [0.6, 0.6, 0.3], [1.0, 1.0, 0.5])
+             for n in (0, 1, 3, 6)]
+    for n, pis in drawn + fixed:
+        m = len(pis)
         nlls = []
         for ks in monotone_processes(m, n):
             v = tcp_nll(np.array(ks), n, pis)
@@ -645,9 +651,10 @@ def test_dp_extremes_of_certain_processes_are_positive_zero():
             statistic, counts = dp_extreme_nll(0, pis, direction)
             assert positive_zero(statistic)
             assert counts.tolist() == [0] * len(pis)
-    statistic, counts = dp_extreme_nll(5, [1.0, 1.0, 1.0], "min")   # every rung certain
-    assert positive_zero(statistic)
-    assert counts.tolist() == [5, 5, 5]
+    for direction in ("min", "max"):   # every rung certain: one process of positive likelihood
+        statistic, counts = dp_extreme_nll(5, [1.0, 1.0, 1.0], direction)
+        assert positive_zero(statistic)
+        assert counts.tolist() == [5, 5, 5]
 
 
 def test_dp_direction_validation():
