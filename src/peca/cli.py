@@ -36,9 +36,8 @@ __all__ = ["AnalysisConfig", "run_pointwise", "run_multi", "run_simulate", "main
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Analysis settings; defaults suit daily data with a week of tolerance.  Each is read by
-    ``series.integer_scalar``, ``real_scalar`` or ``bool_scalar`` and stored as the Python int,
-    float or bool read, so a fraction, text or nan raises ValueError and reports dump as JSON."""
+    """Analysis settings; defaults suit daily data with a week of tolerance.  Each is stored
+    as the Python int, float or bool read, so reports dump as JSON."""
 
     delta: int = 7
     qlo: float = 0.75

@@ -23,7 +23,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .series import EventSeries, TimeSeries, bool_scalar
+from .series import EventSeries, TimeSeries, bool_scalar, integer_scalar
 
 __all__ = ["IngestError", "DayGrid", "ingest_timeseries", "ingest_events"]
 
@@ -38,6 +38,9 @@ class DayGrid:
 
     start: date
     length: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "length", integer_scalar(self.length, "series length", 1))
 
     @property
     def end(self) -> date:

@@ -51,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThresholdLadder:
-    """Strictly increasing thresholds and optional quantile levels, read by ``real_array``."""
+    """Strictly increasing thresholds and optional quantile levels."""
 
     thresholds: np.ndarray
     levels: np.ndarray | None = None
@@ -84,8 +84,8 @@ def _quantile_rank(t: int, p: float) -> int:
 def empirical_quantile(values: np.ndarray, p: float) -> float:
     """Inverse-CDF quantile on order statistics: level p maps to the ceil(p*T)-th smallest.
 
-    Level 0 maps to the minimum.  ``values``, read by ``series.real_array``, need not be
-    sorted; one partition finds the order statistic.
+    Level 0 maps to the minimum.  ``values`` need not be sorted; one partition finds the
+    order statistic.
     """
     values = real_array(values, "values").ravel()
     rank = _quantile_rank(values.size, p)
@@ -119,7 +119,7 @@ def success_probabilities(ladder: ThresholdLadder, theta: GevParams) -> np.ndarr
     support, as a fit with negative shape can put it below the series
     maximum, or so far in the tail that the probability underflows.
     """
-    pis = np.array([gev_sf(float(t), theta) for t in ladder.thresholds])
+    pis = np.array([gev_sf(t, theta) for t in ladder.thresholds])
     if np.any(pis <= 0.0):
         i = int(np.argmax(pis <= 0.0))
         tau = float(ladder.thresholds[i])
@@ -145,9 +145,8 @@ def steps_at_least(rungs, m: int) -> np.ndarray:
     event is counted at threshold i, the counterpart of
     ``success_probabilities`` read off the series without the GEV fit.  Of
     event sets' rungs, entries 1..m are their trigger counts (see
-    ``compute_tcp``).  Rungs are read by ``series.integer_array`` and m by ``integer_scalar``;
-    one ``bincount`` counts every row, offset by m + 1 per row, and a reversed running sum
-    accumulates.
+    ``compute_tcp``).  One ``bincount`` counts every row, offset by m + 1 per row, and a
+    reversed running sum accumulates.
     """
     rungs, m = integer_array(rungs, "rungs"), integer_scalar(m, "m", 0)
     if np.any((rungs < 0) | (rungs > m)):
@@ -203,12 +202,11 @@ def tcp_nll(counts, n_events: int, pis) -> float:
     """Negative log-likelihood of a trigger coincidence process under the chained null.
 
     ``counts`` are the process's counts of ``n_events`` events along the
-    ladder (see ``compute_tcp``): each in [0, n_events], non-increasing;
-    they are read by ``series.integer_array``, and ``n_events`` by
-    ``series.integer_scalar``.  The chain starts from k_0 = n_events and scores each count
-    against Binomial(previous count, pis[0], then pis[i] / pis[i-1] clamped to 1); the NLL
-    is finite exactly on processes of positive likelihood.  A process whose every rung is
-    certain (pi 1, count n_events) scores +0.0, never -0.0.
+    ladder (see ``compute_tcp``): each in [0, n_events], non-increasing.  The chain starts
+    from k_0 = n_events and scores each count against Binomial(previous count, pis[0], then
+    pis[i] / pis[i-1] clamped to 1); the NLL is finite exactly on processes of positive
+    likelihood.  A process whose every rung is certain (pi 1, count n_events) scores +0.0,
+    never -0.0.
     """
     counts = integer_array(counts, "counts").ravel()
     n_events = integer_scalar(n_events, "n_events", 0)
@@ -238,16 +236,17 @@ _NULL_BLOCK = 2048
 def null_blocks(at_least, n_events: int, r: int, seed) -> Iterator[np.ndarray]:
     """Counts of r uniform re-placements of n_events events, in (rows, m) blocks.
 
-    ``at_least`` is A_0..A_m (see ``steps_at_least``), read by ``series.integer_array``, and
-    ``n_events`` and ``r`` by ``integer_scalar``, all on the call, which also sets the draw
-    up.  The iterator then yields blocks of ``_NULL_BLOCK`` rows, the last one partial, from
-    one ``np.random.default_rng(seed)`` (a Generator is used as it is).  Each is one
-    ``multivariate_hypergeometric`` draw of the events per rung, rung m down to 0, summed up
-    to the count at rung >= i.  NumPy's ``count`` method, n_events position draws per row
-    from a temporary of one integer per step, runs when n_events is at most
-    ``_POSITION_DRAWS_PER_RUNG_DRAW`` times the number of random rungs, 0 < A_i < A_{i-1};
-    its ``marginals`` method, a chain of hypergeometric draws over the rungs, otherwise.  A
-    consumer holds one block at a time only if it drops each before asking for the next.
+    ``at_least`` is A_0..A_m (see ``steps_at_least``).  The call reads every argument and sets
+    the draw up; the iterator then yields blocks of ``_NULL_BLOCK`` rows, the last one partial,
+    from one ``np.random.default_rng(seed)`` (a Generator is used as it is).  Each is one
+    ``multivariate_hypergeometric`` draw of the events per rung, rung m down to 0, summed up to
+    the count at rung >= i.  NumPy's ``count`` method, n_events position draws per row from a
+    temporary of one integer per step, runs when n_events is at most
+    ``_POSITION_DRAWS_PER_RUNG_DRAW`` times the number of random rungs, 0 < A_i < A_{i-1}; its
+    ``marginals`` method, a chain of hypergeometric draws over the rungs, otherwise.  A
+    consumer holds one block at a time only if it drops each before asking for the next:
+    ``map`` and ``next()`` do, while a ``for`` variable or a generator expression holds the
+    previous block during each draw.
     """
     r = integer_scalar(r, "replicate count", 1)
     at_least = integer_array(at_least, "steps at rung >= i").ravel()
@@ -297,8 +296,8 @@ def mc_p_value(statistic: float, null_stats) -> float:
     The add-one rule (1 + #{null >= statistic}) / (r + 1) is never zero and
     counts ties against the alternative.  One draw of the null
     (``null_nll_replicates``) can score several event sets with the same
-    number of events.  Both are read by ``series.real_scalar`` and ``real_array`` on
-    [-inf, inf], so an infinite NLL is a statistic and nan or text raises ValueError.
+    number of events.  Both are read on [-inf, inf], so an infinite NLL is a statistic and
+    nan or text raises ValueError.
     """
     statistic = real_scalar(statistic, "statistic", -math.inf, math.inf)
     null_stats = real_array(null_stats, "null statistics", -math.inf, math.inf).ravel()

@@ -50,7 +50,7 @@ class GevFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class GevParams:
-    """GEV parameters: shape (tail index), location, scale, each read by ``real_scalar``."""
+    """GEV parameters: shape (tail index), location, scale."""
 
     shape: float
     location: float
@@ -81,9 +81,10 @@ def gev_sf(z: float, theta: GevParams) -> float:
     the support 1 + xi*(z-mu)/sigma > 0; outside the support it is 1 (xi > 0)
     or 0 (xi < 0).  Shapes within GUMBEL_SHAPE_TOL of zero use the Gumbel form
     1 - exp(-exp(-(z-mu)/sigma)).  The outer 1 - exp(-t) is evaluated as
-    -expm1(-t), so a small probability keeps its relative accuracy.
+    -expm1(-t), so a small probability keeps its relative accuracy.  ``z`` is
+    read by ``real_scalar`` as the threshold.
     """
-    s = (z - theta.location) / theta.scale
+    s = (real_scalar(z, "threshold") - theta.location) / theta.scale
     if abs(theta.shape) < GUMBEL_SHAPE_TOL:
         v = math.exp(-s)
     else:
@@ -269,8 +270,7 @@ def fit_gev_mle(maxima, min_samples: int = MIN_BLOCKS) -> GevFit:
     accepted, so the fitted support always contains the whole sample, and the
     fitted likelihood is never worse than the initializer's.  The converged
     flag reflects the optimizer's own termination test (simplex NLL spread
-    below 1e-10).  The maxima are read by ``series.real_array``, so text, nan or
-    inf raises ValueError.
+    below 1e-10).
     """
     z = real_array(maxima, "block maxima").ravel()
     min_samples = integer_scalar(min_samples, "min_samples")
@@ -350,9 +350,8 @@ def _log_factorials(n_max: int) -> np.ndarray:
 def binom_logpmf(k, n, p: float):
     """Log of the binomial pmf, vectorized over k and n; p is a scalar in [0, 1].
 
-    ``k`` and ``n`` are read by ``series.integer_array`` and ``p`` by ``series.real_scalar``:
-    a fraction, nan, inf or text raises ValueError.  Entries with k outside [0, n] get -inf.
-    The log-factorials come from a cached table (see ``_log_factorial``).
+    Entries with k outside [0, n] get -inf.  The log-factorials come from a cached table
+    (see ``_log_factorial``).
     """
     k = integer_array(k, "binomial k")
     n = integer_array(n, "binomial n")

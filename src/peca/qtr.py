@@ -20,9 +20,8 @@ __all__ = ["QtrTable", "write_csv", "write_qtr_svg"]
 
 @dataclass(frozen=True)
 class QtrTable:
-    """Observed and null-expected trigger rates along a quantile ladder; the counts are read by
-    ``series.integer_array``, ``n_events`` by ``integer_scalar`` and the rest by ``real_array``,
-    so a fraction, nan or inf raises ValueError instead of reaching a CSV or SVG."""
+    """Observed and null-expected trigger rates along a quantile ladder; every column is read
+    on construction, so no nan or inf reaches a CSV or SVG."""
 
     levels: np.ndarray
     thresholds: np.ndarray

@@ -6,6 +6,12 @@ at step t is triggered at threshold tau when the window [t, t+delta] holds a
 strict exceedance of tau.  ``rung_index`` gives every step its rung against
 an ascending ladder of thresholds, and ``multi.compute_tcp`` counts the
 events over those rungs; a single threshold is a ladder of one.
+
+Every input the library takes is read here, each by one rule: counts, sizes
+and settings by ``integer_array`` (``integer_scalar`` for one number), real
+numbers by ``real_array`` (``real_scalar`` for one number) and flags by
+``bool_scalar``.  Each refuses what it cannot read with one ValueError and
+returns the Python type that a report dumps as JSON.
 """
 
 from __future__ import annotations
@@ -91,9 +97,7 @@ def bool_scalar(value, what: str) -> bool:
 
 @dataclass(frozen=True)
 class EventSeries:
-    """Sparse binary series: sorted 1-based occurrence indices, read by ``integer_array``, on a
-    grid of ``length`` steps, read by ``integer_scalar``, so a fraction raises ValueError
-    instead of truncating."""
+    """Sparse binary series: sorted 1-based occurrence indices on a grid of ``length`` steps."""
 
     length: int
     occurrences: np.ndarray
@@ -115,7 +119,7 @@ class EventSeries:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Real-valued series, read by ``real_array``: values must be finite."""
+    """Real-valued series: values must be finite."""
 
     values: np.ndarray
 
@@ -168,11 +172,12 @@ def trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
     """Mean of each entry and the ``window`` - 1 entries before it.
 
     The first ``window`` - 1 entries average the available prefix instead of
-    a full window.  ``cumsum`` adds in sequence, so the result for a prefix
-    of ``values`` is the same prefix of the result, bit for bit.
+    a full window.  ``values`` are read by ``real_array``.  ``cumsum`` adds in
+    sequence, so the result for a prefix of ``values`` is the same prefix of
+    the result, bit for bit.
     """
     window = integer_scalar(window, "window", 1)
-    cs = np.cumsum(values, dtype=np.float64)
+    cs = np.cumsum(real_array(values, "values").ravel())
     head = min(window, cs.size)
     out = np.empty_like(cs)
     out[:head] = cs[:head] / np.arange(1, head + 1)

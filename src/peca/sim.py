@@ -36,10 +36,8 @@ class SimConfig:
 
     One series is simulated per entry of ``ma_orders``; each series is paired
     with ``replicates`` freshly drawn independent event series and evaluated
-    at every threshold in ``thresholds``.  The integer settings are read by
-    ``series.integer_scalar``, the filter orders as one array (so one order may stand alone),
-    and the thresholds by ``real_array``, and stored as ints and tuples, so a fraction, text
-    or nan raises ValueError.
+    at every threshold in ``thresholds``.  The filter orders are read as one array, so one
+    order may stand alone; they and the thresholds are stored as tuples.
     """
 
     length: int = 4096
@@ -338,5 +336,5 @@ def null_distribution_comparison(config: SimConfig) -> np.ndarray:
             cmfs[oi, ti] = (
                 np.searchsorted(np.sort(counts[:, ti]), ks, side="right") / config.replicates,
                 binom_cdf(n, bernoulli_success_prob(p_exc, config.delta)),
-                binom_cdf(n, gev_sf(float(tau), theta)))
+                binom_cdf(n, gev_sf(tau, theta)))
     return cmfs

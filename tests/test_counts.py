@@ -20,12 +20,14 @@ read on [-inf, inf], so only nan raises.  Flags take True or False only.
 """
 
 import math
+from datetime import date
 
 import numpy as np
 import pytest
 
 from peca.adjust import adjust, reject_set
 from peca.cli import AnalysisConfig, run_pointwise
+from peca.ingest import DayGrid
 from peca.multi import (
     ThresholdLadder,
     build_ladder_from_quantiles,
@@ -47,6 +49,7 @@ from peca.nulls import (
     binom_tail,
     block_maxima,
     fit_gev_mle,
+    gev_sf,
 )
 from peca.qtr import QtrTable
 from peca.series import (
@@ -226,6 +229,8 @@ SETTING_ENTRIES = {
                        {0: 0, -1: "seed must be non-negative"}),
     "EventSeries-length": (lambda v: EventSeries(v, ()).length, "series length",
                            {1: 1, 0: "series length must be at least 1"}),
+    "DayGrid-length": (lambda v: DayGrid(date(2020, 1, 1), v).length, "series length",
+                       {1: 1, 0: "series length must be at least 1"}),
     "rung_index-delta": (lambda v: rung_index(STEPS, v, [1.5]).tolist(), "delta",
                          {1: [1, 1, 1, 0], -1: "delta must be non-negative"}),
     "late_events-delta": (lambda v: late_events(EventSeries(4, [1, 4]), v).tolist(), "delta",
@@ -372,6 +377,8 @@ REAL_SCALAR_ENTRIES = {
                            (0.5, 0.5), (1, 1.0), None),
     "GevParams-scale": (lambda v: GevParams(0.0, 0.0, v).scale, "GEV scale", None,
                         (0.5, 0.5), (1, 1.0), (0.0, "GEV scale must be positive")),
+    "gev_sf": (lambda v: gev_sf(v, GevParams(0.0, 0.0, 1.0)), "threshold", None,
+               (0.5, -math.expm1(-math.exp(-0.5))), (1, -math.expm1(-math.exp(-1.0))), None),
     "binom_logpmf-p": (lambda v: binom_logpmf([0, 1], 1, v).tolist(),
                        "binomial success probability", "[0, 1]",
                        (0.25, [math.log(0.75), math.log(0.25)]), (1, [-math.inf, 0.0]),
@@ -446,6 +453,8 @@ REAL_ARRAY_ENTRIES = {
                     ([0.5, 1.0, 2.0], 3), ([0, 1, 2], 3), None),
     "empirical_quantile-values": (lambda v: empirical_quantile(v, 0.5), "values", None,
                                   ([0.5, 2.0], 0.5), ([1, 0], 0.0), None),
+    "trailing_mean-values": (lambda v: trailing_mean(v, 2).tolist(), "values", None,
+                             ([0.5, 2.0], [0.5, 1.25]), ([1, 0], [1.0, 0.5]), None),
     **{f"QtrTable-{name}": ((lambda v, name=name: _qtr_column(name, v)), name.replace("_", " "),
                             None, ([0.25, 0.5], [0.25, 0.5]), ([1, 0], [1.0, 0.0]), None)
        for name in ("levels", "thresholds", "expected_rates", "band_lower_rates",

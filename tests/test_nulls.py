@@ -80,20 +80,6 @@ def test_gev_params_validation():
         GevParams(0.0, 0.0, -1.0)
 
 
-@pytest.mark.parametrize("call, error, message", [
-    (lambda: GevParams(math.nan, 0.0, 1.0), ValueError, "GEV shape must be finite"),
-    (lambda: block_maxima(TimeSeries(np.ones(4)), -1), ValueError, "delta must be non-negative"),
-    (lambda: fit_gev_mle(np.full(40, np.nan)), ValueError, "block maxima must be finite"),
-    (lambda: binom_logpmf(1, 4, 1.5), ValueError,
-     "binomial success probability must lie in [0, 1]"),
-    (lambda: binom_tail(1, -1, 0.5), ValueError, "binomial n must be non-negative"),
-], ids=["gev-params", "block-maxima", "fit-gev-mle", "binom-logpmf", "binom-tail"])
-def test_invalid_arguments_raise_their_message(call, error, message):
-    with pytest.raises(error) as raised:
-        call()
-    assert str(raised.value) == message
-
-
 # --- block maxima ------------------------------------------------------------
 
 def test_block_maxima_small_example():

@@ -27,19 +27,13 @@ def test_observed_rates():
     np.testing.assert_allclose(t.observed_rates, [0.75, 0.45, 0.10])
 
 
-def test_zero_events_rejected():
-    with pytest.raises(ValueError, match="^n_events must be at least 1$"):
-        small_table(n_events=0)
-
-
 @pytest.mark.parametrize("column", ["levels", "thresholds", "expected_rates",
                                     "band_lower_rates", "band_upper_rates"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_non_finite_rate_or_level_rejected(column, bad):
-    # no CSV cell or SVG point can then read nan or inf
+def test_negative_infinity_in_a_column_rejected(column):
+    # no CSV cell or SVG point can then read -inf; tests/test_counts.py tries nan and inf
     table = small_table()
     values = getattr(table, column).copy()
-    values[1] = bad
+    values[1] = -np.inf
     with pytest.raises(ValueError, match=f"^{column.replace('_', ' ')} must be finite$"):
         dataclasses.replace(table, **{column: values})
 

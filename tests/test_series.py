@@ -265,9 +265,6 @@ def test_trailing_mean_matches_index_arrays():
             values = rng.exponential(3.0, size=length)
             np.testing.assert_array_equal(trailing_mean(values, window),
                                           trailing_mean_index_arrays(values, window))
-    for window in (0, -1):
-        with pytest.raises(ValueError, match="window must be at least 1"):
-            trailing_mean(np.ones(3), window)
 
 
 def test_preprocess_checks_window_before_values():
@@ -297,17 +294,6 @@ def test_event_series_validation():
         EventSeries(5, (3, 3))
     with pytest.raises(ValueError):
         EventSeries(5, (4, 2))
-    # a fractional step or length is refused, not truncated
-    with pytest.raises(ValueError, match="occurrences must be integer-valued"):
-        EventSeries(10, [1.5, 2.7])
-    with pytest.raises(ValueError, match="occurrences must be integer-valued"):
-        EventSeries(10, [1.0, float("nan")])
-    with pytest.raises(ValueError, match="occurrences must be integer-valued"):
-        EventSeries(10, ["1", "2"])
-    with pytest.raises(ValueError, match="^series length must be integer-valued$"):
-        EventSeries(10.7, [1, 10])
-    with pytest.raises(ValueError, match="^series length must be at least 1$"):
-        EventSeries(0, ())
     assert EventSeries(10, [1.0, 10.0]).occurrences.tolist() == [1, 10]
     assert EventSeries(400, ()).n_events == 0   # an empty float array
     assert EventSeries(400, np.array([])).n_events == 0

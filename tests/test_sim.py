@@ -148,10 +148,6 @@ def test_dependent_events_insufficient_exceedances():
 def test_simconfig_validation():
     with pytest.raises(ValueError, match="^series length must exceed the largest filter order$"):
         SimConfig(length=16, ma_orders=(32,))
-    with pytest.raises(ValueError, match="^n_events must be non-negative$"):
-        SimConfig(n_events=-1)
-    with pytest.raises(ValueError, match="^replicates must be at least 1$"):
-        SimConfig(replicates=0)
     with pytest.raises(ValueError, match=r"^n_events must lie in \[0, length\]$"):
         SimConfig(length=64, ma_orders=(0,), n_events=65)
     with pytest.raises(ValueError, match=r"^delta must lie in \[0, length\)$"):
@@ -162,30 +158,11 @@ def test_simconfig_validation():
         SimConfig(thresholds=())
     with pytest.raises(ValueError, match="strictly increasing"):
         SimConfig(thresholds=(4.0, 3.0))
-
-
-@pytest.mark.parametrize("thresholds", [(float("nan"), 4.0), (3.0, float("nan"), 5.0),
-                                        (3.0, float("inf"))])
-def test_simconfig_rejects_non_finite_thresholds(thresholds):
-    # NaN passes every "strictly increasing" comparison, and inf counts nothing
-    with pytest.raises(ValueError, match="thresholds must be finite"):
-        SimConfig(thresholds=thresholds)
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: SimConfig(ma_orders=()), "need at least one filter order"),
-    (lambda: SimConfig(ma_orders=(0, -1)), "filter orders must be non-negative"),
-    (lambda: SimConfig(delta=-1), "delta must be non-negative"),
-    (lambda: SimConfig(seed=-1), "seed must be non-negative"),
-    (lambda: gen_dependent_events(gen_ma_exponential(64, 0, seed=0), 1, 0.0, -1, seed=0),
-     "lag must be non-negative"),
-    (lambda: gen_dependent_events(gen_ma_exponential(64, 0, seed=0), -1, 0.0, 1, seed=0),
-     "n must be non-negative"),
-], ids=["no-orders", "negative-order", "delta", "seed", "lag", "n"])
-def test_invalid_arguments_raise_their_message(call, message):
-    with pytest.raises(ValueError) as raised:
-        call()
-    assert str(raised.value) == message
+    # nan passes every "strictly increasing" comparison
+    with pytest.raises(ValueError, match="^thresholds must be finite$"):
+        SimConfig(thresholds=(3.0, float("nan"), 5.0))
+    with pytest.raises(ValueError, match="^filter orders must be non-negative$"):
+        SimConfig(ma_orders=(0, -1))   # a negative order after a valid one
 
 
 def small_config():
