@@ -125,7 +125,7 @@ def success_probabilities(ladder: ThresholdLadder, theta: GevParams) -> np.ndarr
         tau = float(ladder.thresholds[i])
         # off the support exactly where gev_sf finds it so; elsewhere the zero is an underflow
         beyond = (theta.shape <= -GUMBEL_SHAPE_TOL
-                  and 1.0 + theta.shape * (tau - theta.location) / theta.scale <= 0.0)
+                  and 1.0 + theta.shape * ((tau - theta.location) / theta.scale) <= 0.0)
         cause = ("the fitted GEV's upper support end, location - scale/shape, "
                  f"is {theta.location - theta.scale / theta.shape!r}" if beyond
                  else "the fitted GEV's exceedance probability underflows to 0 there")

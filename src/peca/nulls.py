@@ -81,17 +81,20 @@ def gev_sf(z: float, theta: GevParams) -> float:
     the support 1 + xi*(z-mu)/sigma > 0; outside the support it is 1 (xi > 0)
     or 0 (xi < 0).  Shapes within GUMBEL_SHAPE_TOL of zero use the Gumbel form
     1 - exp(-exp(-(z-mu)/sigma)).  The outer 1 - exp(-t) is evaluated as
-    -expm1(-t), so a small probability keeps its relative accuracy.  ``z`` is
-    read by ``real_scalar`` as the threshold.
+    -expm1(-t), so a small probability keeps its relative accuracy, and is 1
+    where t overflows.  ``z`` is read by ``real_scalar`` as the threshold.
     """
     s = (real_scalar(z, "threshold") - theta.location) / theta.scale
-    if abs(theta.shape) < GUMBEL_SHAPE_TOL:
-        v = math.exp(-s)
-    else:
-        w = 1.0 + theta.shape * s
-        if w <= 0.0:
-            return 1.0 if theta.shape > 0 else 0.0
-        v = w ** (-1.0 / theta.shape)
+    try:
+        if abs(theta.shape) < GUMBEL_SHAPE_TOL:
+            v = math.exp(-s)
+        else:
+            w = 1.0 + theta.shape * s
+            if w <= 0.0:
+                return 1.0 if theta.shape > 0 else 0.0
+            v = w ** (-1.0 / theta.shape)
+    except OverflowError:
+        return 1.0
     return -math.expm1(-v)
 
 
@@ -173,28 +176,22 @@ def _nelder_mead(func, x0, maxfev: int, xatol: float,
     ``minimize(method="Nelder-Mead")`` step for step, so results agree with
     it exactly: the same initial simplex (x0 plus each coordinate scaled by
     1.05, or set to 0.00025 where it is zero), the same reflection /
-    expansion / contraction / shrink coefficients (1, 2, 0.5, 0.5), the same
-    vertex ordering and termination test (every vertex within ``xatol`` of
-    the best in every coordinate, and every value within ``fatol`` of the
-    best).  Once ``maxfev`` evaluations are spent the search stops, even in
-    the middle of an iteration; SciPy's iteration limit, infinite when only
-    ``maxfev`` is given, is left out.  Returns (x, fun, nfev, success);
-    success means the evaluation limit was not reached.
+    expansion / contraction / shrink coefficients (1, 2, 0.5, 0.5), vertex
+    ordering and termination test.  Each pass sorts the vertices by value,
+    then tests: it returns once ``maxfev`` evaluations are spent (one past
+    the budget ends a step where it stands), or once every vertex lies
+    within ``xatol`` of the best in every coordinate and every value within
+    ``fatol`` of the best; otherwise it steps.  SciPy's iteration limit,
+    infinite when only ``maxfev`` is given, is left out.  Returns (x, fun,
+    nfev, success); success means the evaluation limit was not reached.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
 
     x0 = real_array(x0, "simplex start").ravel()
     n = len(x0)
-    sim = np.empty((n + 1, n), dtype=float)
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
+    sim = np.tile(x0, (n + 1, 1))
+    np.fill_diagonal(sim[1:], np.where(x0 != 0, (1 + nonzdelt) * x0, zdelt))
     fsim = np.full((n + 1,), np.inf, dtype=float)
     nfev = 0
 
@@ -210,15 +207,13 @@ def _nelder_mead(func, x0, maxfev: int, xatol: float,
             fsim[k] = f(sim[k])
     except _BudgetSpent:
         pass
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
-
-    while nfev < maxfev:
+    while True:
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+        if nfev >= maxfev or (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                              and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            return sim[0], float(np.min(fsim)), nfev, nfev < maxfev
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = (1 + rho) * xbar - rho * sim[-1]
             fxr = f(xr)
@@ -254,11 +249,14 @@ def _nelder_mead(func, x0, maxfev: int, xatol: float,
                     fsim[j] = f(sim[j])
         except _BudgetSpent:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
 
-    return sim[0], float(np.min(fsim)), nfev, nfev < maxfev
+
+def _log_scale_nll(p, z: np.ndarray) -> float:
+    """``_gev_nll`` at p = (shape, location, log scale); +inf where the scale overflows."""
+    try:
+        return _gev_nll(p[0], p[1], math.exp(p[2]), z)
+    except OverflowError:
+        return math.inf
 
 
 def fit_gev_mle(maxima, min_samples: int = MIN_BLOCKS) -> GevFit:
@@ -279,22 +277,22 @@ def fit_gev_mle(maxima, min_samples: int = MIN_BLOCKS) -> GevFit:
     if np.ptp(z) == 0.0:
         raise GevFitError("degenerate sample: all block maxima are equal")
 
-    xi0, mu0, sigma0 = _pwm_initializer(z)
-    if not math.isfinite(_gev_nll(xi0, mu0, sigma0, z)):
-        # Widen the scale until the whole sample fits inside the support.
-        feasible = False
-        for _ in range(80):
-            sigma0 *= 1.5
-            if math.isfinite(_gev_nll(xi0, mu0, sigma0, z)):
-                feasible = True
-                break
-        if not feasible:
-            xi0, mu0, sigma0 = 0.0, float(z.mean()), float(z.std() or 1.0)
+    # block maxima near the float limit overflow the moments; the start is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi0, mu0, sigma0 = _pwm_initializer(z)
+        if not math.isfinite(_gev_nll(xi0, mu0, sigma0, z)):
+            # Widen the scale until the whole sample fits inside the support.
+            for _ in range(80):
+                sigma0 *= 1.5
+                if math.isfinite(_gev_nll(xi0, mu0, sigma0, z)):
+                    break
+            else:
+                xi0, mu0, sigma0 = 0.0, float(z.mean()), float(z.std() or 1.0)
+    start = np.array([xi0, mu0, math.log(sigma0)])
+    if not np.isfinite(start).all():
+        raise GevFitError("block maxima too large for a GEV fit: its starting point overflows")
 
-    def objective(p):
-        return _gev_nll(p[0], p[1], math.exp(p[2]), z)
-
-    x, fun, _, success = _nelder_mead(objective, np.array([xi0, mu0, math.log(sigma0)]),
+    x, fun, _, success = _nelder_mead(lambda p: _log_scale_nll(p, z), start,
                                       maxfev=20000, xatol=1e-9, fatol=1e-10)
     nll = float(fun)
     if not math.isfinite(nll):

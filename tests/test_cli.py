@@ -918,6 +918,26 @@ def test_python_m_peca_writes_what_main_writes(dataset, tmp_path, blas_threads):
         assert cold_bytes == (tmp_path / f"warm.{suffix}").read_bytes(), suffix
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e307])
+def test_float_limit_series_end_in_a_report_or_one_fit_error(tmp_path, scale):
+    # near 1e300 the fit's simplex overflows math.exp(log scale), near 1e307 the moments of
+    # its start overflow: a report, or one JSON line of category fit, and no traceback or
+    # warning text under Python's default warning filters
+    values = scale * (1.0 + np.random.default_rng(42).random(400))
+    series, events = write_inputs(tmp_path, values, (40, 200, 333), "2019-01-01")
+    env = source_env()
+    env.pop("PYTHONWARNINGS", None)
+    for command, option in (("pointwise", ["--quantile", "0.99"]), ("multi", ["--r", "200"])):
+        run = subprocess.run([sys.executable, "-m", "peca", command, "--series", str(series),
+                              "--events", str(events), *option, "--out", str(tmp_path / "out.json")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        if scale == 1e300:
+            assert (run.returncode, run.stderr) == (0, ""), command
+        else:
+            (line,) = run.stderr.splitlines()
+            assert run.returncode == 1 and json.loads(line)["error"]["category"] == "fit", command
+
+
 def test_console_script_runs_the_entry_module():
     # peca.cli imports NumPy, so a script that named peca.cli:main would load
     # it before the entry could set the BLAS thread count; a text match,

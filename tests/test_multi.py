@@ -125,13 +125,21 @@ def test_success_probabilities_non_increasing_and_positive():
         assert pi <= gev_sf(tau, theta) + 1e-15
 
 
-def test_success_probabilities_reject_zero_mass():
+@pytest.mark.parametrize("theta, thresholds, match", [
     # thresholds beyond the upper support endpoint, 0 - 1/(-0.5) = 2, have survival zero:
     # a fault of the fit, named with the first such rung
-    theta = GevParams(-0.5, 0.0, 1.0)
-    ladder = ThresholdLadder(thresholds=np.array([1.0, 5.0, 6.0]))
-    with pytest.raises(GevFitError, match=r"threshold 5\.0 \(rung 2 of 3\).*support end.* is 2\.0; .*--qhi"):
-        success_probabilities(ladder, theta)
+    (GevParams(-0.5, 0.0, 1.0), [1.0, 5.0, 6.0],
+     r"threshold 5\.0 \(rung 2 of 3\).*support end.* is 2\.0; .*--qhi"),
+    # at the support end gev_sf's 1 + xi * ((tau - mu) / sigma) rounds to 0, where
+    # 1 + xi * (tau - mu) / sigma is positive: the same off-support wording
+    (GevParams(-0.7913094993573618, -0.8461417558896933, 7.102569173183813),
+     [8.12957404046047], r"threshold 8\.12957404046047 \(rung 1 of 1\).*support end.* "
+                         r"is 8\.12957404046047; .*--qhi"),
+], ids=["beyond", "at-the-end"])
+def test_success_probabilities_reject_zero_mass(theta, thresholds, match):
+    with pytest.raises(GevFitError, match=match) as err:
+        success_probabilities(ThresholdLadder(thresholds=np.array(thresholds)), theta)
+    assert "underflows" not in str(err.value)
 
 
 @pytest.mark.parametrize("shape", [0.0, 0.5])

@@ -19,6 +19,7 @@ from peca.nulls import (
     _EULER_GAMMA,
     _gev_nll,
     _log_factorials,
+    _log_scale_nll,
     _nelder_mead,
     _pwm_initializer,
     GUMBEL_SHAPE_TOL,
@@ -64,6 +65,9 @@ def test_support_edges():
     bounded = GevParams(-0.5, 0.0, 1.0)  # support bounded above at +2
     assert gev_sf(-2.5, heavy) == 1.0
     assert gev_sf(2.5, bounded) == 0.0
+    # far below the location exp(-s) and w^(-1/xi) overflow: P(Z > z) is 1, not an error
+    assert gev_sf(-710.0, GevParams(0.0, 0.0, 1.0)) == 1.0
+    assert gev_sf(-600.0, GevParams(0.001, 0.0, 1.0)) == 1.0
 
 
 def test_matches_scipy_reference():
@@ -309,6 +313,15 @@ def test_nelder_mead_matches_scipy_on_gev(seed, x0):
         return _gev_nll(p[0], p[1], math.exp(p[2]), z)
 
     assert assert_same_minimize(objective, x0, NM_OPTIONS)
+
+
+def test_nelder_mead_matches_scipy_where_the_scale_overflows():
+    # from log scale 690 the start's 1.05-scaled vertex sits at 724.5, past math.exp's
+    # range: fit_gev_mle's objective scores it +inf, and both optimizers step on alike
+    z = math.exp(690.0) * np.random.default_rng(0).gumbel(size=150)
+    x0 = np.array([0.1, 0.0, 690.0])
+    assert math.isinf(_log_scale_nll(x0 * [1.0, 1.0, 1.05], z))
+    assert assert_same_minimize(lambda p: _log_scale_nll(p, z), x0, NM_OPTIONS)
 
 
 @pytest.mark.parametrize("maxfev", [3, 7, 40, 151])
