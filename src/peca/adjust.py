@@ -16,28 +16,23 @@ METHODS = ("bonferroni", "sidak", "holm", "holm-sidak")
 
 
 def adjust(pvals, method: str) -> np.ndarray:
-    """Adjust p-values for multiplicity; ties are broken stably by position."""
+    """Adjust p-values for multiplicity; ties are broken stably by position.  Bonferroni and
+    Holm take k * p, Sidak and Holm-Sidak 1 - (1 - p)^k; the single-step two use k = m, the
+    step-down two k = m - j + 1 at the j-th smallest p, then a running maximum."""
     p = real_array(pvals, "p-values", 0, 1).ravel()
     if p.size < 1:
         raise ValueError("need at least one p-value")
+    if method not in METHODS:
+        raise ValueError(f"unknown adjustment method: {method!r}")
     m = p.size
+    step_down = method in ("holm", "holm-sidak")
+    order = np.argsort(p, kind="stable") if step_down else np.arange(m)
+    k = np.arange(m, 0, -1, dtype=float) if step_down else m
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf is the right limit for p = 1
-        if method == "bonferroni":
-            adj = m * p
-        elif method == "sidak":
-            adj = -np.expm1(m * np.log1p(-p))
-        elif method in ("holm", "holm-sidak"):
-            order = np.lexsort((np.arange(m), p))
-            ranked = p[order]
-            mult = np.arange(m, 0, -1, dtype=float)  # m - j + 1 at sorted position j
-            if method == "holm":
-                steps = mult * ranked
-            else:
-                steps = -np.expm1(mult * np.log1p(-ranked))
-            adj = np.empty(m)
-            adj[order] = np.maximum.accumulate(steps)
-        else:
-            raise ValueError(f"unknown adjustment method: {method!r}")
+        steps = (-np.expm1(k * np.log1p(-p[order])) if method in ("sidak", "holm-sidak")
+                 else k * p[order])
+    adj = np.empty(m)
+    adj[order] = np.maximum.accumulate(steps) if step_down else steps
     return np.minimum(adj, 1.0)
 
 

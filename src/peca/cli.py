@@ -23,8 +23,9 @@ from .adjust import METHODS, adjust, reject_set
 from .ingest import IngestError, ingest_events, ingest_timeseries
 from .multi import (ThresholdLadder, build_ladder_from_quantiles, compute_tcp, dp_extreme_nll,
                     empirical_quantile, expected_process_with_band, mc_p_value, null_nll_replicates,
-                    steps_at_least, success_probabilities, tcp_nll)
-from .nulls import MIN_BLOCKS, GevFit, GevFitError, binom_tail, block_maxima, fit_gev_mle
+                    steps_at_least, tcp_nll)
+from .nulls import (MIN_BLOCKS, GevFit, GevFitError, binom_tail, block_maxima, fit_gev_mle,
+                    success_probabilities)
 from .qtr import QtrTable, write_csv, write_qtr_svg
 from .series import (EventSeries, TimeSeries, bool_scalar, integer_scalar, late_events, preprocess,
                      real_scalar, rung_index)
@@ -71,12 +72,12 @@ def _gev_dict(fit: GevFit) -> dict:
             "n_blocks": fit.n_samples}
 
 
-def _fit(config: AnalysisConfig, x: TimeSeries, ladder: ThresholdLadder
+def _fit(config: AnalysisConfig, x: TimeSeries, thresholds
          ) -> tuple[GevFit, np.ndarray, np.ndarray]:
     """GEV fit of the block maxima, rung of every step and success probability of every rung."""
     fit = fit_gev_mle(block_maxima(x, config.delta), min_samples=config.min_blocks)
-    rungs = rung_index(x, config.delta, ladder.thresholds)
-    return fit, rungs, success_probabilities(ladder, fit.params)
+    rungs = rung_index(x, config.delta, thresholds)
+    return fit, rungs, success_probabilities(thresholds, fit.params)
 
 
 def _head(command: str, config: AnalysisConfig, x: TimeSeries, events: EventSeries,
@@ -110,7 +111,7 @@ def run_pointwise(config: AnalysisConfig, series: TimeSeries, events: EventSerie
     warn = list(warnings or [])
     x = preprocess(series, config.window) if config.preprocess else series
     threshold = tau if quantile is None else empirical_quantile(x.values, quantile)
-    fit, rungs, pis = _fit(config, x, ThresholdLadder(thresholds=[threshold]))
+    fit, rungs, pis = _fit(config, x, [threshold])
     k, pi = int(compute_tcp(events, rungs, 1)[0]), float(pis[0])
     return {
         **_head("pointwise", config, x, events, fit, warn),
@@ -142,7 +143,7 @@ class _MultiNull:
 def _multi_null(config: AnalysisConfig, x: TimeSeries, n_events: int) -> _MultiNull:
     """Ladder, GEV fit, steps per rung, success probabilities, replicate NLLs and the null band."""
     ladder = build_ladder_from_quantiles(x, config.qlo, config.qhi, config.m)
-    fit, rungs, pis = _fit(config, x, ladder)
+    fit, rungs, pis = _fit(config, x, ladder.thresholds)
     at_least = steps_at_least(rungs, ladder.m)
     null_stats = null_nll_replicates(at_least, n_events, pis, config.r, config.seed)
     lower, upper = expected_process_with_band(n_events, pis)
@@ -151,16 +152,15 @@ def _multi_null(config: AnalysisConfig, x: TimeSeries, n_events: int) -> _MultiN
                       band_upper_rates=upper / n_events)
 
 
-def _score(null: _MultiNull, events: EventSeries
-           ) -> tuple[np.ndarray, float, float, QtrTable]:
-    """Observed counts, NLL statistic, Monte Carlo p-value and QTR table of one event set."""
+def _score(null: _MultiNull, events: EventSeries) -> tuple[float, float, QtrTable]:
+    """NLL statistic, Monte Carlo p-value and QTR table of one event set."""
     counts = compute_tcp(events, null.rungs, null.ladder.m)
     statistic = tcp_nll(counts, events.n_events, null.pis)
     table = QtrTable(levels=null.ladder.levels, thresholds=null.ladder.thresholds,
                      observed_counts=counts, n_events=events.n_events,
                      expected_rates=null.pis, band_lower_rates=null.band_lower_rates,
                      band_upper_rates=null.band_upper_rates)
-    return counts, statistic, mc_p_value(statistic, null.null_stats), table
+    return statistic, mc_p_value(statistic, null.null_stats), table
 
 
 def _median(a: np.ndarray) -> float:
@@ -181,15 +181,15 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
     warn = list(warnings or [])
     x = preprocess(series, config.window) if config.preprocess else series
     null = _multi_null(config, x, events.n_events)
-    ladder, fit, pis = null.ladder, null.fit, null.pis
-    collapsed = config.m - ladder.m
+    collapsed = config.m - null.ladder.m
     if collapsed:
         warn.append(f"{collapsed} duplicate threshold(s) collapsed; "
-                    f"effective ladder size {ladder.m}")
-    head = _head("multi", config, x, events, fit, warn)
+                    f"effective ladder size {null.ladder.m}")
+    head = _head("multi", config, x, events, null.fit, warn)
 
-    counts, statistic, p_hat, table = _score(null, events)
-    raw_p_values = [binom_tail(k, events.n_events, pi) for k, pi in zip(counts, pis)]
+    statistic, p_hat, table = _score(null, events)
+    raw_p_values = [binom_tail(k, events.n_events, pi)
+                    for k, pi in zip(table.observed_counts, null.pis)]
     adjusted = adjust(raw_p_values, config.adjust_method)
     rejected = reject_set(adjusted, config.alpha)
 
@@ -214,17 +214,17 @@ def run_multi(config: AnalysisConfig, series: TimeSeries, events: EventSeries,
     report = {
         **head,
         "ladder": {
-            "size": ladder.m,
+            "size": null.ladder.m,
             "requested": config.m,
             "collapsed": collapsed,
-            "levels": [float(v) for v in ladder.levels],
-            "thresholds": [float(v) for v in ladder.thresholds],
+            "levels": [float(v) for v in null.ladder.levels],
+            "thresholds": [float(v) for v in null.ladder.thresholds],
         },
-        "gev": _gev_dict(fit),
+        "gev": _gev_dict(null.fit),
         "multi_test": multi_test,
         "pointwise": {
-            "k_observed": [int(k) for k in counts],
-            "success_probs": [float(pi) for pi in pis],
+            "k_observed": [int(k) for k in table.observed_counts],
+            "success_probs": [float(pi) for pi in null.pis],
             "permutation_success_probs": [
                 float(v) for v in null.at_least[1:] / null.at_least[0]],
             "raw_p_values": raw_p_values,
@@ -279,7 +279,7 @@ def _simulate_qtr_extremes(out_dir: Path, seed: int = AnalysisConfig.seed, lengt
     outputs = []
     results = {}
     for label, events in event_sets.items():
-        _, statistic, p_hat, table = _score(null, events)
+        statistic, p_hat, table = _score(null, events)
         path = out_dir / f"qtr_{label}.csv"
         write_csv(path, table.columns)
         write_qtr_svg(table, out_dir / f"qtr_{label}.svg", title=f"{label} events")

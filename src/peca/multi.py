@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nulls import GUMBEL_SHAPE_TOL, GevFitError, GevParams, binom_cdf, binom_logpmf, gev_sf
+from .nulls import binom_cdf, binom_logpmf
 from .series import (EventSeries, TimeSeries, frozen_copy, integer_array, integer_scalar,
                      real_array, real_scalar)
 
@@ -37,7 +37,6 @@ __all__ = [
     "ThresholdLadder",
     "empirical_quantile",
     "build_ladder_from_quantiles",
-    "success_probabilities",
     "steps_at_least",
     "compute_tcp",
     "tcp_nll",
@@ -76,8 +75,7 @@ class ThresholdLadder:
 
 def _quantile_rank(t: int, p: float) -> int:
     """Index, from 0, of the level-p order statistic of t values: the ceil(p*T)-th
-    smallest, and the smallest at level 0."""
-    p = real_scalar(p, "quantile level", 0, 1)
+    smallest, and the smallest at level 0.  ``p`` is a level its caller has read."""
     return min(max(1, math.ceil(p * t - 1e-9)), t) - 1
 
 
@@ -88,7 +86,9 @@ def empirical_quantile(values: np.ndarray, p: float) -> float:
     order statistic.
     """
     values = real_array(values, "values").ravel()
-    rank = _quantile_rank(values.size, p)
+    if values.size < 1:
+        raise ValueError("need at least one value")
+    rank = _quantile_rank(values.size, real_scalar(p, "quantile level", 0, 1))
     return float(np.partition(values, rank)[rank])
 
 
@@ -110,31 +110,6 @@ def build_ladder_from_quantiles(x: TimeSeries, lo: float, hi: float, m: int) -> 
     return ThresholdLadder(thresholds=thresholds[keep], levels=levels[keep])
 
 
-def success_probabilities(ladder: ThresholdLadder, theta: GevParams) -> np.ndarray:
-    """Window-exceedance probability at each ladder threshold under the fitted GEV.
-
-    Strictly positive and non-increasing; one-ulp inversions from the power
-    evaluation are clamped.  Raises ``GevFitError`` when a threshold has zero
-    exceedance probability: it sits at or beyond the upper end of the fitted
-    support, as a fit with negative shape can put it below the series
-    maximum, or so far in the tail that the probability underflows.
-    """
-    pis = np.array([gev_sf(t, theta) for t in ladder.thresholds])
-    if np.any(pis <= 0.0):
-        i = int(np.argmax(pis <= 0.0))
-        tau = float(ladder.thresholds[i])
-        # off the support exactly where gev_sf finds it so; elsewhere the zero is an underflow
-        beyond = (theta.shape <= -GUMBEL_SHAPE_TOL
-                  and 1.0 + theta.shape * ((tau - theta.location) / theta.scale) <= 0.0)
-        cause = ("the fitted GEV's upper support end, location - scale/shape, "
-                 f"is {theta.location - theta.scale / theta.shape!r}" if beyond
-                 else "the fitted GEV's exceedance probability underflows to 0 there")
-        raise GevFitError(f"ladder threshold {tau!r} (rung {i + 1} of {ladder.m}) "
-                          f"has zero exceedance probability: {cause}; choose a lower "
-                          "--qhi (multi) or --tau/--quantile (pointwise)")
-    return np.minimum.accumulate(pis)
-
-
 def steps_at_least(rungs, m: int) -> np.ndarray:
     """Entries at rung >= i, for i = 0..m, along the last axis: the one counting kernel.
 
@@ -143,7 +118,7 @@ def steps_at_least(rungs, m: int) -> np.ndarray:
     it is A_0..A_m, the steps at rung >= i.  The permutation null reads the
     series through A alone: A_i / T is the chance that one uniformly placed
     event is counted at threshold i, the counterpart of
-    ``success_probabilities`` read off the series without the GEV fit.  Of
+    ``nulls.success_probabilities`` read off the series without the GEV fit.  Of
     event sets' rungs, entries 1..m are their trigger counts (see
     ``compute_tcp``).  One ``bincount`` counts every row, offset by m + 1 per row, and a
     reversed running sum accumulates.
@@ -271,7 +246,7 @@ def null_nll_replicates(at_least: np.ndarray, n_events: int, pis: np.ndarray, r:
                         seed: int) -> np.ndarray:
     """Process NLL statistics for r permutation replicates, reproducible from ``seed``.
 
-    ``pis`` are the ladder's m success probabilities (see ``success_probabilities``).
+    ``pis`` are the ladder's m success probabilities (see ``nulls.success_probabilities``).
     ``null_blocks`` reads the other arguments and draws the replicates, exact draws of the
     process under uniform re-placement of ``n_events`` events on the series' A_0..A_m; each
     block is scored into the r NLLs before the next is drawn.

@@ -7,8 +7,8 @@ the upper tail ``binom_tail`` of Binomial(n, pi) at k.  The Bernoulli null
 derives pi from the marginal exceedance rate (``bernoulli_success_prob``)
 and is only adequate for serially independent series.  The GEV null fits a
 generalized extreme value distribution to block maxima of the series and
-reads pi off its survival function (``gev_sf``), which also covers smooth,
-serially dependent data.
+reads pi off its survival function (``gev_sf``, ``success_probabilities``
+for each threshold), which also covers smooth, serially dependent data.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import numpy as np
 from .series import TimeSeries, integer_array, integer_scalar, real_array, real_scalar
 
 __all__ = [
-    "GUMBEL_SHAPE_TOL",
     "MIN_BLOCKS",
     "GevParams",
     "GevFit",
     "GevFitError",
     "gev_sf",
+    "success_probabilities",
     "block_maxima",
     "fit_gev_mle",
     "binom_logpmf",
@@ -74,6 +74,13 @@ class GevFit:
     n_samples: int
 
 
+def _support(xi: float, mu: float, sigma: float, z):
+    """s = (z - mu) / sigma and w = 1 + xi * s, positive exactly on the GEV's support, of a
+    scalar or array z; w is None at the Gumbel limit, |xi| < GUMBEL_SHAPE_TOL, supported on R."""
+    s = (z - mu) / sigma
+    return s, None if abs(xi) < GUMBEL_SHAPE_TOL else 1.0 + xi * s
+
+
 def gev_sf(z: float, theta: GevParams) -> float:
     """GEV exceedance probability P(Z > z), computed without cancellation.
 
@@ -84,18 +91,41 @@ def gev_sf(z: float, theta: GevParams) -> float:
     -expm1(-t), so a small probability keeps its relative accuracy, and is 1
     where t overflows.  ``z`` is read by ``real_scalar`` as the threshold.
     """
-    s = (real_scalar(z, "threshold") - theta.location) / theta.scale
+    s, w = _support(theta.shape, theta.location, theta.scale, real_scalar(z, "threshold"))
+    if w is not None and w <= 0.0:
+        return 1.0 if theta.shape > 0 else 0.0
     try:
-        if abs(theta.shape) < GUMBEL_SHAPE_TOL:
-            v = math.exp(-s)
-        else:
-            w = 1.0 + theta.shape * s
-            if w <= 0.0:
-                return 1.0 if theta.shape > 0 else 0.0
-            v = w ** (-1.0 / theta.shape)
+        v = math.exp(-s) if w is None else w ** (-1.0 / theta.shape)
     except OverflowError:
         return 1.0
     return -math.expm1(-v)
+
+
+def success_probabilities(thresholds, theta: GevParams) -> np.ndarray:
+    """Window-exceedance probability at each of the ascending ``thresholds`` under the GEV.
+
+    Strictly positive and non-increasing; one-ulp inversions from the power
+    evaluation are clamped.  Raises ``GevFitError`` when a threshold has zero
+    exceedance probability: it sits at or beyond the upper end of the fitted
+    support, as a fit with negative shape can put it below the series
+    maximum, or so far in the tail that the probability underflows.
+    """
+    thresholds = real_array(thresholds, "thresholds").ravel()
+    if np.any(np.diff(thresholds) < 0):
+        raise ValueError("thresholds must be ascending")
+    pis = np.array([gev_sf(t, theta) for t in thresholds])
+    if np.any(pis <= 0.0):
+        i = int(np.argmax(pis <= 0.0))
+        tau = float(thresholds[i])
+        # off the support, w <= 0 at a negative shape, or else an underflow
+        _, w = _support(theta.shape, theta.location, theta.scale, tau)
+        cause = ("the fitted GEV's upper support end, location - scale/shape, "
+                 f"is {theta.location - theta.scale / theta.shape!r}" if w is not None and w <= 0.0
+                 else "the fitted GEV's exceedance probability underflows to 0 there")
+        raise GevFitError(f"ladder threshold {tau!r} (rung {i + 1} of {thresholds.size}) "
+                          f"has zero exceedance probability: {cause}; choose a lower "
+                          "--qhi (multi) or --tau/--quantile (pointwise)")
+    return np.minimum.accumulate(pis)
 
 
 def block_maxima(x: TimeSeries, delta: int) -> np.ndarray:
@@ -115,15 +145,14 @@ def _gev_nll(xi: float, mu: float, sigma: float, z: np.ndarray) -> float:
     """Negative log-likelihood; +inf when any sample falls outside the support."""
     if sigma <= 0.0 or not math.isfinite(sigma):
         return math.inf
-    s = (z - mu) / sigma
     n = z.size
     with np.errstate(over="ignore"):
-        if abs(xi) < GUMBEL_SHAPE_TOL:
+        s, w = _support(xi, mu, sigma, z)
+        if w is None:
             val = n * math.log(sigma) + float(np.sum(s) + np.sum(np.exp(-s)))
+        elif np.any(w <= 0.0):
+            return math.inf
         else:
-            w = 1.0 + xi * s
-            if np.any(w <= 0.0):
-                return math.inf
             logw = np.log(w)
             val = (n * math.log(sigma)
                    + (1.0 + 1.0 / xi) * float(np.sum(logw))
@@ -271,7 +300,7 @@ def fit_gev_mle(maxima, min_samples: int = MIN_BLOCKS) -> GevFit:
     below 1e-10).
     """
     z = real_array(maxima, "block maxima").ravel()
-    min_samples = integer_scalar(min_samples, "min_samples")
+    min_samples = max(1, integer_scalar(min_samples, "min_samples"))   # np.ptp needs a value
     if z.size < min_samples:
         raise GevFitError(f"need at least {min_samples} block maxima, got {z.size}")
     if np.ptp(z) == 0.0:

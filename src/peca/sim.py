@@ -318,7 +318,6 @@ def null_distribution_comparison(config: SimConfig) -> np.ndarray:
     adequacy diagnostic for the analytical nulls.
     """
     n = config.n_events
-    ks = np.arange(n + 1)
     taus = np.array(config.thresholds)
     cmfs = np.empty((len(config.ma_orders), taus.size, 3, n + 1))
     counts = np.empty((config.replicates, taus.size), dtype=np.int64)
@@ -331,10 +330,11 @@ def null_distribution_comparison(config: SimConfig) -> np.ndarray:
         words = _seed_words(config.seed, order, 1, 0)
         for j0, rows in _replicate_positions(words, config.replicates, config.length, n):
             counts[j0:j0 + len(rows)] = steps_at_least(rungs[rows], taus.size)[:, 1:]
+        # CMF at k: R less the replicates counting > k; at delta 0 a rung counts exceedances
+        cmfs[oi, :, 0] = ((config.replicates - steps_at_least(counts.T, n + 1)[:, 1:])
+                          / config.replicates)
+        p_exc = steps_at_least(rung_index(x, 0, taus), taus.size)[1:] / config.length
         for ti, tau in enumerate(taus):
-            p_exc = np.count_nonzero(x.values > tau) / config.length
-            cmfs[oi, ti] = (
-                np.searchsorted(np.sort(counts[:, ti]), ks, side="right") / config.replicates,
-                binom_cdf(n, bernoulli_success_prob(p_exc, config.delta)),
-                binom_cdf(n, gev_sf(tau, theta)))
+            cmfs[oi, ti, 1:] = (binom_cdf(n, bernoulli_success_prob(p_exc[ti], config.delta)),
+                                binom_cdf(n, gev_sf(tau, theta)))
     return cmfs

@@ -21,10 +21,9 @@ from peca.multi import (
     mc_p_value,
     null_nll_replicates,
     steps_at_least,
-    success_probabilities,
     tcp_nll,
 )
-from peca.nulls import block_maxima, fit_gev_mle
+from peca.nulls import block_maxima, fit_gev_mle, success_probabilities
 from peca.series import rung_index
 from peca.sim import (
     SimConfig,
@@ -127,7 +126,7 @@ def test_criterion_4_test_calibration():
         fit = fit_gev_mle(block_maxima(x, 7))
         ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
         rungs = rung_index(x, 7, ladder.thresholds)
-        pis = success_probabilities(ladder, fit.params)
+        pis = success_probabilities(ladder.thresholds, fit.params)
         null_seed = int(np.random.SeedSequence((7000, i, 2)).generate_state(1)[0])
         nulls = null_nll_replicates(steps_at_least(rungs, ladder.m), e.n_events, pis, r=200,
                                     seed=null_seed)
@@ -147,7 +146,7 @@ def test_criterion_5_dp_envelope():
     e = gen_independent_events(4096, 32, seed=(5000, 1))
     fit = fit_gev_mle(block_maxima(x, 7))
     ladder = build_ladder_from_quantiles(x, 0.75, 1.0, 32)
-    pis = success_probabilities(ladder, fit.params)
+    pis = success_probabilities(ladder.thresholds, fit.params)
     at_least = steps_at_least(rung_index(x, 7, ladder.thresholds), ladder.m)
     nlls = null_nll_replicates(at_least, e.n_events, pis, r=1000, seed=50)
     lo, _ = dp_extreme_nll(32, pis, "min")

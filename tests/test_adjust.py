@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from peca.adjust import METHODS, adjust, reject_set
@@ -69,6 +69,39 @@ def test_reject_set_strict():
 
 
 pvec = st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=12).map(np.array)
+# ties, and the ends 0 and 1, drawn often
+tied_pvec = st.lists(st.sampled_from([0.0, 0.01, 0.04, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                     min_size=1, max_size=12).map(np.array)
+
+
+def textbook(p, method):
+    """The four methods written out one by one: Bonferroni m·p and Sidak 1 - (1 - p)^m; Holm
+    and Holm-Sidak the same with m - j + 1 at the j-th smallest p, ties in position order,
+    and a running maximum."""
+    m = p.size
+    with np.errstate(divide="ignore"):
+        if method == "bonferroni":
+            adj = m * p
+        elif method == "sidak":
+            adj = -np.expm1(m * np.log1p(-p))
+        else:
+            order = np.lexsort((np.arange(m), p))
+            mult = np.arange(m, 0, -1, dtype=float)
+            if method == "holm":
+                steps = mult * p[order]
+            else:
+                steps = -np.expm1(mult * np.log1p(-p[order]))
+            adj = np.empty(m)
+            adj[order] = np.maximum.accumulate(steps)
+    return np.minimum(adj, 1.0)
+
+
+@given(tied_pvec)
+@example(np.array([0.02, 0.02, 0.5, 0.02]))
+@example(np.array([1.0, 0.0, 1.0, 0.0]))
+def test_adjust_is_the_textbook_formulas_bit_for_bit(raw):
+    for method in METHODS:
+        assert adjust(raw, method).tobytes() == textbook(raw, method).tobytes(), method
 
 
 @given(pvec)

@@ -16,7 +16,8 @@ bools give one result, stored as a Python float; text, None or an array where
 one number belongs raises "<what> must be a real number" ("<what> must be real
 numbers" for an array input), and nan or inf raises "<what> must be finite",
 or "<what> must lie in [<low>, <high>]" where the input is bounded; an NLL is
-read on [-inf, inf], so only nan raises.  Flags take True or False only.
+read on [-inf, inf], so only nan raises.  An empty array gives a result or the entry's own
+error, never an ``IndexError`` or NumPy's message.  Flags take True or False only.
 """
 
 import math
@@ -42,6 +43,7 @@ from peca.multi import (
     tcp_nll,
 )
 from peca.nulls import (
+    GevFitError,
     GevParams,
     bernoulli_success_prob,
     binom_cdf,
@@ -50,6 +52,7 @@ from peca.nulls import (
     block_maxima,
     fit_gev_mle,
     gev_sf,
+    success_probabilities,
 )
 from peca.qtr import QtrTable
 from peca.series import (
@@ -422,41 +425,61 @@ NONE_GIVEN = {"run_pointwise-tau": "exactly one of tau and quantile is required"
 # an infinite NLL is a statistic: the result where inf is read as a value
 INFINITE_GIVEN = {"mc_p_value-statistic": 0.25, "mc_p_value-null_stats": 2 / 3}
 
+
+def _gumbel_sf(v):
+    return success_probabilities(v, GevParams(0.0, 0.0, 1.0)).tolist()
+
+
 # entry: (call with the real numbers, the subject of the message, their bounds as the message
-#         writes them or None, floats and their result, ints and their result, and an
-#         out-of-range list and its message, or None)
+#         writes them or None, floats and their result, ints and their result, the result of
+#         the empty tuple, a message or an exception where it raises, and an out-of-range list
+#         and its message, or None)
 REAL_ARRAY_ENTRIES = {
     "TimeSeries": (lambda v: TimeSeries(v).values.tolist(), "time series values", None,
-                   ([0.5, 2.0], [0.5, 2.0]), ([1, 0], [1.0, 0.0]), None),
+                   ([0.5, 2.0], [0.5, 2.0]), ([1, 0], [1.0, 0.0]),
+                   "time series must contain at least one value", None),
     "ThresholdLadder-thresholds": (lambda v: ThresholdLadder(v).thresholds.tolist(), "thresholds",
-                                   None, ([0.5, 2.0], [0.5, 2.0]), ([0, 1], [0.0, 1.0]), None),
+                                   None, ([0.5, 2.0], [0.5, 2.0]), ([0, 1], [0.0, 1.0]),
+                                   "ladder needs at least one threshold", None),
     "ThresholdLadder-levels": (lambda v: ThresholdLadder([1.0, 2.0], v).levels.tolist(),
                                "quantile levels", "[0, 1]", ([0.25, 0.5], [0.25, 0.5]),
-                               ([0, 1], [0.0, 1.0]),
+                               ([0, 1], [0.0, 1.0]), "levels must match thresholds in length",
                                ([0.5, 1.5], "quantile levels must lie in [0, 1]")),
     "rung_index-thresholds": (lambda v: rung_index(STEPS, 1, v).tolist(), "thresholds", None,
-                              ([0.5, 2.0], [2, 2, 1, 0]), ([0, 1], [2, 2, 2, 0]), None),
+                              ([0.5, 2.0], [2, 2, 1, 0]), ([0, 1], [2, 2, 2, 0]), [0, 0, 0, 0],
+                              None),
+    "success_probabilities-thresholds": (
+        _gumbel_sf, "thresholds", None,
+        ([0.5, 2.0], [-math.expm1(-math.exp(-0.5)), -math.expm1(-math.exp(-2.0))]),
+        ([0, 1], [-math.expm1(-1.0), -math.expm1(-math.exp(-1.0))]), [], None),
     "tcp_nll-pis": (lambda v: tcp_nll([1, 1], 1, v), "success probabilities", None,
                     ([0.5, 0.25], 2 * LOG2), ([1, 1], 0.0),
+                    "pis must have one entry per ladder threshold",
                     ([1.5, 0.5], "success probabilities must lie in (0, 1]")),
     "SimConfig-thresholds": (lambda v: SimConfig(thresholds=v).thresholds, "thresholds", None,
-                             ([0.5, 2.0], (0.5, 2.0)), ([0, 1], (0.0, 1.0)), None),
+                             ([0.5, 2.0], (0.5, 2.0)), ([0, 1], (0.0, 1.0)),
+                             "ladder needs at least one threshold", None),
     "adjust": (lambda v: adjust(v, "bonferroni").tolist(), "p-values", "[0, 1]",
-               ([0.25, 0.5], [0.5, 1.0]), ([0, 1], [0.0, 1.0]),
+               ([0.25, 0.5], [0.5, 1.0]), ([0, 1], [0.0, 1.0]), "need at least one p-value",
                ([0.5, 1.5], "p-values must lie in [0, 1]")),
     "reject_set-adjusted": (lambda v: reject_set(v, 0.5).tolist(), "adjusted p-values", "[0, 1]",
-                            ([0.25, 0.75], [True, False]), ([0, 1], [True, False]),
+                            ([0.25, 0.75], [True, False]), ([0, 1], [True, False]), [],
                             ([0.25, 1.5], "adjusted p-values must lie in [0, 1]")),
     "mc_p_value-null_stats": (lambda v: mc_p_value(2.0, v), "null statistics", "[-inf, inf]",
-                              ([0.5, 2.5], 2 / 3), ([0, 1], 1 / 3), None),
+                              ([0.5, 2.5], 2 / 3), ([0, 1], 1 / 3), "need at least one replicate",
+                              None),
     "fit_gev_mle": (lambda v: fit_gev_mle(v, min_samples=3).n_samples, "block maxima", None,
-                    ([0.5, 1.0, 2.0], 3), ([0, 1, 2], 3), None),
+                    ([0.5, 1.0, 2.0], 3), ([0, 1, 2], 3),
+                    GevFitError("need at least 3 block maxima, got 0"), None),
     "empirical_quantile-values": (lambda v: empirical_quantile(v, 0.5), "values", None,
-                                  ([0.5, 2.0], 0.5), ([1, 0], 0.0), None),
+                                  ([0.5, 2.0], 0.5), ([1, 0], 0.0), "need at least one value",
+                                  None),
     "trailing_mean-values": (lambda v: trailing_mean(v, 2).tolist(), "values", None,
-                             ([0.5, 2.0], [0.5, 1.25]), ([1, 0], [1.0, 0.5]), None),
+                             ([0.5, 2.0], [0.5, 1.25]), ([1, 0], [1.0, 0.5]), [], None),
     **{f"QtrTable-{name}": ((lambda v, name=name: _qtr_column(name, v)), name.replace("_", " "),
-                            None, ([0.25, 0.5], [0.25, 0.5]), ([1, 0], [1.0, 0.0]), None)
+                            None, ([0.25, 0.5], [0.25, 0.5]), ([1, 0], [1.0, 0.0]),
+                            "QTR table needs at least one row" if name == "levels"
+                            else "QTR table columns must have equal length", None)
        for name in ("levels", "thresholds", "expected_rates", "band_lower_rates",
                     "band_upper_rates")},
 }
@@ -480,7 +503,7 @@ def _real_rows():
         yield f"{name}-one-element-list", call, [real], unreadable
         if outside:
             yield f"{name}-out-of-range", call, *outside
-    for name, (call, what, bounds, (reals, result), (wholes, whole_result), outside) in (
+    for name, (call, what, bounds, (reals, result), (wholes, whole_result), empty, outside) in (
             REAL_ARRAY_ENTRIES.items()):
         unreadable = f"{what} must be real numbers"
         non_finite = f"{what} must lie in {bounds}" if bounds else f"{what} must be finite"
@@ -489,6 +512,7 @@ def _real_rows():
         yield f"{name}-float32-array", call, np.array(reals, dtype=np.float32), result
         yield f"{name}-int-list", call, wholes, whole_result
         yield f"{name}-bool-array", call, np.array(wholes, dtype=bool), whole_result
+        yield f"{name}-empty-tuple", call, (), empty
         yield f"{name}-text", call, [str(v) for v in reals], unreadable
         yield f"{name}-None", call, [None, *reals[1:]], unreadable
         yield f"{name}-nan", call, [math.nan, *reals[1:]], non_finite
@@ -503,10 +527,11 @@ REAL_ROWS = list(_real_rows())
 @pytest.mark.parametrize("call, value, expected", [row[1:] for row in REAL_ROWS],
                          ids=[row[0] for row in REAL_ROWS])
 def test_every_real_input_follows_the_real_rule(call, value, expected):
-    if isinstance(expected, str):
-        with pytest.raises(ValueError) as raised:
+    if isinstance(expected, (str, Exception)):
+        error = ValueError(expected) if isinstance(expected, str) else expected
+        with pytest.raises(type(error)) as raised:
             call(value)
-        assert str(raised.value) == expected
+        assert str(raised.value) == str(error)
     else:
         # a Python float, not a NumPy scalar, so a config field or report entry dumps as JSON
         result = call(value)

@@ -24,10 +24,10 @@ from peca.multi import (
     null_blocks,
     null_nll_replicates,
     steps_at_least,
-    success_probabilities,
     tcp_nll,
 )
-from peca.nulls import GevFitError, GevParams, binom_logpmf, binom_tail, gev_sf
+from peca.nulls import (GevFitError, GevParams, binom_logpmf, binom_tail, gev_sf,
+                        success_probabilities)
 from peca.series import EventSeries, TimeSeries, rung_index
 from shared import monotone_processes, placement_law, placement_p_value
 
@@ -107,7 +107,10 @@ def test_ladder_validation():
     (lambda: ThresholdLadder([1.0, 2.0], levels=[0.5]), "levels must match thresholds in length"),
     (lambda: tcp_nll([2, 1], 4, [0.5]), "pis must have one entry per ladder threshold"),
     (lambda: expected_process_with_band(3, []), "need at least one success probability"),
-], ids=["levels-length", "pis-length", "pis-empty"])
+    (lambda: empirical_quantile([], 0.5), "need at least one value"),
+    (lambda: success_probabilities([2.0, 1.0], GevParams(0.0, 0.0, 1.0)),
+     "thresholds must be ascending"),
+], ids=["levels-length", "pis-length", "pis-empty", "values-empty", "thresholds-descending"])
 def test_invalid_arguments_raise_their_message(call, message):
     with pytest.raises(ValueError) as raised:
         call()
@@ -118,7 +121,7 @@ def test_success_probabilities_non_increasing_and_positive():
     theta = GevParams(0.05, 2.0, 1.0)
     x = TimeSeries(np.random.default_rng(1).exponential(size=500) + 1.0)
     ladder = build_ladder_from_quantiles(x, 0.5, 0.99, 8)
-    pis = success_probabilities(ladder, theta)
+    pis = success_probabilities(ladder.thresholds, theta)
     assert np.all(pis > 0.0)
     assert np.all(np.diff(pis) <= 0.0)
     for tau, pi in zip(ladder.thresholds, pis):
@@ -138,16 +141,16 @@ def test_success_probabilities_non_increasing_and_positive():
 ], ids=["beyond", "at-the-end"])
 def test_success_probabilities_reject_zero_mass(theta, thresholds, match):
     with pytest.raises(GevFitError, match=match) as err:
-        success_probabilities(ThresholdLadder(thresholds=np.array(thresholds)), theta)
+        success_probabilities(thresholds, theta)
     assert "underflows" not in str(err.value)
 
 
 @pytest.mark.parametrize("shape", [0.0, 0.5])
 def test_success_probabilities_name_an_underflow(shape):
     # inside an unbounded support the zero is an underflow, and no support end is named
-    ladder = ThresholdLadder(thresholds=np.array([1.0, 800.0 if shape == 0.0 else 1e300]))
+    thresholds = [1.0, 800.0 if shape == 0.0 else 1e300]
     with pytest.raises(GevFitError, match=r"\(rung 2 of 2\).*underflows to 0 there; .*--qhi") as err:
-        success_probabilities(ladder, GevParams(shape, 0.0, 1.0))
+        success_probabilities(thresholds, GevParams(shape, 0.0, 1.0))
     assert "support end" not in str(err.value)
 
 
@@ -410,7 +413,7 @@ def test_one_null_draw_scores_several_event_sets():
     rng = np.random.default_rng(12)
     x = TimeSeries(rng.exponential(size=300))
     ladder = build_ladder_from_quantiles(x, 0.5, 0.95, 5)
-    pis = success_probabilities(ladder, GevParams(0.0, 1.5, 1.0))
+    pis = success_probabilities(ladder.thresholds, GevParams(0.0, 1.5, 1.0))
     rungs = rung_index(x, 3, ladder.thresholds)
     nulls = null_nll_replicates(steps_at_least(rungs, ladder.m), 10, pis, r=199, seed=1)
     for _ in range(3):
@@ -461,7 +464,7 @@ def test_events_only_in_final_window():
     rungs = rung_index(x, 5, ladder.thresholds)
     counts = compute_tcp(e, rungs, ladder.m)
     assert counts.tolist() == [0, 0, 0, 0]
-    pis = success_probabilities(ladder, GevParams(0.0, 1.0, 1.0))
+    pis = success_probabilities(ladder.thresholds, GevParams(0.0, 1.0, 1.0))
     nulls = null_nll_replicates(steps_at_least(rungs, ladder.m), 3, pis, r=99, seed=4)
     p_hat = mc_p_value(tcp_nll(counts, 3, pis), nulls)
     assert 0.0 < p_hat <= 1.0
@@ -471,7 +474,7 @@ def test_full_occupancy_is_fixed_point():
     x = TimeSeries(np.random.default_rng(8).exponential(size=40))
     e = EventSeries(40, tuple(range(1, 41)))
     ladder = build_ladder_from_quantiles(x, 0.2, 0.9, 5)
-    pis = success_probabilities(ladder, GevParams(0.0, np.median(x.values), 1.0))
+    pis = success_probabilities(ladder.thresholds, GevParams(0.0, np.median(x.values), 1.0))
     rungs = rung_index(x, 2, ladder.thresholds)
     statistic = tcp_nll(compute_tcp(e, rungs, ladder.m), 40, pis)
     # permuting all positions returns the same series, so every replicate ties
@@ -483,7 +486,7 @@ def test_replicates_deterministic():
     rng = np.random.default_rng(21)
     x = TimeSeries(rng.exponential(size=400))
     ladder = build_ladder_from_quantiles(x, 0.5, 0.99, 9)
-    pis = success_probabilities(ladder, GevParams(0.05, 1.0, 0.8))
+    pis = success_probabilities(ladder.thresholds, GevParams(0.05, 1.0, 0.8))
     at_least = steps_at_least(rung_index(x, 4, ladder.thresholds), ladder.m)
     a = null_nll_replicates(at_least, 25, pis, r=64, seed=5)
     b = null_nll_replicates(at_least, 25, pis, r=64, seed=5)
@@ -587,7 +590,7 @@ def test_mc_pvalue_counting_rule():
     x = TimeSeries(rng.exponential(size=200))
     e = EventSeries(200, tuple(sorted(rng.choice(np.arange(1, 201), 12, replace=False))))
     ladder = build_ladder_from_quantiles(x, 0.4, 0.95, 6)
-    pis = success_probabilities(ladder, GevParams(0.1, 1.0, 1.0))
+    pis = success_probabilities(ladder.thresholds, GevParams(0.1, 1.0, 1.0))
     rungs = rung_index(x, 3, ladder.thresholds)
     statistic = tcp_nll(compute_tcp(e, rungs, ladder.m), 12, pis)
     nulls = null_nll_replicates(steps_at_least(rungs, ladder.m), 12, pis, r=99, seed=3)
@@ -686,7 +689,7 @@ def test_pointwise_along_ladder_matches_direct():
     ladder = build_ladder_from_quantiles(x, 0.5, 0.98, 7)
     theta = GevParams(0.02, 1.2, 0.9)
     counts = tcp(e, x, 6, ladder)
-    pis = success_probabilities(ladder, theta)
+    pis = success_probabilities(ladder.thresholds, theta)
     for k, pi, tau in zip(counts, pis, ladder.thresholds):
         k_direct = int(compute_tcp(e, rung_index(x, 6, [float(tau)]), 1)[0])
         pi_direct = gev_sf(tau, theta)

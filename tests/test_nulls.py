@@ -140,6 +140,24 @@ def test_gev_nll_gumbel_limit(mu, sigma):
         assert _gev_nll(xi, mu, sigma, z) == pytest.approx(gumbel, rel=1e-8)
 
 
+@pytest.mark.parametrize("theta", [
+    GevParams(-0.5, 0.0, 1.0),
+    GevParams(-0.5, 3.0, 0.7),
+    GevParams(-0.25, -1.5, 2.0),
+    GevParams(-1.5, 0.1, 0.3),
+    # a fit at whose upper support end w rounds to 0 (tests/test_multi.py's "at-the-end")
+    GevParams(-0.7913094993573618, -0.8461417558896933, 7.102569173183813),
+])
+def test_gev_sf_is_zero_exactly_where_the_nll_is_off_the_support(theta):
+    end = theta.location - theta.scale / theta.shape
+    zs = (theta.location, np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf))
+    zero = [gev_sf(z, theta) == 0.0 for z in zs]
+    off = [_gev_nll(theta.shape, theta.location, theta.scale, np.array([z])) == math.inf
+           for z in zs]
+    assert zero == off
+    assert zero[0] is False and zero[-1] is True
+
+
 def sample_l_moments(z):
     """Hosking's (1990) direct unbiased estimators of the first three L-moments."""
     x = np.sort(z)
@@ -198,6 +216,8 @@ def test_fit_refuses_tiny_or_degenerate_samples():
         fit_gev_mle(np.arange(MIN_BLOCKS - 1.0))   # the floor is MIN_BLOCKS by default
     with pytest.raises(GevFitError):
         fit_gev_mle(np.full(50, 3.25))        # constant data has no scale
+    with pytest.raises(GevFitError, match=r"^need at least 1 block maxima, got 0$"):
+        fit_gev_mle([], min_samples=0)        # no maxima at a floor below 1
 
 
 # --- binomial tail -----------------------------------------------------------

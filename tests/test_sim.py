@@ -10,6 +10,7 @@ import pytest
 
 from peca.cli import main
 from peca.multi import compute_tcp
+from peca.nulls import bernoulli_success_prob, binom_cdf
 from peca.series import rung_index, trailing_mean
 from peca.sim import (
     _LANE_MAX_EVENTS,
@@ -211,6 +212,10 @@ def test_replicates_draw_the_stream_of_gen_independent_events(seed, replicates, 
         for i, tau in enumerate(config.thresholds):
             want = np.searchsorted(np.sort(counts[:, i]), ks, side="right") / config.replicates
             assert cmfs[oi, i, 0].tobytes() == want.tobytes()
+            # the Bernoulli null's exceedance rate, counted without the rungs
+            p_exc = np.count_nonzero(x.values > tau) / config.length
+            want = binom_cdf(config.n_events, bernoulli_success_prob(p_exc, config.delta))
+            assert cmfs[oi, i, 1].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 131, 2**32 - 1, 2**32, 2**64 + 5])   # 4, 5 and 6 words
